@@ -15,11 +15,15 @@ import sys
 from . import families
 from .errors import (
     BudgetError,
+    ContainmentError,
+    DegreeMismatch,
     GraphParseError,
+    InvalidMapError,
     InvariantViolation,
     NoLambdaError,
     ParameterError,
     PreconditionError,
+    SetConditionError,
 )
 from .graphs import Graph, format_edge_list, graph6_encode, graph_to_json_dict, parse_graph_text
 from .metacyclic import make_group
@@ -33,6 +37,10 @@ _USAGE_ERRORS = (
     NoLambdaError,
     PreconditionError,
     InvariantViolation,
+    SetConditionError,
+    InvalidMapError,
+    DegreeMismatch,
+    ContainmentError,
     OverflowError,
 )
 

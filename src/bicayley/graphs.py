@@ -216,14 +216,17 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def parse_graph_text(text: str, fmt: str = "auto") -> Graph:
-    """Read either format; auto-detection keys off the first non-blank line."""
+    """Read either format; auto-detection keys off the first line that is
+    neither blank nor a "#" comment (no graph6 byte is "#")."""
     if fmt == "g6":
         return graph6_decode(text)
     if fmt == "edges":
         return parse_edge_list(text)
     if fmt != "auto":
         raise GraphParseError(f"unknown format {fmt!r}", 0)
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
+    first = next(
+        (ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")), ""
+    )
     parts = first.split()
     if len(parts) == 2 and all(p.isdigit() for p in parts):
         return parse_edge_list(text)

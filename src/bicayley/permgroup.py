@@ -6,6 +6,11 @@ deterministic Schreier-Sims procedure: base points are always the smallest
 point moved by the residue that created the level, Schreier generators are
 processed in a fixed scan order, so orders, transversals and sift results are
 reproducible across runs.
+
+A group built by `PermGroup.with_base` already knows a base relative to which
+its generators are strong (the automorphism search proves this for the base
+it individualizes); its order is the product of basic orbit sizes and its
+transversals come from one pass over the generators, with no Schreier-Sims.
 """
 
 from __future__ import annotations
@@ -101,26 +106,37 @@ class PermGroup:
                 seen.add(p)
                 gens.append(p)
         self.generators: tuple[Perm, ...] = tuple(gens)
+        self._base: tuple[int, ...] | None = None
         self._strong: list[Perm] | None = None
         self._levels: list[_Level] | None = None
+
+    @classmethod
+    def with_base(
+        cls, degree: int, generators: Iterable[Sequence[int]], base: Sequence[int]
+    ) -> "PermGroup":
+        """Group whose generators are a strong generating set relative to base.
+
+        The caller vouches that, for every i, the generators fixing base[:i]
+        pointwise generate the pointwise stabilizer of base[:i] in the group.
+        Then order() is the product of basic orbit sizes and contains() sifts
+        through transversals built in one pass, with no Schreier-Sims.
+        """
+        G = cls(degree, generators)
+        for b in base:
+            if not 0 <= b < degree:
+                raise InvariantViolation(f"base point {b} outside degree {degree}")
+        for g in G.generators:
+            if all(g[b] == b for b in base):
+                raise InvariantViolation("a generator fixes the whole base")
+        G._base = tuple(base)
+        return G
 
     # -- orbits ---------------------------------------------------------------
 
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
             raise InvariantViolation(f"point {point} outside degree {self.degree}")
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in self.generators:
-                    y = g[x]
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(seen)
+        return _orbit(point, self.generators)
 
     def orbits(self) -> list[frozenset[int]]:
         """Orbit partition, sorted by smallest member."""
@@ -152,7 +168,7 @@ class PermGroup:
             return
         degree = self.degree
         strong: list[Perm] = list(self.generators)
-        levels: list[_Level] = []
+        levels = [_Level(b, degree) for b in self._base or ()]
 
         def rebuild() -> list[list[Perm]]:
             # Assign base points so every strong generator moves some base;
@@ -187,6 +203,8 @@ class PermGroup:
 
         while True:
             per_level = rebuild()
+            if self._base is not None:
+                break  # the generators are already strong relative to the base
             new_residue = None
             for idx, lv in enumerate(levels):
                 for pt in sorted(lv.transversal):
@@ -209,9 +227,16 @@ class PermGroup:
         self._levels = levels
 
     def order(self) -> int:
+        n = 1
+        if self._base is not None:
+            # product of basic orbit sizes; no transversal is built
+            gens = self.generators
+            for b in self._base:
+                n *= len(_orbit(b, gens))
+                gens = tuple(g for g in gens if g[b] == b)
+            return n
         self._build_chain()
         assert self._levels is not None
-        n = 1
         for lv in self._levels:
             n *= len(lv.transversal)
         return n
@@ -265,6 +290,21 @@ class PermGroup:
                 raise BudgetError(f"enumeration exceeds limit {limit}")
             frontier = new
         return sorted(seen)
+
+
+def _orbit(point: int, generators: Sequence[Perm]) -> frozenset[int]:
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = g[x]
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(seen)
 
 
 def perm_to_json(p: Perm) -> str:

@@ -20,6 +20,13 @@ skip a candidate branch when a known automorphism fixing the current
 individualized prefix maps it onto an already-explored one; such subtrees
 contain only duplicate leaves, so the extreme certificate and the generated
 group are exact.
+
+The vertices individualized on the way to the first leaf form a base of the
+automorphism group, and the harvested automorphisms are a strong generating
+set relative to it: at each level of that path every child whose subtree
+holds an equivalent leaf either yields an automorphism fixing the prefix or
+is pruned as the image of one that did.  `aut_group` hands both to
+`PermGroup.with_base`, so |Aut| is a product of basic orbit sizes.
 """
 
 from __future__ import annotations
@@ -40,10 +47,6 @@ ENGINE_VERTEX_BUDGET = 5000
 
 class _Engine:
     def __init__(self, graph: Graph):
-        if graph.n > ENGINE_VERTEX_BUDGET:
-            raise BudgetError(
-                f"{graph.n} vertices exceed the engine budget {ENGINE_VERTEX_BUDGET}"
-            )
         self.graph = graph
         self.n = graph.n
         degs = graph.degrees()
@@ -131,6 +134,7 @@ class _Search:
         self._auto_invs: list[np.ndarray] = []
         self._auto_keys: set[bytes] = set()
         self.first: tuple[tuple[int, ...], bytes, np.ndarray] | None = None
+        self.base: list[int] = []  # run_auto: vertices individualized on the way to the first leaf
         self.best: tuple[tuple[int, ...], bytes, np.ndarray] | None = None
 
     def _record_auto(self, ref_pos: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -180,6 +184,7 @@ class _Search:
             bts = self.e.leaf_bytes(pos)
             if self.first is None:
                 self.first = (trace, bts, pos.copy())
+                self.base = list(prefix)
                 return
             ftrace, fbts, fpos = self.first
             if trace == ftrace and bts == fbts:
@@ -304,50 +309,60 @@ def _component_canon(graph: Graph) -> list[tuple[list[int], bytes, list[int]]]:
 
 
 def aut_group(graph: Graph) -> PermGroup:
-    """Full automorphism group; deterministic generator set for fixed input.
+    """Full automorphism group, with a base and strong generating set.
 
-    Disconnected graphs decompose: per-component generators for one
-    representative of each isomorphism class, plus a component swap for every
-    consecutive pair of isomorphic components, generate the whole group
-    (the product of wreath products over the classes).
+    Deterministic for fixed input.  Disconnected graphs decompose: the
+    generators of one representative per isomorphism class, copied onto every
+    member of the class along the canonical labelings, plus a component swap
+    for every consecutive pair of members, are strong relative to the
+    representative's base copied onto every member and interleaved (first
+    point of every copy, then the second, ...).  The group is the product of
+    wreath products over the classes.
     """
     _check_budget(graph)
     if graph.n == 0:
-        return PermGroup(0, [])
+        return PermGroup.with_base(0, [], [])
     comps = graph.components()
     if len(comps) == 1:
-        gens = _Search(_Engine(graph)).run_auto()
-        return PermGroup(graph.n, [tuple(int(x) for x in g) for g in gens])
+        search = _Search(_Engine(graph))
+        gens = search.run_auto()
+        return PermGroup.with_base(graph.n, [tuple(int(x) for x in g) for g in gens], search.base)
     info = _component_canon(graph)
     by_class: dict[tuple[int, bytes], list[tuple[list[int], list[int]]]] = {}
     for comp, digest, labeling in info:
         by_class.setdefault((len(comp), digest), []).append((comp, labeling))
     gens: list[tuple[int, ...]] = []
+    base: list[int] = []
     ident = list(range(graph.n))
     for (_, _digest), members in sorted(by_class.items()):
-        rep, _rep_label = members[0]
-        sub = graph.subgraph(rep)
-        if sub.n > 1:
-            for g in _Search(_Engine(sub)).run_auto():
+        # at_pos[j][p]: the vertex of member j at canonical position p
+        at_pos = []
+        for comp, labeling in members:
+            row = [0] * len(comp)
+            for local, p in enumerate(labeling):
+                row[p] = comp[local]
+            at_pos.append(row)
+        rep, rep_label = members[0]
+        local_gens: list[np.ndarray] = []
+        local_base = [0]  # a trivial group still needs one point per copy
+        if len(rep) > 1:
+            search = _Search(_Engine(graph.subgraph(rep)))
+            local_gens = search.run_auto()
+            local_base = search.base or local_base
+        for g in local_gens:
+            for row in at_pos:
                 lifted = ident[:]
                 for local, image in enumerate(g):
-                    lifted[rep[local]] = rep[int(image)]
+                    lifted[row[rep_label[local]]] = row[rep_label[int(image)]]
                 gens.append(tuple(lifted))
-        for (comp_a, lab_a), (comp_b, lab_b) in zip(members, members[1:]):
+        for row_a, row_b in zip(at_pos, at_pos[1:]):
             # swap two isomorphic components along their canonical labelings
-            pos_to_b = [0] * len(comp_b)
-            for local, p in enumerate(lab_b):
-                pos_to_b[p] = comp_b[local]
-            pos_to_a = [0] * len(comp_a)
-            for local, p in enumerate(lab_a):
-                pos_to_a[p] = comp_a[local]
             swap = ident[:]
-            for local, p in enumerate(lab_a):
-                swap[comp_a[local]] = pos_to_b[p]
-            for local, p in enumerate(lab_b):
-                swap[comp_b[local]] = pos_to_a[p]
+            for a, b in zip(row_a, row_b):
+                swap[a], swap[b] = b, a
             gens.append(tuple(swap))
-    return PermGroup(graph.n, gens)
+        base.extend(row[rep_label[b]] for b in local_base for row in at_pos)
+    return PermGroup.with_base(graph.n, gens, base)
 
 
 def canonical_form(graph: Graph) -> bytes:

@@ -134,3 +134,33 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
+
+
+def test_analyze_edge_list_with_leading_comment(tmp_path, capsys):
+    from bicayley.graphs import format_edge_list
+
+    text = format_edge_list(gamma_t(1).graph)
+    plain = tmp_path / "plain.edges"
+    plain.write_text(text)
+    commented = tmp_path / "commented.edges"
+    commented.write_text("# Gray graph\n\n# 54 vertices, 81 edges\n" + text)
+    code, ref, _ = run_cli(capsys, "analyze", "--in", str(plain))
+    assert code == 0
+    code, out, err = run_cli(capsys, "analyze", "--in", str(commented))
+    assert code == 0 and err == ""
+    assert out == ref
+
+
+def test_library_errors_map_to_usage_exit(monkeypatch, capsys):
+    from bicayley import cli
+    from bicayley.errors import ContainmentError, DegreeMismatch, InvalidMapError, SetConditionError
+
+    for exc in (SetConditionError, InvalidMapError, DegreeMismatch, ContainmentError):
+        def fail(args, exc=exc):
+            raise exc(f"{exc.__name__} raised")
+
+        monkeypatch.setattr(cli, "_cmd_family", fail)
+        code, out, err = run_cli(capsys, "family", "--kind", "gamma", "--t", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: {exc.__name__} raised\n"
+        assert "Traceback" not in err

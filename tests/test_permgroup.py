@@ -162,3 +162,26 @@ def test_degree_budget():
 
     with pytest.raises(BudgetError):
         PermGroup(100_001, [])
+
+
+def test_with_base_order_and_membership():
+    import itertools
+
+    # strong relative to (0, 1, 2): the 4-cycle, a 3-cycle fixing 0, a transposition fixing 0 and 1
+    G = PermGroup.with_base(4, [(1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2)], (0, 1, 2))
+    assert G.order() == 24 == s4().order()
+    for perm in itertools.permutations(range(4)):
+        assert G.contains(perm)
+    V4 = PermGroup.with_base(4, [(1, 0, 3, 2), (2, 3, 0, 1)], (0,))
+    assert V4.order() == 4
+    members = set(V4.enumerate_elements())
+    for perm in itertools.permutations(range(4)):
+        assert V4.contains(perm) == (perm in members)
+    assert PermGroup.with_base(3, [], ()).order() == 1
+
+
+def test_with_base_rejects_generator_fixing_the_base():
+    with pytest.raises(InvariantViolation):
+        PermGroup.with_base(4, [(1, 0, 2, 3), (0, 1, 3, 2)], (0,))
+    with pytest.raises(InvariantViolation):
+        PermGroup.with_base(4, [(1, 0, 2, 3)], (4,))

@@ -255,3 +255,80 @@ def test_disconnected_aut_and_canon():
         perm = list(range(7))
         rng.shuffle(perm)
         assert canonical_form(mixed.relabel(perm)) == ref
+
+
+# -- base and strong generators read off the search ------------------------------
+
+
+def copies(g, m):
+    return Graph(g.n * m, [(u + c * g.n, v + c * g.n) for c in range(m) for u, v in g.edges])
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return Graph(offset, edges)
+
+
+def test_seeded_order_matches_generic_chain_and_brute_force():
+    from bicayley import PermGroup
+
+    rng = random.Random(2024)
+    rigid = Graph(6, [(0, 3), (0, 4), (1, 4), (2, 5), (3, 4), (3, 5)])  # refinement alone makes it discrete
+    cases = [Graph(1, []), Graph(5, []), Graph(9, []), copies(Graph(2, [(0, 1)]), 4), copies(rigid, 3)]
+    for seed in range(150):
+        n = rng.randrange(1, 10)
+        g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), seed)
+        cases.append(g)
+        if g.n <= 4:
+            cases.append(disjoint_union(g, g, Graph(1, [])))
+    kinds = {g.is_connected() for g in cases}
+    assert kinds == {True, False}
+    for g in cases:
+        aut = aut_group(g)
+        generic = PermGroup(g.n, aut.generators).order()
+        assert aut.order() == generic == brute_force_aut_order(g), g.edges
+
+
+def test_seeded_order_on_multi_copy_graphs(gray_graph):
+    gray = gray_graph.graph
+    assert aut_group(copies(gray, 3)).order() == 1296**3 * 6
+    assert aut_group(copies(petersen(), 4)).order() == 120**4 * 24
+    mixed = disjoint_union(petersen(), Graph(1, []), petersen(), cycle(5), Graph(1, []), Graph(1, []))
+    assert aut_group(mixed).order() == 120**2 * 2 * 6 * 10
+
+
+def test_seeded_order_matches_sympy(gray_graph, sym162):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    from bicayley import abelian_family, gamma_t
+
+    for bg in (sym162, gray_graph, gamma_t(2), abelian_family(3, 7)):
+        aut = aut_group(bg.graph)
+        ref = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g)) for g in aut.generators]
+        )
+        assert aut.order() == ref.order()
+
+
+def test_seeded_contains_matches_generic_chain(gray_graph):
+    from bicayley import PermGroup, compose
+
+    rng = random.Random(8)
+    for g in (petersen(), gray_graph.graph, copies(petersen(), 3), copies(cycle(4), 2)):
+        aut = aut_group(g)
+        generic = PermGroup(g.n, aut.generators)
+        gens = aut.generators
+        for _ in range(20):
+            w = tuple(range(g.n))
+            for _ in range(rng.randrange(1, 8)):
+                w = compose(w, rng.choice(gens))
+            assert aut.contains(w) and generic.contains(w)
+        outside = 0
+        for _ in range(20):
+            p = list(range(g.n))
+            rng.shuffle(p)
+            assert aut.contains(p) == generic.contains(p)
+            outside += not generic.contains(p)
+        assert outside > 0
