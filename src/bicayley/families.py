@@ -28,6 +28,7 @@ from .metacyclic import (
     MetacyclicGroup,
     PairGroup,
     PairRelationReport,
+    apply_map,
     check_generator_images,
     make_automorphism,
     make_group,
@@ -337,36 +338,79 @@ CENSUS_ORDER_BUDGET = 3**5
 
 def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
     """All spoke sets S = {1, x, y} over the group, deduplicated by canonical
-    form, each class classified; deterministic enumeration by element rank."""
+    form, each class classified; deterministic enumeration by element rank.
+
+    Three moves send S to an isomorphic graph: S -> S^alpha (alpha in
+    Aut(H)), S -> S^-1 (swap the parts) and S -> S s^-1 (s in S, translate
+    part 0).  The pairs are split into Aut(H)-orbits; the other two moves
+    commute with Aut(H), so applying them to one pair per orbit joins the
+    orbits.  Orbits only bound the classes from above, so one canonical form
+    per joined orbit decides the classes.
+    """
     if group.order > CENSUS_ORDER_BUDGET:
         raise BudgetError(f"census limited to groups of order <= {CENSUS_ORDER_BUDGET}")
     start = time.monotonic()
-    els = group.elements()
     ident = group.identity
-    nonid = [g for g in els if g != ident]
-    buckets: dict[str, list] = {}
-    pair_count = 0
+    nonid = [g for g in group.elements() if g != ident]
+    order, rank = group.order, group.rank
+
+    def key(u: Element, v: Element) -> int:
+        """The unordered pair {u, v} as one int."""
+        ru, rv = rank(u), rank(v)
+        return ru * order + rv if ru < rv else rv * order + ru
+
+    auts = group.automorphisms()
+    orbit_of: dict[int, int] = {}
+    reps: list[tuple[Element, Element]] = []  # least pair of each Aut(H)-orbit
+    sizes: list[int] = []
     generating = 0
     for i, x in enumerate(nonid):
         for y in nonid[i + 1 :]:
-            pair_count += 1
-            if connected_only and len(group.closure([x, y])) != group.order:
+            if connected_only and not group.generates(x, y):
                 continue
             generating += 1
-            bg = BiCayleyGraph(group, (), (), (ident, x, y))
-            digest = canonical_digest(bg.graph)
-            entry = buckets.get(digest)
-            if entry is None:
-                buckets[digest] = [(ident, x, y), 1, bg]
-            else:
-                entry[1] += 1
+            if key(x, y) in orbit_of:
+                continue
+            orbit = {key(apply_map(group, f, x), apply_map(group, f, y)) for f in auts}
+            for member in orbit:
+                orbit_of[member] = len(reps)
+            reps.append((x, y))
+            sizes.append(len(orbit))
+
+    parent = list(range(len(reps)))  # union-find; a root is its set's least index
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for k, (x, y) in enumerate(reps):
+        xi, yi = group.inv(x), group.inv(y)
+        for u, v in ((xi, yi), (xi, group.mul(y, xi)), (yi, group.mul(x, yi))):
+            a, b = find(k), find(orbit_of[key(u, v)])
+            parent[max(a, b)] = min(a, b)
+
+    joined = [0] * len(reps)
+    for k, size in enumerate(sizes):
+        joined[find(k)] += size
+    # roots come in enumeration order, so each class keeps its first pair
+    buckets: dict[str, list] = {}
+    for k, size in enumerate(joined):
+        if not size:
+            continue
+        spokes = (ident,) + reps[k]
+        bg = BiCayleyGraph(group, (), (), spokes)
+        entry = buckets.setdefault(canonical_digest(bg.graph), [spokes, 0, bg])
+        entry[1] += size
     classes = []
     for digest in sorted(buckets):
         spokes, count, bg = buckets[digest]
         classes.append(CensusClass(spokes, digest, count, classify(bg.graph)))
     elapsed = time.monotonic() - start
+    total = len(nonid) * (len(nonid) - 1) // 2
     return CensusResult(
-        group.params(), connected_only, pair_count, generating, tuple(classes), elapsed
+        group.params(), connected_only, total, generating, tuple(classes), elapsed
     )
 
 

@@ -250,6 +250,33 @@ class MetacyclicGroup(PairGroup):
     def params(self) -> tuple[int, int, int, int]:
         return (self.p, self.m, self.n, self.r)
 
+    def generates(self, x: Element, y: Element) -> bool:
+        """Whether <x, y> = G, by the Burnside basis theorem.
+
+        G' = <a^{p^r}> with r >= 1, so Phi(G) = <a^p, b^p> and b^j a^i maps to
+        (j, i) mod p in G/Phi(G) = Z_p^2; x and y generate G exactly when
+        their images are independent there.
+        """
+        return (x[0] * y[1] - x[1] * y[0]) % self.p != 0
+
+    def automorphisms(self) -> list[GroupMap]:
+        """All of Aut(G) as validated maps a -> x, b -> y, ordered by (x, y).
+
+        The images must satisfy the presentation and generate G; a surjective
+        homomorphism from a group of order |G| onto G is a bijection.  Images
+        of a and b keep the orders p^m and p^n, which prunes the candidates.
+        """
+        els = self.elements()
+        xs = [g for g in els if self.element_order(g) == self.mod_i]
+        ys = [g for g in els if self.element_order(g) == self.mod_j]
+        out = []
+        for x in xs:
+            rhs = self.pow(x, self.twist)
+            for y in ys:
+                if self.generates(x, y) and self.conj(x, y) == rhs:
+                    out.append(GroupMap(x, y, validated=True))
+        return out
+
     def frattini_subgroup(self) -> frozenset[Element]:
         """G^p G' as an element set (valid since G is a p-group)."""
         a, b = self.gen_a, self.gen_b

@@ -3,6 +3,8 @@ the operations they check."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 
@@ -42,6 +44,15 @@ def derived_by_all_commutators(G):
     return G.closure(comms)
 
 
+def automorphisms_by_images(G):
+    """Every generator-image pair (x, y) that defines an automorphism, by
+    checking all |G|^2 candidates in (x, y) order."""
+    from bicayley.metacyclic import check_generator_images
+
+    els = G.elements()
+    return [(x, y) for x in els for y in els if check_generator_images(G, x, y).ok]
+
+
 def subgroup_is_abelian(G, elements):
     elements = sorted(elements)
     for x in elements:
@@ -74,3 +85,123 @@ def check_regular_action_exhaustive(G):
 
 def membership_by_enumeration(group_elements, perm):
     return tuple(perm) in {tuple(p) for p in group_elements}
+
+
+def census_by_pairs(group, connected_only=True):
+    """The census by one canonical labelling per generating pair."""
+    from bicayley.bicay import BiCayleyGraph
+    from bicayley.errors import BudgetError
+    from bicayley.families import CENSUS_ORDER_BUDGET, CensusClass, CensusResult
+    from bicayley.symmetry import canonical_digest, classify
+
+    if group.order > CENSUS_ORDER_BUDGET:
+        raise BudgetError(f"census limited to groups of order <= {CENSUS_ORDER_BUDGET}")
+    start = time.monotonic()
+    els = group.elements()
+    ident = group.identity
+    nonid = [g for g in els if g != ident]
+    buckets = {}
+    pair_count = 0
+    generating = 0
+    for i, x in enumerate(nonid):
+        for y in nonid[i + 1 :]:
+            pair_count += 1
+            if connected_only and len(group.closure([x, y])) != group.order:
+                continue
+            generating += 1
+            bg = BiCayleyGraph(group, (), (), (ident, x, y))
+            digest = canonical_digest(bg.graph)
+            entry = buckets.get(digest)
+            if entry is None:
+                buckets[digest] = [(ident, x, y), 1, bg]
+            else:
+                entry[1] += 1
+    classes = []
+    for digest in sorted(buckets):
+        spokes, count, bg = buckets[digest]
+        classes.append(CensusClass(spokes, digest, count, classify(bg.graph)))
+    elapsed = time.monotonic() - start
+    return CensusResult(
+        group.params(), connected_only, pair_count, generating, tuple(classes), elapsed
+    )
+
+
+def _g6_size_header(n):
+    if n <= 62:
+        return chr(63 + n)
+    if n <= 258047:
+        return "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+    return "~~" + "".join(chr(63 + ((n >> s) & 63)) for s in (30, 24, 18, 12, 6, 0))
+
+
+def graph6_encode_by_bits(g):
+    """graph6 text, one upper-triangle bit at a time."""
+    n = g.n
+    bits = bytearray(n * (n - 1) // 2)
+    for u, v in g.edges:
+        # position of pair (u, v), u < v, in column-major upper-triangle order
+        bits[v * (v - 1) // 2 + u] = 1
+    chunks = []
+    for k in range(0, len(bits), 6):
+        group = bits[k : k + 6]
+        val = 0
+        for b in group:
+            val = (val << 1) | b
+        val <<= 6 - len(group)
+        chunks.append(chr(63 + val))
+    return _g6_size_header(n) + "".join(chunks)
+
+
+def graph6_decode_by_bits(text):
+    """Parse graph6 text, one body bit at a time."""
+    from bicayley.errors import GraphParseError
+    from bicayley.graphs import Graph
+
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise GraphParseError("empty graph6 string", 0)
+    data = s.encode("ascii", errors="replace")
+    for off, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            raise GraphParseError(f"invalid graph6 byte {byte!r}", off)
+    pos = 0
+    if data[0] == 126:  # '~'
+        if len(data) >= 2 and data[1] == 126:
+            if len(data) < 8:
+                raise GraphParseError("truncated graph6 size header", len(data))
+            n = 0
+            for byte in data[2:8]:
+                n = (n << 6) | (byte - 63)
+            pos = 8
+        else:
+            if len(data) < 4:
+                raise GraphParseError("truncated graph6 size header", len(data))
+            n = 0
+            for byte in data[1:4]:
+                n = (n << 6) | (byte - 63)
+            pos = 4
+    else:
+        n = data[0] - 63
+        pos = 1
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(data) - pos != need:
+        raise GraphParseError(
+            f"graph6 body has {len(data) - pos} bytes, expected {need}", pos
+        )
+    edges = []
+    bit_index = 0
+    v = 1  # column of the current bit; positions are visited in increasing order
+    for byte in data[pos:]:
+        val = byte - 63
+        for shift in range(5, -1, -1):
+            if bit_index >= nbits:
+                break
+            while (v + 1) * v // 2 <= bit_index:
+                v += 1
+            if (val >> shift) & 1:
+                edges.append((bit_index - v * (v - 1) // 2, v))
+            bit_index += 1
+    return Graph(n, edges)

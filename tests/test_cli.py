@@ -100,6 +100,28 @@ def test_census_subcommand(capsys):
     ]
 
 
+def test_census_over_budget_is_a_usage_error():
+    # a subprocess, so an uncaught exception would show as a traceback
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bicayley
+
+    env = dict(os.environ)
+    src = str(Path(bicayley.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bicayley", "census", "--group", "3,4,2,3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_json_key_order_stable(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--target", "lemma51", "--t", "1")
     _, out2, _ = run_cli(capsys, "verify", "--target", "lemma51", "--t", "1")

@@ -165,3 +165,37 @@ def test_census_budget():
 
     with pytest.raises(BudgetError):
         census(make_group(3, 4, 2, 3))  # order 3^6 > 3^5
+
+
+def _without_elapsed(result, group):
+    from bicayley.families import census_to_dict
+
+    doc = census_to_dict(result, group)
+    del doc["elapsed_seconds"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "params, connected_only",
+    [((3, 2, 1, 1), True), ((3, 2, 2, 1), True), ((3, 3, 1, 2), True), ((3, 2, 1, 1), False)],
+)
+def test_census_matches_per_pair_oracle(params, connected_only):
+    from bicayley import census, make_group
+
+    from .oracles import census_by_pairs
+
+    G = make_group(*params)
+    fast = _without_elapsed(census(G, connected_only=connected_only), G)
+    assert fast == _without_elapsed(census_by_pairs(G, connected_only=connected_only), G)
+    assert fast["pair_count"] == (G.order - 1) * (G.order - 2) // 2
+
+
+def test_census_order_243_finds_gamma_2():
+    # 29161 pairs: one canonical form each was out of reach
+    from bicayley import canonical_digest, census, make_group
+
+    res = census(make_group(3, 3, 2, 2))
+    et = res.edge_transitive_classes
+    assert len(et) == 1
+    assert et[0].digest == canonical_digest(gamma_t(2).graph)
+    assert et[0].report.classification == "semisymmetric"

@@ -87,3 +87,32 @@ def test_connectivity_and_json():
     assert Graph(2, [(0, 1)]).is_connected()
     d = graph_to_json_dict(g)
     assert d["vertex_count"] == 4 and d["edge_count"] == 2
+
+
+def test_graph6_codecs_match_bitwise_oracle():
+    from .oracles import graph6_decode_by_bits, graph6_encode_by_bits
+
+    rng = random.Random(11)
+    for n in range(81):  # 62 and 63 straddle the one-byte size header
+        density = rng.choice((0.0, 0.05, 0.3, 1.0))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = Graph(n, edges)
+        text = graph6_encode(g)
+        assert text == graph6_encode_by_bits(g)
+        assert graph6_decode(text) == graph6_decode_by_bits(text) == g
+        if n * (n - 1) // 2 % 6:
+            # set the last padding bit: both decoders ignore it
+            padded = text[:-1] + chr(ord(text[-1]) + 1)
+            assert graph6_decode(padded) == graph6_decode_by_bits(padded) == g
+
+
+def test_graph6_parse_errors_match_bitwise_oracle():
+    from .oracles import graph6_decode_by_bits
+
+    for text in ("", "B\x19", "Bww", "~", "~??", "~~???", "C~\x7f", "C\x19~\x7f", "Bwé"):
+        with pytest.raises(GraphParseError) as fast:
+            graph6_decode(text)
+        with pytest.raises(GraphParseError) as slow:
+            graph6_decode_by_bits(text)
+        assert str(fast.value) == str(slow.value)
+        assert fast.value.offset == slow.value.offset

@@ -15,6 +15,7 @@ from bicayley import (
 from bicayley.errors import BudgetError, InvalidMapError, ParameterError
 
 from .oracles import (
+    automorphisms_by_images,
     check_regular_action_exhaustive,
     derived_by_all_commutators,
     frattini_by_maximal_intersection,
@@ -145,6 +146,30 @@ def test_frattini(group27, group81a):
     assert len(group81a.frattini_subgroup()) == 9
     for G in (group27, group81a):
         assert G.frattini_subgroup() == frattini_by_maximal_intersection(G)
+
+
+def test_generates_matches_closure(group27, group81a, group81b):
+    # Burnside basis test against the explicit subgroup on every pair
+    for G in (group27, group81a, group81b):
+        els = G.elements()
+        for x in els:
+            for y in els:
+                assert G.generates(x, y) == (len(G.closure([x, y])) == G.order)
+
+
+@pytest.mark.parametrize(
+    "params, count",
+    [((3, 2, 1, 1), 54), ((3, 2, 2, 1), 486), ((3, 3, 1, 2), 162), ((5, 2, 1, 1), 500)],
+)
+def test_automorphisms_match_all_generator_images(params, count):
+    G = make_group(*params)
+    auts = G.automorphisms()
+    assert len(auts) == count
+    assert all(f.validated for f in auts)
+    assert [(f.image_a, f.image_b) for f in auts] == automorphisms_by_images(G)
+    els = G.elements()
+    for f in auts:
+        assert sorted(apply_map(G, f, g) for g in els) == list(els)
 
 
 def test_center(group27):
