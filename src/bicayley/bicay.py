@@ -11,12 +11,15 @@ adjacency data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidMapError, InvariantViolation, NotAutomorphism, SetConditionError
 from .graphs import Graph
 from .metacyclic import Element, GroupMap, PairGroup, apply_map
-from .permgroup import Perm, PermGroup
+from .permgroup import PermGroup, as_perm
+
+if TYPE_CHECKING:
+    from .permgroup import Perm
 
 
 def _norm_set(group: PairGroup, items: Iterable[Element]) -> tuple[Element, ...]:
@@ -78,12 +81,10 @@ def build(group: PairGroup, R: Iterable[Element], L: Iterable[Element], S: Itera
     return BiCayleyGraph(group, R, L, S)
 
 
-def _check_automorphism(bg: BiCayleyGraph, perm: Perm) -> Perm:
-    g = bg.graph
-    adj = g.adj
-    for u, v in g.edges:
-        if perm[v] not in adj[perm[u]]:
-            raise NotAutomorphism("constructed map does not preserve adjacency")
+def _check_automorphism(bg: BiCayleyGraph, images: list[int]) -> Perm:
+    perm = as_perm(images)
+    if not bg.graph.preserves_edges(perm):
+        raise NotAutomorphism("constructed map does not preserve adjacency")
     return perm
 
 
@@ -97,7 +98,7 @@ def right_translation(bg: BiCayleyGraph, g: Element) -> Perm:
         target = G.rank(G.mul(h, g))
         images[hr] = target
         images[half + hr] = half + target
-    return _check_automorphism(bg, tuple(images))
+    return _check_automorphism(bg, images)
 
 
 def right_group(bg: BiCayleyGraph) -> PermGroup:
@@ -138,7 +139,7 @@ def sigma_map(bg: BiCayleyGraph, f: GroupMap, g: Element) -> MapResult:
         ha = img(h)
         images[hr] = G.rank(ha)
         images[half + hr] = half + G.rank(G.mul(g, ha))
-    return MapResult(_check_automorphism(bg, tuple(images)))
+    return MapResult(_check_automorphism(bg, images))
 
 
 def delta_map(bg: BiCayleyGraph, f: GroupMap, x: Element, y: Element) -> MapResult:
@@ -164,7 +165,7 @@ def delta_map(bg: BiCayleyGraph, f: GroupMap, x: Element, y: Element) -> MapResu
         ha = img(h)
         images[hr] = half + G.rank(G.mul(x, ha))
         images[half + hr] = G.rank(G.mul(y, ha))
-    return MapResult(_check_automorphism(bg, tuple(images)))
+    return MapResult(_check_automorphism(bg, images))
 
 
 def is_connected(bg: BiCayleyGraph) -> bool:
@@ -259,11 +260,9 @@ def quotient_graph(graph: Graph | BiCayleyGraph, N: PermGroup) -> tuple[Graph, Q
         graph = graph.graph
     if N.degree != graph.n:
         raise InvariantViolation("group degree does not match the vertex count")
-    adj = graph.adj
     for gen in N.generators:
-        for u, v in graph.edges:
-            if gen[v] not in adj[gen[u]]:
-                raise NotAutomorphism("quotient group generator is not a graph automorphism")
+        if not graph.preserves_edges(gen):
+            raise NotAutomorphism("quotient group generator is not a graph automorphism")
     orbits = N.orbits()
     owner = [0] * graph.n
     for idx, orb in enumerate(orbits):

@@ -33,8 +33,8 @@ from .metacyclic import (
     make_automorphism,
     make_group,
 )
-from .permgroup import orbit_of_tuple
-from .symmetry import SymmetryReport, canonical_digest, classify
+from .permgroup import orbit_labels
+from .symmetry import SymmetryReport, arc_action, canonical_digest, classify
 
 FAMILY_T_BUDGET = 3
 
@@ -146,7 +146,7 @@ def _neighbor_cycle(bg: BiCayleyGraph, result: MapResult, fixes: int) -> dict:
     return {
         "valid": result.valid,
         "failed_condition": result.failed_condition,
-        "fixes_base_vertex": bool(perm) and perm[fixes] == fixes,
+        "fixes_base_vertex": perm is not None and int(perm[fixes]) == fixes,
         "three_cycles_neighbors": bool(cycle_ok),
     }
 
@@ -257,7 +257,7 @@ def verify_symmetric_family(t: int, full_aut: bool | None = None, graph_checks: 
         delt = delta_map(bg, beta, H.identity, H.identity)
         base0 = bg.index(H.identity, 0)
         base1 = bg.index(H.identity, 1)
-        swaps = bool(delt.valid) and delt.permutation[base0] == base1 and delt.permutation[base1] == base0
+        swaps = delt.valid and int(delt.permutation[base0]) == base1 and int(delt.permutation[base1]) == base0
         report["spoke_rotation"] = _neighbor_cycle(bg, sig, base0)
         report["part_swap"] = {
             "valid": delt.valid,
@@ -270,8 +270,10 @@ def verify_symmetric_family(t: int, full_aut: bool | None = None, graph_checks: 
             sig.permutation,
             delt.permutation,
         ]
-        arc_orbit = orbit_of_tuple([g for g in gens if g is not None], (base0, base1))
-        report["arc_orbit_size"] = len(arc_orbit)
+        keys, perms, _ = arc_action(bg.graph, [g for g in gens if g is not None])
+        labels = orbit_labels(len(keys), perms)
+        arc = keys.searchsorted(base0 * bg.graph.n + base1)
+        report["arc_orbit_size"] = int((labels == labels[arc]).sum())
         report["arc_count"] = 2 * bg.graph.edge_count
         checks += [
             report["spoke_rotation"]["valid"],
@@ -279,7 +281,7 @@ def verify_symmetric_family(t: int, full_aut: bool | None = None, graph_checks: 
             report["spoke_rotation"]["three_cycles_neighbors"],
             delt.valid,
             swaps,
-            len(arc_orbit) == 2 * bg.graph.edge_count,
+            report["arc_orbit_size"] == report["arc_count"],
         ]
         if full_aut:
             sym = classify(bg.graph)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Sequence
 
 from .errors import GraphParseError, InvariantViolation
@@ -10,7 +11,7 @@ from .errors import GraphParseError, InvariantViolation
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "_edge_array")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         norm = set()
@@ -27,6 +28,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(x)) for x in adj)
+        self._edge_array = None
 
     @property
     def edge_count(self) -> int:
@@ -43,6 +45,29 @@ class Graph:
         if not self.is_regular():
             raise InvariantViolation("graph is not regular")
         return len(self.adj[0]) if self.n else 0
+
+    def edge_array(self):
+        """The edges as a read-only (m, 2) np.intp array, rows sorted, u < v."""
+        if self._edge_array is None:
+            import numpy as np  # see graph6_encode
+
+            # fromiter: np.array on a list of tuples touches more of numpy
+            # (about 0.1 MB of peak RSS on first use)
+            flat = (x for edge in self.edges for x in edge)
+            arr = np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
+            arr.flags.writeable = False
+            self._edge_array = arr
+        return self._edge_array
+
+    def preserves_edges(self, perm: Sequence[int]) -> bool:
+        """Whether the vertex permutation perm maps the edge set onto itself."""
+        import numpy as np  # see graph6_encode
+
+        p = np.asarray(perm, dtype=np.intp)
+        e = self.edge_array()
+        a, b = p[e[:, 0]], p[e[:, 1]]
+        image = np.sort(np.minimum(a, b) * self.n + np.maximum(a, b))
+        return bool(np.array_equal(image, e[:, 0] * self.n + e[:, 1]))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """New graph with vertex v renamed to perm[v]."""
@@ -188,17 +213,32 @@ def graph6_decode(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    """One "u v" line per edge, 0-indexed, u < v, sorted."""
-    return "".join(f"{u} {v}\n" for u, v in g.edges)
+    """One "u v" line per edge, 0-indexed, u < v, sorted.
+
+    A first line "# n=<count>" keeps vertices past the largest endpoint; it is
+    written only when there are such vertices.
+    """
+    top = max((v for _, v in g.edges), default=-1)
+    header = f"# n={g.n}\n" if g.n > top + 1 else ""
+    return header + "".join(f"{u} {v}\n" for u, v in g.edges)
+
+
+_VERTEX_COUNT_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)")
 
 
 def parse_edge_list(text: str) -> Graph:
+    """Read "u v" lines; "#" starts a comment line.  A first line "# n=<count>"
+    fixes the vertex count, otherwise it is one more than the largest endpoint."""
     edges = []
     n = 0
+    declared = None
     offset = 0
     for line in text.splitlines(keepends=True):
         stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
+        header = _VERTEX_COUNT_HEADER.fullmatch(stripped) if offset == 0 else None
+        if header:
+            declared = int(header.group(1))
+        elif stripped and not stripped.startswith("#"):
             parts = stripped.split()
             if len(parts) != 2:
                 raise GraphParseError(f"expected 'u v', got {stripped!r}", offset)
@@ -208,26 +248,26 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphParseError(f"non-integer endpoint in {stripped!r}", offset)
             if u < 0 or v < 0 or u == v:
                 raise GraphParseError(f"bad edge ({u}, {v})", offset)
+            if declared is not None and max(u, v) >= declared:
+                raise GraphParseError(f"edge ({u}, {v}) outside the declared n={declared}", offset)
             edges.append((u, v))
             n = max(n, u + 1, v + 1)
         offset += len(line)
-    return Graph(n, edges)
+    return Graph(n if declared is None else declared, edges)
 
 
 def parse_graph_text(text: str, fmt: str = "auto") -> Graph:
-    """Read either format; auto-detection keys off the first line that is
-    neither blank nor a "#" comment (no graph6 byte is "#")."""
+    """Read either format; auto-detection keys off the first nonblank line: a
+    "#" comment (no graph6 byte is "#") or a "u v" pair starts an edge list."""
     if fmt == "g6":
         return graph6_decode(text)
     if fmt == "edges":
         return parse_edge_list(text)
     if fmt != "auto":
         raise GraphParseError(f"unknown format {fmt!r}", 0)
-    first = next(
-        (ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")), ""
-    )
+    first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
     parts = first.split()
-    if len(parts) == 2 and all(p.isdigit() for p in parts):
+    if first.startswith("#") or (len(parts) == 2 and all(p.isdigit() for p in parts)):
         return parse_edge_list(text)
     return graph6_decode(text)
 

@@ -1,11 +1,15 @@
 """Dense permutations and permutation groups with a deterministic stabilizer chain.
 
-Permutations are tuples of images on [0, degree).  Groups carry their
-generators plus a lazily built base-and-strong-generating-set computed by a
-deterministic Schreier-Sims procedure: base points are always the smallest
-point moved by the residue that created the level, Schreier generators are
-processed in a fixed scan order, so orders, transversals and sift results are
-reproducible across runs.
+A permutation is a contiguous 1-d ``np.intp`` array of images on [0, degree):
+``compose(p, q)`` is ``q[p]`` and `invert` one scatter.  Public functions also
+take any integer sequence; group generators are read-only arrays, and every
+orbit comes from `orbit_labels`.  numpy is imported on use, as in graphs.py.
+
+Groups carry their generators plus a lazily built base-and-strong-generating
+set computed by a deterministic Schreier-Sims procedure: base points are
+always the smallest point moved by the residue that created the level,
+Schreier generators are processed in a fixed scan order, so orders,
+transversals and sift results are reproducible across runs.
 
 A group built by `PermGroup.with_base` already knows a base relative to which
 its generators are strong (the automorphism search proves this for the base
@@ -15,80 +19,122 @@ transversals come from one pass over the generators, with no Schreier-Sims.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import json
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BudgetError, ContainmentError, DegreeMismatch, InvariantViolation
 
-Perm = tuple[int, ...]
+if TYPE_CHECKING:
+    import numpy as np
+    Perm = np.ndarray
 
 DEGREE_BUDGET = 100_000
 
 
+def as_perm(p: Sequence[int]) -> Perm:
+    """p (a permutation or any list of points) as a contiguous np.intp array;
+    an array that already is one is not copied."""
+    import numpy as np
+    return np.ascontiguousarray(p, dtype=np.intp)
+
+
 def identity(degree: int) -> Perm:
-    return tuple(range(degree))
+    import numpy as np
+    return np.arange(degree, dtype=np.intp)
 
 
-def is_identity(p: Perm) -> bool:
-    return all(i == x for i, x in enumerate(p))
+def is_identity(p: Sequence[int]) -> bool:
+    return bool((as_perm(p) == identity(len(p))).all())
 
 
-def compose(p: Perm, q: Perm) -> Perm:
+def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     """Apply p first, then q."""
+    p, q = as_perm(p), as_perm(q)
     if len(p) != len(q):
         raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
-    return tuple(q[x] for x in p)
+    return q[p]
 
 
-def invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
+def invert(p: Sequence[int]) -> Perm:
+    p = as_perm(p)
+    out = p.copy()
+    out[p] = identity(len(p))
+    return out
 
 
-def perm_power(p: Perm, k: int) -> Perm:
-    if k < 0:
-        return perm_power(invert(p), -k)
+def perm_power(p: Sequence[int], k: int) -> Perm:
+    """p^k by repeated squaring; k may be negative or exceed the order of p."""
+    p = invert(p) if k < 0 else as_perm(p)
+    k = abs(k)
     result = identity(len(p))
-    base = p
     while k:
         if k & 1:
-            result = compose(result, base)
-        base = compose(base, base)
+            result = p[result]
         k >>= 1
+        if k:
+            p = p[p]
     return result
 
 
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    seen = [False] * len(p)
-    sizes = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        size = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            size += 1
-        sizes.append(size)
-    return tuple(sorted(sizes, reverse=True))
+def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
+    import numpy as np
+    p = as_perm(p)
+    sizes = np.bincount(orbit_labels(len(p), [p]))
+    return tuple(sorted(sizes[sizes > 0].tolist(), reverse=True))
+
+
+def orbit_labels(degree: int, generators: Sequence[Perm]) -> Perm:
+    """labels[x]: the least point of x's orbit under the group the generators make.
+
+    Hook and shortcut over the edges x -> g[x]: every point starts as the
+    root of its own tree.  For one generator at a time, the larger root of
+    every edge whose ends lie in different trees is hooked onto the smaller
+    one, then pointers jump until every point points at its root.  A round
+    over all generators merges every tree with an edge leaving it, so at
+    most log2(degree) + 2 rounds run, and the working arrays have length
+    degree whatever the number of generators.
+    """
+    import numpy as np
+    labels = np.arange(degree, dtype=np.intp)
+    hooked = True
+    while hooked:
+        hooked = False
+        for g in generators:
+            image = labels[g]
+            crossing = image != labels
+            if not crossing.any():
+                continue
+            hooked = True
+            a, b = labels[crossing], image[crossing]
+            # of several hooks on one root any may win: all point lower in its orbit
+            labels[np.maximum(a, b)] = np.minimum(a, b)
+            while True:
+                jumped = labels[labels]
+                if np.array_equal(jumped, labels):
+                    break
+                labels = jumped
+    return labels
 
 
 def _validate_perm(p: Sequence[int], degree: int) -> Perm:
-    if len(p) != degree:
-        raise DegreeMismatch(f"permutation of length {len(p)}, expected {degree}")
-    if sorted(p) != list(range(degree)):
+    """A read-only private copy of p, checked to be a permutation of [0, degree)."""
+    import numpy as np
+    arr = np.array(p, dtype=np.intp)
+    if arr.shape != (degree,):
+        raise DegreeMismatch(f"permutation of length {arr.size}, expected {degree}")
+    if not np.array_equal(np.sort(arr), identity(degree)):
         raise InvariantViolation("images are not a bijection on the domain")
-    return tuple(p)
+    arr.flags.writeable = False
+    return arr
 
 
 class _Level:
-    __slots__ = ("base", "transversal")
+    __slots__ = ("base", "inverse")
 
     def __init__(self, base: int, degree: int):
         self.base = base
-        self.transversal: dict[int, Perm] = {base: identity(degree)}
+        # point -> inverse of a transversal element u with u[base] == point
+        self.inverse: dict[int, Perm] = {base: identity(degree)}
 
 
 class PermGroup:
@@ -102,13 +148,14 @@ class PermGroup:
         seen = set()
         for g in generators:
             p = _validate_perm(g, degree)
-            if not is_identity(p) and p not in seen:
-                seen.add(p)
+            key = p.tobytes()
+            if key not in seen and not is_identity(p):
+                seen.add(key)
                 gens.append(p)
         self.generators: tuple[Perm, ...] = tuple(gens)
         self._base: tuple[int, ...] | None = None
-        self._strong: list[Perm] | None = None
         self._levels: list[_Level] | None = None
+        self._labels: Perm | None = None
 
     @classmethod
     def with_base(
@@ -122,31 +169,39 @@ class PermGroup:
         through transversals built in one pass, with no Schreier-Sims.
         """
         G = cls(degree, generators)
+        base = tuple(int(b) for b in base)
         for b in base:
             if not 0 <= b < degree:
                 raise InvariantViolation(f"base point {b} outside degree {degree}")
+        points = as_perm(base)
         for g in G.generators:
-            if all(g[b] == b for b in base):
+            if (g[points] == points).all():
                 raise InvariantViolation("a generator fixes the whole base")
-        G._base = tuple(base)
+        G._base = base
         return G
 
     # -- orbits ---------------------------------------------------------------
 
+    def orbit_labels(self) -> Perm:
+        """labels[x]: the least point of x's orbit (read-only, computed once)."""
+        if self._labels is None:
+            self._labels = orbit_labels(self.degree, self.generators)
+            self._labels.flags.writeable = False
+        return self._labels
+
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
             raise InvariantViolation(f"point {point} outside degree {self.degree}")
-        return _orbit(point, self.generators)
+        labels = self.orbit_labels()
+        return frozenset((labels == labels[point]).nonzero()[0].tolist())
 
     def orbits(self) -> list[frozenset[int]]:
-        """Orbit partition, sorted by smallest member."""
-        left = set(range(self.degree))
-        out = []
-        while left:
-            orb = self.orbit(min(left))
-            out.append(orb)
-            left -= orb
-        return out
+        """Orbit partition, sorted by smallest member: a scan in point order
+        meets each orbit first at its label, its least point."""
+        parts: dict[int, list[int]] = {}
+        for point, label in enumerate(self.orbit_labels().tolist()):
+            parts.setdefault(label, []).append(point)
+        return [frozenset(part) for part in parts.values()]
 
     # -- stabilizer chain -------------------------------------------------------
 
@@ -154,19 +209,20 @@ class PermGroup:
         """Strip perm through the chain; returns (residue, level where it stuck)."""
         for idx in range(start, len(levels)):
             lv = levels[idx]
-            img = perm[lv.base]
+            img = int(perm[lv.base])
             if img == lv.base:
                 continue
-            rep = lv.transversal.get(img)
-            if rep is None:
+            rep_inv = lv.inverse.get(img)
+            if rep_inv is None:
                 return perm, idx
-            perm = compose(perm, invert(rep))
+            perm = rep_inv[perm]
         return perm, len(levels)
 
     def _build_chain(self) -> None:
         if self._levels is not None:
             return
         degree = self.degree
+        ident = identity(degree)
         strong: list[Perm] = list(self.generators)
         levels = [_Level(b, degree) for b in self._base or ()]
 
@@ -174,56 +230,51 @@ class PermGroup:
             # Assign base points so every strong generator moves some base;
             # level i uses the strong generators fixing all earlier bases.
             while True:
+                bases = as_perm([lv.base for lv in levels])
                 for g in strong:
-                    if all(g[lv.base] == lv.base for lv in levels):
-                        base = min(x for x in range(degree) if g[x] != x)
-                        levels.append(_Level(base, degree))
+                    if (g[bases] == bases).all():
+                        levels.append(_Level(int((g != ident).argmax()), degree))
                         break
                 else:
                     break
             per_level: list[list[Perm]] = []
-            fixed: list[int] = []
-            for lv in levels:
-                gens_here = [g for g in strong if all(g[b] == b for b in fixed)]
+            for depth, lv in enumerate(levels):
+                fixed = as_perm([earlier.base for earlier in levels[:depth]])
+                gens_here = [g for g in strong if (g[fixed] == fixed).all()]
                 per_level.append(gens_here)
-                fixed.append(lv.base)
-                lv.transversal = {lv.base: identity(degree)}
+                pairs = [(g, invert(g)) for g in gens_here]
+                lv.inverse = {lv.base: ident}
                 frontier = [lv.base]
                 while frontier:
                     new = []
                     for pt in frontier:
-                        u = lv.transversal[pt]
-                        for g in gens_here:
-                            img = g[pt]
-                            if img not in lv.transversal:
-                                lv.transversal[img] = compose(u, g)
+                        u_inv = lv.inverse[pt]
+                        for g, g_inv in pairs:
+                            img = int(g[pt])
+                            if img not in lv.inverse:
+                                lv.inverse[img] = u_inv[g_inv]  # (u g)^-1 = g^-1 u^-1
                                 new.append(img)
                     frontier = new
             return per_level
+
+        def residues(per_level: list[list[Perm]]) -> Iterable[Perm]:
+            for idx, lv in enumerate(levels):
+                for pt in sorted(lv.inverse):
+                    u = invert(lv.inverse[pt])
+                    for g in per_level[idx]:
+                        # Schreier generator u g t^-1, t the representative of g[pt]
+                        residue, _ = self._sift(lv.inverse[int(g[pt])][g[u]], levels, idx)
+                        if not (residue == ident).all():
+                            yield residue
 
         while True:
             per_level = rebuild()
             if self._base is not None:
                 break  # the generators are already strong relative to the base
-            new_residue = None
-            for idx, lv in enumerate(levels):
-                for pt in sorted(lv.transversal):
-                    u = lv.transversal[pt]
-                    for g in per_level[idx]:
-                        img = g[pt]
-                        schreier = compose(compose(u, g), invert(lv.transversal[img]))
-                        residue, _ = self._sift(schreier, levels, idx)
-                        if not is_identity(residue):
-                            new_residue = residue
-                            break
-                    if new_residue:
-                        break
-                if new_residue:
-                    break
-            if new_residue is None:
+            residue = next(residues(per_level), None)
+            if residue is None:
                 break
-            strong.append(new_residue)
-        self._strong = strong
+            strong.append(residue)
         self._levels = levels
 
     def order(self) -> int:
@@ -232,13 +283,16 @@ class PermGroup:
             # product of basic orbit sizes; no transversal is built
             gens = self.generators
             for b in self._base:
-                n *= len(_orbit(b, gens))
-                gens = tuple(g for g in gens if g[b] == b)
+                if not gens:
+                    break
+                labels = self.orbit_labels() if gens is self.generators else orbit_labels(self.degree, gens)
+                n *= int((labels == labels[b]).sum())
+                gens = [g for g in gens if g[b] == b]
             return n
         self._build_chain()
         assert self._levels is not None
         for lv in self._levels:
-            n *= len(lv.transversal)
+            n *= len(lv.inverse)
         return n
 
     def contains(self, perm: Sequence[int]) -> bool:
@@ -253,71 +307,47 @@ class PermGroup:
     def is_semiregular(self, domain: Iterable[int] | None = None) -> bool:
         """Every point stabilizer trivial, i.e. every orbit has full group size."""
         size = self.order()
-        points = range(self.degree) if domain is None else list(domain)
-        seen: set[int] = set()
-        for pt in points:
-            if pt in seen:
-                continue
-            orb = self.orbit(pt)
-            if len(orb) != size:
-                return False
-            seen |= orb
-        return True
+        points = set(range(self.degree) if domain is None else domain)
+        return all(len(orb) == size for orb in self.orbits() if not points.isdisjoint(orb))
 
     def is_transitive_on(self, subset: Iterable[int]) -> bool:
         pts = set(subset)
         if not pts:
             raise InvariantViolation("subset must be nonempty")
+        points = as_perm(sorted(pts))
         for g in self.generators:
-            for x in pts:
-                if g[x] not in pts:
-                    raise InvariantViolation("subset is not invariant under the group")
+            if not pts.issuperset(g[points].tolist()):
+                raise InvariantViolation("subset is not invariant under the group")
         return self.orbit(min(pts)) == pts
 
     def enumerate_elements(self, limit: int = 100_000) -> list[Perm]:
-        """Full closure of the generators; independent oracle for order/membership."""
-        seen = {identity(self.degree)}
-        frontier = [identity(self.degree)]
+        """Full closure of the generators, in lexicographic order; independent
+        oracle for order/membership."""
+        ident = identity(self.degree)
+        seen = {ident.tobytes(): ident}
+        frontier = [ident]
         while frontier:
             new = []
             for x in frontier:
                 for g in self.generators:
-                    y = compose(x, g)
-                    if y not in seen:
-                        seen.add(y)
+                    y = g[x]
+                    key = y.tobytes()
+                    if key not in seen:
+                        seen[key] = y
                         new.append(y)
             if len(seen) > limit:
                 raise BudgetError(f"enumeration exceeds limit {limit}")
             frontier = new
-        return sorted(seen)
+        return sorted(seen.values(), key=lambda p: p.tolist())
 
 
-def _orbit(point: int, generators: Sequence[Perm]) -> frozenset[int]:
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(seen)
-
-
-def perm_to_json(p: Perm) -> str:
+def perm_to_json(p: Sequence[int]) -> str:
     """A permutation as a JSON array of images."""
-    import json
-
-    return json.dumps(list(p))
+    return json.dumps(as_perm(p).tolist())
 
 
 def generators_to_json(G: PermGroup) -> str:
-    import json
-
-    return json.dumps([list(g) for g in G.generators])
+    return json.dumps([g.tolist() for g in G.generators])
 
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:
@@ -330,25 +360,23 @@ def is_normal(G: PermGroup, N: PermGroup) -> bool:
     for g in G.generators:
         ginv = invert(g)
         for n in N.generators:
-            if not N.contains(compose(compose(ginv, n), g)):
+            if not N.contains(g[n[ginv]]):  # g^-1 n g
                 return False
-            if not N.contains(compose(compose(g, n), ginv)):
+            if not N.contains(ginv[n[g]]):  # g n g^-1
                 return False
     return True
 
 
-def orbit_of_tuple(generators: Iterable[Perm], seed: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+def orbit_of_tuple(generators: Iterable[Sequence[int]], seed: Sequence[int]) -> frozenset[tuple[int, ...]]:
     """Orbit of a point tuple under the componentwise action of the generators."""
-    gens = list(generators)
+    import numpy as np
+    gens = [as_perm(g) for g in generators]
+    seed = tuple(int(x) for x in seed)
     seen = {seed}
-    frontier = [seed]
-    while frontier:
-        new = []
-        for item in frontier:
-            for g in gens:
-                img = tuple(g[x] for x in item)
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        frontier = new
+    frontier = as_perm([seed]).reshape(1, len(seed))
+    while gens and len(frontier):
+        images = np.unique(np.concatenate([g[frontier] for g in gens]), axis=0)
+        new = [t for t in map(tuple, images.tolist()) if t not in seen]
+        seen.update(new)
+        frontier = as_perm(new).reshape(len(new), len(seed))
     return frozenset(seen)

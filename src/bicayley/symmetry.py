@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicay import BiCayleyGraph, right_group
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, NotAutomorphism, PreconditionError
 from .graphs import Graph, graph6_encode
-from .permgroup import PermGroup, is_normal, orbit_of_tuple
+from .permgroup import PermGroup, is_normal, orbit_labels
 
 ENGINE_VERTEX_BUDGET = 5000
 
@@ -55,15 +55,10 @@ class _Engine:
         for v, nbhd in enumerate(graph.adj):
             nbr[v, : len(nbhd)] = nbhd
         self.nbr = nbr
-        if graph.edges:
-            eu = np.fromiter((e[0] for e in graph.edges), dtype=np.int64)
-            ev = np.fromiter((e[1] for e in graph.edges), dtype=np.int64)
-        else:
-            eu = np.zeros(0, dtype=np.int64)
-            ev = np.zeros(0, dtype=np.int64)
-        self.eu, self.ev = eu, ev
-        self.au = np.concatenate([eu, ev])
-        self.av = np.concatenate([ev, eu])
+        e = graph.edge_array()
+        self.eu, self.ev = e[:, 0], e[:, 1]
+        self.au = np.concatenate([self.eu, self.ev])
+        self.av = np.concatenate([self.ev, self.eu])
         # signatures pack into one int64 when (dmax+1) * bits(colour) fits
         self._bits = (self.n + 2).bit_length()
         self._packable = (self.dmax + 1) * self._bits <= 63
@@ -131,43 +126,47 @@ class _Search:
     def __init__(self, engine: _Engine):
         self.e = engine
         self.autos: list[np.ndarray] = []
-        self._auto_invs: list[np.ndarray] = []
         self._auto_keys: set[bytes] = set()
         self.first: tuple[tuple[int, ...], bytes, np.ndarray] | None = None
         self.base: list[int] = []  # run_auto: vertices individualized on the way to the first leaf
         self.best: tuple[tuple[int, ...], bytes, np.ndarray] | None = None
 
     def _record_auto(self, ref_pos: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        ref_inv = np.empty(self.e.n, dtype=np.int64)
-        ref_inv[ref_pos] = np.arange(self.e.n, dtype=np.int64)
+        ref_inv = np.empty(self.e.n, dtype=np.intp)
+        ref_inv[ref_pos] = np.arange(self.e.n, dtype=np.intp)
         gamma = ref_inv[pos]
         key = gamma.tobytes()
         if key not in self._auto_keys:
             self._auto_keys.add(key)
             self.autos.append(gamma)
-            self._auto_invs.append(np.argsort(gamma))
         return gamma
 
-    def _orbit_labels(self, prefix: list[int]) -> np.ndarray:
-        """labels[v] == labels[w] iff v, w in one orbit of the known
-        automorphisms fixing the individualized prefix pointwise."""
-        n = self.e.n
-        labels = np.arange(n, dtype=np.int64)
-        pref = np.asarray(prefix, dtype=np.int64)
-        rel = [
-            (g, ginv)
-            for g, ginv in zip(self.autos, self._auto_invs)
-            if not len(pref) or np.array_equal(g[pref], pref)
-        ]
-        if not rel:
-            return labels
-        while True:
-            old = labels
-            for g, ginv in rel:
-                labels = np.minimum(labels, labels[g])
-                labels = np.minimum(labels, labels[ginv])
-            if np.array_equal(labels, old):
-                return labels
+    def _children(self, colors: np.ndarray, k: int, prefix: list[int]):
+        """(v, refined child colouring, its invariant) for each v of the target
+        cell, skipping v when a known automorphism fixing the individualized
+        prefix maps it onto an explored vertex.  The orbit labels are refreshed
+        whenever the caller's subtrees have found new automorphisms."""
+        pref = np.asarray(prefix, dtype=np.intp)
+        done: list[int] = []
+        labels: np.ndarray | None = None
+        labels_version = -1
+        done_labels: set[int] = set()
+        for v in self.e.target_cell(colors, k).tolist():
+            if self.autos and done:
+                if labels is None or labels_version != len(self.autos):
+                    fixing = [g for g in self.autos if np.array_equal(g[pref], pref)]
+                    labels = orbit_labels(self.e.n, fixing)
+                    labels_version = len(self.autos)
+                    done_labels = {int(labels[d]) for d in done}
+                if int(labels[v]) in done_labels:
+                    continue
+            child = colors * 2
+            child[v] -= 1
+            child = self.e.refine(child)
+            done.append(v)
+            if labels is not None:
+                done_labels.add(int(labels[v]))
+            yield v, child, self.e.invariant(child, int(child.max()) + 1)
 
     # -- automorphism search (anchored to the first leaf) ----------------------
 
@@ -196,27 +195,8 @@ class _Search:
                     fixed += 1
                 raise _AutoFound(fixed)
             return
-        cell = [int(v) for v in self.e.target_cell(colors, k)]
         depth = len(trace)
-        done: list[int] = []
-        labels: np.ndarray | None = None
-        labels_version = -1
-        done_labels: set[int] = set()
-        for v in cell:
-            if self.autos and done:
-                if labels is None or labels_version != len(self.autos):
-                    labels = self._orbit_labels(prefix)
-                    labels_version = len(self.autos)
-                    done_labels = {int(labels[d]) for d in done}
-                if int(labels[v]) in done_labels:
-                    continue
-            child = colors * 2
-            child[v] -= 1
-            child = self.e.refine(child)
-            inv = self.e.invariant(child, int(child.max()) + 1)
-            done.append(v)
-            if labels is not None:
-                done_labels.add(int(labels[v]))
+        for v, child, inv in self._children(colors, k, prefix):
             ftrace = self.first[0] if self.first is not None else None
             if ftrace is not None and (depth >= len(ftrace) or inv != ftrace[depth]):
                 continue
@@ -255,27 +235,8 @@ class _Search:
             elif key == (self.best[0], self.best[1]) and not np.array_equal(self.best[2], pos):
                 self._record_auto(self.best[2], pos)
             return
-        cell = [int(v) for v in self.e.target_cell(colors, k)]
         depth = len(trace)
-        done: list[int] = []
-        labels: np.ndarray | None = None
-        labels_version = -1
-        done_labels: set[int] = set()
-        for v in cell:
-            if self.autos and done:
-                if labels is None or labels_version != len(self.autos):
-                    labels = self._orbit_labels(prefix)
-                    labels_version = len(self.autos)
-                    done_labels = {int(labels[d]) for d in done}
-                if int(labels[v]) in done_labels:
-                    continue
-            child = colors * 2
-            child[v] -= 1
-            child = self.e.refine(child)
-            inv = self.e.invariant(child, int(child.max()) + 1)
-            done.append(v)
-            if labels is not None:
-                done_labels.add(int(labels[v]))
+        for v, child, inv in self._children(colors, k, prefix):
             child_better = better
             if not child_better and self.best is not None:
                 btrace = self.best[0]
@@ -299,11 +260,7 @@ def _component_canon(graph: Graph) -> list[tuple[list[int], bytes, list[int]]]:
     out = []
     for comp in graph.components():
         sub = graph.subgraph(comp)
-        if sub.n == 1:
-            out.append((comp, graph6_encode(sub).encode("ascii"), [0]))
-            continue
-        pos, _ = _Search(_Engine(sub)).run_canon()
-        labeling = [int(x) for x in pos]
+        labeling = _Search(_Engine(sub)).run_canon()[0].tolist() if sub.n > 1 else [0]
         out.append((comp, graph6_encode(sub.relabel(labeling)).encode("ascii"), labeling))
     return out
 
@@ -326,23 +283,23 @@ def aut_group(graph: Graph) -> PermGroup:
     if len(comps) == 1:
         search = _Search(_Engine(graph))
         gens = search.run_auto()
-        return PermGroup.with_base(graph.n, [tuple(int(x) for x in g) for g in gens], search.base)
+        return PermGroup.with_base(graph.n, gens, search.base)
     info = _component_canon(graph)
     by_class: dict[tuple[int, bytes], list[tuple[list[int], list[int]]]] = {}
     for comp, digest, labeling in info:
         by_class.setdefault((len(comp), digest), []).append((comp, labeling))
-    gens: list[tuple[int, ...]] = []
+    gens: list[np.ndarray] = []
     base: list[int] = []
-    ident = list(range(graph.n))
+    ident = np.arange(graph.n, dtype=np.intp)
     for (_, _digest), members in sorted(by_class.items()):
         # at_pos[j][p]: the vertex of member j at canonical position p
         at_pos = []
         for comp, labeling in members:
-            row = [0] * len(comp)
-            for local, p in enumerate(labeling):
-                row[p] = comp[local]
+            row = np.empty(len(comp), dtype=np.intp)
+            row[labeling] = comp
             at_pos.append(row)
         rep, rep_label = members[0]
+        rep_label = np.asarray(rep_label, dtype=np.intp)
         local_gens: list[np.ndarray] = []
         local_base = [0]  # a trivial group still needs one point per copy
         if len(rep) > 1:
@@ -351,17 +308,16 @@ def aut_group(graph: Graph) -> PermGroup:
             local_base = search.base or local_base
         for g in local_gens:
             for row in at_pos:
-                lifted = ident[:]
-                for local, image in enumerate(g):
-                    lifted[row[rep_label[local]]] = row[rep_label[int(image)]]
-                gens.append(tuple(lifted))
+                lifted = ident.copy()
+                lifted[row[rep_label]] = row[rep_label[g]]
+                gens.append(lifted)
         for row_a, row_b in zip(at_pos, at_pos[1:]):
             # swap two isomorphic components along their canonical labelings
-            swap = ident[:]
-            for a, b in zip(row_a, row_b):
-                swap[a], swap[b] = b, a
-            gens.append(tuple(swap))
-        base.extend(row[rep_label[b]] for b in local_base for row in at_pos)
+            swap = ident.copy()
+            swap[row_a] = row_b
+            swap[row_b] = row_a
+            gens.append(swap)
+        base.extend(int(row[rep_label[b]]) for b in local_base for row in at_pos)
     return PermGroup.with_base(graph.n, gens, base)
 
 
@@ -423,29 +379,45 @@ class SymmetryReport:
         return json.dumps(self.to_dict())
 
 
-def _orbit_count(items: list[tuple[int, ...]], gens, normalize) -> int:
-    left = set(items)
-    count = 0
-    while left:
-        seed = min(left)
-        orb = orbit_of_tuple(gens, seed)
-        left -= {normalize(x) for x in orb}
-        count += 1
-    return count
+def arc_action(graph: Graph, generators) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The generators acting on arc indices: (keys, permutations, reversal).
+
+    Arc (u, v) has index i where keys[i] = u * n + v, keys sorted.  Each
+    generator g becomes the arc permutation i -> index of (g[u], g[v]), found
+    by searchsorted on the packed images; the reversal maps (u, v) to (v, u).
+    """
+    n = graph.n
+    e = graph.edge_array()
+    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    u, v = keys // n, keys % n
+
+    def index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        packed = a * n + b
+        idx = np.minimum(np.searchsorted(keys, packed), len(keys) - 1)
+        if not np.array_equal(keys[idx], packed):
+            raise NotAutomorphism("a generator maps an arc to a non-arc")
+        return idx
+
+    return keys, [index(g[u], g[v]) for g in generators], index(v, u)
 
 
 def classify(graph: Graph, aut: PermGroup | None = None) -> SymmetryReport:
-    """Orbit counts on vertices, edges and arcs, and the transitivity class."""
+    """Orbit counts on vertices, edges and arcs, and the transitivity class.
+
+    Edge and arc orbits are orbits of arc-index permutations (`arc_action`);
+    an edge orbit is an arc orbit joined with its reversal.
+    """
     if aut is None:
         aut = aut_group(graph)
     order = aut.order()
     vorbits = len(aut.orbits())
-    gens = aut.generators
-    edges = [tuple(e) for e in graph.edges]
-    eorbits = _orbit_count(edges, gens, lambda t: (min(t), max(t))) if edges else 0
-    arcs = [(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges]
-    aorbits = _orbit_count(arcs, gens, lambda t: t) if arcs else 0
-    has_edges = bool(edges)
+    has_edges = bool(graph.edges)
+    eorbits = aorbits = 0
+    if has_edges:
+        keys, perms, reversal = arc_action(graph, aut.generators)
+        roots = np.arange(len(keys))  # an orbit is labelled by its least arc
+        aorbits = int((orbit_labels(len(keys), perms) == roots).sum())
+        eorbits = int((orbit_labels(len(keys), perms + [reversal]) == roots).sum())
     regular = graph.is_regular()
     if has_edges and aorbits == 1:
         cls = "arc-transitive"
@@ -476,10 +448,7 @@ def check_stabilizer_law(graph: Graph, report: SymmetryReport | None = None) -> 
     if report.edge_orbits != 1:
         raise PreconditionError("stabilizer law applies to edge-transitive graphs only")
     order = report.aut_order
-    left = set(range(graph.n))
-    while left:
-        orb = aut.orbit(min(left))
-        left -= orb
+    for orb in aut.orbits():
         if order % len(orb) != 0 or not _is_two_power_times_three(order // len(orb)):
             return False
     return True

@@ -4,8 +4,11 @@ the operations they check."""
 from __future__ import annotations
 
 import time
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from bicayley.errors import DegreeMismatch
 
 
 def order_by_iteration(G, g):
@@ -205,3 +208,102 @@ def graph6_decode_by_bits(text):
                 edges.append((bit_index - v * (v - 1) // 2, v))
             bit_index += 1
     return Graph(n, edges)
+
+
+# -- tuple permutation kernels ------------------------------------------------
+#
+# permgroup.py's permutations were tuples before they became numpy arrays;
+# these are its tuple kernels, kept unchanged as the reference for the array
+# versions.
+
+Perm = tuple[int, ...]
+
+
+def identity(degree: int) -> Perm:
+    return tuple(range(degree))
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """Apply p first, then q."""
+    if len(p) != len(q):
+        raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
+    return tuple(q[x] for x in p)
+
+
+def invert(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def perm_power(p: Perm, k: int) -> Perm:
+    if k < 0:
+        return perm_power(invert(p), -k)
+    result = identity(len(p))
+    base = p
+    while k:
+        if k & 1:
+            result = compose(result, base)
+        base = compose(base, base)
+        k >>= 1
+    return result
+
+
+def cycle_type(p: Perm) -> tuple[int, ...]:
+    seen = [False] * len(p)
+    sizes = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        size = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            size += 1
+        sizes.append(size)
+    return tuple(sorted(sizes, reverse=True))
+
+
+def _orbit(point: int, generators: Sequence[Perm]) -> frozenset[int]:
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = g[x]
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(seen)
+
+
+def orbit_of_tuple(generators: Iterable[Perm], seed: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Orbit of a point tuple under the componentwise action of the generators."""
+    gens = list(generators)
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        new = []
+        for item in frontier:
+            for g in gens:
+                img = tuple(g[x] for x in item)
+                if img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return frozenset(seen)
+
+
+def _orbit_count(items: list[tuple[int, ...]], gens, normalize) -> int:
+    left = set(items)
+    count = 0
+    while left:
+        seed = min(left)
+        orb = orbit_of_tuple(gens, seed)
+        left -= {normalize(x) for x in orb}
+        count += 1
+    return count

@@ -60,13 +60,13 @@ def test_01_arithmetic_oracle_equivalence():
                     raise AssertionError(f"mul mismatch at {g}, {h} in {params}")
         # inv on all elements
         for gi, g in enumerate(els):
-            assert tuple(table[rank(G.inv(g))]) == invert(tuple(table[gi]))
+            assert np.array_equal(table[rank(G.inv(g))], invert(tuple(table[gi])))
         # pow on all elements, sampled exponents across [-|G|, |G|]
         ks = [-G.order, -7, -1, 0, 1, 2, 3, G.p, G.order // 2, G.order - 1, G.order]
         for gi, g in enumerate(els):
             pg = tuple(table[gi])
             for k in ks:
-                assert tuple(table[rank(G.pow(g, k))]) == perm_power(pg, k)
+                assert np.array_equal(table[rank(G.pow(g, k))], perm_power(pg, k))
         # regularity: the two generator permutations generate a group of order |G|
         assert G.regular_representation().order() == G.order
     _report(1, "arithmetic-oracle-equivalence", start, 5)

@@ -1,7 +1,7 @@
 import json
 
 from bicayley.cli import main
-from bicayley.graphs import graph6_encode, parse_edge_list
+from bicayley.graphs import Graph, graph6_encode, parse_edge_list
 from bicayley.symmetry import classify
 from bicayley import gamma_t
 
@@ -186,3 +186,27 @@ def test_library_errors_map_to_usage_exit(monkeypatch, capsys):
         assert code == 2 and out == ""
         assert err == f"error: {exc.__name__} raised\n"
         assert "Traceback" not in err
+
+
+def test_recursion_error_maps_to_usage_exit(monkeypatch, capsys):
+    from bicayley import cli
+
+    def fail(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_analyze", fail)
+    code, out, err = run_cli(capsys, "analyze", "--in", "graph.g6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "recursion" in err and "Traceback" not in err
+
+
+def test_export_keeps_isolated_vertices(tmp_path, capsys):
+    src = tmp_path / "g.g6"
+    src.write_text(graph6_encode(Graph(4, [(0, 1)])) + "\n")
+    code, text, _ = run_cli(capsys, "export", "--in", str(src), "--format", "edges")
+    assert code == 0 and text == "# n=4\n0 1\n"
+    edges = tmp_path / "g.edges"
+    edges.write_text(text)
+    code, back, _ = run_cli(capsys, "export", "--in", str(edges), "--format", "g6")
+    assert code == 0 and back == graph6_encode(Graph(4, [(0, 1)])) + "\n"

@@ -62,6 +62,25 @@ def test_edge_list_round_trip():
     assert parse_edge_list(text) == g
 
 
+def test_edge_list_keeps_isolated_vertices():
+    for g in (Graph(4, [(0, 1)]), Graph(3, []), Graph(1, []), Graph(6, [(0, 2), (1, 3)])):
+        text = format_edge_list(g)
+        assert text.startswith(f"# n={g.n}\n")
+        assert parse_edge_list(text) == g
+        assert parse_graph_text(text) == g
+    # no vertex past the largest endpoint: no header, byte-identical to the plain format
+    assert format_edge_list(Graph(4, [(0, 1), (2, 3)])) == "0 1\n2 3\n"
+    assert format_edge_list(Graph(0, [])) == ""
+
+
+def test_edge_list_header_bounds_endpoints():
+    assert parse_edge_list("# n=5\n0 1\n").n == 5
+    assert parse_edge_list("0 1\n# n=5\n").n == 2  # only a first line is a header
+    with pytest.raises(GraphParseError) as exc:
+        parse_edge_list("# n=3\n0 1\n1 3\n")
+    assert exc.value.offset == 10
+
+
 def test_edge_list_parse_errors():
     with pytest.raises(GraphParseError) as exc:
         parse_edge_list("0 1\n2 two\n")

@@ -1,0 +1,216 @@
+"""The numpy permutation kernels against the tuple kernels they replaced.
+
+The tuple versions live in tests/oracles.py; every array result must hold
+exactly the images the tuple kernel computes, as a contiguous np.intp array.
+"""
+
+import itertools
+import math
+import random
+
+import numpy as np
+import pytest
+
+from bicayley import Graph, abelian_family, aut_group, classify, gamma_t, sigma_t
+from bicayley.errors import NotAutomorphism
+from bicayley.permgroup import (
+    PermGroup,
+    compose,
+    cycle_type,
+    invert,
+    is_identity,
+    orbit_labels,
+    orbit_of_tuple,
+    perm_power,
+)
+from bicayley.symmetry import arc_action
+
+from . import oracles
+
+DEGREES = (0, 1, 2, 3, 7, 30, 200)
+
+
+def random_perm(rng, n):
+    p = list(range(n))
+    rng.shuffle(p)
+    return tuple(p)
+
+
+def sparse_perm(rng, n):
+    """A permutation moving only a few points, so groups keep several orbits."""
+    p = list(range(n))
+    moved = rng.sample(range(n), min(n, rng.randrange(0, 4)))
+    images = moved[:]
+    rng.shuffle(images)
+    for x, y in zip(moved, images):
+        p[x] = y
+    return tuple(p)
+
+
+def same(array, images):
+    """array is a contiguous np.intp array holding exactly the tuple images."""
+    return (
+        isinstance(array, np.ndarray)
+        and array.dtype == np.intp
+        and array.flags.c_contiguous
+        and array.tolist() == list(images)
+    )
+
+
+def closure(gens, n):
+    """Every element of <gens>, by tuple composition."""
+    ident = oracles.identity(n)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = oracles.compose(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+def test_compose_invert_power_match_tuple_kernels():
+    rng = random.Random(41)
+    for n in DEGREES:
+        for _ in range(12):
+            p, q = random_perm(rng, n), random_perm(rng, n)
+            order = math.lcm(*oracles.cycle_type(p))
+            assert same(compose(p, q), oracles.compose(p, q))
+            assert same(compose(np.array(p), list(q)), oracles.compose(p, q))
+            assert same(invert(p), oracles.invert(p))
+            ks = (0, 1, 2, 3, -1, -2, order, order + 1, -order - 1, 10**30 + 7, -(10**30) - 7)
+            for k in ks + (rng.randrange(-10**6, 10**6),):
+                assert same(perm_power(p, k), oracles.perm_power(p, k)), (n, k)
+            assert cycle_type(p) == oracles.cycle_type(p)
+            assert is_identity(p) == (p == oracles.identity(n))
+            assert is_identity(compose(p, invert(p)))
+
+
+def test_kernels_leave_their_inputs_alone():
+    rng = random.Random(42)
+    p, q = np.array(random_perm(rng, 50)), np.array(random_perm(rng, 50))
+    before = p.tolist(), q.tolist()
+    calls = (lambda: compose(p, q), lambda: invert(p), lambda: perm_power(p, -5), lambda: perm_power(p, 1))
+    for call in calls:
+        call()[0] = -1  # a result never aliases an input
+        assert (p.tolist(), q.tolist()) == before
+
+
+def test_orbit_labels_match_tuple_orbits():
+    rng = random.Random(43)
+    long_cycle = tuple((i + 1) % 1000 for i in range(1000))
+    cases = [(1000, [long_cycle]), (1000, [oracles.invert(long_cycle)])]
+    for n in DEGREES:
+        for _ in range(10):
+            cases.append((n, [sparse_perm(rng, n) for _ in range(rng.randrange(0, 5))]))
+            cases.append((n, [random_perm(rng, n) for _ in range(rng.randrange(0, 2))]))
+    for n, gens in cases:
+        labels = orbit_labels(n, [np.array(g, dtype=np.intp) for g in gens])
+        expected = sorted({oracles._orbit(x, gens) for x in range(n)}, key=min)
+        for orb in expected:
+            assert {int(labels[x]) for x in orb} == {min(orb)}
+        group = PermGroup(n, gens)
+        assert group.orbits() == expected
+        assert all(group.orbit(x) == oracles._orbit(x, gens) for x in range(0, n, 7))
+
+
+def test_orbit_of_tuple_matches_tuple_bfs():
+    rng = random.Random(47)
+    for n in (1, 2, 5, 12):
+        for _ in range(10):
+            gens = [sparse_perm(rng, n) for _ in range(rng.randrange(0, 3))]
+            for k in (0, 1, 2, 3):
+                seed = tuple(rng.randrange(n) for _ in range(k))
+                assert orbit_of_tuple(gens, seed) == oracles.orbit_of_tuple(gens, seed)
+
+
+def test_generic_chain_matches_closure():
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        gens = [rng.choice((sparse_perm, random_perm))(rng, n) for _ in range(rng.randrange(0, 3))]
+        elements = closure(gens, n)
+        G = PermGroup(n, gens)
+        assert G.order() == len(elements)
+        assert [tuple(p) for p in G.enumerate_elements()] == sorted(elements)
+        for perm in itertools.permutations(range(n)):
+            assert G.contains(perm) == (perm in elements)
+
+
+# -- orbit counts of classify ----------------------------------------------------------
+
+
+def star(k):
+    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + [(i, i + 5) for i in range(5)] + inner)
+
+
+def copies(g, m):
+    return Graph(g.n * m, [(u + c * g.n, v + c * g.n) for c in range(m) for u, v in g.edges])
+
+
+def analyze_pool():
+    """The graphs of the benchmark's analyze workload."""
+    hypercube7 = Graph(128, [(v, v ^ (1 << b)) for v in range(128) for b in range(7) if v < v ^ (1 << b)])
+    gray = gamma_t(1).graph
+    return [
+        sigma_t(1).graph, sigma_t(2).graph, abelian_family(5, 13).graph, gamma_t(2).graph,
+        abelian_family(9, 1).graph, abelian_family(3, 7).graph, gray, copies(gray, 3),
+        copies(petersen(), 4), star(16), hypercube7,
+        Graph(16, [(i, 8 + j) for i in range(8) for j in range(8)]),
+    ]
+
+
+def relabel(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_classify_orbit_counts_match_tuple_oracles():
+    for seed, g in enumerate(analyze_pool()):
+        g = relabel(g, seed)
+        aut = aut_group(g)
+        rep = classify(g, aut)
+        gens = [tuple(x.tolist()) for x in aut.generators]
+        edges = list(g.edges)
+        arcs = edges + [(v, u) for u, v in edges]
+        assert rep.vertex_orbits == oracles._orbit_count([(v,) for v in range(g.n)], gens, lambda t: t)
+        assert rep.edge_orbits == oracles._orbit_count(edges, gens, lambda t: (min(t), max(t)))
+        assert rep.arc_orbits == oracles._orbit_count(arcs, gens, lambda t: t)
+
+
+def test_arc_orbits_match_tuple_bfs():
+    rng = random.Random(59)
+    graphs = [petersen(), copies(petersen(), 2), star(5), gamma_t(1).graph]
+    graphs += [Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if rng.random() < 0.4]) for _ in range(8)]
+    for g in graphs:
+        if not g.edges:
+            continue
+        gens = list(aut_group(g).generators)
+        some = rng.sample(gens, rng.randrange(0, len(gens) + 1))  # subgroups have smaller orbits
+        keys, perms, reversal = arc_action(g, some)
+        labels = orbit_labels(len(keys), perms)
+        arcs = [divmod(int(k), g.n) for k in keys]
+        assert sorted(arcs) == sorted(list(g.edges) + [(v, u) for u, v in g.edges])
+        assert [arcs[i] for i in reversal] == [(v, u) for u, v in arcs]
+        tuple_gens = [tuple(x.tolist()) for x in some]
+        for i, arc in enumerate(arcs):
+            orbit = {arcs[j] for j in np.flatnonzero(labels == labels[i])}
+            assert orbit == oracles.orbit_of_tuple(tuple_gens, arc)
+
+
+def test_arc_action_rejects_a_non_automorphism():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(NotAutomorphism):
+        arc_action(g, [np.array([1, 0, 2, 3], dtype=np.intp)])

@@ -332,3 +332,26 @@ def test_seeded_contains_matches_generic_chain(gray_graph):
             assert aut.contains(p) == generic.contains(p)
             outside += not generic.contains(p)
         assert outside > 0
+
+
+def test_canonical_form_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randrange(1, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        m = rng.randrange(0, len(pairs) + 1)
+        g, h = Graph(n, rng.sample(pairs, m)), Graph(n, rng.sample(pairs, m))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == canonical_form(g)
+        G, H = nx.Graph(), nx.Graph()
+        G.add_nodes_from(range(n))
+        H.add_nodes_from(range(n))
+        G.add_edges_from(g.edges)
+        H.add_edges_from(h.edges)
+        same = nx.is_isomorphic(G, H)
+        assert (canonical_form(g) == canonical_form(h)) == same, (g.edges, h.edges)
+        outcomes.add((same, g == h))
+    assert {(True, False), (False, False)} <= outcomes  # isomorphic-but-unequal pairs and non-isomorphic ones
