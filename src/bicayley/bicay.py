@@ -11,6 +11,7 @@ adjacency data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidMapError, InvariantViolation, NotAutomorphism, SetConditionError
@@ -46,19 +47,16 @@ class BiCayleyGraph:
                 raise SetConditionError(f"identity element in {name}")
             if set(conn) != {group.inv(x) for x in conn}:
                 raise SetConditionError(f"{name} is not inverse-closed")
-        self.half = group.order
-        els = group.elements()
-        rank = group.rank
-        edges = []
-        for h in els:
-            hr = rank(h)
-            for r in self.R:
-                edges.append((rank(group.mul(r, h)), hr))
-            for l in self.L:
-                edges.append((self.half + rank(group.mul(l, h)), self.half + hr))
-            for s in self.S:
-                edges.append((hr, self.half + rank(group.mul(s, h))))
-        self.graph = Graph(2 * self.half, edges)
+        self.half = half = group.order
+        group.check_enumerable()
+        # the edges {h, c h} for every h and every c in a connection set; the
+        # endpoints h share one int object per vertex across the blocks
+        part0, part1 = list(range(half)), list(range(half, 2 * half))
+        left = group.left_mul_ranks
+        blocks = [(left(r).tolist(), part0) for r in self.R]
+        blocks += [((half + left(l)).tolist(), part1) for l in self.L]
+        blocks += [(part0, (half + left(s)).tolist()) for s in self.S]
+        self.graph = Graph(2 * half, chain.from_iterable(zip(u, v) for u, v in blocks))
 
     def index(self, h: Element, part: int) -> int:
         """Vertex index of h_part."""
@@ -81,7 +79,7 @@ def build(group: PairGroup, R: Iterable[Element], L: Iterable[Element], S: Itera
     return BiCayleyGraph(group, R, L, S)
 
 
-def _check_automorphism(bg: BiCayleyGraph, images: list[int]) -> Perm:
+def _check_automorphism(bg: BiCayleyGraph, images: Perm) -> Perm:
     perm = as_perm(images)
     if not bg.graph.preserves_edges(perm):
         raise NotAutomorphism("constructed map does not preserve adjacency")
@@ -90,15 +88,10 @@ def _check_automorphism(bg: BiCayleyGraph, images: list[int]) -> Perm:
 
 def right_translation(bg: BiCayleyGraph, g: Element) -> Perm:
     """The permutation h_i -> (hg)_i; always a graph automorphism."""
-    G = bg.group
-    half = bg.half
-    images = [0] * (2 * half)
-    for h in G.elements():
-        hr = G.rank(h)
-        target = G.rank(G.mul(h, g))
-        images[hr] = target
-        images[half + hr] = half + target
-    return _check_automorphism(bg, images)
+    import numpy as np
+
+    target = bg.group.right_mul_ranks(g)
+    return _check_automorphism(bg, np.concatenate((target, bg.half + target)))
 
 
 def right_group(bg: BiCayleyGraph) -> PermGroup:
@@ -132,13 +125,10 @@ def sigma_map(bg: BiCayleyGraph, f: GroupMap, g: Element) -> MapResult:
         return MapResult(None, "L^alpha != g^-1 L g")
     if {img(x) for x in bg.S} != {G.mul(G.inv(g), x) for x in bg.S}:
         return MapResult(None, "S^alpha != g^-1 S")
-    half = bg.half
-    images = [0] * (2 * half)
-    for h in G.elements():
-        hr = G.rank(h)
-        ha = img(h)
-        images[hr] = G.rank(ha)
-        images[half + hr] = half + G.rank(G.mul(g, ha))
+    import numpy as np
+
+    ha = G.map_ranks(f)
+    images = np.concatenate((ha, bg.half + G.left_mul_ranks(g, ha)))
     return MapResult(_check_automorphism(bg, images))
 
 
@@ -158,13 +148,10 @@ def delta_map(bg: BiCayleyGraph, f: GroupMap, x: Element, y: Element) -> MapResu
     want = {G.mul(G.mul(G.inv(y), G.inv(z)), x) for z in bg.S}
     if {img(z) for z in bg.S} != want:
         return MapResult(None, "S^alpha != y^-1 S^-1 x")
-    half = bg.half
-    images = [0] * (2 * half)
-    for h in G.elements():
-        hr = G.rank(h)
-        ha = img(h)
-        images[hr] = half + G.rank(G.mul(x, ha))
-        images[half + hr] = G.rank(G.mul(y, ha))
+    import numpy as np
+
+    ha = G.map_ranks(f)
+    images = np.concatenate((bg.half + G.left_mul_ranks(x, ha), G.left_mul_ranks(y, ha)))
     return MapResult(_check_automorphism(bg, images))
 
 

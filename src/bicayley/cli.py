@@ -106,21 +106,22 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _verify_arithmetic(args: argparse.Namespace) -> dict:
     group = make_group(args.p, args.m, args.n, args.r)
     perms = group.regular_representation()
-    perm_a, perm_b = perms.generators
     els = group.elements()
-    rank = group.rank
-    cache = {group.gen_a: perm_a, group.gen_b: perm_b}
+    cache = {}
 
     def perm_of(g):
-        # right-multiplication permutation straight from the arithmetic
+        # right-multiplication permutation from the whole-group kernel
         p = cache.get(g)
         if p is None:
-            p = np.fromiter((rank(group.mul(h, g)) for h in els), dtype=np.intp, count=len(els))
-            cache[g] = p
+            p = cache[g] = group.right_mul_ranks(g)
         return p
 
-    rng = random.Random(args.seed)
     failures = []
+    # the kernel's generator rows must be the ones scalar mul builds
+    for gen, perm in zip((group.gen_a, group.gen_b), perms.generators):
+        if not np.array_equal(perm_of(gen), perm):
+            failures.append({"check": "row", "g": group.element_str(gen)})
+    rng = random.Random(args.seed)
     for trial in range(args.trials):
         g = els[rng.randrange(len(els))]
         h = els[rng.randrange(len(els))]

@@ -159,11 +159,12 @@ def verify_semisymmetric_family(t: int, full_aut: bool | None = None) -> dict:
     candidate spoke-inverting images fail the conjugation relation, the
     defect forcing a^{2*3^t} = 1.  Graph part: sigma_{alpha,a} fixes the
     identity vertex and 3-cycles its neighbours; with full_aut, classify
-    must report semisymmetric.
+    must report semisymmetric.  full_aut defaults to True: gamma_t has at
+    most 4374 vertices within the family budget.
     """
     _check_t(t)
     if full_aut is None:
-        full_aut = t <= 2
+        full_aut = True
     G = gamma_group(t)
     a, b = G.gen_a, G.gen_b
     x1 = G.mul(G.pow(a, -2), b)
@@ -225,13 +226,15 @@ def verify_symmetric_family(t: int, full_aut: bool | None = None, graph_checks: 
     (a^-1, a^-1 b) both satisfy the presentation and generate.  Graph part:
     sigma_{alpha,b} 3-cycles the neighbours of the identity vertex,
     delta_{beta,1,1} swaps the two parts at the identity, and the arc orbit
-    under R(H) plus those two maps covers every arc.
+    under R(H) plus those two maps covers every arc.  graph_checks defaults
+    to True; full_aut defaults to t <= 2, since sigma_3 (13122 vertices) is
+    above the engine's vertex budget.
     """
     _check_t(t)
     if graph_checks is None:
-        graph_checks = t <= 2
+        graph_checks = True
     if full_aut is None:
-        full_aut = t <= 1
+        full_aut = t <= 2
     H = sigma_group(t)
     a, b = H.gen_a, H.gen_b
     x1 = H.mul(H.pow(a, 2 * 3**t + 1), H.pow(b, -3))

@@ -6,6 +6,7 @@ import re
 from typing import Iterable, Sequence
 
 from .errors import GraphParseError, InvariantViolation
+from .permgroup import DEGREE_BUDGET
 
 
 class Graph:
@@ -226,9 +227,16 @@ def format_edge_list(g: Graph) -> str:
 _VERTEX_COUNT_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)")
 
 
+def _check_vertex_count(n: int, offset: int) -> None:
+    if n > DEGREE_BUDGET:
+        raise GraphParseError(f"vertex count {n} exceeds the budget {DEGREE_BUDGET}", offset)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Read "u v" lines; "#" starts a comment line.  A first line "# n=<count>"
-    fixes the vertex count, otherwise it is one more than the largest endpoint."""
+    fixes the vertex count, otherwise it is one more than the largest endpoint.
+    A vertex count above permgroup.DEGREE_BUDGET is refused before any graph
+    is built."""
     edges = []
     n = 0
     declared = None
@@ -238,6 +246,7 @@ def parse_edge_list(text: str) -> Graph:
         header = _VERTEX_COUNT_HEADER.fullmatch(stripped) if offset == 0 else None
         if header:
             declared = int(header.group(1))
+            _check_vertex_count(declared, offset)
         elif stripped and not stripped.startswith("#"):
             parts = stripped.split()
             if len(parts) != 2:
@@ -250,6 +259,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphParseError(f"bad edge ({u}, {v})", offset)
             if declared is not None and max(u, v) >= declared:
                 raise GraphParseError(f"edge ({u}, {v}) outside the declared n={declared}", offset)
+            _check_vertex_count(max(u, v) + 1, offset)
             edges.append((u, v))
             n = max(n, u + 1, v + 1)
         offset += len(line)

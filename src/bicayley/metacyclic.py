@@ -80,6 +80,7 @@ class PairGroup:
         self.gen_b: Element = (1 % mod_j, 0)
         self._order_primes = _prime_factors(self.order) if self.order > 1 else []
         self._element_list: tuple[Element, ...] | None = None
+        self._columns = None
 
     # -- element arithmetic ------------------------------------------------
 
@@ -100,22 +101,19 @@ class PairGroup:
         nj = (-j) % self.mod_j
         return (nj, (-i * self.twist_pow(nj)) % self.mod_i)
 
-    def _geom_sum(self, wj: int, k: int) -> int:
-        """1 + wj + ... + wj^{k-1} mod mod_i, by halving."""
-        mod = self.mod_i
-        if k == 0:
-            return 0
-        if k % 2:
-            return (self._geom_sum(wj, k - 1) + pow(wj, k - 1, mod)) % mod
-        half = self._geom_sum(wj, k // 2)
-        return half * (1 + pow(wj, k // 2, mod)) % mod
-
     def pow(self, g: Element, k: int) -> Element:
         if k < 0:
             return self.pow(self.inv(g), -k)
         j, i = g
         wj = self.twist_pow(j)
-        return ((j * k) % self.mod_j, (i * self._geom_sum(wj, k)) % self.mod_i)
+        M = self.mod_i
+        if wj == 1 % M:
+            geom = k % M
+        else:
+            # 1 + wj + ... + wj^{k-1} = (wj^k - 1) / (wj - 1); reducing wj^k
+            # mod M (wj - 1) keeps the division exact and the quotient mod M
+            geom = (pow(wj, k, M * (wj - 1)) - 1) // (wj - 1) % M
+        return ((j * k) % self.mod_j, (i * geom) % M)
 
     def conj(self, g: Element, h: Element) -> Element:
         """h^-1 g h."""
@@ -137,11 +135,15 @@ class PairGroup:
 
     # -- enumeration and subgroups ------------------------------------------
 
+    def check_enumerable(self) -> None:
+        """Raise BudgetError if the group is too large to enumerate."""
+        if self.order > CLOSURE_BUDGET:
+            raise BudgetError(f"group order {self.order} exceeds enumeration budget")
+
     def elements(self) -> tuple[Element, ...]:
         """All elements in lexicographic (j, i) order."""
         if self._element_list is None:
-            if self.order > CLOSURE_BUDGET:
-                raise BudgetError(f"group order {self.order} exceeds enumeration budget")
+            self.check_enumerable()
             self._element_list = tuple(
                 (j, i) for j in range(self.mod_j) for i in range(self.mod_i)
             )
@@ -152,6 +154,10 @@ class PairGroup:
 
     def unrank(self, k: int) -> Element:
         return divmod(k, self.mod_i)
+
+    def generates(self, x: Element, y: Element) -> bool:
+        """Whether <x, y> is the whole group, by building the subgroup."""
+        return len(self.closure([x, y])) == self.order
 
     def closure(self, generators: Iterable[Element], budget: int = CLOSURE_BUDGET) -> frozenset[Element]:
         """Subgroup generated by the given elements, as an explicit set."""
@@ -196,6 +202,62 @@ class PairGroup:
             g for g in self.elements()
             if mul(g, a) == mul(a, g) and mul(g, b) == mul(b, g)
         )
+
+    # -- whole-group kernels ---------------------------------------------------
+    #
+    # Each kernel applies the group law to every element at once and returns a
+    # contiguous np.intp array indexed by rank.  Within the enumeration budget
+    # every product below (at most mod_i^2 <= 3^24) fits in int64.
+
+    def _rank_columns(self):
+        """(J, I, W): the columns of h = b^J a^I over all ranks, and the twist
+        column W[j] = w^j for 0 <= j < mod_j."""
+        if self._columns is None:
+            # numpy is imported on use, as in graphs.py and permgroup.py
+            import numpy as np
+
+            self.check_enumerable()
+            J, I = np.divmod(np.arange(self.order, dtype=np.intp), self.mod_i)
+            W = np.array([self.twist_pow(j) for j in range(self.mod_j)], dtype=np.intp)
+            self._columns = (J, I, W)
+        return self._columns
+
+    def right_mul_ranks(self, g: Element):
+        """rank(h g) for every h, in rank order of h."""
+        J, I, _ = self._rank_columns()
+        j, i = g[0] % self.mod_j, g[1] % self.mod_i
+        return ((J + j) % self.mod_j) * self.mod_i + (I * self.twist_pow(j) + i) % self.mod_i
+
+    def left_mul_ranks(self, g: Element, ranks=None):
+        """rank(g h) for h of the given ranks (default: every h, in rank order)."""
+        J, I, W = self._rank_columns()
+        if ranks is not None:
+            J, I = J[ranks], I[ranks]
+        j, i = g[0] % self.mod_j, g[1] % self.mod_i
+        return ((J + j) % self.mod_j) * self.mod_i + (i * W[J] + I) % self.mod_i
+
+    def _power_columns(self, g: Element, count: int):
+        """The parts (j, i) of g^0, ..., g^{count-1} as two np.intp arrays."""
+        import numpy as np
+
+        js, is_ = [], []
+        cur = self.identity
+        for _ in range(count):
+            js.append(cur[0])
+            is_.append(cur[1])
+            cur = self.mul(cur, g)
+        return np.array(js, dtype=np.intp), np.array(is_, dtype=np.intp)
+
+    def map_ranks(self, f: GroupMap):
+        """rank(h^f) for every h = b^j a^i, i.e. of (image of b)^j (image of a)^i."""
+        if not f.validated:
+            raise InvalidMapError("map has not been validated as an automorphism")
+        J, I, W = self._rank_columns()
+        yj, yi = self._power_columns(f.image_b, self.mod_j)
+        xj, xi = self._power_columns(f.image_a, self.mod_i)
+        XJ = xj[I]
+        # (b^{yj} a^{yi}) (b^{xj} a^{xi}) = b^{yj + xj} a^{yi w^{xj} + xi}
+        return ((yj[J] + XJ) % self.mod_j) * self.mod_i + (yi[J] * W[XJ] + xi[I]) % self.mod_i
 
     def regular_representation(self):
         """Right-multiplication permutations of the two generators, as a PermGroup."""
@@ -382,7 +444,7 @@ def check_generator_images(G: PairGroup, x: Element, y: Element) -> PairRelation
         defect = G.mul(G.inv(rhs), lhs)
         if defect[0] == 0:
             forced = tuple(sorted({defect[1], (-defect[1]) % G.mod_i}))
-    generates = len(G.closure([x, y])) == G.order
+    generates = G.generates(x, y)
     return PairRelationReport(a_ok, b_ok, conj_ok, generates, lhs, rhs, forced)
 
 

@@ -31,6 +31,26 @@ def power_by_iteration(G, g, k):
     return cur
 
 
+def geom_sum_by_halving(mod, wj, k):
+    """1 + wj + ... + wj^{k-1} mod mod, by halving (PairGroup.pow's former
+    recursion)."""
+    if k == 0:
+        return 0
+    if k % 2:
+        return (geom_sum_by_halving(mod, wj, k - 1) + pow(wj, k - 1, mod)) % mod
+    half = geom_sum_by_halving(mod, wj, k // 2)
+    return half * (1 + pow(wj, k // 2, mod)) % mod
+
+
+def power_by_halving(G, g, k):
+    """g^k = b^{kj} a^{i (1 + w^j + ... + w^{(k-1)j})} with the halving sum."""
+    if k < 0:
+        return power_by_halving(G, G.inv(g), -k)
+    j, i = g
+    wj = G.twist_pow(j)
+    return ((j * k) % G.mod_j, (i * geom_sum_by_halving(G.mod_i, wj, k)) % G.mod_i)
+
+
 def frattini_by_maximal_intersection(G):
     """Intersection of all maximal subgroups, from the enumerated subgroups."""
     subs = [s for _, s in G.maximal_subgroups()]
@@ -307,3 +327,68 @@ def _orbit_count(items: list[tuple[int, ...]], gens, normalize) -> int:
         left -= {normalize(x) for x in orb}
         count += 1
     return count
+
+
+# -- per-element bi-Cayley loops ------------------------------------------------
+#
+# bicay.py built its graphs and maps one element at a time through scalar
+# mul/apply_map before the whole-group rank kernels; these are those loops.
+
+
+def bicay_edges_by_elements(group, R, L, S):
+    """The edge list of BiCay(H, R, L, S), one product per element and set member."""
+    half = group.order
+    rank = group.rank
+    edges = []
+    for h in group.elements():
+        hr = rank(h)
+        for r in R:
+            edges.append((rank(group.mul(r, h)), hr))
+        for l in L:
+            edges.append((half + rank(group.mul(l, h)), half + hr))
+        for s in S:
+            edges.append((hr, half + rank(group.mul(s, h))))
+    return edges
+
+
+def right_translation_by_elements(bg, g):
+    """Images of h_i -> (hg)_i."""
+    G = bg.group
+    half = bg.half
+    images = [0] * (2 * half)
+    for h in G.elements():
+        hr = G.rank(h)
+        target = G.rank(G.mul(h, g))
+        images[hr] = target
+        images[half + hr] = half + target
+    return images
+
+
+def sigma_images_by_elements(bg, f, g):
+    """Images of h_0 -> (h^f)_0, h_1 -> (g h^f)_1."""
+    from bicayley.metacyclic import apply_map
+
+    G = bg.group
+    half = bg.half
+    images = [0] * (2 * half)
+    for h in G.elements():
+        hr = G.rank(h)
+        ha = apply_map(G, f, h)
+        images[hr] = G.rank(ha)
+        images[half + hr] = half + G.rank(G.mul(g, ha))
+    return images
+
+
+def delta_images_by_elements(bg, f, x, y):
+    """Images of h_0 -> (x h^f)_1, h_1 -> (y h^f)_0."""
+    from bicayley.metacyclic import apply_map
+
+    G = bg.group
+    half = bg.half
+    images = [0] * (2 * half)
+    for h in G.elements():
+        hr = G.rank(h)
+        ha = apply_map(G, f, h)
+        images[hr] = half + G.rank(G.mul(x, ha))
+        images[half + hr] = G.rank(G.mul(y, ha))
+    return images

@@ -100,8 +100,9 @@ def test_census_subcommand(capsys):
     ]
 
 
-def test_census_over_budget_is_a_usage_error():
-    # a subprocess, so an uncaught exception would show as a traceback
+def run_module(*argv):
+    """python -m bicayley in a subprocess, so an uncaught exception would show
+    as a traceback."""
     import os
     import subprocess
     import sys
@@ -112,10 +113,14 @@ def test_census_over_budget_is_a_usage_error():
     env = dict(os.environ)
     src = str(Path(bicayley.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bicayley", "census", "--group", "3,4,2,3"],
+    return subprocess.run(
+        [sys.executable, "-m", "bicayley", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_census_over_budget_is_a_usage_error():
+    proc = run_module("census", "--group", "3,4,2,3")
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
@@ -210,3 +215,32 @@ def test_export_keeps_isolated_vertices(tmp_path, capsys):
     edges.write_text(text)
     code, back, _ = run_cli(capsys, "export", "--in", str(edges), "--format", "g6")
     assert code == 0 and back == graph6_encode(Graph(4, [(0, 1)])) + "\n"
+
+
+def test_edge_list_vertex_count_over_budget_is_a_usage_error(tmp_path):
+    # refused before a graph of a million vertices is allocated
+    for name, text in (("endpoint", "0 1000000\n"), ("header", "# n=1000000000\n")):
+        path = tmp_path / f"{name}.edges"
+        path.write_text(text)
+        for argv in (("analyze",), ("export", "--format", "g6")):
+            proc = run_module(*argv, "--in", str(path))
+            assert proc.returncode == 2 and proc.stdout == ""
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert "budget" in lines[0] and "Traceback" not in proc.stderr
+
+
+def test_verify_defaults_use_the_full_group_where_it_fits(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--target", "lemma51", "--t", "3")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True
+    assert doc["verified_by_full_aut"] is True and doc["classification"] == "semisymmetric"
+    code, out, _ = run_cli(capsys, "verify", "--target", "lemma52", "--t", "2")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True
+    assert doc["verified_by_full_aut"] is True and doc["classification"] == "arc-transitive"
+    # sigma_3 (13122 vertices) is above the engine budget: graph checks only
+    code, out, _ = run_cli(capsys, "verify", "--target", "lemma52", "--t", "3")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True and doc["verified_by_full_aut"] is False
+    assert doc["arc_orbit_size"] == doc["arc_count"] == 39366

@@ -135,3 +135,13 @@ def test_graph6_parse_errors_match_bitwise_oracle():
             graph6_decode_by_bits(text)
         assert str(fast.value) == str(slow.value)
         assert fast.value.offset == slow.value.offset
+
+
+def test_edge_list_vertex_budget():
+    from bicayley.permgroup import DEGREE_BUDGET
+
+    assert parse_edge_list(f"# n={DEGREE_BUDGET}\n").n == DEGREE_BUDGET
+    assert parse_edge_list(f"0 {DEGREE_BUDGET - 1}\n").n == DEGREE_BUDGET
+    for text in (f"# n={DEGREE_BUDGET + 1}\n", f"0 1\n{DEGREE_BUDGET} 0\n"):
+        with pytest.raises(GraphParseError, match="budget"):
+            parse_edge_list(text)
