@@ -58,7 +58,6 @@ from .permgroup import PermGroup, compose, identity, invert, is_normal, orbit_of
 from .symmetry import (
     SymmetryReport,
     aut_group,
-    brute_force_aut_order,
     canonical_digest,
     canonical_form,
     check_normal_bicayley,

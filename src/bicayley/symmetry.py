@@ -13,20 +13,31 @@ The engine is a McKay-style individualization-refinement search:
   * a leaf is a discrete colouring; its certificate is (invariant trace,
     bytes of the relabelled edge set).
 
-`canonical_form` keeps the lexicographically largest certificate over the
-pruned tree; `aut_group` anchors on the first leaf and harvests one
-automorphism from every other leaf with an equal certificate.  Both searches
-skip a candidate branch when a known automorphism fixing the current
-individualized prefix maps it onto an already-explored one; such subtrees
-contain only duplicate leaves, so the extreme certificate and the generated
-group are exact.
+One traversal serves `aut_group` and `canonical_form`.  It keeps a child
+whose trace prefix equals the first leaf's; the canonical mode also keeps
+one whose trace prefix is at least the current best leaf's.  It skips a
+child that a known automorphism fixing the individualized prefix maps onto
+an explored one.  Two leaf rules harvest automorphisms and prune:
+
+  * a leaf with the first leaf's certificate yields the automorphism gamma
+    taking the first leaf onto it;
+  * in the canonical mode a larger certificate becomes the best leaf, and a
+    leaf with the best's certificate yields gamma from the best leaf.
+
+Either way the search unwinds to the last node that the two leaves' paths
+share: individualized vertices keep their order through refinement, so gamma
+maps one path onto the other and fixes that node's prefix, and the rest of
+the subtree is the gamma-image of one already explored.  The largest
+certificate and the generated group are therefore exact.
 
 The vertices individualized on the way to the first leaf form a base of the
 automorphism group, and the harvested automorphisms are a strong generating
 set relative to it: at each level of that path every child whose subtree
-holds an equivalent leaf either yields an automorphism fixing the prefix or
-is pruned as the image of one that did.  `aut_group` hands both to
-`PermGroup.with_base`, so |Aut| is a product of basic orbit sizes.
+holds an equivalent leaf is kept by its trace, then either yields an
+automorphism fixing the prefix or is pruned as the image of one that did.
+`aut_group` hands both to `PermGroup.with_base`, so |Aut| is a product of
+basic orbit sizes; on a disconnected graph it takes them from the canonical
+search each component's class representative already ran.
 """
 
 from __future__ import annotations
@@ -59,9 +70,6 @@ class _Engine:
         self.eu, self.ev = e[:, 0], e[:, 1]
         self.au = np.concatenate([self.eu, self.ev])
         self.av = np.concatenate([self.ev, self.eu])
-        # signatures pack into one int64 when (dmax+1) * bits(colour) fits
-        self._bits = (self.n + 2).bit_length()
-        self._packable = (self.dmax + 1) * self._bits <= 63
         if self.n:
             self.initial = self._canon_ids(np.asarray(degs, dtype=np.int64))
         else:
@@ -69,29 +77,44 @@ class _Engine:
 
     @staticmethod
     def _canon_ids(values: np.ndarray) -> np.ndarray:
-        _, inv = np.unique(values, return_inverse=True)
-        return inv.astype(np.int64)
+        """Each value's rank among the distinct values (np.unique's inverse)."""
+        order = values.argsort()
+        ordered = values[order]
+        starts = np.empty(len(values), dtype=np.int64)  # 1 where a new value starts
+        starts[:1] = 0
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        ranks = np.empty(len(values), dtype=np.int64)
+        ranks[order] = starts.cumsum()
+        return ranks
 
     def refine(self, colors: np.ndarray) -> np.ndarray:
-        """Iterate neighbour-colour-multiset splitting to a fixpoint."""
+        """Iterate neighbour-colour-multiset splitting to a fixpoint.
+
+        A vertex's signature (colour, sorted neighbour colours) packs left to
+        right into one int64 key, k.bit_length() bits per column; when the next
+        column would not fit, the key is replaced by its rank first.  Ranks
+        keep the lexicographic order, so the new colour ids are the
+        signatures' lexicographic ranks at every degree.
+        """
         colors = self._canon_ids(colors)
         k = int(colors.max()) + 1 if self.n else 0
         while True:
             ext = np.concatenate([colors, [k]])  # sentinel colour for padding
             sig = ext[self.nbr]
             sig.sort(axis=1)
-            if self._packable:
-                key = colors.copy()
-                for col in range(self.dmax):
-                    key = (key << self._bits) | sig[:, col]
-                _, inv = np.unique(key, return_inverse=True)
-            else:
-                rows = np.column_stack([colors, sig])
-                _, inv = np.unique(rows, axis=0, return_inverse=True)
+            bits = k.bit_length()
+            key, used = colors, bits
+            for col in range(self.dmax):
+                if used + bits > 63:
+                    key = self._canon_ids(key)
+                    used = int(key.max()).bit_length()
+                key = (key << bits) | sig[:, col]
+                used += bits
+            inv = self._canon_ids(key)
             new_k = int(inv.max()) + 1
             if new_k == k:
-                return inv.astype(np.int64)
-            colors = inv.astype(np.int64)
+                return inv
+            colors = inv
             k = new_k
 
     def invariant(self, colors: np.ndarray, k: int) -> int:
@@ -123,23 +146,18 @@ class _AutoFound(Exception):
 
 
 class _Search:
+    """One traversal for both jobs: `run_auto` collects automorphisms anchored
+    to the first leaf; `run_canon` also keeps the largest certificate."""
+
     def __init__(self, engine: _Engine):
         self.e = engine
         self.autos: list[np.ndarray] = []
         self._auto_keys: set[bytes] = set()
-        self.first: tuple[tuple[int, ...], bytes, np.ndarray] | None = None
-        self.base: list[int] = []  # run_auto: vertices individualized on the way to the first leaf
-        self.best: tuple[tuple[int, ...], bytes, np.ndarray] | None = None
-
-    def _record_auto(self, ref_pos: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        ref_inv = np.empty(self.e.n, dtype=np.intp)
-        ref_inv[ref_pos] = np.arange(self.e.n, dtype=np.intp)
-        gamma = ref_inv[pos]
-        key = gamma.tobytes()
-        if key not in self._auto_keys:
-            self._auto_keys.add(key)
-            self.autos.append(gamma)
-        return gamma
+        self.canon = False
+        # a leaf: (trace, leaf bytes, leaf colouring, individualized path)
+        self.first: tuple[tuple[int, ...], bytes, np.ndarray, list[int]] | None = None
+        self.best: tuple[tuple[int, ...], bytes, np.ndarray, list[int]] | None = None
+        self.base: list[int] = []  # vertices individualized on the way to the first leaf
 
     def _children(self, colors: np.ndarray, k: int, prefix: list[int]):
         """(v, refined child colouring, its invariant) for each v of the target
@@ -154,7 +172,7 @@ class _Search:
         for v in self.e.target_cell(colors, k).tolist():
             if self.autos and done:
                 if labels is None or labels_version != len(self.autos):
-                    fixing = [g for g in self.autos if np.array_equal(g[pref], pref)]
+                    fixing = [g for g in self.autos if (g[pref] == pref).all()]
                     labels = orbit_labels(self.e.n, fixing)
                     labels_version = len(self.autos)
                     done_labels = {int(labels[d]) for d in done}
@@ -168,84 +186,75 @@ class _Search:
                 done_labels.add(int(labels[v]))
             yield v, child, self.e.invariant(child, int(child.max()) + 1)
 
-    # -- automorphism search (anchored to the first leaf) ----------------------
-
     def run_auto(self) -> list[np.ndarray]:
-        colors = self.e.refine(self.e.initial)
-        self._auto_rec(colors, (), [])
+        self.canon = False
+        self._rec(self.e.refine(self.e.initial), (), [])
         return self.autos
 
-    def _auto_rec(self, colors: np.ndarray, trace: tuple[int, ...], prefix: list[int]) -> None:
-        n = self.e.n
-        k = int(colors.max()) + 1 if n else 0
-        if k == n:
-            pos = colors
-            bts = self.e.leaf_bytes(pos)
-            if self.first is None:
-                self.first = (trace, bts, pos.copy())
-                self.base = list(prefix)
-                return
-            ftrace, fbts, fpos = self.first
-            if trace == ftrace and bts == fbts:
-                gamma = self._record_auto(fpos, pos)
-                fixed = 0
-                for v in prefix:
-                    if gamma[v] != v:
-                        break
-                    fixed += 1
-                raise _AutoFound(fixed)
+    def run_canon(self) -> tuple[np.ndarray, bytes]:
+        self.canon = True
+        self._rec(self.e.refine(self.e.initial), (), [])
+        assert self.best is not None
+        _, bts, pos, _ = self.best
+        return pos, bts
+
+    def _rec(self, colors: np.ndarray, trace: tuple[int, ...], prefix: list[int]) -> None:
+        k = int(colors.max()) + 1 if self.e.n else 0
+        if k == self.e.n:
+            self._leaf(colors, trace, prefix)
             return
         depth = len(trace)
         for v, child, inv in self._children(colors, k, prefix):
-            ftrace = self.first[0] if self.first is not None else None
-            if ftrace is not None and (depth >= len(ftrace) or inv != ftrace[depth]):
+            t = trace + (inv,)
+            # a child on the first leaf's trace is always kept, so the
+            # automorphisms stay strong relative to the first path's base
+            if self.first is not None and t != self.first[0][: depth + 1] and not (
+                self.canon and t >= self.best[0][: depth + 1]
+            ):
                 continue
             try:
-                self._auto_rec(child, trace + (inv,), prefix + [v])
+                self._rec(child, t, prefix + [v])
             except _AutoFound as found:
                 if found.depth < len(prefix):
                     raise
                 # the automorphism fixes this node's prefix: keep scanning here,
                 # the refreshed orbit labels absorb the pruning
 
-    # -- canonical search (maximal certificate) ---------------------------------
-
-    def run_canon(self) -> tuple[np.ndarray, bytes]:
-        colors = self.e.refine(self.e.initial)
-        self._canon_rec(colors, (), [], False)
-        assert self.best is not None
-        _, bts, pos = self.best
-        return pos, bts
-
-    def _canon_rec(
-        self, colors: np.ndarray, trace: tuple[int, ...], prefix: list[int], better: bool
-    ) -> None:
-        n = self.e.n
-        k = int(colors.max()) + 1 if n else 0
-        if k == n:
-            pos = colors
-            bts = self.e.leaf_bytes(pos)
-            key = (trace, bts)
-            if self.first is None:
-                self.first = (trace, bts, pos.copy())
-            elif key == (self.first[0], self.first[1]) and not np.array_equal(self.first[2], pos):
-                self._record_auto(self.first[2], pos)
-            if self.best is None or key > (self.best[0], self.best[1]):
-                self.best = (trace, bts, pos.copy())
-            elif key == (self.best[0], self.best[1]) and not np.array_equal(self.best[2], pos):
-                self._record_auto(self.best[2], pos)
+    def _leaf(self, pos: np.ndarray, trace: tuple[int, ...], path: list[int]) -> None:
+        bts = self.e.leaf_bytes(pos)
+        if self.first is None:
+            self.first = self.best = (trace, bts, pos.copy(), path)
+            self.base = list(path)
             return
-        depth = len(trace)
-        for v, child, inv in self._children(colors, k, prefix):
-            child_better = better
-            if not child_better and self.best is not None:
-                btrace = self.best[0]
-                if depth < len(btrace):
-                    if inv < btrace[depth]:
-                        continue
-                    if inv > btrace[depth]:
-                        child_better = True
-            self._canon_rec(child, trace + (inv,), prefix + [v], child_better)
+        cert = (trace, bts)
+        if cert == self.first[:2]:
+            self._equivalent(self.first, pos, path)
+        if self.canon:
+            if cert > self.best[:2]:
+                self.best = (trace, bts, pos.copy(), path)
+            elif cert == self.best[:2]:
+                self._equivalent(self.best, pos, path)
+
+    def _equivalent(self, ref: tuple, pos: np.ndarray, path: list[int]) -> None:
+        """Record the automorphism gamma taking leaf ref onto this leaf, then
+        unwind to the last node the two paths share.  Individualized vertices
+        keep their order through refinement, so gamma maps ref's path onto
+        this one and fixes that node's prefix: the rest of this subtree is the
+        gamma-image of one already explored."""
+        _, _, ref_pos, ref_path = ref
+        ref_inv = np.empty(self.e.n, dtype=np.intp)
+        ref_inv[ref_pos] = np.arange(self.e.n, dtype=np.intp)
+        gamma = ref_inv[pos]
+        key = gamma.tobytes()
+        if key not in self._auto_keys:
+            self._auto_keys.add(key)
+            self.autos.append(gamma)
+        common = 0
+        for a, b in zip(ref_path, path):
+            if a != b:
+                break
+            common += 1
+        raise _AutoFound(common)
 
 
 def _check_budget(graph: Graph) -> None:
@@ -255,13 +264,15 @@ def _check_budget(graph: Graph) -> None:
         )
 
 
-def _component_canon(graph: Graph) -> list[tuple[list[int], bytes, list[int]]]:
-    """Per component: (vertex list, canonical bytes, canonical labeling)."""
+def _component_canon(graph: Graph) -> list[tuple[list[int], bytes, list[int], _Search]]:
+    """Per component: (vertex list, canonical bytes, canonical labeling, the
+    search that found it)."""
     out = []
     for comp in graph.components():
         sub = graph.subgraph(comp)
-        labeling = _Search(_Engine(sub)).run_canon()[0].tolist() if sub.n > 1 else [0]
-        out.append((comp, graph6_encode(sub.relabel(labeling)).encode("ascii"), labeling))
+        search = _Search(_Engine(sub))
+        labeling = search.run_canon()[0].tolist()
+        out.append((comp, graph6_encode(sub.relabel(labeling)).encode("ascii"), labeling, search))
     return out
 
 
@@ -284,29 +295,24 @@ def aut_group(graph: Graph) -> PermGroup:
         search = _Search(_Engine(graph))
         gens = search.run_auto()
         return PermGroup.with_base(graph.n, gens, search.base)
-    info = _component_canon(graph)
-    by_class: dict[tuple[int, bytes], list[tuple[list[int], list[int]]]] = {}
-    for comp, digest, labeling in info:
-        by_class.setdefault((len(comp), digest), []).append((comp, labeling))
+    by_class: dict[tuple[int, bytes], list[tuple[list[int], list[int], _Search]]] = {}
+    for comp, digest, labeling, search in _component_canon(graph):
+        by_class.setdefault((len(comp), digest), []).append((comp, labeling, search))
     gens: list[np.ndarray] = []
     base: list[int] = []
     ident = np.arange(graph.n, dtype=np.intp)
     for (_, _digest), members in sorted(by_class.items()):
         # at_pos[j][p]: the vertex of member j at canonical position p
         at_pos = []
-        for comp, labeling in members:
+        for comp, labeling, _search in members:
             row = np.empty(len(comp), dtype=np.intp)
             row[labeling] = comp
             at_pos.append(row)
-        rep, rep_label = members[0]
+        _, rep_label, search = members[0]
         rep_label = np.asarray(rep_label, dtype=np.intp)
-        local_gens: list[np.ndarray] = []
-        local_base = [0]  # a trivial group still needs one point per copy
-        if len(rep) > 1:
-            search = _Search(_Engine(graph.subgraph(rep)))
-            local_gens = search.run_auto()
-            local_base = search.base or local_base
-        for g in local_gens:
+        # the canonical search's automorphisms are strong relative to its base
+        local_base = search.base or [0]  # a trivial group still needs one point per copy
+        for g in search.autos:
             for row in at_pos:
                 lifted = ident.copy()
                 lifted[row[rep_label]] = row[rep_label[g]]
@@ -335,9 +341,8 @@ def canonical_form(graph: Graph) -> bytes:
     if len(comps) == 1:
         pos, _ = _Search(_Engine(graph)).run_canon()
         return graph6_encode(graph.relabel([int(x) for x in pos])).encode("ascii")
-    info = _component_canon(graph)
     blocks = sorted(
-        ((len(comp), digest, comp, labeling) for comp, digest, labeling in info),
+        ((len(comp), digest, comp, labeling) for comp, digest, labeling, _search in _component_canon(graph)),
         key=lambda item: (item[0], item[1]),
     )
     relabel = [0] * graph.n
@@ -457,39 +462,3 @@ def check_stabilizer_law(graph: Graph, report: SymmetryReport | None = None) -> 
 def check_normal_bicayley(bg: BiCayleyGraph) -> bool:
     """Whether R(H) is normal in the full automorphism group of the graph."""
     return is_normal(aut_group(bg.graph), right_group(bg))
-
-
-def brute_force_aut_order(graph: Graph) -> int:
-    """Degree-preserving backtracking with no refinement; oracle for small graphs."""
-    if graph.n > 30:
-        raise BudgetError("brute-force oracle limited to 30 vertices")
-    n = graph.n
-    degs = graph.degrees()
-    adjsets = [set(nb) for nb in graph.adj]
-    count = 0
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> None:
-        nonlocal count
-        if v == n:
-            count += 1
-            return
-        for w in range(n):
-            if used[w] or degs[w] != degs[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (u in adjsets[v]) != (image[u] in adjsets[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = w
-            used[w] = True
-            extend(v + 1)
-            used[w] = False
-            image[v] = -1
-
-    extend(0)
-    return count

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from bicayley.errors import DegreeMismatch
+from bicayley.errors import BudgetError, DegreeMismatch
 
 
 def order_by_iteration(G, g):
@@ -228,6 +228,61 @@ def graph6_decode_by_bits(text):
                 edges.append((bit_index - v * (v - 1) // 2, v))
             bit_index += 1
     return Graph(n, edges)
+
+
+# -- graph automorphisms --------------------------------------------------------
+
+
+def brute_force_aut_order(graph) -> int:
+    """Degree-preserving backtracking with no refinement; oracle for small graphs."""
+    if graph.n > 30:
+        raise BudgetError("brute-force oracle limited to 30 vertices")
+    n = graph.n
+    degs = graph.degrees()
+    adjsets = [set(nb) for nb in graph.adj]
+    count = 0
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(v: int) -> None:
+        nonlocal count
+        if v == n:
+            count += 1
+            return
+        for w in range(n):
+            if used[w] or degs[w] != degs[v]:
+                continue
+            ok = True
+            for u in range(v):
+                if (u in adjsets[v]) != (image[u] in adjsets[w]):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            image[v] = w
+            used[w] = True
+            extend(v + 1)
+            used[w] = False
+            image[v] = -1
+
+    extend(0)
+    return count
+
+
+def refine_by_rows(nbr, colors):
+    """Colour refinement as `_Engine.refine` did it before its packed key:
+    each round ranks the rows (colour, sorted neighbour colours) with
+    np.unique(axis=0).  nbr is the engine's padded neighbour table."""
+    _, colors = np.unique(colors, return_inverse=True)
+    k = int(colors.max()) + 1
+    while True:
+        sig = np.sort(np.concatenate([colors, [k]])[nbr], axis=1)
+        _, inv = np.unique(np.column_stack([colors, sig]), axis=0, return_inverse=True)
+        inv = inv.reshape(-1)
+        new_k = int(inv.max()) + 1
+        if new_k == k:
+            return inv
+        colors, k = inv, new_k
 
 
 # -- tuple permutation kernels ------------------------------------------------

@@ -1,4 +1,4 @@
-"""Property tests for the permutation kernels and the edge-list codec."""
+"""Property tests for the permutation kernels, the graph codecs and the search."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,19 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bicayley.graphs import Graph, format_edge_list, parse_edge_list, parse_graph_text  # noqa: E402
+from bicayley import aut_group, canonical_form  # noqa: E402
+from bicayley.graphs import (  # noqa: E402
+    Graph,
+    format_edge_list,
+    graph6_decode,
+    graph6_encode,
+    parse_edge_list,
+    parse_graph_text,
+)
 from bicayley.permgroup import compose, invert, orbit_labels, perm_power  # noqa: E402
 
 from . import oracles  # noqa: E402
+from .test_symmetry import disjoint_union  # noqa: E402
 
 # derandomized: the same examples on every run, and no example database on disk
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -60,3 +69,39 @@ def test_edge_list_round_trip_keeps_every_vertex(g):
     if text:  # auto-detection cannot tell the empty edge list of K_0
         assert parse_graph_text(text) == g
     assert text.startswith("# n=") == (g.n > 1 + max((v for _, v in g.edges), default=-1))
+
+
+def graphs_on(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return st.sets(st.sampled_from(pairs)).map(lambda es: Graph(n, es)) if pairs else st.just(Graph(n, []))
+
+
+# graphs on at most 9 vertices: arbitrary ones, and disjoint unions whose
+# pieces repeat (the isomorphism classes the component search groups)
+small_graphs = st.one_of(
+    st.integers(0, 9).flatmap(graphs_on),
+    st.lists(st.integers(1, 4).flatmap(graphs_on), min_size=1, max_size=2).flatmap(
+        lambda ps: st.lists(st.sampled_from(ps), min_size=2, max_size=9 // max(p.n for p in ps))
+    ).map(lambda ps: disjoint_union(*ps)),
+)
+relabelled = small_graphs.flatmap(lambda g: st.permutations(range(g.n)).map(lambda p: (g, list(p))))
+
+
+@SETTINGS
+@given(relabelled)
+def test_canonical_form_is_relabelling_invariant(case):
+    g, perm = case
+    assert canonical_form(g.relabel(perm)) == canonical_form(g)
+
+
+@SETTINGS
+@given(relabelled)
+def test_aut_order_is_relabelling_invariant(case):
+    g, perm = case
+    assert aut_group(g.relabel(perm)).order() == aut_group(g).order()
+
+
+@SETTINGS
+@given(small_graphs)
+def test_graph6_round_trip(g):
+    assert graph6_decode(graph6_encode(g)) == g

@@ -1,0 +1,229 @@
+"""The individualization-refinement search: pinned canonical forms,
+refinement against the row ranking it replaced, the strength of the
+canonical traversal, and a seeded oracle family for its pruning."""
+
+import hashlib
+import itertools
+import random
+
+import pytest
+
+from bicayley import Graph, abelian_family, aut_group, canonical_form, gamma_t, sigma_t, symmetry
+
+from .oracles import brute_force_aut_order, refine_by_rows
+from .test_symmetry import copies, disjoint_union, petersen
+
+
+def star(k):
+    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+def hypercube(d):
+    return Graph(1 << d, [(v, v | 1 << b) for v in range(1 << d) for b in range(d) if not v >> b & 1])
+
+
+def complete(n):
+    return Graph(n, list(itertools.combinations(range(n), 2)))
+
+
+def complete_bipartite(n):
+    return Graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
+
+
+def relabel(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+def random_graph(n, p, rng):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+# -- byte-identity fence ------------------------------------------------------------
+
+# SHA-256 of canonical_form, computed before the automorphism and canonical
+# searches became one traversal; the forms name census classes, so they must
+# not move.
+CANONICAL_SHA256 = {
+    "gamma_1": "a6b89ec98a35d655274df6191a32c1360fa2b4e5192deee2cff26e25b3cc3516",
+    "gamma_2": "50dacb4ecd75c3e4d1da3ec798ad74937115812b9e9af968fd0f4ad84ecc38fa",
+    "gamma_3": "453726dfe98bbafe643954a060d8468f461b9d81d8cce9ef70c3ae3e22092346",
+    "sigma_1": "ab204a6647d6e3d0be7a62026c2215c8993269084a98bc6f4f76e36593231f18",
+    "sigma_2": "7c463f1442d5af76cee67977b3e06b3d35ef239011415bd563bab67d21394dce",
+    "abelian_5_13": "cb99c32fad6b9e14e70de8537b10e6b1b162dee09aae327113d6c65ca65f92f7",
+    "abelian_9_1": "3b24a506eb28ebfc33b21bca8a2c0da051f6900e51c0993dffb59ead84c5cf0b",
+    "abelian_3_7": "5297e28dfd105a83a154a56095d02d3b30482e5c7a7db400738223bc470b8774",
+    "gray_x3": "1ef1091c5fd5b7fa300a3418496ae5bb95f1e4c1a556de03acf2738bd2a07af6",
+    "petersen_x4": "be09b4877f9630d719598508eb068534f41712b539f87e6e9bb99f5c7cc0c693",
+    "star_16": "247b9501a6ea264facd12f6190adf60c157c9419034e814c0b3ceb2150491654",
+    "cube_6": "8792e49cdb9ecf52525e4439351b4b7ebe76bce0688c354a26744049d6a3ecd4",
+    "cube_7": "1fdaa7a13f2743744af3925fc08e8bf72cdaa44e01460e539ccf58805e217754",
+    "k_8_8": "3b5c8710634c5a5f470fbb6adcb7c779d5bee8570fd9b6e1d9adf38f9ddae037",
+}
+
+FENCE_GRAPHS = {
+    "gamma_1": lambda: gamma_t(1).graph,
+    "gamma_2": lambda: gamma_t(2).graph,
+    "gamma_3": lambda: gamma_t(3).graph,
+    "sigma_1": lambda: sigma_t(1).graph,
+    "sigma_2": lambda: sigma_t(2).graph,
+    "abelian_5_13": lambda: abelian_family(5, 13).graph,
+    "abelian_9_1": lambda: abelian_family(9, 1).graph,
+    "abelian_3_7": lambda: abelian_family(3, 7).graph,
+    "gray_x3": lambda: copies(gamma_t(1).graph, 3),
+    "petersen_x4": lambda: copies(petersen(), 4),
+    "star_16": lambda: star(16),
+    "cube_6": lambda: hypercube(6),
+    "cube_7": lambda: hypercube(7),
+    "k_8_8": lambda: complete_bipartite(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FENCE_GRAPHS))
+def test_canonical_form_bytes_are_pinned(name):
+    g = FENCE_GRAPHS[name]()
+    for i in range(3):
+        form = canonical_form(relabel(g, f"fence:{name}:{i}"))
+        assert hashlib.sha256(form).hexdigest() == CANONICAL_SHA256[name], i
+
+
+# -- refinement ---------------------------------------------------------------------
+
+
+def test_refine_matches_row_ranking():
+    """The packed key ranks a vertex's (colour, sorted neighbour colours) as
+    the row ranking does, at every degree: sparse and dense random graphs,
+    stars and complete graphs up to degree 70, from the degree colouring
+    and from individualized ones."""
+    import numpy as np
+
+    rng = random.Random(608)
+    graphs = [star(70), complete(40), complete_bipartite(20), hypercube(6)]
+    graphs += [random_graph(n, p, rng) for n in (12, 30, 60) for p in (0.1, 0.5, 0.9)]
+    for g in graphs:
+        engine = symmetry._Engine(g)
+        starts = [engine.initial]
+        for v in rng.sample(range(g.n), 4):
+            individualized = engine.refine(engine.initial) * 2
+            individualized[v] -= 1
+            starts.append(individualized)
+        for colors in starts:
+            assert np.array_equal(engine.refine(colors), refine_by_rows(engine.nbr, colors)), g.n
+
+
+# -- the canonical traversal is as strong as the automorphism one --------------------
+
+
+@pytest.mark.parametrize("name", ["K_12", "K_1,12", "Q_5", "K_6,6"])
+def test_canon_makes_no_more_refinements_than_auto(name, monkeypatch):
+    g = {"K_12": complete(12), "K_1,12": star(12), "Q_5": hypercube(5), "K_6,6": complete_bipartite(6)}[name]
+    calls = [0]
+    refine = symmetry._Engine.refine
+
+    def counted(self, colors):
+        calls[0] += 1
+        return refine(self, colors)
+
+    monkeypatch.setattr(symmetry._Engine, "refine", counted)
+    symmetry._Search(symmetry._Engine(g)).run_auto()
+    auto = calls[0]
+    calls[0] = 0
+    symmetry._Search(symmetry._Engine(g)).run_canon()
+    assert 0 < calls[0] <= auto
+
+
+# -- seeded oracle family for the pruning rules ----------------------------------------
+
+
+def igraph(n, j, k):
+    """I(n, j, k): an outer n-cycle of step j, an inner one of step k, spokes i -- n + i.
+    Cubic, and for most (n, j, k) not vertex-transitive, so refinement leaves
+    two orbits in one cell."""
+    edges = {tuple(sorted((i, (i + j) % n))) for i in range(n)}
+    edges |= {tuple(sorted((n + i, n + (i + k) % n))) for i in range(n)}
+    edges |= {(i, n + i) for i in range(n)}
+    return Graph(2 * n, sorted(e for e in edges if e[0] != e[1]))
+
+
+def circulant(n, steps):
+    return Graph(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}))
+
+
+def line_graph(g):
+    return Graph(len(g.edges), [
+        (i, j) for i, j in itertools.combinations(range(len(g.edges)), 2) if set(g.edges[i]) & set(g.edges[j])
+    ])
+
+
+def oracle_family():
+    """(graph, [(piece index, multiplicity)], pieces) for seeded random graphs,
+    circulants, I-graphs and the line graph of C_12(2, 3), alone and as
+    disjoint unions with a repeated piece (whose automorphisms come from the
+    canonical search), relabelled."""
+    rng = random.Random(606)
+    pieces = []
+    for _ in range(40):
+        g = random_graph(rng.randrange(2, 8), rng.choice([0.3, 0.5, 0.7]), rng)
+        if g.is_connected():
+            pieces.append(g)
+    for n in range(5, 11):
+        pieces.append(circulant(n, rng.sample(range(1, n // 2 + 1), min(2, n // 2))))
+    pieces += [igraph(5, 1, 2), igraph(6, 1, 2), igraph(7, 1, 2), igraph(7, 1, 3), igraph(8, 1, 3)]
+    family = [(p, [(i, 1)]) for i, p in enumerate(pieces)]
+    for _ in range(40):
+        i, j = rng.sample(range(len(pieces)), 2)
+        a, b = pieces[i], pieces[j]
+        if a.n != b.n and a.n * 2 + b.n <= 30:  # pieces of different sizes are not isomorphic
+            family.append((disjoint_union(a, b, a), [(i, 2), (j, 1)]))
+    family += [(copies(p, 2), [(i, 2)]) for i, p in enumerate(pieces) if p.n <= 8]
+    # 24 vertices, |Aut| = 48: in about a quarter of its labellings, pruning by
+    # known automorphisms that move the individualized prefix loses half the group
+    pieces.append(line_graph(circulant(12, (2, 3))))
+    family += [(pieces[-1], [(len(pieces) - 1, 1)])] * 12
+    return [(relabel(g, rng.random()), parts) for g, parts in family], pieces
+
+
+def test_search_pruning_against_oracles():
+    """|Aut| against brute force (on each connected piece, then the wreath
+    product order of the union) and against sympy's order of the same
+    generators, which differs when they are not strong relative to the
+    search's base."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    import math
+
+    family, pieces = oracle_family()
+    piece_order = [brute_force_aut_order(p) for p in pieces]
+    for g, parts in family:
+        expect = 1
+        for i, m in parts:
+            expect *= piece_order[i] ** m * math.factorial(m)
+        aut = aut_group(g)
+        assert aut.order() == expect, g.edges
+        gens = [combinatorics.Permutation(list(x)) for x in aut.generators] or [combinatorics.Permutation(g.n - 1)]
+        assert combinatorics.PermutationGroup(gens).order() == expect, g.edges
+
+
+def test_canonical_forms_against_networkx():
+    """Forms agree exactly on isomorphic pairs: each family graph against a
+    relabelling of itself and against every other member with as many
+    vertices and edges (isomorphic or not by networkx)."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(607)
+    family = [g for g, _ in oracle_family()[0]]
+    forms = [canonical_form(g) for g in family]
+    outcomes = set()
+    for g, form in zip(family, forms):
+        assert canonical_form(relabel(g, rng.random())) == form
+    for (g, fg), (h, fh) in itertools.combinations(zip(family, forms), 2):
+        if (g.n, len(g.edges)) != (h.n, len(h.edges)):
+            continue
+        G, H = nx.Graph(), nx.Graph()
+        G.add_nodes_from(range(g.n))
+        H.add_nodes_from(range(h.n))
+        G.add_edges_from(g.edges)
+        H.add_edges_from(h.edges)
+        same = nx.is_isomorphic(G, H)
+        assert (fg == fh) == same, (g.edges, h.edges)
+        outcomes.add(same)
+    assert outcomes == {True, False}

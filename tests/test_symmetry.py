@@ -6,7 +6,6 @@ import pytest
 from bicayley import (
     Graph,
     aut_group,
-    brute_force_aut_order,
     canonical_form,
     check_normal_bicayley,
     check_stabilizer_law,
@@ -14,6 +13,8 @@ from bicayley import (
     gamma_t,
 )
 from bicayley.errors import BudgetError, PreconditionError
+
+from .oracles import brute_force_aut_order
 
 
 def cycle(n):
