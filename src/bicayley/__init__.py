@@ -60,6 +60,7 @@ from .symmetry import (
     aut_group,
     canonical_digest,
     canonical_form,
+    canonical_search,
     check_normal_bicayley,
     check_stabilizer_law,
     classify,

@@ -65,8 +65,13 @@ def _emit_graph(graph: Graph, fmt: str, out_path: str | None) -> None:
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read(), fmt)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 text", exc.start) from None
+    return parse_graph_text(text, fmt)
 
 
 def _cmd_family(args: argparse.Namespace) -> int:

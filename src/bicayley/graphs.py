@@ -167,12 +167,16 @@ def graph6_decode(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise GraphParseError("empty graph6 string", 0)
-    data = s.encode("ascii", errors="replace")
+    # the first non-ASCII character ends the bytes that can be checked
+    end = len(s) if s.isascii() else next(k for k, ch in enumerate(s) if not ch.isascii())
+    data = s[:end].encode("ascii")
     raw = np.frombuffer(data, dtype=np.uint8)
     bad = np.flatnonzero((raw < 63) | (raw > 126))
     if bad.size:
         off = int(bad[0])
         raise GraphParseError(f"invalid graph6 byte {data[off]!r}", off)
+    if end < len(s):
+        raise GraphParseError(f"non-ASCII character {s[end]!r} in graph6", end)
     pos = 0
     if data[0] == 126:  # '~'
         if len(data) >= 2 and data[1] == 126:

@@ -195,14 +195,6 @@ class PairGroup:
     def derived_subgroup(self) -> frozenset[Element]:
         return self.normal_closure([self.commutator(self.gen_a, self.gen_b)])
 
-    def center(self) -> frozenset[Element]:
-        mul = self.mul
-        a, b = self.gen_a, self.gen_b
-        return frozenset(
-            g for g in self.elements()
-            if mul(g, a) == mul(a, g) and mul(g, b) == mul(b, g)
-        )
-
     # -- whole-group kernels ---------------------------------------------------
     #
     # Each kernel applies the group law to every element at once and returns a
@@ -338,12 +330,6 @@ class MetacyclicGroup(PairGroup):
                 if self.generates(x, y) and self.conj(x, y) == rhs:
                     out.append(GroupMap(x, y, validated=True))
         return out
-
-    def frattini_subgroup(self) -> frozenset[Element]:
-        """G^p G' as an element set (valid since G is a p-group)."""
-        a, b = self.gen_a, self.gen_b
-        seed = [self.pow(a, self.p), self.pow(b, self.p), self.commutator(a, b)]
-        return self.normal_closure(seed)
 
     def maximal_subgroups(self) -> list[tuple[list[Element], frozenset[Element]]]:
         """The p+1 index-p subgroups of a 2-generated p-group, via G/Phi(G).
@@ -497,10 +483,6 @@ def map_order(G: PairGroup, f: GroupMap) -> int:
         if k > G.order:
             raise InvalidMapError("map does not power to the identity")
     return k
-
-
-def apply_map_to_set(G: PairGroup, f: GroupMap, items: Iterable[Element]) -> frozenset[Element]:
-    return frozenset(apply_map(G, f, g) for g in items)
 
 
 def express_in_images(

@@ -19,7 +19,6 @@ transversals come from one pass over the generators, with no Schreier-Sims.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BudgetError, ContainmentError, DegreeMismatch, InvariantViolation
@@ -332,16 +331,6 @@ class PermGroup:
         points = set(range(self.degree) if domain is None else domain)
         return all(len(orb) == size for orb in self.orbits() if not points.isdisjoint(orb))
 
-    def is_transitive_on(self, subset: Iterable[int]) -> bool:
-        pts = set(subset)
-        if not pts:
-            raise InvariantViolation("subset must be nonempty")
-        points = as_perm(sorted(pts))
-        for g in self.generators:
-            if not pts.issuperset(g[points].tolist()):
-                raise InvariantViolation("subset is not invariant under the group")
-        return self.orbit(min(pts)) == pts
-
     def enumerate_elements(self, limit: int = 100_000) -> list[Perm]:
         """Full closure of the generators, in lexicographic order; independent
         oracle for order/membership."""
@@ -361,15 +350,6 @@ class PermGroup:
                 raise BudgetError(f"enumeration exceeds limit {limit}")
             frontier = new
         return sorted(seen.values(), key=lambda p: p.tolist())
-
-
-def perm_to_json(p: Sequence[int]) -> str:
-    """A permutation as a JSON array of images."""
-    return json.dumps(as_perm(p).tolist())
-
-
-def generators_to_json(G: PermGroup) -> str:
-    return json.dumps([g.tolist() for g in G.generators])
 
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:

@@ -35,9 +35,15 @@ automorphism group, and the harvested automorphisms are a strong generating
 set relative to it: at each level of that path every child whose subtree
 holds an equivalent leaf is kept by its trace, then either yields an
 automorphism fixing the prefix or is pruned as the image of one that did.
-`aut_group` hands both to `PermGroup.with_base`, so |Aut| is a product of
-basic orbit sizes; on a disconnected graph it takes them from the canonical
-search each component's class representative already ran.
+Both reach `PermGroup.with_base`, so |Aut| is a product of basic orbit sizes.
+
+`canonical_search` is the one entry point of the canonical mode: it runs one
+search per connected component (n = 0 has none) and returns the canonical
+labelling and the automorphism group together.  `canonical_form` encodes the
+relabelled graph; `aut_group` runs the cheaper automorphism mode on a
+connected graph and takes every other graph's group from `canonical_search`,
+and the census takes both the class digest and the group it classifies with
+from one call.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -264,94 +271,80 @@ def _check_budget(graph: Graph) -> None:
         )
 
 
-def _component_canon(graph: Graph) -> list[tuple[list[int], bytes, list[int], _Search]]:
-    """Per component: (vertex list, canonical bytes, canonical labeling, the
-    search that found it)."""
-    out = []
-    for comp in graph.components():
-        sub = graph.subgraph(comp)
+def canonical_search(graph: Graph) -> tuple[list[int], PermGroup]:
+    """A canonical labelling and the full automorphism group, from one
+    canonical search per connected component.
+
+    Components are sorted by (size, canonical form of the component) and laid
+    out in that order: the labelling sends the vertex at canonical position p
+    of the i-th block to the block's offset plus p, so isomorphic graphs get
+    equal relabelled graphs.  Within each isomorphism class of components,
+    the first member's automorphisms are copied onto every member along the
+    canonical labellings, and a swap joins every consecutive pair of members.
+    Those generators are strong relative to the first member's base copied
+    onto every member and interleaved (first point of every copy, then the
+    second, ...): the group is the product of wreath products over the
+    classes.
+    """
+    _check_budget(graph)
+    comps = graph.components()
+    blocks = []
+    for comp in comps:
+        sub = graph if len(comps) == 1 else graph.subgraph(comp)
         search = _Search(_Engine(sub))
-        labeling = search.run_canon()[0].tolist()
-        out.append((comp, graph6_encode(sub.relabel(labeling)).encode("ascii"), labeling, search))
-    return out
+        labelling, _ = search.run_canon()
+        # one component needs no form to sort by
+        form = graph6_encode(sub.relabel(labelling.tolist())) if len(comps) > 1 else ""
+        row = np.empty(len(comp), dtype=np.intp)  # row[p]: the vertex at canonical position p
+        row[labelling] = comp
+        blocks.append(((len(comp), form), row, labelling, search))
+    blocks.sort(key=lambda block: block[0])
+    relabel = np.empty(graph.n, dtype=np.intp)
+    ident = np.arange(graph.n, dtype=np.intp)
+    gens: list[np.ndarray] = []
+    base: list[int] = []
+    offset = 0
+    for _key, same in groupby(blocks, key=lambda block: block[0]):
+        members = list(same)
+        _, _, rep_label, search = members[0]
+        images = []  # images[j][v]: member j's vertex at the canonical position of rep vertex v
+        for _, row, _, _ in members:
+            relabel[row] = np.arange(offset, offset + len(row))
+            offset += len(row)
+            images.append(row[rep_label])
+        for g in search.autos:
+            for image in images:
+                lifted = ident.copy()
+                lifted[image] = image[g]
+                gens.append(lifted)
+        for a, b in zip(images, images[1:]):
+            swap = ident.copy()
+            swap[a] = b
+            swap[b] = a
+            gens.append(swap)
+        # a trivial group still needs one base point per copy
+        base.extend(int(image[b]) for b in search.base or [0] for image in images)
+    return relabel.tolist(), PermGroup.with_base(graph.n, gens, base)
 
 
 def aut_group(graph: Graph) -> PermGroup:
     """Full automorphism group, with a base and strong generating set.
 
-    Deterministic for fixed input.  Disconnected graphs decompose: the
-    generators of one representative per isomorphism class, copied onto every
-    member of the class along the canonical labelings, plus a component swap
-    for every consecutive pair of members, are strong relative to the
-    representative's base copied onto every member and interleaved (first
-    point of every copy, then the second, ...).  The group is the product of
-    wreath products over the classes.
+    Deterministic for fixed input.  A connected graph runs the automorphism
+    search; any other graph takes the group from `canonical_search`.
     """
     _check_budget(graph)
-    if graph.n == 0:
-        return PermGroup.with_base(0, [], [])
-    comps = graph.components()
-    if len(comps) == 1:
+    if graph.n and graph.is_connected():
         search = _Search(_Engine(graph))
-        gens = search.run_auto()
-        return PermGroup.with_base(graph.n, gens, search.base)
-    by_class: dict[tuple[int, bytes], list[tuple[list[int], list[int], _Search]]] = {}
-    for comp, digest, labeling, search in _component_canon(graph):
-        by_class.setdefault((len(comp), digest), []).append((comp, labeling, search))
-    gens: list[np.ndarray] = []
-    base: list[int] = []
-    ident = np.arange(graph.n, dtype=np.intp)
-    for (_, _digest), members in sorted(by_class.items()):
-        # at_pos[j][p]: the vertex of member j at canonical position p
-        at_pos = []
-        for comp, labeling, _search in members:
-            row = np.empty(len(comp), dtype=np.intp)
-            row[labeling] = comp
-            at_pos.append(row)
-        _, rep_label, search = members[0]
-        rep_label = np.asarray(rep_label, dtype=np.intp)
-        # the canonical search's automorphisms are strong relative to its base
-        local_base = search.base or [0]  # a trivial group still needs one point per copy
-        for g in search.autos:
-            for row in at_pos:
-                lifted = ident.copy()
-                lifted[row[rep_label]] = row[rep_label[g]]
-                gens.append(lifted)
-        for row_a, row_b in zip(at_pos, at_pos[1:]):
-            # swap two isomorphic components along their canonical labelings
-            swap = ident.copy()
-            swap[row_a] = row_b
-            swap[row_b] = row_a
-            gens.append(swap)
-        base.extend(int(row[rep_label[b]]) for b in local_base for row in at_pos)
-    return PermGroup.with_base(graph.n, gens, base)
+        return PermGroup.with_base(graph.n, search.run_auto(), search.base)
+    return canonical_search(graph)[1]
 
 
 def canonical_form(graph: Graph) -> bytes:
-    """Byte string equal for two graphs exactly when they are isomorphic.
-
-    Disconnected graphs are assembled from canonically relabelled components
-    sorted by (size, component form); isomorphic inputs sort identically, so
-    the assembled form is still a complete isomorphism invariant.
-    """
-    _check_budget(graph)
-    if graph.n == 0:
-        return b"?"
-    comps = graph.components()
-    if len(comps) == 1:
-        pos, _ = _Search(_Engine(graph)).run_canon()
-        return graph6_encode(graph.relabel([int(x) for x in pos])).encode("ascii")
-    blocks = sorted(
-        ((len(comp), digest, comp, labeling) for comp, digest, labeling, _search in _component_canon(graph)),
-        key=lambda item: (item[0], item[1]),
-    )
-    relabel = [0] * graph.n
-    offset = 0
-    for size, _digest, comp, labeling in blocks:
-        for local, image in enumerate(labeling):
-            relabel[comp[local]] = offset + image
-        offset += size
-    return graph6_encode(graph.relabel(relabel)).encode("ascii")
+    """Byte string equal for two graphs exactly when they are isomorphic:
+    the graph6 form of the graph relabelled by `canonical_search`."""
+    labelling, _ = canonical_search(graph)
+    return graph6_encode(graph.relabel(labelling)).encode("ascii")
 
 
 def canonical_digest(graph: Graph) -> str:

@@ -60,6 +60,27 @@ def frattini_by_maximal_intersection(G):
     return frozenset(out)
 
 
+def frattini_by_closure(G):
+    """G^p G' as an element set (valid since G is a p-group): the normal
+    closure of a^p, b^p and [a, b]."""
+    a, b = G.gen_a, G.gen_b
+    return G.normal_closure([G.pow(a, G.p), G.pow(b, G.p), G.commutator(a, b)])
+
+
+def is_transitive_on(G, subset):
+    """Whether the permutation group G is transitive on subset, which must
+    be a nonempty G-invariant set of points."""
+    from bicayley.errors import InvariantViolation
+
+    pts = set(subset)
+    if not pts:
+        raise InvariantViolation("subset must be nonempty")
+    for g in G.generators:
+        if not pts.issuperset(int(g[x]) for x in pts):
+            raise InvariantViolation("subset is not invariant under the group")
+    return G.orbit(min(pts)) == pts
+
+
 def derived_by_all_commutators(G):
     """Closure of the commutators of all element pairs."""
     els = G.elements()
@@ -185,10 +206,12 @@ def graph6_decode_by_bits(text):
         s = s[len(">>graph6<<") :]
     if not s:
         raise GraphParseError("empty graph6 string", 0)
-    data = s.encode("ascii", errors="replace")
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise GraphParseError(f"invalid graph6 byte {byte!r}", off)
+    for off, ch in enumerate(s):
+        if not ch.isascii():
+            raise GraphParseError(f"non-ASCII character {ch!r} in graph6", off)
+        if not 63 <= ord(ch) <= 126:
+            raise GraphParseError(f"invalid graph6 byte {ord(ch)!r}", off)
+    data = s.encode("ascii")
     pos = 0
     if data[0] == 126:  # '~'
         if len(data) >= 2 and data[1] == 126:

@@ -21,6 +21,8 @@ from bicayley import (
 from bicayley.errors import NotAutomorphism, SetConditionError
 from bicayley.permgroup import identity as perm_identity
 
+from .oracles import is_transitive_on
+
 
 def rotation_map(G, t):
     x = G.mul(G.pow(G.gen_a, -2), G.gen_b)
@@ -136,7 +138,7 @@ def test_delta_extension_acts_transitively(sym162):
         delt.permutation,
     ]
     group = PermGroup(162, gens)
-    assert group.is_transitive_on(range(162))
+    assert is_transitive_on(group, range(162))
 
 
 def test_sigma_fixes_parts_delta_swaps_parts(gray_graph, sym162):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bicayley.cli import main
 from bicayley.graphs import Graph, graph6_encode, parse_edge_list
 from bicayley.symmetry import classify
@@ -125,6 +127,17 @@ def test_census_over_budget_is_a_usage_error():
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("content", ["Aé\n".encode("utf-8"), b"A\xe9\n"])
+def test_non_ascii_graph_file_is_a_usage_error(tmp_path, content):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(content)
+    proc = run_module("analyze", "--in", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "byte offset 1" in lines[0]
 
 
 def test_verify_json_key_order_stable(capsys):

@@ -199,3 +199,96 @@ def test_census_order_243_finds_gamma_2():
     assert len(et) == 1
     assert et[0].digest == canonical_digest(gamma_t(2).graph)
     assert et[0].report.classification == "semisymmetric"
+
+
+# Every valid non-abelian metacyclic group of order <= 3^5 with p in {3, 5}.
+CENSUS_GROUPS = [
+    (3, 2, 1, 1), (3, 2, 2, 1), (3, 3, 1, 2), (3, 2, 3, 1),
+    (3, 3, 2, 1), (3, 3, 2, 2), (3, 4, 1, 3), (5, 2, 1, 1),
+]
+
+# SHA-256 of json.dumps(census_to_dict(...)) without elapsed_seconds, computed
+# with the per-Aut(H)-orbit census that preceded the pair-orbit one.
+CENSUS_PINS = {
+    ((3, 2, 1, 1), True): "1dec23bdc057e5a757235e5c5c8ab0fd579ba1ca6827276830143eb21b0a4bb4",
+    ((3, 2, 2, 1), True): "9d2be82fd37f063fc56dedaf9d5b265b3cad8202848b00b550c7aaa2f0e88031",
+    ((3, 3, 1, 2), True): "41726afad35f765bb40a69c44f9181e022c23e469c303f5bca25be7e1f718d30",
+    ((3, 2, 3, 1), True): "45d9c598bbd970e98370a874cacb1f863a3aab3a2762a32df6a66ff3be3da8cf",
+    ((3, 3, 2, 1), True): "a49fe028f7fb4237f673edafab34667e799df69685bccbe07890c7a830d889e5",
+    ((3, 3, 2, 2), True): "f7cc603e17fe7cf62a1dd63f7c9de5488f92b2a93dbb81bccb17e799546ef112",
+    ((3, 4, 1, 3), True): "b7bdb415c0f3eb18b26056c21eaa4d6c9ab32754feb62039a790e3767e462a8f",
+    ((5, 2, 1, 1), True): "01247f975ad5d480fff78e7e65013e0554c102281f5f86fdeba142eecf575fc2",
+    ((3, 2, 1, 1), False): "545549c2b76884d88700380575e18a2169be97f4331dfa9f3ba643fb27d3d4c5",
+    ((3, 2, 2, 1), False): "7422cd5e69adfda0804c3cd8439009be1309dd7741063f398473a4bd40a1e6c2",
+    ((3, 3, 1, 2), False): "5fa98781741111aa3e3c8c3aa624d11e9bacbb2e507da078bc728ba2a446e229",
+}
+
+
+@pytest.mark.parametrize("params, connected_only", sorted(CENSUS_PINS))
+def test_census_json_pins(params, connected_only):
+    import hashlib
+    import json
+
+    from bicayley import census, make_group
+
+    G = make_group(*params)
+    doc = _without_elapsed(census(G, connected_only=connected_only), G)
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == CENSUS_PINS[params, connected_only]
+
+
+@pytest.mark.parametrize("params", CENSUS_GROUPS)
+def test_census_moves(params):
+    import numpy as np
+
+    from bicayley import PermGroup, make_group
+    from bicayley.families import _aut_generators, _pair_moves
+
+    G = make_group(*params)
+    n = G.order
+    kept = _aut_generators(G)
+    # the generic Schreier-Sims chain, not the regular-action argument
+    assert PermGroup(n, kept).order() == len(G.automorphisms())
+    els = G.elements()
+    x, y = np.divmod(np.arange(n * n), n)
+    proper = (x > 0) & (y > 0) & (x != y)
+    generating = np.array([G.generates(u, v) for u in els for v in els]) & proper
+    moves = _pair_moves(G)
+    assert len(moves) == len(kept) + 3
+    for move in moves:
+        assert np.array_equal(np.sort(move), np.arange(n * n))  # a bijection of H x H
+        assert np.array_equal(proper[move], proper)
+        assert np.array_equal(generating[move], generating)
+
+
+@pytest.mark.parametrize("params", [p for p in CENSUS_GROUPS if p[0] ** (p[1] + p[2]) == 3**5])
+def test_census_reports_match_fresh_classification(params):
+    # the per-pair oracle is too slow at order 243
+    from bicayley import BiCayleyGraph, census, make_group
+
+    G = make_group(*params)
+    for cls in census(G).classes:
+        bg = BiCayleyGraph(G, (), (), cls.spokes)
+        assert cls.report == classify(bg.graph)
+        assert cls.digest == canonical_form(bg.graph).decode("ascii")
+
+
+def test_census_searches_once_per_orbit(monkeypatch):
+    from bicayley import census, make_group
+    from bicayley.symmetry import _Search
+
+    calls = {"auto": 0, "canon": 0}
+    run_auto, run_canon = _Search.run_auto, _Search.run_canon
+
+    def count(name, run):
+        def wrapped(self):
+            calls[name] += 1
+            return run(self)
+        return wrapped
+
+    monkeypatch.setattr(_Search, "run_auto", count("auto", run_auto))
+    monkeypatch.setattr(_Search, "run_canon", count("canon", run_canon))
+    # the three inner-abelian groups of order <= 81: 2 + 2 + 3 generating orbits
+    for params in [(3, 2, 1, 1), (3, 2, 2, 1), (3, 3, 1, 2)]:
+        census(make_group(*params))
+    assert calls == {"auto": 0, "canon": 7}

@@ -128,13 +128,21 @@ def test_graph6_codecs_match_bitwise_oracle():
 def test_graph6_parse_errors_match_bitwise_oracle():
     from .oracles import graph6_decode_by_bits
 
-    for text in ("", "B\x19", "Bww", "~", "~??", "~~???", "C~\x7f", "C\x19~\x7f", "Bwé"):
+    for text in ("", "B\x19", "Bww", "~", "~??", "~~???", "C~\x7f", "C\x19~\x7f", "Bwé", "é", "Bé", "B\x19é"):
         with pytest.raises(GraphParseError) as fast:
             graph6_decode(text)
         with pytest.raises(GraphParseError) as slow:
             graph6_decode_by_bits(text)
         assert str(fast.value) == str(slow.value)
         assert fast.value.offset == slow.value.offset
+
+
+def test_graph6_rejects_non_ascii():
+    # "?" is a valid zero byte: no non-ASCII character may decode as one
+    for text, offset in (("é", 0), ("Bé", 1), ("Aé", 1), (">>graph6<<Bwé", 2), ("C~\u00ff", 2)):
+        with pytest.raises(GraphParseError, match="non-ASCII") as exc:
+            graph6_decode(text)
+        assert exc.value.offset == offset
 
 
 def test_edge_list_vertex_budget():

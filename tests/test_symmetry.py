@@ -7,10 +7,12 @@ from bicayley import (
     Graph,
     aut_group,
     canonical_form,
+    canonical_search,
     check_normal_bicayley,
     check_stabilizer_law,
     classify,
     gamma_t,
+    graph6_encode,
 )
 from bicayley.errors import BudgetError, PreconditionError
 
@@ -256,6 +258,13 @@ def test_disconnected_aut_and_canon():
         perm = list(range(7))
         rng.shuffle(perm)
         assert canonical_form(mixed.relabel(perm)) == ref
+    empty = Graph(0, [])
+    assert canonical_form(empty) == b"?" and aut_group(empty).order() == 1
+    for g in (empty, Graph(1, []), two_triangles, mixed, petersen()):
+        labelling, aut = canonical_search(g)
+        assert sorted(labelling) == list(range(g.n))
+        assert graph6_encode(g.relabel(labelling)).encode("ascii") == canonical_form(g)
+        assert aut.order() == aut_group(g).order()
 
 
 # -- base and strong generators read off the search ------------------------------
