@@ -224,9 +224,6 @@ def main(argv: list[str] | None = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: input too deep to process (Python recursion limit reached)", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

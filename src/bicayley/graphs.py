@@ -75,16 +75,7 @@ class Graph:
         return Graph(self.n, ((perm[u], perm[v]) for u, v in self.edges))
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in self.adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return len(self.components()) <= 1
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by first vertex."""
@@ -228,7 +219,18 @@ def format_edge_list(g: Graph) -> str:
     return header + "".join(f"{u} {v}\n" for u, v in g.edges)
 
 
-_VERTEX_COUNT_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)")
+_VERTEX_COUNT_HEADER = re.compile(r"#\s*n\s*=\s*(\S+)")
+_DECIMAL = re.compile(r"[0-9]+")
+
+
+def _decimal(token: str, what: str, line: str, offset: int) -> int:
+    # int() and str.isdigit also take non-ASCII digits, "_" and a leading "+"
+    if not _DECIMAL.fullmatch(token):
+        raise GraphParseError(f"non-decimal {what} in {line!r}", offset)
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts, so far over any budget
+        raise GraphParseError(f"{what} of {len(token)} digits exceeds the budget", offset) from None
 
 
 def _check_vertex_count(n: int, offset: int) -> None:
@@ -239,8 +241,8 @@ def _check_vertex_count(n: int, offset: int) -> None:
 def parse_edge_list(text: str) -> Graph:
     """Read "u v" lines; "#" starts a comment line.  A first line "# n=<count>"
     fixes the vertex count, otherwise it is one more than the largest endpoint.
-    A vertex count above permgroup.DEGREE_BUDGET is refused before any graph
-    is built."""
+    Counts and endpoints are ASCII decimal digits.  A vertex count above
+    permgroup.DEGREE_BUDGET is refused before any graph is built."""
     edges = []
     n = 0
     declared = None
@@ -249,24 +251,22 @@ def parse_edge_list(text: str) -> Graph:
         stripped = line.strip()
         header = _VERTEX_COUNT_HEADER.fullmatch(stripped) if offset == 0 else None
         if header:
-            declared = int(header.group(1))
+            declared = _decimal(header.group(1), "vertex count", stripped, offset)
             _check_vertex_count(declared, offset)
         elif stripped and not stripped.startswith("#"):
             parts = stripped.split()
             if len(parts) != 2:
                 raise GraphParseError(f"expected 'u v', got {stripped!r}", offset)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"non-integer endpoint in {stripped!r}", offset)
-            if u < 0 or v < 0 or u == v:
+            u, v = (_decimal(p, "endpoint", stripped, offset) for p in parts)
+            if u == v:
                 raise GraphParseError(f"bad edge ({u}, {v})", offset)
             if declared is not None and max(u, v) >= declared:
                 raise GraphParseError(f"edge ({u}, {v}) outside the declared n={declared}", offset)
             _check_vertex_count(max(u, v) + 1, offset)
             edges.append((u, v))
             n = max(n, u + 1, v + 1)
-        offset += len(line)
+        # surrogatepass: a str from a library caller may hold a lone surrogate
+        offset += len(line.encode("utf-8", "surrogatepass"))
     return Graph(n if declared is None else declared, edges)
 
 
@@ -281,7 +281,7 @@ def parse_graph_text(text: str, fmt: str = "auto") -> Graph:
         raise GraphParseError(f"unknown format {fmt!r}", 0)
     first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
     parts = first.split()
-    if first.startswith("#") or (len(parts) == 2 and all(p.isdigit() for p in parts)):
+    if first.startswith("#") or (len(parts) == 2 and all(_DECIMAL.fullmatch(p) for p in parts)):
         return parse_edge_list(text)
     return graph6_decode(text)
 

@@ -13,22 +13,25 @@ The engine is a McKay-style individualization-refinement search:
   * a leaf is a discrete colouring; its certificate is (invariant trace,
     bytes of the relabelled edge set).
 
-One traversal serves `aut_group` and `canonical_form`.  It keeps a child
-whose trace prefix equals the first leaf's; the canonical mode also keeps
-one whose trace prefix is at least the current best leaf's.  It skips a
-child that a known automorphism fixing the individualized prefix maps onto
-an explored one.  Two leaf rules harvest automorphisms and prune:
+One traversal serves `aut_group` and `canonical_form`.  It walks the tree
+with an explicit stack of open nodes, not by recursion, so the tree's depth
+is not bounded by Python's recursion limit.  It keeps a child whose trace
+prefix equals the first leaf's; the canonical mode also keeps one whose trace
+prefix is at least the current best leaf's.  It skips a child that a known
+automorphism fixing the individualized prefix maps onto an explored one.  Two
+leaf rules harvest automorphisms and prune:
 
   * a leaf with the first leaf's certificate yields the automorphism gamma
     taking the first leaf onto it;
   * in the canonical mode a larger certificate becomes the best leaf, and a
     leaf with the best's certificate yields gamma from the best leaf.
 
-Either way the search unwinds to the last node that the two leaves' paths
-share: individualized vertices keep their order through refinement, so gamma
-maps one path onto the other and fixes that node's prefix, and the rest of
-the subtree is the gamma-image of one already explored.  The largest
-certificate and the generated group are therefore exact.
+Either way the search unwinds by truncating its stack to the last node that
+the two leaves' paths share: individualized vertices keep their order through
+refinement, so gamma maps one path onto the other and fixes that node's
+prefix, and the rest of the subtree is the gamma-image of one already
+explored.  The largest certificate and the generated group are therefore
+exact.
 
 The vertices individualized on the way to the first leaf form a base of the
 automorphism group, and the harvested automorphisms are a strong generating
@@ -145,13 +148,6 @@ class _Engine:
         return np.flatnonzero(colors == best)
 
 
-class _AutoFound(Exception):
-    """Unwind the search to the deepest node whose prefix the new automorphism fixes."""
-
-    def __init__(self, depth: int):
-        self.depth = depth
-
-
 class _Search:
     """One traversal for both jobs: `run_auto` collects automorphisms anchored
     to the first leaf; `run_canon` also keeps the largest certificate."""
@@ -166,11 +162,13 @@ class _Search:
         self.best: tuple[tuple[int, ...], bytes, np.ndarray, list[int]] | None = None
         self.base: list[int] = []  # vertices individualized on the way to the first leaf
 
-    def _children(self, colors: np.ndarray, k: int, prefix: list[int]):
-        """(v, refined child colouring, its invariant) for each v of the target
-        cell, skipping v when a known automorphism fixing the individualized
-        prefix maps it onto an explored vertex.  The orbit labels are refreshed
-        whenever the caller's subtrees have found new automorphisms."""
+    def _children(self, colors: np.ndarray, k: int, trace: tuple[int, ...], prefix: list[int]):
+        """(refined child colouring, its trace, its prefix) for each kept v of
+        the target cell.  v is skipped when a known automorphism fixing the
+        individualized prefix maps it onto an explored vertex (the orbit labels
+        are refreshed whenever explored subtrees have found automorphisms), and
+        dropped after refinement unless its trace prefix equals the first
+        leaf's or, in the canonical mode, is at least the best leaf's."""
         pref = np.asarray(prefix, dtype=np.intp)
         done: list[int] = []
         labels: np.ndarray | None = None
@@ -191,63 +189,66 @@ class _Search:
             done.append(v)
             if labels is not None:
                 done_labels.add(int(labels[v]))
-            yield v, child, self.e.invariant(child, int(child.max()) + 1)
+            t = trace + (self.e.invariant(child, int(child.max()) + 1),)
+            # a child on the first leaf's trace is always kept, so the
+            # automorphisms stay strong relative to the first path's base
+            if self.first is None or t == self.first[0][: len(t)] or (
+                self.canon and t >= self.best[0][: len(t)]
+            ):
+                yield child, t, prefix + [v]
 
     def run_auto(self) -> list[np.ndarray]:
-        self.canon = False
-        self._rec(self.e.refine(self.e.initial), (), [])
+        self._run(canon=False)
         return self.autos
 
     def run_canon(self) -> tuple[np.ndarray, bytes]:
-        self.canon = True
-        self._rec(self.e.refine(self.e.initial), (), [])
+        self._run(canon=True)
         assert self.best is not None
         _, bts, pos, _ = self.best
         return pos, bts
 
-    def _rec(self, colors: np.ndarray, trace: tuple[int, ...], prefix: list[int]) -> None:
-        k = int(colors.max()) + 1 if self.e.n else 0
-        if k == self.e.n:
-            self._leaf(colors, trace, prefix)
-            return
-        depth = len(trace)
-        for v, child, inv in self._children(colors, k, prefix):
-            t = trace + (inv,)
-            # a child on the first leaf's trace is always kept, so the
-            # automorphisms stay strong relative to the first path's base
-            if self.first is not None and t != self.first[0][: depth + 1] and not (
-                self.canon and t >= self.best[0][: depth + 1]
-            ):
-                continue
-            try:
-                self._rec(child, t, prefix + [v])
-            except _AutoFound as found:
-                if found.depth < len(prefix):
-                    raise
-                # the automorphism fixes this node's prefix: keep scanning here,
-                # the refreshed orbit labels absorb the pruning
+    def _run(self, canon: bool) -> None:
+        self.canon = canon
+        stack = []  # stack[d]: the kept-children iterator of the node at depth d
+        node = (self.e.refine(self.e.initial), (), [])
+        while node is not None:
+            colors, trace, prefix = node
+            k = int(colors.max()) + 1 if self.e.n else 0
+            if k < self.e.n:
+                stack.append(self._children(colors, k, trace, prefix))
+            else:
+                common = self._leaf(colors, trace, prefix)
+                if common is not None:
+                    # the automorphism fixes that node's prefix: it scans on,
+                    # its refreshed orbit labels absorb the pruning
+                    del stack[common + 1 :]
+            node = None
+            while stack and (node := next(stack[-1], None)) is None:
+                stack.pop()
 
-    def _leaf(self, pos: np.ndarray, trace: tuple[int, ...], path: list[int]) -> None:
+    def _leaf(self, pos: np.ndarray, trace: tuple[int, ...], path: list[int]) -> int | None:
+        """Compare a leaf with the first and best leaves; the depth to unwind
+        to when it is equivalent to one of them, else None."""
         bts = self.e.leaf_bytes(pos)
         if self.first is None:
             self.first = self.best = (trace, bts, pos.copy(), path)
             self.base = list(path)
-            return
+            return None
         cert = (trace, bts)
         if cert == self.first[:2]:
-            self._equivalent(self.first, pos, path)
+            return self._equivalent(self.first, pos, path)
         if self.canon:
             if cert > self.best[:2]:
                 self.best = (trace, bts, pos.copy(), path)
             elif cert == self.best[:2]:
-                self._equivalent(self.best, pos, path)
+                return self._equivalent(self.best, pos, path)
 
-    def _equivalent(self, ref: tuple, pos: np.ndarray, path: list[int]) -> None:
-        """Record the automorphism gamma taking leaf ref onto this leaf, then
-        unwind to the last node the two paths share.  Individualized vertices
-        keep their order through refinement, so gamma maps ref's path onto
-        this one and fixes that node's prefix: the rest of this subtree is the
-        gamma-image of one already explored."""
+    def _equivalent(self, ref: tuple, pos: np.ndarray, path: list[int]) -> int:
+        """Record the automorphism gamma taking leaf ref onto this leaf, and
+        return the depth of the last node the two paths share.  Individualized
+        vertices keep their order through refinement, so gamma maps ref's path
+        onto this one and fixes that node's prefix: the rest of this subtree is
+        the gamma-image of one already explored."""
         _, _, ref_pos, ref_path = ref
         ref_inv = np.empty(self.e.n, dtype=np.intp)
         ref_inv[ref_pos] = np.arange(self.e.n, dtype=np.intp)
@@ -261,7 +262,7 @@ class _Search:
             if a != b:
                 break
             common += 1
-        raise _AutoFound(common)
+        return common
 
 
 def _check_budget(graph: Graph) -> None:

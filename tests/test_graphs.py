@@ -89,6 +89,18 @@ def test_edge_list_parse_errors():
         parse_edge_list("0 1 2\n")
 
 
+def test_edge_list_reads_only_ascii_decimal_digits():
+    # int() and str.isdigit took each of these as a number
+    for text, offset in (("0 \u0661\n", 0), ("0 1_0\n", 0), ("0 +2\n", 0), ("# n=\u0661\u0662\n", 0),
+                         ("# \u00e9\n0 +2\n", 5)):  # the offset counts the two bytes of é
+        with pytest.raises(GraphParseError, match="non-decimal") as exc:
+            parse_edge_list(text)
+        assert exc.value.offset == offset
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph_text("\u0660 \u0662\n")  # not an edge list, so not graph6 either
+    assert exc.value.offset == 0
+
+
 def test_auto_detection():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert parse_graph_text("Bw") == g
@@ -150,6 +162,8 @@ def test_edge_list_vertex_budget():
 
     assert parse_edge_list(f"# n={DEGREE_BUDGET}\n").n == DEGREE_BUDGET
     assert parse_edge_list(f"0 {DEGREE_BUDGET - 1}\n").n == DEGREE_BUDGET
-    for text in (f"# n={DEGREE_BUDGET + 1}\n", f"0 1\n{DEGREE_BUDGET} 0\n"):
+    # 5000 digits: more than int() converts (it raised a bare ValueError on the header)
+    huge = "9" * 5000
+    for text in (f"# n={DEGREE_BUDGET + 1}\n", f"0 1\n{DEGREE_BUDGET} 0\n", f"# n={huge}\n", f"0 {huge}\n"):
         with pytest.raises(GraphParseError, match="budget"):
             parse_edge_list(text)

@@ -115,9 +115,22 @@ def test_refine_matches_row_ranking():
 # -- the canonical traversal is as strong as the automorphism one --------------------
 
 
-@pytest.mark.parametrize("name", ["K_12", "K_1,12", "Q_5", "K_6,6"])
+# (refinements, automorphisms found) by run_auto and by run_canon, counted
+# when the search still recursed: the explicit stack takes the same steps.
+# A deeper or shallower unwind target changes them.
+SEARCH_STEPS = {
+    "K_12": ((78, 11), (78, 11)),
+    "K_1,12": ((78, 11), (78, 11)),
+    "Q_5": ((21, 5), (21, 5)),
+    "K_6,6": ((76, 11), (76, 11)),
+    "L(C_12(2,3))": ((23, 3), (21, 4)),  # unwinds to the best leaf's path too
+}
+
+
+@pytest.mark.parametrize("name", ["K_12", "K_1,12", "Q_5", "K_6,6", "L(C_12(2,3))"])
 def test_canon_makes_no_more_refinements_than_auto(name, monkeypatch):
-    g = {"K_12": complete(12), "K_1,12": star(12), "Q_5": hypercube(5), "K_6,6": complete_bipartite(6)}[name]
+    g = {"K_12": complete(12), "K_1,12": star(12), "Q_5": hypercube(5), "K_6,6": complete_bipartite(6),
+         "L(C_12(2,3))": relabel(line_graph(circulant(12, (2, 3))), 2)}[name]
     calls = [0]
     refine = symmetry._Engine.refine
 
@@ -126,11 +139,47 @@ def test_canon_makes_no_more_refinements_than_auto(name, monkeypatch):
         return refine(self, colors)
 
     monkeypatch.setattr(symmetry._Engine, "refine", counted)
-    symmetry._Search(symmetry._Engine(g)).run_auto()
-    auto = calls[0]
-    calls[0] = 0
-    symmetry._Search(symmetry._Engine(g)).run_canon()
-    assert 0 < calls[0] <= auto
+    steps = []
+    for run in (symmetry._Search.run_auto, symmetry._Search.run_canon):
+        calls[0] = 0
+        search = symmetry._Search(symmetry._Engine(g))
+        run(search)
+        steps.append((calls[0], len(search.autos)))
+    assert tuple(steps) == SEARCH_STEPS[name]
+    assert 0 < steps[1][0] <= steps[0][0]
+
+
+# -- depth ------------------------------------------------------------------------------
+
+
+def comb(length):
+    """A path of `length` vertices, each with two pendant leaves.  |Aut| is
+    2^(length + 1), and the search individualizes one leaf per path vertex,
+    so its tree is about `length` levels deep."""
+    leaves = [(i, length + 2 * i + j) for i in range(length) for j in (0, 1)]
+    return Graph(3 * length, [(i, i + 1) for i in range(length - 1)] + leaves)
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit(tmp_path, capsys):
+    import inspect
+    import json
+    import sys
+
+    from bicayley import cli
+    from bicayley.graphs import format_edge_list
+
+    g = comb(120)
+    path = tmp_path / "comb.edges"
+    path.write_text(format_edge_list(g))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert aut_group(g).order() == 2**121
+        assert canonical_form(g) == canonical_form(relabel(g, "comb"))
+        assert cli.main(["analyze", "--in", str(path)]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    assert json.loads(capsys.readouterr().out)["aut_order"] == 2**121
 
 
 # -- seeded oracle family for the pruning rules ----------------------------------------
