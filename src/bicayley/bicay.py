@@ -11,7 +11,6 @@ adjacency data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidMapError, InvariantViolation, NotAutomorphism, SetConditionError
@@ -49,14 +48,14 @@ class BiCayleyGraph:
                 raise SetConditionError(f"{name} is not inverse-closed")
         self.half = half = group.order
         group.check_enumerable()
-        # the edges {h, c h} for every h and every c in a connection set; the
-        # endpoints h share one int object per vertex across the blocks
-        part0, part1 = list(range(half)), list(range(half, 2 * half))
-        left = group.left_mul_ranks
-        blocks = [(left(r).tolist(), part0) for r in self.R]
-        blocks += [((half + left(l)).tolist(), part1) for l in self.L]
-        blocks += [(part0, (half + left(s)).tolist()) for s in self.S]
-        self.graph = Graph(2 * half, chain.from_iterable(zip(u, v) for u, v in blocks))
+        # the edges {h, c h} for every h and every c in a connection set
+        import numpy as np
+
+        h, left = np.arange(half), group.left_mul_ranks
+        blocks = [np.column_stack((left(r), h)) for r in self.R]
+        blocks += [np.column_stack((half + left(l), half + h)) for l in self.L]
+        blocks += [np.column_stack((h, half + left(s))) for s in self.S]
+        self.graph = Graph(2 * half, np.array(blocks, dtype=np.intp).reshape(-1, 2))
 
     def index(self, h: Element, part: int) -> int:
         """Vertex index of h_part."""
@@ -250,17 +249,13 @@ def quotient_graph(graph: Graph | BiCayleyGraph, N: PermGroup) -> tuple[Graph, Q
     for gen in N.generators:
         if not graph.preserves_edges(gen):
             raise NotAutomorphism("quotient group generator is not a graph automorphism")
+    import numpy as np
+
     orbits = N.orbits()
-    owner = [0] * graph.n
-    for idx, orb in enumerate(orbits):
-        for v in orb:
-            owner[v] = idx
-    qedges = {
-        (owner[u], owner[v]) if owner[u] < owner[v] else (owner[v], owner[u])
-        for u, v in graph.edges
-        if owner[u] != owner[v]
-    }
-    q = Graph(len(orbits), qedges)
+    # orbit labels are least points, so their ranks are the indices into orbits
+    owner = np.unique(N.orbit_labels(), return_inverse=True)[1]
+    ends = owner[graph.edges]
+    q = Graph(len(orbits), ends[ends[:, 0] != ends[:, 1]])
     sizes = tuple(sorted(len(o) for o in orbits))
     degs = tuple(sorted(q.degrees()))
     report = QuotientReport(

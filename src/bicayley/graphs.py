@@ -10,26 +10,49 @@ from .permgroup import DEGREE_BUDGET
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "adj", "_edge_array")
+    `Graph(n, edges)` takes an (m, 2) integer array or an iterable of pairs,
+    in any order and orientation, repeats allowed.  A loop, an endpoint
+    outside [0, n) or input that is not integer pairs raises
+    InvariantViolation, naming the first bad pair.  `edges` is then the one
+    edge format, a read-only (m, 2) np.intp array whose rows are u < v,
+    sorted and distinct; `adj[v]` is the sorted tuple of v's neighbours.
+    """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise InvariantViolation(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvariantViolation(f"edge ({u}, {v}) outside vertex range")
-            norm.add((u, v) if u < v else (v, u))
+    __slots__ = ("n", "edges", "adj")
+
+    def __init__(self, n: int, edges: Iterable[Sequence[int]]):
+        import numpy as np  # see graph6_encode
+
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges) or np.empty((0, 2), dtype=np.intp)
+        try:
+            arr = np.asarray(edges)
+        except ValueError:  # rows of different lengths
+            arr = np.empty(0)
+        if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+            raise InvariantViolation("edges must be (u, v) pairs of integers")
+        u, v = arr.astype(np.intp, copy=False).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            a, b = arr[bad.argmax()].tolist()
+            if a == b:
+                raise InvariantViolation(f"loop at vertex {a}")
+            raise InvariantViolation(f"edge ({a}, {b}) outside vertex range")
+        keys = np.sort(lo * n + hi)
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique, without its hashing
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(x)) for x in adj)
-        self._edge_array = None
+        self.edges = np.stack(np.divmod(keys, n), axis=1)
+        self.edges.flags.writeable = False
+        # the arcs sorted by (tail, head): v's neighbours are heads[bounds[v]:bounds[v + 1]]
+        tails, heads = np.divmod(np.sort(np.concatenate([keys, keys % n * n + keys // n])), n)
+        heads = heads.tolist()
+        bounds = np.searchsorted(tails, np.arange(n + 1)).tolist()
+        self.adj: tuple[tuple[int, ...], ...] = tuple(
+            [tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:])]
+        )
 
     @property
     def edge_count(self) -> int:
@@ -47,32 +70,20 @@ class Graph:
             raise InvariantViolation("graph is not regular")
         return len(self.adj[0]) if self.n else 0
 
-    def edge_array(self):
-        """The edges as a read-only (m, 2) np.intp array, rows sorted, u < v."""
-        if self._edge_array is None:
-            import numpy as np  # see graph6_encode
-
-            # fromiter: np.array on a list of tuples touches more of numpy
-            # (about 0.1 MB of peak RSS on first use)
-            flat = (x for edge in self.edges for x in edge)
-            arr = np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
-            arr.flags.writeable = False
-            self._edge_array = arr
-        return self._edge_array
-
     def preserves_edges(self, perm: Sequence[int]) -> bool:
         """Whether the vertex permutation perm maps the edge set onto itself."""
         import numpy as np  # see graph6_encode
 
-        p = np.asarray(perm, dtype=np.intp)
-        e = self.edge_array()
-        a, b = p[e[:, 0]], p[e[:, 1]]
+        e = self.edges
+        a, b = np.asarray(perm, dtype=np.intp)[e].T
         image = np.sort(np.minimum(a, b) * self.n + np.maximum(a, b))
         return bool(np.array_equal(image, e[:, 0] * self.n + e[:, 1]))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """New graph with vertex v renamed to perm[v]."""
-        return Graph(self.n, ((perm[u], perm[v]) for u, v in self.edges))
+        import numpy as np  # see graph6_encode
+
+        return Graph(self.n, np.asarray(perm, dtype=np.intp)[self.edges])
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -98,20 +109,24 @@ class Graph:
         return out
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph; vertex k of the result is vertices[k]."""
-        index = {v: k for k, v in enumerate(vertices)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        return Graph(len(vertices), edges)
+        """Induced subgraph on distinct vertices; vertex k of the result is
+        vertices[k]."""
+        import numpy as np  # see graph6_encode
+
+        index = np.full(self.n, -1, dtype=np.intp)
+        index[np.asarray(vertices, dtype=np.intp)] = np.arange(len(vertices))
+        ends = index[self.edges]
+        return Graph(len(vertices), ends[(ends >= 0).all(axis=1)])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return (
+            isinstance(other, Graph)
+            and self.n == other.n
+            and self.edges.tobytes() == other.edges.tobytes()
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.edges.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -141,11 +156,10 @@ def graph6_encode(g: Graph) -> str:
 
     n = g.n
     body = np.zeros((n * (n - 1) // 2 + 5) // 6, dtype=np.uint8)
-    if g.edges:
-        uv = np.array(g.edges, dtype=np.int64)
-        # position of pair (u, v), u < v, in column-major upper-triangle order
-        k = uv[:, 1] * (uv[:, 1] - 1) // 2 + uv[:, 0]
-        np.bitwise_or.at(body, k // 6, (32 >> (k % 6)).astype(np.uint8))
+    u, v = g.edges.T
+    # position of pair (u, v), u < v, in column-major upper-triangle order
+    k = v * (v - 1) // 2 + u
+    np.bitwise_or.at(body, k // 6, (32 >> (k % 6)).astype(np.uint8))
     body += 63
     return _g6_size_header(n) + body.tobytes().decode("ascii")
 
@@ -168,25 +182,13 @@ def graph6_decode(text: str) -> Graph:
         raise GraphParseError(f"invalid graph6 byte {data[off]!r}", off)
     if end < len(s):
         raise GraphParseError(f"non-ASCII character {s[end]!r} in graph6", end)
-    pos = 0
-    if data[0] == 126:  # '~'
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
-                raise GraphParseError("truncated graph6 size header", len(data))
-            n = 0
-            for byte in data[2:8]:
-                n = (n << 6) | (byte - 63)
-            pos = 8
-        else:
-            if len(data) < 4:
-                raise GraphParseError("truncated graph6 size header", len(data))
-            n = 0
-            for byte in data[1:4]:
-                n = (n << 6) | (byte - 63)
-            pos = 4
-    else:
-        n = data[0] - 63
-        pos = 1
+    # N(n) is one byte, "~" and three bytes, or "~~" and six bytes
+    start, pos = (2, 8) if data[:2] == b"~~" else (1, 4) if data[:1] == b"~" else (0, 1)
+    if len(data) < pos:
+        raise GraphParseError("truncated graph6 size header", len(data))
+    n = 0
+    for byte in data[start:pos]:
+        n = (n << 6) | (byte - 63)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(data) - pos != need:
@@ -202,7 +204,7 @@ def graph6_decode(text: str) -> Graph:
     # root is exact for k < 2^50, far past any graph that fits in memory
     v = ((1 + np.sqrt(8 * k + 1)) // 2).astype(np.int64)
     u = k - v * (v - 1) // 2
-    return Graph(n, zip(u.tolist(), v.tolist()))
+    return Graph(n, np.stack([u, v], axis=1))
 
 
 # -- edge lists -------------------------------------------------------------
@@ -214,12 +216,13 @@ def format_edge_list(g: Graph) -> str:
     A first line "# n=<count>" keeps vertices past the largest endpoint; it is
     written only when there are such vertices.
     """
-    top = max((v for _, v in g.edges), default=-1)
-    header = f"# n={g.n}\n" if g.n > top + 1 else ""
-    return header + "".join(f"{u} {v}\n" for u, v in g.edges)
+    header = f"# n={g.n}\n" if g.n and not g.adj[-1] else ""
+    return header + "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
 
 
-_VERTEX_COUNT_HEADER = re.compile(r"#\s*n\s*=\s*(\S+)")
+# only ASCII spaces and tabs separate fields: \s and str.split also take "\u2003"
+_VERTEX_COUNT_HEADER = re.compile(r"#[ \t]*n[ \t]*=[ \t]*([^ \t]+)")
+_FIELD_SEPARATOR = re.compile(r"[ \t]+")
 _DECIMAL = re.compile(r"[0-9]+")
 
 
@@ -241,20 +244,23 @@ def _check_vertex_count(n: int, offset: int) -> None:
 def parse_edge_list(text: str) -> Graph:
     """Read "u v" lines; "#" starts a comment line.  A first line "# n=<count>"
     fixes the vertex count, otherwise it is one more than the largest endpoint.
-    Counts and endpoints are ASCII decimal digits.  A vertex count above
-    permgroup.DEGREE_BUDGET is refused before any graph is built."""
+    Lines end at "\n", optionally preceded by one "\r"; fields are separated
+    by ASCII spaces and tabs.  Counts and endpoints are ASCII decimal digits.
+    A vertex count above permgroup.DEGREE_BUDGET is refused before any graph
+    is built."""
     edges = []
     n = 0
     declared = None
     offset = 0
-    for line in text.splitlines(keepends=True):
-        stripped = line.strip()
+    # str.splitlines also ends lines at "\r", "\x1c", "\u2028" and more
+    for line in text.split("\n"):
+        stripped = line.removesuffix("\r").strip(" \t")
         header = _VERTEX_COUNT_HEADER.fullmatch(stripped) if offset == 0 else None
         if header:
             declared = _decimal(header.group(1), "vertex count", stripped, offset)
             _check_vertex_count(declared, offset)
         elif stripped and not stripped.startswith("#"):
-            parts = stripped.split()
+            parts = _FIELD_SEPARATOR.split(stripped)
             if len(parts) != 2:
                 raise GraphParseError(f"expected 'u v', got {stripped!r}", offset)
             u, v = (_decimal(p, "endpoint", stripped, offset) for p in parts)
@@ -266,22 +272,22 @@ def parse_edge_list(text: str) -> Graph:
             edges.append((u, v))
             n = max(n, u + 1, v + 1)
         # surrogatepass: a str from a library caller may hold a lone surrogate
-        offset += len(line.encode("utf-8", "surrogatepass"))
+        offset += len(line.encode("utf-8", "surrogatepass")) + 1
     return Graph(n if declared is None else declared, edges)
 
 
 def parse_graph_text(text: str, fmt: str = "auto") -> Graph:
     """Read either format; auto-detection keys off the first nonblank line: a
-    "#" comment (no graph6 byte is "#") or a "u v" pair starts an edge list."""
+    "#" comment or a line with inner whitespace starts an edge list (no
+    graph6 byte is "#" or whitespace), anything else is graph6."""
     if fmt == "g6":
         return graph6_decode(text)
     if fmt == "edges":
         return parse_edge_list(text)
     if fmt != "auto":
         raise GraphParseError(f"unknown format {fmt!r}", 0)
-    first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
-    parts = first.split()
-    if first.startswith("#") or (len(parts) == 2 and all(_DECIMAL.fullmatch(p) for p in parts)):
+    first = next((ln.strip() for ln in text.split("\n") if ln.strip()), "")
+    if first.startswith("#") or len(first.split()) > 1:
         return parse_edge_list(text)
     return graph6_decode(text)
 
@@ -290,5 +296,5 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {
         "vertex_count": g.n,
         "edge_count": g.edge_count,
-        "edges": [[u, v] for u, v in g.edges],
+        "edges": g.edges.tolist(),
     }

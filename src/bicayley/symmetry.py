@@ -70,20 +70,18 @@ class _Engine:
     def __init__(self, graph: Graph):
         self.graph = graph
         self.n = graph.n
-        degs = graph.degrees()
-        self.dmax = max(degs, default=0)
-        nbr = np.full((self.n, self.dmax), self.n, dtype=np.int64)
-        for v, nbhd in enumerate(graph.adj):
-            nbr[v, : len(nbhd)] = nbhd
-        self.nbr = nbr
-        e = graph.edge_array()
-        self.eu, self.ev = e[:, 0], e[:, 1]
+        self.eu, self.ev = graph.edges.T
         self.au = np.concatenate([self.eu, self.ev])
         self.av = np.concatenate([self.ev, self.eu])
-        if self.n:
-            self.initial = self._canon_ids(np.asarray(degs, dtype=np.int64))
-        else:
-            self.initial = np.zeros(0, np.int64)
+        degs = np.bincount(self.au, minlength=self.n)
+        self.dmax = int(degs.max(initial=0))
+        # row v: v's neighbours, padded with n; a tail-sorted arc goes to the
+        # column of its index minus the index of the first arc from its tail
+        order = np.argsort(self.au, kind="stable")
+        tails = self.au[order]
+        self.nbr = np.full((self.n, self.dmax), self.n, dtype=np.int64)
+        self.nbr[tails, np.arange(len(tails)) - np.searchsorted(tails, tails)] = self.av[order]
+        self.initial = self._canon_ids(degs)
 
     @staticmethod
     def _canon_ids(values: np.ndarray) -> np.ndarray:
@@ -295,7 +293,7 @@ def canonical_search(graph: Graph) -> tuple[list[int], PermGroup]:
         search = _Search(_Engine(sub))
         labelling, _ = search.run_canon()
         # one component needs no form to sort by
-        form = graph6_encode(sub.relabel(labelling.tolist())) if len(comps) > 1 else ""
+        form = graph6_encode(sub.relabel(labelling)) if len(comps) > 1 else ""
         row = np.empty(len(comp), dtype=np.intp)  # row[p]: the vertex at canonical position p
         row[labelling] = comp
         blocks.append(((len(comp), form), row, labelling, search))
@@ -386,7 +384,7 @@ def arc_action(graph: Graph, generators) -> tuple[np.ndarray, list[np.ndarray], 
     by searchsorted on the packed images; the reversal maps (u, v) to (v, u).
     """
     n = graph.n
-    e = graph.edge_array()
+    e = graph.edges
     keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
     u, v = keys // n, keys % n
 
@@ -410,7 +408,7 @@ def classify(graph: Graph, aut: PermGroup | None = None) -> SymmetryReport:
         aut = aut_group(graph)
     order = aut.order()
     vorbits = len(aut.orbits())
-    has_edges = bool(graph.edges)
+    has_edges = graph.edge_count > 0
     eorbits = aorbits = 0
     if has_edges:
         keys, perms, reversal = arc_action(graph, aut.generators)

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from bicayley.errors import BudgetError, DegreeMismatch
+from bicayley.errors import BudgetError, DegreeMismatch, InvariantViolation
 
 
 def order_by_iteration(G, g):
@@ -251,6 +251,27 @@ def graph6_decode_by_bits(text):
                 edges.append((bit_index - v * (v - 1) // 2, v))
             bit_index += 1
     return Graph(n, edges)
+
+
+# -- graph construction ---------------------------------------------------------
+
+
+def graph_by_edge_loop(n, edges):
+    """(edges, adj) of the simple graph on 0..n-1, one pair at a time
+    (Graph.__init__'s former loop): edges a sorted tuple of (u, v), u < v."""
+    norm = set()
+    for u, v in edges:
+        if u == v:
+            raise InvariantViolation(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvariantViolation(f"edge ({u}, {v}) outside vertex range")
+        norm.add((u, v) if u < v else (v, u))
+    edges = tuple(sorted(norm))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return edges, tuple(tuple(sorted(x)) for x in adj)
 
 
 # -- graph automorphisms --------------------------------------------------------

@@ -250,7 +250,7 @@ def test_quotient_by_trivial(gray_graph):
 
 def test_quotient_by_right_group(gray_graph):
     q, rep = quotient_graph(gray_graph.graph, right_group(gray_graph))
-    assert q.n == 2 and q.edges == ((0, 1),)
+    assert q.n == 2 and q.edges.tolist() == [[0, 1]]
     assert rep.orbit_count == 2
 
 

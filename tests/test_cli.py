@@ -143,8 +143,8 @@ def test_non_ascii_graph_file_is_a_usage_error(tmp_path, content):
 def test_non_decimal_edge_list_is_a_usage_error(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("0 +2\n")
-    # auto-detection does not take "+2" for an endpoint either, so reads graph6
-    for fmt, message in (("edges", "non-decimal endpoint"), ("auto", "invalid graph6 byte")):
+    # a line with inner whitespace is no graph6, so auto-detection reports the edge-list fault
+    for fmt, message in (("edges", "non-decimal endpoint"), ("auto", "non-decimal endpoint")):
         proc = run_module("analyze", "--in", str(path), "--assume-format", fmt)
         assert proc.returncode == 2 and proc.stdout == ""
         lines = proc.stderr.splitlines()

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from bicayley.errors import GraphParseError, InvariantViolation
@@ -16,9 +17,65 @@ from bicayley.graphs import (
 
 def test_graph_normalizes_edges():
     g = Graph(4, [(1, 0), (0, 1), (2, 3)])
-    assert g.edges == ((0, 1), (2, 3))
+    assert g.edges.tolist() == [[0, 1], [2, 3]]
     assert g.adj[0] == (1,)
     assert g.degrees() == (1, 1, 1, 1)
+
+
+def _pair_inputs(pairs):
+    """The same pairs as a list, a generator and int64 and intp arrays."""
+    yield pairs
+    yield (pair for pair in pairs)
+    for dtype in (np.int64, np.intp):
+        yield np.array(pairs, dtype=dtype).reshape(-1, 2)
+
+
+def test_graph_constructor_matches_edge_loop_oracle():
+    from .oracles import graph_by_edge_loop
+
+    rng = random.Random(13)
+    cases = [(0, []), (1, []), (6, [(1, 3)]), (4, [(2, 0), (0, 2), (0, 2), (3, 1)])]
+    for _ in range(40):
+        n = rng.randrange(2, 40)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n))]
+        pairs += [(v, u) for u, v in rng.sample(pairs, len(pairs) // 3)]  # reversed repeats
+        pairs += rng.sample(pairs, len(pairs) // 4)  # exact repeats
+        rng.shuffle(pairs)
+        cases.append((n, pairs))
+    for n, pairs in cases:
+        edges, adj = graph_by_edge_loop(n, pairs)
+        for given in _pair_inputs(pairs):
+            g = Graph(n, given)
+            assert g.edges.tolist() == [list(e) for e in edges]
+            assert g.adj == adj
+            assert g.edges.dtype == np.intp and not g.edges.flags.writeable
+
+
+def test_graph_constructor_errors_match_edge_loop_oracle():
+    from .oracles import graph_by_edge_loop
+
+    rng = random.Random(17)
+    cases = [(0, [(0, 1)]), (3, [(4, 4)]), (3, [(0, 1), (-1, 2)]), (3, [(1, 3), (2, 2)])]
+    for _ in range(40):
+        n = rng.randrange(2, 20)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(1, n))]
+        for _ in range(rng.randrange(1, 3)):  # the first bad pair names the fault
+            v = rng.randrange(n)
+            bad = rng.choice([(v, v), (v, -1 - v), (n + v, v), (v, n)])
+            pairs.insert(rng.randrange(len(pairs) + 1), bad)
+        cases.append((n, pairs))
+    for n, pairs in cases:
+        with pytest.raises(InvariantViolation) as want:
+            graph_by_edge_loop(n, pairs)
+        for given in _pair_inputs(pairs):
+            with pytest.raises(InvariantViolation) as got:
+                Graph(n, given)
+            assert str(got.value) == str(want.value)
+    # not integer pairs
+    for given in ([(0, 1, 2)], [(0, 1), (1, 2, 0)], [0, 1, 1, 2], [(0,)], np.zeros((2, 3), dtype=int),
+                  np.array([0, 1]), [(0.5, 1)], [("0", "1")]):
+        with pytest.raises(InvariantViolation):
+            Graph(3, given)
 
 
 def test_graph_rejects_bad_edges():
@@ -96,9 +153,27 @@ def test_edge_list_reads_only_ascii_decimal_digits():
         with pytest.raises(GraphParseError, match="non-decimal") as exc:
             parse_edge_list(text)
         assert exc.value.offset == offset
-    with pytest.raises(GraphParseError) as exc:
-        parse_graph_text("\u0660 \u0662\n")  # not an edge list, so not graph6 either
+    with pytest.raises(GraphParseError, match="non-decimal") as exc:
+        parse_graph_text("\u0660 \u0662\n")  # inner whitespace: read as an edge list
     assert exc.value.offset == 0
+
+
+def test_edge_list_separators_are_ascii():
+    # str.splitlines ends a line at "\x1c" and str.split splits at an em space
+    for text, offset in (("0\u20031\n", 0), ("0 1\x1c1 2\n", 0), ("0 1\n1\u00a02\n", 4),
+                         ("0 1\r2 3\n", 0), ("0 1\r\r\n", 0), ("# n=5\u2003\n", 0)):
+        for fmt in ("edges", "auto"):
+            with pytest.raises(GraphParseError) as exc:
+                parse_graph_text(text, fmt)
+            assert exc.value.offset == offset
+    g = Graph(5, [(0, 1), (1, 3), (2, 3)])
+    crlf = format_edge_list(g).replace("\n", "\r\n")
+    assert crlf == "# n=5\r\n0 1\r\n1 3\r\n2 3\r\n"
+    assert parse_edge_list(crlf) == parse_graph_text(crlf) == g
+    assert parse_edge_list("0\t1\r\n \t\r\n1 \t 3\r\n") == Graph(4, [(0, 1), (1, 3)])
+    with pytest.raises(GraphParseError) as exc:
+        parse_edge_list("# n=3\r\n0 1\r\n1 3\r\n")
+    assert exc.value.offset == 12  # byte offsets count each "\r\n" as two bytes
 
 
 def test_auto_detection():
@@ -109,7 +184,7 @@ def test_auto_detection():
 
 def test_relabel():
     g = Graph(3, [(0, 1)])
-    assert g.relabel([2, 1, 0]).edges == ((1, 2),)
+    assert g.relabel([2, 1, 0]).edges.tolist() == [[1, 2]]
 
 
 def test_connectivity_and_json():
