@@ -12,8 +12,6 @@ import json
 import random
 import sys
 
-import numpy as np
-
 from . import families
 from .errors import (
     BudgetError,
@@ -29,7 +27,7 @@ from .errors import (
 )
 from .graphs import Graph, format_edge_list, graph6_encode, graph_to_json_dict, parse_graph_text
 from .metacyclic import make_group
-from .permgroup import compose, invert, perm_power
+from .permgroup import as_perm, compose, invert, perm_power
 from .symmetry import classify
 
 _USAGE_ERRORS = (
@@ -98,7 +96,13 @@ def _parse_group(text: str):
     parts = text.split(",")
     if len(parts) != 4:
         raise ParameterError(f"expected p,m,n,r, got {text!r}")
-    return make_group(*(int(x) for x in parts))
+    values = []
+    for name, field in zip("pmnr", parts):
+        try:
+            values.append(int(field))
+        except ValueError:
+            raise ParameterError(f"{name} must be an integer, got {field!r}") from None
+    return make_group(*values)
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -108,7 +112,14 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
+def _same(p, q) -> bool:
+    """Equal as permutations: np.array_equal on 1-d integer arrays, by bytes."""
+    return as_perm(p).tobytes() == as_perm(q).tobytes()
+
+
 def _verify_arithmetic(args: argparse.Namespace) -> dict:
+    if args.trials < 0:
+        raise ParameterError(f"--trials must be at least 0, got {args.trials}")
     group = make_group(args.p, args.m, args.n, args.r)
     perms = group.regular_representation()
     els = group.elements()
@@ -124,7 +135,7 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
     failures = []
     # the kernel's generator rows must be the ones scalar mul builds
     for gen, perm in zip((group.gen_a, group.gen_b), perms.generators):
-        if not np.array_equal(perm_of(gen), perm):
+        if not _same(perm_of(gen), perm):
             failures.append({"check": "row", "g": group.element_str(gen)})
     rng = random.Random(args.seed)
     for trial in range(args.trials):
@@ -132,11 +143,11 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
         h = els[rng.randrange(len(els))]
         k = rng.randrange(-group.order, group.order + 1)
         pg, ph = perm_of(g), perm_of(h)
-        if not np.array_equal(perm_of(group.mul(g, h)), compose(pg, ph)):
+        if not _same(perm_of(group.mul(g, h)), compose(pg, ph)):
             failures.append({"check": "mul", "g": group.element_str(g), "h": group.element_str(h)})
-        if not np.array_equal(perm_of(group.inv(g)), invert(pg)):
+        if not _same(perm_of(group.inv(g)), invert(pg)):
             failures.append({"check": "inv", "g": group.element_str(g)})
-        if not np.array_equal(perm_of(group.pow(g, k)), perm_power(pg, k)):
+        if not _same(perm_of(group.pow(g, k)), perm_power(pg, k)):
             failures.append({"check": "pow", "g": group.element_str(g), "k": k})
         if len(failures) > 10:
             break

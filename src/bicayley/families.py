@@ -146,7 +146,9 @@ def _pair_dict(G: PairGroup, x: Element, y: Element, rep: PairRelationReport) ->
 
 def _neighbor_cycle(bg: BiCayleyGraph, result: MapResult, fixes: int) -> dict:
     perm = result.permutation
-    neighbors = bg.graph.adj[fixes]
+    edges = bg.graph.edges
+    # the other end of each edge at fixes, read off the edges without building adj
+    neighbors = (edges[(edges == fixes).any(axis=1)].sum(axis=1) - fixes).tolist()
     cycle_ok = perm is not None and all(perm[w] in neighbors and perm[w] != w for w in neighbors)
     return {
         "valid": result.valid,

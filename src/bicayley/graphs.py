@@ -17,10 +17,11 @@ class Graph:
     outside [0, n) or input that is not integer pairs raises
     InvariantViolation, naming the first bad pair.  `edges` is then the one
     edge format, a read-only (m, 2) np.intp array whose rows are u < v,
-    sorted and distinct; `adj[v]` is the sorted tuple of v's neighbours.
+    sorted and distinct.  `adj[v]` is the sorted tuple of v's neighbours,
+    built on first use: callers that read only `edges` never pay for it.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         import numpy as np  # see graph6_encode
@@ -46,13 +47,20 @@ class Graph:
         self.n = n
         self.edges = np.stack(np.divmod(keys, n), axis=1)
         self.edges.flags.writeable = False
-        # the arcs sorted by (tail, head): v's neighbours are heads[bounds[v]:bounds[v + 1]]
-        tails, heads = np.divmod(np.sort(np.concatenate([keys, keys % n * n + keys // n])), n)
-        heads = heads.tolist()
-        bounds = np.searchsorted(tails, np.arange(n + 1)).tolist()
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            [tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:])]
-        )
+        self._adj: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        if self._adj is None:
+            import numpy as np  # see graph6_encode
+
+            n, (u, v) = self.n, self.edges.T
+            # the arcs sorted by (tail, head): v's neighbours are heads[bounds[v]:bounds[v + 1]]
+            tails, heads = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
+            heads = heads.tolist()
+            bounds = np.searchsorted(tails, np.arange(n + 1)).tolist()
+            self._adj = tuple([tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:])])
+        return self._adj
 
     @property
     def edge_count(self) -> int:
@@ -90,6 +98,7 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by first vertex."""
+        adj = self.adj
         out = []
         seen = [False] * self.n
         for start in range(self.n):
@@ -99,7 +108,7 @@ class Graph:
             comp = [start]
             stack = [start]
             while stack:
-                for w in self.adj[stack.pop()]:
+                for w in adj[stack.pop()]:
                     if not seen[w]:
                         seen[w] = True
                         comp.append(w)

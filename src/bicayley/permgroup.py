@@ -55,23 +55,31 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
 
 
 def invert(p: Sequence[int]) -> Perm:
+    import numpy as np
     p = as_perm(p)
-    out = p.copy()
+    out = np.empty_like(p)
     out[p] = identity(len(p))
     return out
 
 
 def perm_power(p: Sequence[int], k: int) -> Perm:
-    """p^k by repeated squaring; k may be negative or exceed the order of p."""
-    p = invert(p) if k < 0 else as_perm(p)
-    k = abs(k)
-    result = identity(len(p))
-    while k:
+    """p^k by repeated squaring; k may be negative or exceed the order of p.
+
+    The product starts at the lowest set bit of |k|, so k != 0 makes no
+    identity and no gather with one."""
+    source = p = as_perm(p)
+    if k < 0:
+        p, k = invert(p), -k
+    if not k:
+        return identity(len(p))
+    while not k & 1:
+        p = p[p]
+        k >>= 1
+    result = p.copy() if p is source else p  # never alias the input
+    while k := k >> 1:
+        p = p[p]
         if k & 1:
             result = p[result]
-        k >>= 1
-        if k:
-            p = p[p]
     return result
 
 
@@ -239,12 +247,14 @@ class PermGroup:
             return
         degree = self.degree
         ident = identity(degree)
+        ident_bytes = ident.tobytes()
         strong: list[Perm] = list(self.generators)
         levels = [_Level(b, degree) for b in self._base or ()]
 
-        def rebuild() -> list[list[Perm]]:
+        def rebuild() -> list[list[tuple[Perm, Perm]]]:
             # Assign base points so every strong generator moves some base;
-            # level i uses the strong generators fixing all earlier bases.
+            # level i uses the strong generators fixing all earlier bases,
+            # handed on as (g, g^-1) pairs.
             while True:
                 bases = as_perm([lv.base for lv in levels])
                 for g in strong:
@@ -253,12 +263,11 @@ class PermGroup:
                         break
                 else:
                     break
-            per_level: list[list[Perm]] = []
+            per_level: list[list[tuple[Perm, Perm]]] = []
             for depth, lv in enumerate(levels):
                 fixed = as_perm([earlier.base for earlier in levels[:depth]])
-                gens_here = [g for g in strong if (g[fixed] == fixed).all()]
-                per_level.append(gens_here)
-                pairs = [(g, invert(g)) for g in gens_here]
+                pairs = [(g, invert(g)) for g in strong if (g[fixed] == fixed).all()]
+                per_level.append(pairs)
                 lv.inverse = {lv.base: ident}
                 frontier = [lv.base]
                 while frontier:
@@ -273,14 +282,21 @@ class PermGroup:
                     frontier = new
             return per_level
 
-        def residues(per_level: list[list[Perm]]) -> Iterable[Perm]:
+        def residues(per_level: list[list[tuple[Perm, Perm]]]) -> Iterable[Perm]:
             for idx, lv in enumerate(levels):
                 for pt in sorted(lv.inverse):
-                    u = invert(lv.inverse[pt])
-                    for g in per_level[idx]:
-                        # Schreier generator u g t^-1, t the representative of g[pt]
-                        residue, _ = self._sift(lv.inverse[int(g[pt])][g[u]], levels, idx)
-                        if not (residue == ident).all():
+                    u_inv = lv.inverse[pt]
+                    u = None  # inverted only when some generator here needs it
+                    for g, g_inv in per_level[idx]:
+                        # Schreier generator u g t^-1, t the representative of
+                        # g[pt]; it is trivial exactly when (u g)^-1 == t^-1
+                        t_inv = lv.inverse[int(g[pt])]
+                        if u_inv[g_inv].tobytes() == t_inv.tobytes():
+                            continue
+                        if u is None:
+                            u = invert(u_inv)
+                        residue, _ = self._sift(t_inv[g[u]], levels, idx)
+                        if residue.tobytes() != ident_bytes:
                             yield residue
 
         while True:

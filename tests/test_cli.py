@@ -129,6 +129,30 @@ def test_census_over_budget_is_a_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("group, field", [("a,b,c,d", "p"), ("3.0,2,1,1", "p"), (",,,", "p"), ("3,2,x,1", "n")])
+def test_non_integer_group_is_a_usage_error(group, field):
+    proc = run_module("census", "--group", group)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {field} must be an integer")
+    assert "Traceback" not in proc.stderr
+
+
+def test_negative_trial_count_is_a_usage_error():
+    proc = run_module("verify", "--target", "arithmetic", "--trials", "-5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--trials" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
+def test_zero_trials_checks_rows_and_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--target", "arithmetic", "--trials", "0")
+    report = json.loads(out)
+    assert code == 0 and report["trials"] == 0 and report["passed"]
+    assert report["failures"] == [] and report["order_matches"]
+
+
 @pytest.mark.parametrize("content", ["Aé\n".encode("utf-8"), b"A\xe9\n"])
 def test_non_ascii_graph_file_is_a_usage_error(tmp_path, content):
     path = tmp_path / "bad.g6"

@@ -27,6 +27,7 @@ from bicayley.metacyclic import (
     identity_map,
     make_group,
 )
+from bicayley.permgroup import compose, invert, perm_power
 from tests import oracles
 
 KERNEL_GROUPS = [(3, 2, 1, 1), (3, 3, 2, 2), (5, 2, 2, 1)]
@@ -207,18 +208,56 @@ def test_family_certificate_maps_match_per_element_loop():
             assert np.array_equal(perm, oracles.sigma_images_by_elements(bg, f, g))
 
 
-def test_arithmetic_oracle_catches_a_wrong_kernel(monkeypatch, tmp_path):
-    def wrong_twist(self, g):
-        J, I, _ = self._rank_columns()
-        j, i = g
-        return ((J + j) % self.mod_j) * self.mod_i + (I + i) % self.mod_i  # w^j taken as 1
-
-    monkeypatch.setattr(PairGroup, "right_mul_ranks", wrong_twist)
+def _arithmetic_report(tmp_path):
     out = tmp_path / "report.json"
     argv = ["verify", "--target", "arithmetic", "--p", "3", "--m", "2", "--n", "1", "--r", "1",
             "--trials", "50", "--out", str(out)]
-    assert cli.main(argv) == 1
-    report = json.loads(out.read_text())
-    assert not report["passed"]
+    code = cli.main(argv)
+    return code, json.loads(out.read_text())
+
+
+def wrong_twist(self, g):
+    J, I, _ = self._rank_columns()
+    j, i = g
+    return ((J + j) % self.mod_j) * self.mod_i + (I + i) % self.mod_i  # w^j taken as 1
+
+
+# a kernel with a plausible bug, where it is patched, and the checks that must see it
+WRONG_KERNELS = {
+    "right_mul_ranks": (PairGroup, wrong_twist, {"row", "mul"}),
+    "compose": (cli, lambda p, q: np.asarray(p)[q], {"mul"}),  # q first, then p
+    "invert": (cli, lambda p: np.array(p), {"inv"}),  # p itself
+    "perm_power": (cli, lambda p, k: perm_power(p, abs(k)), {"pow"}),  # sign of k dropped
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_KERNELS))
+def test_arithmetic_oracle_catches_a_wrong_kernel(monkeypatch, tmp_path, name):
+    owner, kernel, expected = WRONG_KERNELS[name]
+    monkeypatch.setattr(owner, name, kernel)
+    code, report = _arithmetic_report(tmp_path)
+    assert code == 1 and not report["passed"]
     checks = {f["check"] for f in report["failures"]}
-    assert "row" in checks and "mul" in checks
+    if owner is PairGroup:  # every kernel row is wrong, so other checks may fail too
+        assert expected <= checks
+    else:  # a wrong permutation kernel fails its own check only
+        assert checks == expected
+
+
+# the right images in another dtype or memory layout, which np.array_equal accepts
+P = np.array([1, 2, 0, 4, 3])
+SAME_VALUE_KERNELS = {
+    "compose": (lambda p, q: compose(p, q).astype(np.int32), (P, P)),
+    "invert": (lambda p: np.repeat(invert(p), 2)[::2], (P,)),  # a strided view
+    "perm_power": (lambda p, k: np.repeat(perm_power(p, k), 2).astype(np.int32)[::2], (P, -4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_VALUE_KERNELS))
+def test_arithmetic_oracle_compares_values_not_layout(monkeypatch, tmp_path, name):
+    kernel, sample = SAME_VALUE_KERNELS[name]
+    image = kernel(*sample)
+    assert image.dtype != np.intp or not image.flags.c_contiguous
+    monkeypatch.setattr(cli, name, kernel)
+    code, report = _arithmetic_report(tmp_path)
+    assert code == 0 and report["passed"] and report["failures"] == []

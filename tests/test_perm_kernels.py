@@ -17,6 +17,7 @@ from bicayley.permgroup import (
     PermGroup,
     compose,
     cycle_type,
+    identity,
     invert,
     is_identity,
     orbit_labels,
@@ -140,6 +141,91 @@ def test_generic_chain_matches_closure():
         assert [tuple(p) for p in G.enumerate_elements()] == sorted(elements)
         for perm in itertools.permutations(range(n)):
             assert G.contains(perm) == (perm in elements)
+
+
+def cycle(n, points):
+    p = list(range(n))
+    for x, y in zip(points, points[1:] + points[:1]):
+        p[x] = y
+    return p
+
+
+def direct_product(*factors):
+    """(degree, generators) of the product acting on disjoint blocks of points."""
+    n = sum(k for k, _ in factors)
+    gens, start = [], 0
+    for k, factor_gens in factors:
+        for g in factor_gens:
+            gens.append(list(range(start)) + [start + x for x in g] + list(range(start + k, n)))
+        start += k
+    return n, gens
+
+
+def wreath_product(base, top):
+    """(degree, generators) of base wr top in its imprimitive action on m blocks of k points."""
+    (k, base_gens), (m, top_gens) = base, top
+    n = k * m
+    gens = [list(g) + list(range(k, n)) for g in base_gens]
+    gens += [[t[i // k] * k + i % k for i in range(n)] for t in top_gens]
+    return n, gens
+
+
+def chain_test_groups():
+    """Seeded groups of degree 8-40 whose chains have several levels and
+    non-trivial Schreier generators, and two regular representations, whose
+    Schreier generators are all trivial."""
+    from bicayley.metacyclic import make_group
+
+    rng = random.Random(59)
+    groups = []
+    for _ in range(8):  # generators moving a few points: several orbits and levels
+        n = rng.randrange(8, 41)
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            p = list(range(n))
+            moved = rng.sample(range(n), rng.randrange(2, 9))
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                p[x] = y
+            gens.append(p)
+        groups.append((n, gens))
+    for n in (8, 11, 16):  # two random permutations: S_n or A_n, almost surely
+        groups.append((n, [list(random_perm(rng, n)) for _ in range(2)]))
+    s5 = (5, [cycle(5, [0, 1, 2, 3, 4]), cycle(5, [0, 1])])
+    d6 = (6, [cycle(6, [0, 1, 2, 3, 4, 5]), [0, 5, 4, 3, 2, 1]])
+    c7 = (7, [cycle(7, list(range(7)))])
+    s3, s4 = (3, [cycle(3, [0, 1, 2]), cycle(3, [0, 1])]), (4, [cycle(4, [0, 1, 2, 3]), cycle(4, [0, 1])])
+    c3 = (3, [cycle(3, [0, 1, 2])])
+    groups += [
+        direct_product(s5, d6, c7),
+        direct_product(s4, s4),
+        wreath_product(s3, s4),
+        wreath_product(wreath_product(c3, c3), c3),
+        wreath_product(s5, (8, [cycle(8, list(range(8)))])),
+    ]
+    for params in ((3, 2, 1, 1), (5, 2, 2, 1)):
+        R = make_group(*params).regular_representation()
+        groups.append((R.degree, [g.tolist() for g in R.generators]))
+    return groups
+
+
+def test_generic_chain_matches_sympy_on_multi_level_groups():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(61)
+    outcomes = set()
+    for n, gens in chain_test_groups():
+        G = PermGroup(n, gens)
+        S = combinatorics.PermutationGroup([combinatorics.Permutation(g) for g in gens])
+        assert G.order() == S.order(), n
+        for _ in range(10):
+            word = identity(n)
+            for _ in range(15):
+                word = compose(word, rng.choice(gens))
+            assert G.contains(word) and S.contains(combinatorics.Permutation(word.tolist()))
+            perm = random_perm(rng, n)
+            member = G.contains(perm)
+            assert member == S.contains(combinatorics.Permutation(list(perm)))
+            outcomes.add(member)
+    assert outcomes == {True, False}
 
 
 # -- orbit counts of classify ----------------------------------------------------------
