@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import families
@@ -92,16 +93,22 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+# the edge-list parser's rule: int() also takes non-ASCII digits, "+", "_" and spaces
+_DECIMAL = re.compile(r"[0-9]+")
+
+
 def _parse_group(text: str):
     parts = text.split(",")
     if len(parts) != 4:
         raise ParameterError(f"expected p,m,n,r, got {text!r}")
     values = []
     for name, field in zip("pmnr", parts):
+        if not _DECIMAL.fullmatch(field):
+            raise ParameterError(f"{name} must be an integer of ASCII digits 0-9, got {field!r}")
         try:
             values.append(int(field))
-        except ValueError:
-            raise ParameterError(f"{name} must be an integer, got {field!r}") from None
+        except ValueError:  # more digits than int() converts
+            raise ParameterError(f"{name} must be an integer, got {len(field)} digits") from None
     return make_group(*values)
 
 

@@ -27,6 +27,7 @@ from .graphs import graph6_encode
 from .metacyclic import (
     AbelianPairGroup,
     Element,
+    GroupMap,
     MetacyclicGroup,
     PairGroup,
     PairRelationReport,
@@ -348,27 +349,25 @@ class CensusResult:
 CENSUS_ORDER_BUDGET = 3**5
 
 
-def _aut_generators(group: MetacyclicGroup) -> list[np.ndarray]:
-    """`map_ranks` of maps from `automorphisms()` that generate Aut(H): a map
-    is kept when its images (a^f, b^f) lie outside the orbit of (a, b) under
-    the kept ones.  Aut(H) acts regularly on those images, so that orbit has
-    |<kept>| points, and the scan stops when it has |Aut(H)|."""
+def _aut_generators(group: MetacyclicGroup, table: np.ndarray) -> list[np.ndarray]:
+    """`map_ranks` of automorphisms that generate Aut(H), for the group's
+    `cayley_table()`.  Aut(H) acts regularly on the images (a^f, b^f), so
+    `automorphism_pairs` is the orbit of (a, b).  The scan walks those pairs
+    in (x, y) order and keeps the first one outside the orbit of (a, b) under
+    the maps kept so far; it stops when that orbit has |Aut(H)| points."""
     # numpy is imported on use, and np.unique (which imports numpy.ma) is
     # avoided: each raised a census's peak RSS by about 1 MB
     import numpy as np
 
-    auts = group.automorphisms()
+    pairs = group.automorphism_pairs(table)
     n, rank = group.order, group.rank
     seen = np.zeros(n * n, dtype=bool)  # the orbit of (a, b), packed
     seen[rank(group.gen_a) * n + rank(group.gen_b)] = True
     size = 1
     kept: list[np.ndarray] = []
-    for f in auts:
-        if size == len(auts):
-            break
-        if seen[rank(f.image_a) * n + rank(f.image_b)]:
-            continue
-        kept.append(group.map_ranks(f))
+    while size < len(pairs):
+        x, y = divmod(int(pairs[seen[pairs].argmin()]), n)  # the first pair not seen
+        kept.append(group.map_ranks(GroupMap(group.unrank(x), group.unrank(y), validated=True)))
         frontier = np.flatnonzero(seen)
         while len(frontier):
             x, y = np.divmod(frontier, n)
@@ -391,11 +390,11 @@ def _pair_moves(group: MetacyclicGroup) -> list[np.ndarray]:
     import numpy as np
 
     n = group.order
-    # table[g][h] = rank(h g); h g is the identity, rank 0, exactly at h = g^-1
-    table = np.stack([group.right_mul_ranks(g) for g in group.elements()])
+    cayley = group.cayley_table()
+    table = cayley.T  # table[g][h] = rank(h g), the identity (rank 0) exactly at h = g^-1
     inv = table.argmin(axis=1)
     points = np.arange(n)
-    moves = [(m[:, None] * n + m).ravel() for m in _aut_generators(group)]
+    moves = [(m[:, None] * n + m).ravel() for m in _aut_generators(group, cayley)]
     moves.append((points * n + points[:, None]).ravel())
     moves.append((inv[:, None] * n + inv).ravel())
     moves.append((inv[:, None] * n + table[inv]).ravel())
@@ -414,7 +413,8 @@ def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
     pair x < y in enumeration order, and one `generates` test per orbit drops
     the disconnected graphs.  Orbits only bound the classes from above: one
     `canonical_search` per orbit gives the class digest and the group that
-    `classify` receives.
+    `classify` receives.  On a connected graph that search starts with the
+    two right translations that generate R(H).
     """
     import numpy as np
 
@@ -432,12 +432,16 @@ def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
     generating = 0
     for root, size in zip(roots.tolist(), sizes[roots].tolist()):
         u, v = group.unrank(root // n), group.unrank(root % n)
-        if connected_only and not group.generates(u, v):
+        connected = group.generates(u, v)
+        if connected_only and not connected:
             continue
         generating += size
         spokes = (ident, u, v)
-        graph = BiCayleyGraph(group, (), (), spokes).graph
-        labelling, aut = canonical_search(graph)
+        bg = BiCayleyGraph(group, (), (), spokes)
+        graph = bg.graph
+        # canonical_search takes known automorphisms on a connected graph only
+        known = [right_translation(bg, g) for g in (group.gen_a, group.gen_b)] if connected else ()
+        labelling, aut = canonical_search(graph, known)
         # roots come in enumeration order, so each class keeps its first pair
         entry = buckets.setdefault(graph6_encode(graph.relabel(labelling)), [spokes, 0, graph, aut])
         entry[1] += size

@@ -22,6 +22,9 @@ from .errors import BudgetError, InvalidMapError, ParameterError
 Element = tuple[int, int]
 
 CLOSURE_BUDGET = 3**12
+# largest order for `cayley_table` (|G|^2 entries, 50 MB at 2500): every
+# group whose bi-Cayley graphs (2|G| vertices) fit the 5000-vertex search budget
+TABLE_BUDGET = 2500
 WORD_BUDGET = 2**63
 _TWIST_TABLE_CAP = 3**9
 
@@ -228,6 +231,15 @@ class PairGroup:
         j, i = g[0] % self.mod_j, g[1] % self.mod_i
         return ((J + j) % self.mod_j) * self.mod_i + (i * W[J] + I) % self.mod_i
 
+    def cayley_table(self):
+        """T[g, h] = rank(g h) for every pair of ranks: row g is
+        `left_mul_ranks(g)` and column h is `right_mul_ranks(h)`."""
+        if self.order > TABLE_BUDGET:
+            raise BudgetError(f"group order {self.order} exceeds the Cayley table budget {TABLE_BUDGET}")
+        J, I, W = self._rank_columns()
+        # (b^{j1} a^{i1}) (b^{j2} a^{i2}) = b^{j1+j2} a^{i1 w^{j2} + i2}
+        return ((J[:, None] + J) % self.mod_j) * self.mod_i + (I[:, None] * W[J] + I) % self.mod_i
+
     def _power_columns(self, g: Element, count: int):
         """The parts (j, i) of g^0, ..., g^{count-1} as two np.intp arrays."""
         import numpy as np
@@ -313,23 +325,42 @@ class MetacyclicGroup(PairGroup):
         """
         return (x[0] * y[1] - x[1] * y[0]) % self.p != 0
 
-    def automorphisms(self) -> list[GroupMap]:
-        """All of Aut(G) as validated maps a -> x, b -> y, ordered by (x, y).
+    def automorphism_pairs(self, table):
+        """All of Aut(G) as the images (x, y) of (a, b), each packed as
+        rank(x) * |G| + rank(y), ascending: (x, y) in rank order.
 
-        The images must satisfy the presentation and generate G; a surjective
-        homomorphism from a group of order |G| onto G is a bijection.  Images
-        of a and b keep the orders p^m and p^n, which prunes the candidates.
+        a -> x, b -> y is an automorphism exactly when x has order p^m, y has
+        order p^n, x and y generate G (`generates`) and y^-1 x y = x^(1+p^r),
+        that is x y = y x^(1+p^r): a homomorphism from a group of order |G|
+        onto G is a bijection.  table is `cayley_table()`; comparing row x
+        with column x^(1+p^r) tests every y at once.
         """
-        els = self.elements()
-        xs = [g for g in els if self.element_order(g) == self.mod_i]
-        ys = [g for g in els if self.element_order(g) == self.mod_j]
-        out = []
-        for x in xs:
-            rhs = self.pow(x, self.twist)
-            for y in ys:
-                if self.generates(x, y) and self.conj(x, y) == rhs:
-                    out.append(GroupMap(x, y, validated=True))
-        return out
+        import numpy as np
+
+        J, I, _ = self._rank_columns()
+        size, p = self.order, self.p
+        points = np.arange(size)
+        power = points  # x^p for every x, by p - 1 products
+        for _ in range(p - 1):
+            power = table[power, points]
+        # log_p of each order: the p-th powers taken until the identity, rank 0
+        log_order = np.zeros(size, dtype=np.intp)
+        cur = points
+        while cur.any():
+            log_order += cur != 0
+            cur = power[cur]
+        twisted = points  # x^(p^r), then x^(1+p^r)
+        for _ in range(self.r):
+            twisted = power[twisted]
+        twisted = table[points, twisted]
+        xs = np.flatnonzero(log_order == self.m)
+        valid = (
+            (log_order == self.n)
+            & ((J[xs, None] * I - I[xs, None] * J) % p != 0)
+            & (table[xs] == table[:, twisted[xs]].T)
+        )
+        rows, ys = np.nonzero(valid)
+        return xs[rows] * size + ys
 
     def maximal_subgroups(self) -> list[tuple[list[Element], frozenset[Element]]]:
         """The p+1 index-p subgroups of a 2-generated p-group, via G/Phi(G).

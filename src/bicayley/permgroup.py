@@ -249,6 +249,7 @@ class PermGroup:
         ident = identity(degree)
         ident_bytes = ident.tobytes()
         strong: list[Perm] = list(self.generators)
+        strong_inv = [invert(g) for g in strong]  # one inverse per strong generator
         levels = [_Level(b, degree) for b in self._base or ()]
 
         def rebuild() -> list[list[tuple[Perm, Perm]]]:
@@ -266,7 +267,7 @@ class PermGroup:
             per_level: list[list[tuple[Perm, Perm]]] = []
             for depth, lv in enumerate(levels):
                 fixed = as_perm([earlier.base for earlier in levels[:depth]])
-                pairs = [(g, invert(g)) for g in strong if (g[fixed] == fixed).all()]
+                pairs = [(g, g_inv) for g, g_inv in zip(strong, strong_inv) if (g[fixed] == fixed).all()]
                 per_level.append(pairs)
                 lv.inverse = {lv.base: ident}
                 frontier = [lv.base]
@@ -307,6 +308,7 @@ class PermGroup:
             if residue is None:
                 break
             strong.append(residue)
+            strong_inv.append(invert(residue))
         self._levels = levels
 
     def order(self) -> int:

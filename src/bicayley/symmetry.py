@@ -40,6 +40,16 @@ holds an equivalent leaf is kept by its trace, then either yields an
 automorphism fixing the prefix or is pruned as the image of one that did.
 Both reach `PermGroup.with_base`, so |Aut| is a product of basic orbit sizes.
 
+A search may start with known automorphisms (the census passes R(H), the
+right translations of a bi-Cayley graph).  They join the harvested ones
+before the traversal, so orbit pruning uses them from the root, and they
+are among the generators handed to `with_base`.  The argument above holds
+unchanged: a child that a known automorphism fixing the prefix maps onto an
+explored child lies in that child's orbit under the generators fixing the
+prefix, so its subtree is the image of an explored one and its basic orbit
+is counted.  The search visits its first child at every node whatever it
+knows, so the first leaf, and with it the base, does not move.
+
 `canonical_search` is the one entry point of the canonical mode: it runs one
 search per connected component (n = 0 has none) and returns the canonical
 labelling and the automorphism group together.  `canonical_form` encodes the
@@ -55,6 +65,7 @@ import json
 import zlib
 from dataclasses import dataclass
 from itertools import groupby
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -150,10 +161,11 @@ class _Search:
     """One traversal for both jobs: `run_auto` collects automorphisms anchored
     to the first leaf; `run_canon` also keeps the largest certificate."""
 
-    def __init__(self, engine: _Engine):
+    def __init__(self, engine: _Engine, known: Sequence[np.ndarray] = ()):
         self.e = engine
-        self.autos: list[np.ndarray] = []
-        self._auto_keys: set[bytes] = set()
+        # known automorphisms prune from the root and join the generators
+        self.autos: list[np.ndarray] = list(known)
+        self._auto_keys: set[bytes] = {g.tobytes() for g in self.autos}
         self.canon = False
         # a leaf: (trace, leaf bytes, leaf colouring, individualized path)
         self.first: tuple[tuple[int, ...], bytes, np.ndarray, list[int]] | None = None
@@ -270,9 +282,30 @@ def _check_budget(graph: Graph) -> None:
         )
 
 
-def canonical_search(graph: Graph) -> tuple[list[int], PermGroup]:
+def _known_automorphisms(graph: Graph, automorphisms: Iterable) -> list[np.ndarray]:
+    """The given maps as permutation arrays, each checked to be an
+    automorphism of the graph."""
+    known = []
+    for g in automorphisms:
+        perm = np.ascontiguousarray(g, dtype=np.intp)
+        if not (
+            perm.shape == (graph.n,)
+            and np.array_equal(np.sort(perm), np.arange(graph.n))
+            and graph.preserves_edges(perm)
+        ):
+            raise NotAutomorphism("a known automorphism is not an automorphism of the graph")
+        known.append(perm)
+    return known
+
+
+def canonical_search(graph: Graph, automorphisms: Iterable = ()) -> tuple[list[int], PermGroup]:
     """A canonical labelling and the full automorphism group, from one
     canonical search per connected component.
+
+    automorphisms, for a connected graph only, are known automorphisms of
+    it (the census passes R(H)): the search starts with them and prunes by
+    them from the root.  The labelling may differ from an unseeded search's
+    but the relabelled graph does not; the group is the same.
 
     Components are sorted by (size, canonical form of the component) and laid
     out in that order: the labelling sends the vertex at canonical position p
@@ -286,11 +319,14 @@ def canonical_search(graph: Graph) -> tuple[list[int], PermGroup]:
     classes.
     """
     _check_budget(graph)
+    known = _known_automorphisms(graph, automorphisms)
     comps = graph.components()
+    if known and len(comps) != 1:
+        raise PreconditionError("known automorphisms need a connected graph")
     blocks = []
     for comp in comps:
         sub = graph if len(comps) == 1 else graph.subgraph(comp)
-        search = _Search(_Engine(sub))
+        search = _Search(_Engine(sub), known)
         labelling, _ = search.run_canon()
         # one component needs no form to sort by
         form = graph6_encode(sub.relabel(labelling)) if len(comps) > 1 else ""

@@ -97,6 +97,54 @@ def automorphisms_by_images(G):
     return [(x, y) for x in els for y in els if check_generator_images(G, x, y).ok]
 
 
+def automorphisms(G):
+    """All of Aut(G) for a metacyclic G as validated maps a -> x, b -> y,
+    ordered by (x, y), with scalar arithmetic: x of order p^m, y of order
+    p^n, generating G, with y^-1 x y = x^(1+p^r).  A homomorphism from a
+    group of order |G| onto G is a bijection."""
+    from bicayley.metacyclic import GroupMap
+
+    els = G.elements()
+    xs = [g for g in els if G.element_order(g) == G.mod_i]
+    ys = [g for g in els if G.element_order(g) == G.mod_j]
+    out = []
+    for x in xs:
+        rhs = G.pow(x, G.twist)
+        for y in ys:
+            if G.generates(x, y) and G.conj(x, y) == rhs:
+                out.append(GroupMap(x, y, validated=True))
+    return out
+
+
+def aut_generators_by_scan(G):
+    """Rank images of the maps of `automorphisms(G)` that the census keeps:
+    walking the maps in (x, y) order, a map is kept when (x, y) lies outside
+    the orbit of (a, b) under the maps kept so far, grown pair by pair."""
+    from bicayley.metacyclic import apply_map
+
+    auts = automorphisms(G)
+    rank = G.rank
+    kept = []
+    seen = {(G.gen_a, G.gen_b)}
+    for f in auts:
+        if len(seen) == len(auts):
+            break
+        if (f.image_a, f.image_b) in seen:
+            continue
+        kept.append(f)
+        frontier = list(seen)
+        while frontier:
+            new = []
+            for x, y in frontier:
+                for g in kept:
+                    image = (apply_map(G, g, x), apply_map(G, g, y))
+                    if image not in seen:
+                        seen.add(image)
+                        new.append(image)
+            frontier = new
+    return [np.array([rank(apply_map(G, f, h)) for h in G.elements()], dtype=np.intp) for f in kept]
+
+
 def subgroup_is_abelian(G, elements):
     elements = sorted(elements)
     for x in elements:

@@ -129,7 +129,12 @@ def test_census_over_budget_is_a_usage_error():
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("group, field", [("a,b,c,d", "p"), ("3.0,2,1,1", "p"), (",,,", "p"), ("3,2,x,1", "n")])
+@pytest.mark.parametrize("group, field", [
+    ("a,b,c,d", "p"), ("3.0,2,1,1", "p"), (",,,", "p"), ("3,2,x,1", "n"),
+    # int() takes each of these: non-ASCII digits, a sign, an underscore, whitespace
+    ("\u0969,2,1,1", "p"), ("3,2,1,\u0661", "r"), ("+3,2,1,1", "p"), ("3,2_0,1,1", "m"),
+    (" 3,2,1,1", "p"), ("3,2,1,1\t", "r"), ("3,\u20032,1,1", "m"), ("9" * 5000 + ",2,1,1", "p"),
+])
 def test_non_integer_group_is_a_usage_error(group, field):
     proc = run_module("census", "--group", group)
     assert proc.returncode == 2 and proc.stdout == ""

@@ -244,11 +244,16 @@ def test_census_moves(params):
     from bicayley import PermGroup, make_group
     from bicayley.families import _aut_generators, _pair_moves
 
+    from .oracles import aut_generators_by_scan, automorphisms
+
     G = make_group(*params)
     n = G.order
-    kept = _aut_generators(G)
+    kept = _aut_generators(G, G.cayley_table())
+    # the same maps as the scan over the scalar enumeration of Aut(H)
+    expect = aut_generators_by_scan(G)
+    assert len(kept) == len(expect) and all(np.array_equal(a, b) for a, b in zip(kept, expect))
     # the generic Schreier-Sims chain, not the regular-action argument
-    assert PermGroup(n, kept).order() == len(G.automorphisms())
+    assert PermGroup(n, kept).order() == len(automorphisms(G))
     els = G.elements()
     x, y = np.divmod(np.arange(n * n), n)
     proper = (x > 0) & (y > 0) & (x != y)

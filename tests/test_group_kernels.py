@@ -47,8 +47,8 @@ def all_groups():
 
 @cache
 def group_maps(G):
-    if hasattr(G, "automorphisms"):
-        return G.automorphisms()
+    if hasattr(G, "p"):
+        return oracles.automorphisms(G)
     return [GroupMap(x, y, validated=True) for x, y in oracles.automorphisms_by_images(G)]
 
 
@@ -80,6 +80,17 @@ def test_right_and_left_mul_ranks_match_scalar_mul():
             assert np.array_equal(right, scalar_ranks(G, lambda h: G.mul(h, g)))
             assert np.array_equal(left, scalar_ranks(G, lambda h: G.mul(g, h)))
             assert np.array_equal(G.left_mul_ranks(g, shuffled), left[shuffled])
+
+
+def test_cayley_table_matches_scalar_mul_and_row_kernels():
+    for G in all_groups():
+        table = G.cayley_table()
+        assert table.dtype == np.intp and table.shape == (G.order, G.order)
+        expect = np.array([[G.rank(G.mul(g, h)) for h in G.elements()] for g in G.elements()])
+        assert np.array_equal(table, expect)
+        for g in G.elements():
+            assert np.array_equal(table[G.rank(g)], G.left_mul_ranks(g))
+            assert np.array_equal(table[:, G.rank(g)], G.right_mul_ranks(g))
 
 
 def test_map_ranks_matches_apply_map_on_every_map():
@@ -128,10 +139,13 @@ def test_kernels_stay_within_enumeration_budget():
         lambda: G.right_mul_ranks(G.gen_a),
         lambda: G.left_mul_ranks(G.gen_a),
         lambda: G.map_ranks(f),
+        lambda: G.cayley_table(),
         lambda: BiCayleyGraph(G),
     ):
         with pytest.raises(BudgetError):
             call()
+    with pytest.raises(BudgetError):  # 3^8: enumerable, but its table would take 344 MB
+        make_group(3, 4, 4, 3).cayley_table()
 
 
 def test_generates_matches_closure_on_abelian_handles():

@@ -228,6 +228,34 @@ def test_generic_chain_matches_sympy_on_multi_level_groups():
     assert outcomes == {True, False}
 
 
+def test_chain_inverts_each_strong_generator_once(monkeypatch):
+    """Building the chain of S_5 wr C_8 (degree 40, 32 levels) inverts no
+    generator in `rebuild`, which once inverted every strong generator again
+    on every level and every restart: 9,436 calls for one order()."""
+    import sys
+
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    from bicayley import permgroup
+
+    calls = {"rebuild": 0, "other": 0}
+    invert = permgroup.invert
+
+    def counted(p):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "rebuild":
+            frame = frame.f_back
+        calls["rebuild" if frame is not None else "other"] += 1
+        return invert(p)
+
+    monkeypatch.setattr(permgroup, "invert", counted)
+    n, gens = chain_test_groups()[-3]
+    G = PermGroup(n, gens)
+    order = G.order()
+    assert order == combinatorics.PermutationGroup([combinatorics.Permutation(g) for g in gens]).order()
+    assert order == math.factorial(5) ** 8 * 8
+    assert calls["rebuild"] == 0 and calls["other"] > 0
+
+
 # -- orbit counts of classify ----------------------------------------------------------
 
 

@@ -276,3 +276,45 @@ def test_canonical_forms_against_networkx():
         assert (fg == fh) == same, (g.edges, h.edges)
         outcomes.add(same)
     assert outcomes == {True, False}
+
+
+# -- searches seeded with known automorphisms ------------------------------------------
+
+
+def test_seeded_search_matches_unseeded():
+    """canonical_search seeded with a random subset of aut_group's generators
+    gives the unseeded relabelled graph and |Aut|, and sympy finds the same
+    order for the generators it returns, which differs when they are not
+    strong relative to the search's base."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(609)
+    seeded_any = False
+    for g, _ in oracle_family()[0]:
+        if not g.is_connected():
+            continue
+        labelling, aut = symmetry.canonical_search(g)
+        gens = list(aut_group(g).generators)
+        seeds = rng.sample(gens, rng.randrange(len(gens) + 1))
+        seeded_any |= bool(seeds)
+        seeded_labelling, seeded = symmetry.canonical_search(g, seeds)
+        assert g.relabel(seeded_labelling) == g.relabel(labelling), g.edges
+        assert seeded.order() == aut.order(), g.edges
+        perms = [combinatorics.Permutation(list(x)) for x in seeded.generators] or [combinatorics.Permutation(g.n - 1)]
+        assert combinatorics.PermutationGroup(perms).order() == aut.order(), g.edges
+    assert seeded_any
+
+
+def test_seeded_search_rejects_bad_seeds():
+    from bicayley.errors import NotAutomorphism, PreconditionError
+
+    g = petersen()  # outer cycle 0..4, spokes i -- i + 5
+    rotation = [(i + 1) % 5 for i in range(5)] + [5 + (i + 1) % 5 for i in range(5)]
+    assert g.preserves_edges(rotation)
+    swap = list(range(10))
+    swap[0], swap[1] = 1, 0  # moves the edge {1, 2} onto the non-edge {0, 2}
+    for bad in (swap, rotation[:9], [0] * 10, rotation + [10]):
+        with pytest.raises(NotAutomorphism):
+            symmetry.canonical_search(g, [rotation, bad])
+    two = copies(g, 2)
+    with pytest.raises(PreconditionError):
+        symmetry.canonical_search(two, [rotation + [10 + v for v in rotation]])
