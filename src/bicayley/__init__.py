@@ -45,14 +45,11 @@ from .metacyclic import (
     GroupMap,
     MetacyclicGroup,
     PairGroup,
-    apply_map,
     check_generator_images,
-    compose_maps,
     identity_map,
     is_automorphism_pair,
     make_automorphism,
     make_group,
-    map_order,
 )
 from .permgroup import PermGroup, compose, identity, invert, is_normal, orbit_of_tuple
 from .symmetry import (

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidMapError, InvariantViolation, NotAutomorphism, SetConditionError
 from .graphs import Graph
-from .metacyclic import Element, GroupMap, PairGroup, apply_map
+from .metacyclic import Element, GroupMap, PairGroup, make_automorphism
 from .permgroup import PermGroup, as_perm
 
 if TYPE_CHECKING:
@@ -111,22 +111,27 @@ class MapResult:
         return self.permutation is not None
 
 
+def _ranks(group: PairGroup, items: Iterable[Element], row=None) -> set[int]:
+    """The ranks of the given elements, or of their images under the rank row."""
+    ranks = [group.rank(x) for x in items]
+    return set(ranks if row is None else row[ranks].tolist())
+
+
 def sigma_map(bg: BiCayleyGraph, f: GroupMap, g: Element) -> MapResult:
     """sigma_{alpha,g}: h_0 -> (h^alpha)_0, h_1 -> (g h^alpha)_1.
 
     Valid exactly when R^alpha = R, L^alpha = g^-1 L g and S^alpha = g^-1 S.
     """
-    G = bg.group
-    img = lambda x: apply_map(G, f, x)
-    if {img(x) for x in bg.R} != set(bg.R):
-        return MapResult(None, "R^alpha != R")
-    if {img(x) for x in bg.L} != {G.mul(G.mul(G.inv(g), x), g) for x in bg.L}:
-        return MapResult(None, "L^alpha != g^-1 L g")
-    if {img(x) for x in bg.S} != {G.mul(G.inv(g), x) for x in bg.S}:
-        return MapResult(None, "S^alpha != g^-1 S")
     import numpy as np
 
+    G = bg.group
     ha = G.map_ranks(f)
+    if _ranks(G, bg.R, ha) != _ranks(G, bg.R):
+        return MapResult(None, "R^alpha != R")
+    if _ranks(G, bg.L, ha) != _ranks(G, (G.conj(x, g) for x in bg.L)):
+        return MapResult(None, "L^alpha != g^-1 L g")
+    if _ranks(G, bg.S, ha) != _ranks(G, (G.mul(G.inv(g), x) for x in bg.S)):
+        return MapResult(None, "S^alpha != g^-1 S")
     images = np.concatenate((ha, bg.half + G.left_mul_ranks(g, ha)))
     return MapResult(_check_automorphism(bg, images))
 
@@ -137,19 +142,16 @@ def delta_map(bg: BiCayleyGraph, f: GroupMap, x: Element, y: Element) -> MapResu
     Valid exactly when R^alpha = x^-1 L x, L^alpha = y^-1 R y and
     S^alpha = y^-1 S^-1 x.
     """
-    G = bg.group
-    img = lambda z: apply_map(G, f, z)
-    conj = lambda t, u: G.mul(G.mul(G.inv(t), u), t)
-    if {img(z) for z in bg.R} != {conj(x, z) for z in bg.L}:
-        return MapResult(None, "R^alpha != x^-1 L x")
-    if {img(z) for z in bg.L} != {conj(y, z) for z in bg.R}:
-        return MapResult(None, "L^alpha != y^-1 R y")
-    want = {G.mul(G.mul(G.inv(y), G.inv(z)), x) for z in bg.S}
-    if {img(z) for z in bg.S} != want:
-        return MapResult(None, "S^alpha != y^-1 S^-1 x")
     import numpy as np
 
+    G = bg.group
     ha = G.map_ranks(f)
+    if _ranks(G, bg.R, ha) != _ranks(G, (G.conj(z, x) for z in bg.L)):
+        return MapResult(None, "R^alpha != x^-1 L x")
+    if _ranks(G, bg.L, ha) != _ranks(G, (G.conj(z, y) for z in bg.R)):
+        return MapResult(None, "L^alpha != y^-1 R y")
+    if _ranks(G, bg.S, ha) != _ranks(G, (G.mul(G.mul(G.inv(y), G.inv(z)), x) for z in bg.S)):
+        return MapResult(None, "S^alpha != y^-1 S^-1 x")
     images = np.concatenate((bg.half + G.left_mul_ranks(x, ha), G.left_mul_ranks(y, ha)))
     return MapResult(_check_automorphism(bg, images))
 
@@ -173,8 +175,9 @@ def swap_parts(bg: BiCayleyGraph) -> BiCayleyGraph:
 def apply_group_automorphism(bg: BiCayleyGraph, f: GroupMap) -> BiCayleyGraph:
     """BiCay(H, R^alpha, L^alpha, S^alpha), isomorphic via h_i -> (h^alpha)_i."""
     G = bg.group
-    img = lambda x: apply_map(G, f, x)
-    return BiCayleyGraph(G, [img(x) for x in bg.R], [img(x) for x in bg.L], [img(x) for x in bg.S])
+    ha = G.map_ranks(f)
+    R, L, S = ([G.unrank(r) for r in _ranks(G, conn, ha)] for conn in (bg.R, bg.L, bg.S))
+    return BiCayleyGraph(G, R, L, S)
 
 
 def normalize_S(bg: BiCayleyGraph) -> BiCayleyGraph:
@@ -194,35 +197,55 @@ def spoke_stabilizer_maps(bg: BiCayleyGraph) -> list[tuple[GroupMap, Element, Pe
     (S = {1, x, y} generating, R = L = {}).
 
     A valid sigma map sends the spoke neighbour 1_1 to g_1 with g in S and
-    permutes the three spokes, so its generator images are forced by one of
-    the six spoke arrangements; each candidate is validated, making the
-    returned family exhaustive over sigma maps.  These are exactly the
-    part-preserving elements of the normalizer of R(H) fixing the identity
-    vertex, so for a normal bi-Cayley graph
+    permutes the three spokes, so it is the homomorphism x -> g^-1 s,
+    y -> g^-1 s' of one of the six spoke arrangements (g, s, s').  Each
+    arrangement's rank row phi is grown along a breadth-first tree of right
+    multiplications by x and y and kept only if it respects both steps at
+    every h, which makes it a homomorphism; its images of a and b are then
+    validated, making the returned family exhaustive over sigma maps.  These
+    are exactly the part-preserving elements of the normalizer of R(H) fixing
+    the identity vertex, so for a normal bi-Cayley graph
     |Aut| = |H| * len(result) * (2 if a part-swapping map exists else 1).
     """
-    from .metacyclic import evaluate_word, express_in_images, make_automorphism
+    import numpy as np
 
     G = bg.group
     ident = G.identity
     if bg.R or bg.L or len(bg.S) != 3 or ident not in bg.S:
         raise InvariantViolation("spoke arrangements need R = L = {} and S = {1, x, y}")
     x, y = [s for s in bg.S if s != ident]
-    word_a, word_b = express_in_images(G, x, y, [G.gen_a, G.gen_b])
-    out = []
-    for pi in (
+    arrangements = (
         (ident, x, y), (ident, y, x),
         (x, y, ident), (x, ident, y),
         (y, ident, x), (y, x, ident),
-    ):
-        g = pi[0]
-        ginv = G.inv(g)
-        x_img = G.mul(ginv, pi[1])
-        y_img = G.mul(ginv, pi[2])
-        a_img = evaluate_word(G, word_a, x_img, y_img)
-        b_img = evaluate_word(G, word_b, x_img, y_img)
+    )
+    steps = [G.right_mul_ranks(x), G.right_mul_ranks(y)]
+    # moves[s][k]: right multiplication by arrangement k's image of step s
+    moves = [np.array([G.right_mul_ranks(G.mul(G.inv(pi[0]), pi[s])) for pi in arrangements]) for s in (1, 2)]
+    rows = np.arange(len(arrangements))[:, None]
+    phi = np.zeros((len(arrangements), G.order), dtype=np.intp)
+    seen = np.zeros(G.order, dtype=bool)
+    seen[0] = True  # the identity, rank 0, is fixed
+    frontier = np.zeros(1, dtype=np.intp)
+    while len(frontier):
+        fresh = np.zeros_like(seen)
+        for step, move in zip(steps, moves):
+            child = step[frontier]
+            new = ~seen[child]
+            phi[:, child[new]] = move[rows, phi[:, frontier[new]]]
+            seen[child] = fresh[child[new]] = True
+        frontier = np.flatnonzero(fresh)
+    if not seen.all():
+        raise InvalidMapError("the spokes x, y do not generate the group")
+    ra, rb = G.rank(G.gen_a), G.rank(G.gen_b)
+    out = []
+    for k, (g, _, _) in enumerate(arrangements):
+        row = phi[k]
+        # row[h s] = row[h] s^phi for both steps s and every h: a homomorphism
+        if not all(np.array_equal(row[step], move[k][row]) for step, move in zip(steps, moves)):
+            continue
         try:
-            alpha = make_automorphism(G, a_img, b_img)
+            alpha = make_automorphism(G, G.unrank(int(row[ra])), G.unrank(int(row[rb])))
         except InvalidMapError:
             continue
         res = sigma_map(bg, alpha, g)

@@ -25,6 +25,7 @@ from .bicay import BiCayleyGraph, MapResult, delta_map, right_translation, sigma
 from .errors import BudgetError, NoLambdaError, ParameterError
 from .graphs import graph6_encode
 from .metacyclic import (
+    CLOSURE_BUDGET,
     AbelianPairGroup,
     Element,
     GroupMap,
@@ -114,6 +115,8 @@ def abelian_family(m: int, n: int) -> BiCayleyGraph:
     """BiCay(Z_nm x Z_m, {}, {}, {1, x, x^lambda y}) with lambda^2-lambda+1 = 0 mod n."""
     if n * m * m < 3:
         raise ParameterError("need n*m^2 >= 3")
+    if n * m * m > CLOSURE_BUDGET:  # before find_lambda's loop over Z_n
+        raise BudgetError(f"group order {n * m * m} exceeds enumeration budget")
     lam = find_lambda(n)
     G = AbelianPairGroup(m, n * m)  # x is the a-slot (order nm), y the b-slot (order m)
     x, y = G.gen_a, G.gen_b

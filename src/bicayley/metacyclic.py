@@ -15,7 +15,7 @@ the abelian handle used by the one-matching abelian families is realised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import BudgetError, InvalidMapError, ParameterError
 
@@ -81,7 +81,7 @@ class PairGroup:
         self.identity: Element = (0, 0)
         self.gen_a: Element = (0, 1 % mod_i)
         self.gen_b: Element = (1 % mod_j, 0)
-        self._order_primes = _prime_factors(self.order) if self.order > 1 else []
+        self._order_primes: list[int] | None = None  # factored on first use
         self._element_list: tuple[Element, ...] | None = None
         self._columns = None
 
@@ -127,6 +127,8 @@ class PairGroup:
         return self.mul(self.mul(self.inv(g), self.inv(h)), self.mul(g, h))
 
     def element_order(self, g: Element) -> int:
+        if self._order_primes is None:
+            self._order_primes = _prime_factors(self.order)
         k = self.order
         for q in self._order_primes:
             while k % q == 0 and self.pow(g, k // q) == self.identity:
@@ -295,17 +297,25 @@ class MetacyclicGroup(PairGroup):
     """
 
     def __init__(self, p: int, m: int, n: int, r: int):
-        if not _is_odd_prime(p):
+        # cheap checks first: a huge p or exponent must not reach a big power
+        # or trial division
+        if p < 3 or p % 2 == 0:
             raise ParameterError(f"p must be an odd prime, got {p}")
         if min(m, n, r) < 1:
             raise ParameterError("m, n, r must be positive")
         if not (r < m <= n + r):
             raise ParameterError(f"need r < m <= n + r, got (m, n, r) = ({m}, {n}, {r})")
+        # 3^40 > 2^63, so with p >= 3 an exponent of 40 or more overflows
+        # before any big power is taken
+        if p >= WORD_BUDGET or max(m, n) >= 40 or max(p**m, p**n) >= WORD_BUDGET:
+            raise OverflowError("p^m or p^n exceeds the machine word budget (2^63)")
+        # m >= 2 and p^m < 2^63 leave p < 2^31.5: at most ~28k trial divisions
+        if not _is_odd_prime(p):
+            raise ParameterError(f"p must be an odd prime, got {p}")
         p_m = p**m
         p_n = p**n
-        if p_m >= WORD_BUDGET or p_n >= WORD_BUDGET:
-            raise OverflowError("p^m or p^n exceeds the machine word budget (2^63)")
         super().__init__(p_n, p_m, 1 + p**r, p ** (m - r))
+        self._order_primes = [p]
         if pow(1 + p**r, p_n, p_m) != 1:
             raise ParameterError("inconsistent presentation: (1+p^r)^(p^n) != 1 mod p^m")
         self.p = p
@@ -481,83 +491,3 @@ def make_automorphism(G: PairGroup, x: Element, y: Element) -> GroupMap:
 
 def identity_map(G: PairGroup) -> GroupMap:
     return GroupMap(G.gen_a, G.gen_b, validated=True)
-
-
-def apply_map(G: PairGroup, f: GroupMap, g: Element) -> Element:
-    """Image of g = b^j a^i, i.e. (image of b)^j (image of a)^i."""
-    if not f.validated:
-        raise InvalidMapError("map has not been validated as an automorphism")
-    j, i = g
-    return G.mul(G.pow(f.image_b, j), G.pow(f.image_a, i))
-
-
-def compose_maps(G: PairGroup, f1: GroupMap, f2: GroupMap) -> GroupMap:
-    """The map 'apply f1, then f2'."""
-    if not (f1.validated and f2.validated):
-        raise InvalidMapError("map has not been validated as an automorphism")
-    return GroupMap(
-        apply_map(G, f2, f1.image_a),
-        apply_map(G, f2, f1.image_b),
-        validated=True,
-    )
-
-
-def map_order(G: PairGroup, f: GroupMap) -> int:
-    if not f.validated:
-        raise InvalidMapError("map has not been validated as an automorphism")
-    ident = (G.gen_a, G.gen_b)
-    cur = f
-    k = 1
-    while (cur.image_a, cur.image_b) != ident:
-        cur = compose_maps(G, cur, f)
-        k += 1
-        if k > G.order:
-            raise InvalidMapError("map does not power to the identity")
-    return k
-
-
-def express_in_images(
-    G: PairGroup, x: Element, y: Element, targets: Sequence[Element]
-) -> list[tuple[int, ...]]:
-    """Words over (x, y) reaching each target, by breadth-first search.
-
-    Raises InvalidMapError if some target is outside <x, y>.  Used to carry a
-    map defined on an arbitrary generating pair back to images of (a, b):
-    evaluate the words for a and b at the desired images of x and y.
-    """
-    gens = (x, y)
-    parent: dict[Element, tuple[Element, int] | None] = {G.identity: None}
-    frontier = [G.identity]
-    wanted = set(targets)
-    while frontier and not wanted <= parent.keys():
-        new = []
-        for el in frontier:
-            for idx, g in enumerate(gens):
-                nxt = G.mul(el, g)
-                if nxt not in parent:
-                    parent[nxt] = (el, idx)
-                    new.append(nxt)
-        if len(parent) > CLOSURE_BUDGET:
-            raise BudgetError("word search exceeds the enumeration budget")
-        frontier = new
-    words = []
-    for t in targets:
-        t = (t[0] % G.mod_j, t[1] % G.mod_i)
-        if t not in parent:
-            raise InvalidMapError(f"{G.element_str(t)} is not in the span of the pair")
-        word = []
-        cur = t
-        while parent[cur] is not None:
-            prev, idx = parent[cur]
-            word.append(idx)
-            cur = prev
-        words.append(tuple(reversed(word)))
-    return words
-
-
-def evaluate_word(G: PairGroup, word: Sequence[int], x: Element, y: Element) -> Element:
-    out = G.identity
-    gens = (x, y)
-    for idx in word:
-        out = G.mul(out, gens[idx])
-    return out

@@ -8,7 +8,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from bicayley.errors import BudgetError, DegreeMismatch, InvariantViolation
+from bicayley.errors import BudgetError, DegreeMismatch, InvalidMapError, InvariantViolation
+from bicayley.metacyclic import CLOSURE_BUDGET, GroupMap
 
 
 def order_by_iteration(G, g):
@@ -102,8 +103,6 @@ def automorphisms(G):
     ordered by (x, y), with scalar arithmetic: x of order p^m, y of order
     p^n, generating G, with y^-1 x y = x^(1+p^r).  A homomorphism from a
     group of order |G| onto G is a bijection."""
-    from bicayley.metacyclic import GroupMap
-
     els = G.elements()
     xs = [g for g in els if G.element_order(g) == G.mod_i]
     ys = [g for g in els if G.element_order(g) == G.mod_j]
@@ -120,8 +119,6 @@ def aut_generators_by_scan(G):
     """Rank images of the maps of `automorphisms(G)` that the census keeps:
     walking the maps in (x, y) order, a map is kept when (x, y) lies outside
     the orbit of (a, b) under the maps kept so far, grown pair by pair."""
-    from bicayley.metacyclic import apply_map
-
     auts = automorphisms(G)
     rank = G.rank
     kept = []
@@ -476,6 +473,154 @@ def _orbit_count(items: list[tuple[int, ...]], gens, normalize) -> int:
     return count
 
 
+# -- scalar generator-image maps -------------------------------------------------
+#
+# The element-at-a-time map layer that metacyclic.py carried before every map
+# became its `map_ranks` row: apply, compose and order of a map, and the word
+# search that carried a map on a spoke pair back to the images of (a, b).
+
+
+def apply_map(G, f, g):
+    """Image of g = b^j a^i, i.e. (image of b)^j (image of a)^i."""
+    if not f.validated:
+        raise InvalidMapError("map has not been validated as an automorphism")
+    j, i = g
+    return G.mul(G.pow(f.image_b, j), G.pow(f.image_a, i))
+
+
+def compose_maps(G, f1, f2):
+    """The map 'apply f1, then f2'."""
+    if not (f1.validated and f2.validated):
+        raise InvalidMapError("map has not been validated as an automorphism")
+    return GroupMap(
+        apply_map(G, f2, f1.image_a),
+        apply_map(G, f2, f1.image_b),
+        validated=True,
+    )
+
+
+def map_order(G, f):
+    if not f.validated:
+        raise InvalidMapError("map has not been validated as an automorphism")
+    ident = (G.gen_a, G.gen_b)
+    cur = f
+    k = 1
+    while (cur.image_a, cur.image_b) != ident:
+        cur = compose_maps(G, cur, f)
+        k += 1
+        if k > G.order:
+            raise InvalidMapError("map does not power to the identity")
+    return k
+
+
+def express_in_images(G, x, y, targets):
+    """Words over (x, y) reaching each target, by breadth-first search.
+
+    Raises InvalidMapError if some target is outside <x, y>.  Used to carry a
+    map defined on an arbitrary generating pair back to images of (a, b):
+    evaluate the words for a and b at the desired images of x and y.
+    """
+    gens = (x, y)
+    parent = {G.identity: None}
+    frontier = [G.identity]
+    wanted = set(targets)
+    while frontier and not wanted <= parent.keys():
+        new = []
+        for el in frontier:
+            for idx, g in enumerate(gens):
+                nxt = G.mul(el, g)
+                if nxt not in parent:
+                    parent[nxt] = (el, idx)
+                    new.append(nxt)
+        if len(parent) > CLOSURE_BUDGET:
+            raise BudgetError("word search exceeds the enumeration budget")
+        frontier = new
+    words = []
+    for t in targets:
+        t = (t[0] % G.mod_j, t[1] % G.mod_i)
+        if t not in parent:
+            raise InvalidMapError(f"{G.element_str(t)} is not in the span of the pair")
+        word = []
+        cur = t
+        while parent[cur] is not None:
+            prev, idx = parent[cur]
+            word.append(idx)
+            cur = prev
+        words.append(tuple(reversed(word)))
+    return words
+
+
+def evaluate_word(G, word, x, y):
+    out = G.identity
+    gens = (x, y)
+    for idx in word:
+        out = G.mul(out, gens[idx])
+    return out
+
+
+def sigma_condition_by_sets(bg, f, g):
+    """The first of sigma_map's conditions that (f, g) fails, or None, by sets
+    of scalar images."""
+    G = bg.group
+    img = lambda x: apply_map(G, f, x)
+    if {img(x) for x in bg.R} != set(bg.R):
+        return "R^alpha != R"
+    if {img(x) for x in bg.L} != {G.mul(G.mul(G.inv(g), x), g) for x in bg.L}:
+        return "L^alpha != g^-1 L g"
+    if {img(x) for x in bg.S} != {G.mul(G.inv(g), x) for x in bg.S}:
+        return "S^alpha != g^-1 S"
+    return None
+
+
+def delta_condition_by_sets(bg, f, x, y):
+    """The first of delta_map's conditions that (f, x, y) fails, or None."""
+    G = bg.group
+    img = lambda z: apply_map(G, f, z)
+    conj = lambda t, u: G.mul(G.mul(G.inv(t), u), t)
+    if {img(z) for z in bg.R} != {conj(x, z) for z in bg.L}:
+        return "R^alpha != x^-1 L x"
+    if {img(z) for z in bg.L} != {conj(y, z) for z in bg.R}:
+        return "L^alpha != y^-1 R y"
+    if {img(z) for z in bg.S} != {G.mul(G.mul(G.inv(y), G.inv(z)), x) for z in bg.S}:
+        return "S^alpha != y^-1 S^-1 x"
+    return None
+
+
+def spoke_maps_by_words(bg):
+    """`spoke_stabilizer_maps` by its former route: express a and b as words in
+    the spokes x, y, evaluate the words at each arrangement's images of x and
+    y, and keep the validated sigma maps."""
+    from bicayley.bicay import sigma_map
+    from bicayley.metacyclic import make_automorphism
+
+    G = bg.group
+    ident = G.identity
+    if bg.R or bg.L or len(bg.S) != 3 or ident not in bg.S:
+        raise InvariantViolation("spoke arrangements need R = L = {} and S = {1, x, y}")
+    x, y = [s for s in bg.S if s != ident]
+    word_a, word_b = express_in_images(G, x, y, [G.gen_a, G.gen_b])
+    out = []
+    for pi in (
+        (ident, x, y), (ident, y, x),
+        (x, y, ident), (x, ident, y),
+        (y, ident, x), (y, x, ident),
+    ):
+        g = pi[0]
+        ginv = G.inv(g)
+        x_img = G.mul(ginv, pi[1])
+        y_img = G.mul(ginv, pi[2])
+        a_img = evaluate_word(G, word_a, x_img, y_img)
+        b_img = evaluate_word(G, word_b, x_img, y_img)
+        try:
+            alpha = make_automorphism(G, a_img, b_img)
+        except InvalidMapError:
+            continue
+        res = sigma_map(bg, alpha, g)
+        if res.valid:
+            out.append((alpha, g, res.permutation))
+    return out
+
+
 # -- per-element bi-Cayley loops ------------------------------------------------
 #
 # bicay.py built its graphs and maps one element at a time through scalar
@@ -513,8 +658,6 @@ def right_translation_by_elements(bg, g):
 
 def sigma_images_by_elements(bg, f, g):
     """Images of h_0 -> (h^f)_0, h_1 -> (g h^f)_1."""
-    from bicayley.metacyclic import apply_map
-
     G = bg.group
     half = bg.half
     images = [0] * (2 * half)
@@ -528,8 +671,6 @@ def sigma_images_by_elements(bg, f, g):
 
 def delta_images_by_elements(bg, f, x, y):
     """Images of h_0 -> (x h^f)_1, h_1 -> (y h^f)_0."""
-    from bicayley.metacyclic import apply_map
-
     G = bg.group
     half = bg.half
     images = [0] * (2 * half)

@@ -225,7 +225,7 @@ def _random_symmetric_set(G, rng, size):
 
 def _random_automorphism(G, outer, rng):
     """A random inner automorphism, optionally composed with an outer one."""
-    from bicayley import compose_maps
+    from .oracles import compose_maps
 
     h = G.unrank(rng.randrange(G.order))
     inner = make_automorphism(G, G.conj(G.gen_a, h), G.conj(G.gen_b, h))

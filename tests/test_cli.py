@@ -102,7 +102,7 @@ def test_census_subcommand(capsys):
     ]
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=60):
     """python -m bicayley in a subprocess, so an uncaught exception would show
     as a traceback."""
     import os
@@ -117,12 +117,29 @@ def run_module(*argv):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "bicayley", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
 def test_census_over_budget_is_a_usage_error():
     proc = run_module("census", "--group", "3,4,2,3")
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # sizes refused before a big power, trial division or a loop over Z_n;
+    # each of these was still running after 6 s
+    ("census", "--group", "1000000000000000000000007,2,1,1"),
+    ("census", "--group", "3,3,30000000,2"),
+    ("census", "--group", "9223372036854775783,2,1,1"),
+    ("census", "--group", "2147483647,2,1,1"),  # p^2 < 2^63: over the census budget
+    ("family", "--kind", "abelian", "--m", "1", "--n", "1000000000000000000"),
+])
+def test_oversized_parameters_exit_at_once(argv):
+    proc = run_module(*argv, timeout=20)
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")

@@ -69,6 +69,20 @@ def test_find_lambda():
         find_lambda(9)
 
 
+def test_abelian_family_budget(monkeypatch):
+    from bicayley import families
+
+    def no_search(n):
+        raise AssertionError("find_lambda ran before the size budget")
+
+    monkeypatch.setattr(families, "find_lambda", no_search)
+    for m, n in ((1, 10**18), (10**9, 1), (2, 3**12)):
+        with pytest.raises(BudgetError):
+            abelian_family(m, n)
+    with pytest.raises(ParameterError):
+        abelian_family(1, 1)
+
+
 def test_abelian_family_k33():
     # m = 1, n = 3: H = Z_3, spokes {1, x, x^2}: the complete bipartite K_{3,3}
     bg = abelian_family(1, 3)

@@ -11,19 +11,19 @@ import pytest
 from bicayley import cli
 from bicayley.bicay import (
     BiCayleyGraph,
+    apply_group_automorphism,
     delta_map,
     right_translation,
     sigma_map,
     spoke_stabilizer_maps,
 )
 from bicayley.errors import BudgetError, InvalidMapError
-from bicayley.families import abelian_family, gamma_t, sigma_t
+from bicayley.families import abelian_family, census, gamma_t, sigma_t
 from bicayley.graphs import Graph, graph6_encode
 from bicayley.metacyclic import (
     AbelianPairGroup,
     GroupMap,
     PairGroup,
-    apply_map,
     identity_map,
     make_group,
 )
@@ -110,7 +110,7 @@ def test_map_ranks_matches_apply_map_on_every_map():
             assert np.array_equal(out[row_a], G.right_mul_ranks(f.image_a)[out])
             assert np.array_equal(out[row_b], G.right_mul_ranks(f.image_b)[out])
         for f in sample:
-            expect = scalar_ranks(G, lambda h: apply_map(G, f, h))
+            expect = scalar_ranks(G, lambda h: oracles.apply_map(G, f, h))
             assert np.array_equal(G.map_ranks(f), expect)
 
 
@@ -123,7 +123,7 @@ def test_map_ranks_matches_apply_map_on_arbitrary_images():
         els = G.elements()
         for _ in range(100):
             f = GroupMap(rng.choice(els), rng.choice(els), validated=True)
-            expect = scalar_ranks(G, lambda h: apply_map(G, f, h))
+            expect = scalar_ranks(G, lambda h: oracles.apply_map(G, f, h))
             assert np.array_equal(G.map_ranks(f), expect)
 
 
@@ -212,6 +212,131 @@ def test_sigma_and_delta_images_match_per_element_loop():
             assert np.array_equal(sig.permutation, oracles.sigma_images_by_elements(bg, f, g))
             delt = delta_map(bg, f, x, y)
             assert np.array_equal(delt.permutation, oracles.delta_images_by_elements(bg, f, x, y))
+
+
+def condition_graphs():
+    """Bi-Cayley graphs with non-empty R and L: the Petersen graph
+    BiCay(Z_5, {1, 4}, {2, 3}, {0}) and seeded graphs over (3,2,1,1), whose
+    connection sets are random, related by a map (L = g^-1 R^f g) or
+    characteristic (the elements of order 3)."""
+    Z5 = AbelianPairGroup(1, 5)
+    graphs = [BiCayleyGraph(Z5, [(0, 1), (0, 4)], [(0, 2), (0, 3)], [(0, 0)])]
+    G = make_group(3, 2, 1, 1)
+    els, maps = G.elements(), group_maps(G)
+    rng = random.Random(7)
+
+    def inverse_closed():
+        g = rng.choice(els[1:])
+        return [g, G.inv(g)]
+
+    for _ in range(4):
+        R, L = inverse_closed(), inverse_closed()
+        graphs.append(BiCayleyGraph(G, R, L, rng.sample(els, rng.randrange(1, 4))))
+    for _ in range(4):
+        R, f, g = inverse_closed(), rng.choice(maps), rng.choice(els)
+        L = [G.conj(oracles.apply_map(G, f, r), g) for r in R]
+        graphs.append(BiCayleyGraph(G, R, L, rng.sample(els, rng.randrange(1, 4))))
+    order3 = [h for h in els if G.element_order(h) == 3]
+    graphs.append(BiCayleyGraph(G, order3, order3, [G.identity]))
+    return graphs
+
+
+def test_sigma_and_delta_conditions_match_scalar_sets():
+    # every (f, g) and a seeded sample of (f, x, y); each condition must fail
+    # somewhere and some draw must pass all three, or the test shows little
+    rng = random.Random(13)
+    seen_sigma, seen_delta = set(), set()
+    for bg in condition_graphs():
+        G = bg.group
+        els = G.elements()
+        for f in group_maps(G):
+            for g in els:
+                res = sigma_map(bg, f, g)
+                assert res.failed_condition == oracles.sigma_condition_by_sets(bg, f, g)
+                if res.valid:
+                    assert np.array_equal(res.permutation, oracles.sigma_images_by_elements(bg, f, g))
+                seen_sigma.add(res.failed_condition)
+            for _ in range(len(els)):
+                x, y = rng.choice(els), rng.choice(els)
+                res = delta_map(bg, f, x, y)
+                assert res.failed_condition == oracles.delta_condition_by_sets(bg, f, x, y)
+                if res.valid:
+                    assert np.array_equal(res.permutation, oracles.delta_images_by_elements(bg, f, x, y))
+                seen_delta.add(res.failed_condition)
+    assert seen_sigma == {None, "R^alpha != R", "L^alpha != g^-1 L g", "S^alpha != g^-1 S"}
+    assert seen_delta == {None, "R^alpha != x^-1 L x", "L^alpha != y^-1 R y", "S^alpha != y^-1 S^-1 x"}
+
+
+def test_apply_group_automorphism_matches_scalar_images():
+    for bg in condition_graphs():
+        G = bg.group
+        for f in group_maps(G)[:12]:
+            img = lambda conn: [oracles.apply_map(G, f, z) for z in conn]
+            expect = BiCayleyGraph(G, img(bg.R), img(bg.L), img(bg.S))
+            got = apply_group_automorphism(bg, f)
+            assert (got.R, got.L, got.S) == (expect.R, expect.L, expect.S)
+            assert got.graph == expect.graph
+
+
+def spoke_graphs():
+    """Every census class of the census groups, gamma_1..3, sigma_1..2 and
+    six abelian family members (arc-transitive ones among them)."""
+    from tests.test_families import CENSUS_GROUPS
+
+    graphs = []
+    for params in CENSUS_GROUPS:
+        G = make_group(*params)
+        graphs += [BiCayleyGraph(G, (), (), cls.spokes) for cls in census(G).classes]
+    graphs += [gamma_t(t) for t in (1, 2, 3)] + [sigma_t(t) for t in (1, 2)]
+    graphs += [abelian_family(m, n) for m, n in ((1, 7), (5, 1), (7, 1), (9, 1), (3, 7), (5, 13))]
+    return graphs
+
+
+def test_spoke_stabilizer_maps_match_word_search():
+    total = 0
+    for bg in spoke_graphs():
+        found = spoke_stabilizer_maps(bg)
+        expect = oracles.spoke_maps_by_words(bg)
+        assert [(f, g) for f, g, _ in found] == [(f, g) for f, g, _ in expect]
+        for (_, _, perm), (_, _, want) in zip(found, expect):
+            assert np.array_equal(perm, want)
+        keys = [(f.image_a, f.image_b, g) for f, g, _ in found]
+        assert len(set(keys)) == len(keys)  # no (alpha, g) twice
+        total += len(found)
+    assert total >= 100
+
+
+def test_spoke_stabilizer_maps_drop_repeated_word_images():
+    # Over Z_n with S = {0, x, y}, a word for a that reads the same with x and
+    # y exchanged gives a valid map for the arrangement (0, y, x) even where
+    # x -> y, y -> x is no homomorphism: the word route then lists that map
+    # twice.  BiCay(Z_7, {}, {}, {0, 3, 5}) has |Aut| = 28 = |H| |F| 2 with
+    # |F| = 2, where the word route finds four maps.
+    from bicayley.symmetry import aut_group
+
+    repeats = 0
+    for n in range(5, 14):
+        G = AbelianPairGroup(1, n)
+        for x in range(1, n):
+            for y in range(x + 1, n):
+                bg = BiCayleyGraph(G, (), (), [(0, 0), (0, x), (0, y)])
+                if not G.generates((0, x), (0, y)):
+                    continue
+                words = [(f, g) for f, g, _ in oracles.spoke_maps_by_words(bg)]
+                distinct = list(dict.fromkeys(words))
+                assert [(f, g) for f, g, _ in spoke_stabilizer_maps(bg)] == distinct
+                repeats += len(distinct) < len(words)
+    assert repeats > 0
+    bg = BiCayleyGraph(AbelianPairGroup(1, 7), (), (), [(0, 0), (0, 3), (0, 5)])
+    assert len(oracles.spoke_maps_by_words(bg)) == 4 and len(spoke_stabilizer_maps(bg)) == 2
+    assert aut_group(bg.graph).order() == 28
+
+
+def test_spoke_stabilizer_maps_need_generating_spokes():
+    G = make_group(3, 2, 1, 1)
+    a = G.gen_a
+    with pytest.raises(InvalidMapError):  # <a, a^2> = <a> is a proper subgroup
+        spoke_stabilizer_maps(BiCayleyGraph(G, (), (), [G.identity, a, G.mul(a, a)]))
 
 
 def test_family_certificate_maps_match_per_element_loop():

@@ -3,24 +3,24 @@ import pytest
 from bicayley import (
     AbelianPairGroup,
     GroupMap,
-    apply_map,
     check_generator_images,
-    compose_maps,
     identity_map,
     is_automorphism_pair,
     make_automorphism,
     make_group,
-    map_order,
 )
 from bicayley.errors import BudgetError, InvalidMapError, ParameterError
 
 from .oracles import (
+    apply_map,
     automorphisms,
     automorphisms_by_images,
     check_regular_action_exhaustive,
+    compose_maps,
     derived_by_all_commutators,
     frattini_by_closure,
     frattini_by_maximal_intersection,
+    map_order,
     order_by_iteration,
     power_by_iteration,
     subgroup_is_abelian,
@@ -49,6 +49,24 @@ def test_make_group_rejects_bad_parameters():
 def test_make_group_word_budget():
     with pytest.raises(OverflowError):
         make_group(3, 50, 1, 49)  # 3^50 > 2^63
+    # refused before a big power or trial division on p: each took seconds
+    for params in (
+        (10**24 + 7, 2, 1, 1),  # p itself above the word budget
+        (3, 3, 30_000_000, 2),  # 3^30000000 is never formed
+        (9223372036854775783, 2, 1, 1),  # a prime below 2^63, so p^2 above it
+    ):
+        with pytest.raises(OverflowError):
+            make_group(*params)
+
+
+def test_large_prime_within_word_budget():
+    # p^2 < 2^63 bounds trial division on p; the order p^3 is never factored
+    p = 2147483647  # 2^31 - 1, prime
+    G = make_group(p, 2, 1, 1)
+    assert G.order == p**3
+    assert G.element_order(G.gen_a) == p**2 and G.element_order(G.gen_b) == p
+    with pytest.raises(ParameterError):
+        make_group(2147483649, 2, 1, 1)  # 3 * 715827883
 
 
 def test_mul_frozen_examples(group27):
