@@ -67,7 +67,9 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(x) for x in self.adj)
+        import numpy as np  # see graph6_encode
+
+        return tuple(np.bincount(self.edges.ravel(), minlength=self.n).tolist())
 
     def is_regular(self) -> bool:
         degs = self.degrees()
@@ -76,7 +78,7 @@ class Graph:
     def valency(self) -> int:
         if not self.is_regular():
             raise InvariantViolation("graph is not regular")
-        return len(self.adj[0]) if self.n else 0
+        return self.degrees()[0] if self.n else 0
 
     def preserves_edges(self, perm: Sequence[int]) -> bool:
         """Whether the vertex permutation perm maps the edge set onto itself."""

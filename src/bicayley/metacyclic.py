@@ -409,6 +409,27 @@ class AbelianPairGroup(PairGroup):
     def __init__(self, mod_j: int, mod_i: int):
         super().__init__(mod_j, mod_i, 1, 1)
 
+    def generates(self, x: Element, y: Element) -> bool:
+        """Whether <x, y> = G, in the Frattini quotient.
+
+        G/Phi(G) is the sum of G/qG over the primes q of |G|, and x, y
+        generate G exactly when they generate every G/qG.  G/qG is Z_q^2
+        (coordinates (j, i) mod q) when q divides both moduli, where that
+        means det(x, y) != 0 mod q, and Z_q (one coordinate mod q) when q
+        divides one modulus, where that coordinate of x or of y is not 0 mod q.
+        """
+        if self._order_primes is None:
+            self._order_primes = _prime_factors(self.order)
+        for q in self._order_primes:
+            if self.mod_j % q == 0 and self.mod_i % q == 0:
+                if (x[0] * y[1] - x[1] * y[0]) % q == 0:
+                    return False
+            else:
+                c = 0 if self.mod_j % q == 0 else 1
+                if x[c] % q == 0 and y[c] % q == 0:
+                    return False
+        return True
+
 
 def make_group(p: int, m: int, n: int, r: int) -> MetacyclicGroup:
     return MetacyclicGroup(p, m, n, r)

@@ -90,7 +90,7 @@ def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(sizes[sizes > 0].tolist(), reverse=True))
 
 
-def orbit_labels(degree: int, generators: Sequence[Perm]) -> Perm:
+def orbit_labels(degree: int, generators: Sequence[Perm], labels: Perm | None = None) -> Perm:
     """labels[x]: the least point of x's orbit under the group the generators make.
 
     Hook and shortcut over the edges x -> g[x]: every point starts as the
@@ -100,9 +100,13 @@ def orbit_labels(degree: int, generators: Sequence[Perm]) -> Perm:
     over all generators merges every tree with an edge leaving it, so at
     most log2(degree) + 2 rounds run, and the working arrays have length
     degree whatever the number of generators.
+
+    Given labels, this function's result for some earlier generators, the
+    trees start as those orbits (the array is not changed), and the result
+    is for the earlier generators together with the given ones.
     """
     import numpy as np
-    labels = np.arange(degree, dtype=np.intp)
+    labels = np.arange(degree, dtype=np.intp) if labels is None else np.array(labels, dtype=np.intp)
     hooked = True
     while hooked:
         hooked = False

@@ -18,8 +18,12 @@ with an explicit stack of open nodes, not by recursion, so the tree's depth
 is not bounded by Python's recursion limit.  It keeps a child whose trace
 prefix equals the first leaf's; the canonical mode also keeps one whose trace
 prefix is at least the current best leaf's.  It skips a child that a known
-automorphism fixing the individualized prefix maps onto an explored one.  Two
-leaf rules harvest automorphisms and prune:
+automorphism fixing the individualized prefix maps onto an explored one, and
+a child w that is a twin of the node's first child v1 (N(v1) - {w} =
+N(w) - {v1}, read off the neighbour table): the transposition (v1 w) is then
+an automorphism, it fixes the prefix because v1 and w lie in a non-singleton
+cell, and it joins the harvested ones.  Two leaf rules harvest automorphisms
+and prune:
 
   * a leaf with the first leaf's certificate yields the automorphism gamma
     taking the first leaf onto it;
@@ -39,6 +43,20 @@ set relative to it: at each level of that path every child whose subtree
 holds an equivalent leaf is kept by its trace, then either yields an
 automorphism fixing the prefix or is pruned as the image of one that did.
 Both reach `PermGroup.with_base`, so |Aut| is a product of basic orbit sizes.
+A twin w skipped at a node of that path is in the basic orbit too: (v1 w)
+is among the generators, fixes the prefix and maps the base point v1 onto
+w.  Stars, complete multipartite graphs and combs, whose basic orbits are
+twin classes, thus take one refinement per level instead of one per child.
+
+No pruning rule moves the canonical form.  The first child of every node
+is explored before its siblings, so the first leaf does not move.  Every
+skipped subtree (an orbit image, a twin's, the rest of a subtree after an
+equivalent leaf) is the image of an explored subtree under an automorphism
+fixing the node's prefix, and refinement commutes with automorphisms, so it
+holds only certificates that the explored one holds; a subtree dropped by
+its trace holds only certificates below the first or the best leaf's.  So
+the first leaf with the maximum certificate is never in a pruned subtree,
+and the canonical mode ends with the maximum certificate over the whole tree.
 
 A search may start with known automorphisms (the census passes R(H), the
 right translations of a bi-Cayley graph).  They join the harvested ones
@@ -52,7 +70,16 @@ knows, so the first leaf, and with it the base, does not move.
 
 `canonical_search` is the one entry point of the canonical mode: it runs one
 search per connected component (n = 0 has none) and returns the canonical
-labelling and the automorphism group together.  `canonical_form` encodes the
+labelling and the automorphism group together.  A component with the size
+and the root invariant of earlier classes of components is first matched
+against them:
+one search keeps only children whose trace is a prefix of one of those
+classes' best-leaf traces and stops at the first leaf with one of their
+certificates (`run_match`).  The same pruning rules hold there, since a
+skipped subtree holds only certificates of an explored one, so it finds such
+a leaf exactly when the component is isomorphic to one of the classes, and
+that leaf relabels the component onto the class's canonical form.  Only a
+component that matches no class takes a full canonical search.  `canonical_form` encodes the
 relabelled graph; `aut_group` runs the cheaper automorphism mode on a
 connected graph and takes every other graph's group from `canonical_search`,
 and the census takes both the class digest and the group it classifies with
@@ -65,7 +92,7 @@ import json
 import zlib
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -80,31 +107,42 @@ ENGINE_VERTEX_BUDGET = 5000
 class _Engine:
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.n = graph.n
+        self.n = n = graph.n
         self.eu, self.ev = graph.edges.T
-        self.au = np.concatenate([self.eu, self.ev])
-        self.av = np.concatenate([self.ev, self.eu])
-        degs = np.bincount(self.au, minlength=self.n)
+        # the arcs sorted by (tail, head)
+        arcs = np.sort(np.concatenate([self.eu * n + self.ev, self.ev * n + self.eu]))
+        self.au, self.av = np.divmod(arcs, n)
+        degs = np.bincount(self.au, minlength=n)
         self.dmax = int(degs.max(initial=0))
-        # row v: v's neighbours, padded with n; a tail-sorted arc goes to the
-        # column of its index minus the index of the first arc from its tail
-        order = np.argsort(self.au, kind="stable")
-        tails = self.au[order]
-        self.nbr = np.full((self.n, self.dmax), self.n, dtype=np.int64)
-        self.nbr[tails, np.arange(len(tails)) - np.searchsorted(tails, tails)] = self.av[order]
-        self.initial = self._canon_ids(degs)
+        # row v: v's neighbours in ascending order, padded with n
+        starts = np.concatenate([[0], degs.cumsum()])
+        self.nbr = np.full((n, self.dmax), n, dtype=np.int64)
+        self.nbr[self.au, np.arange(len(self.au)) - starts[self.au]] = self.av
+        # columns of the table, read by the cubic sorting network in refine
+        self.nbr_t = self.nbr.T.copy() if self.dmax == 3 else None
+        self.initial, _ = self._canon_ids(degs)
+        self._root: np.ndarray | None = None
+
+    def root(self) -> np.ndarray:
+        """The refined degree colouring, the root of every search on this
+        engine; refined once."""
+        if self._root is None:
+            self._root = self.refine(self.initial)
+        return self._root
 
     @staticmethod
-    def _canon_ids(values: np.ndarray) -> np.ndarray:
-        """Each value's rank among the distinct values (np.unique's inverse)."""
+    def _canon_ids(values: np.ndarray) -> tuple[np.ndarray, int]:
+        """Each value's rank among the distinct values (np.unique's inverse),
+        and the number of distinct values."""
         order = values.argsort()
         ordered = values[order]
         starts = np.empty(len(values), dtype=np.int64)  # 1 where a new value starts
         starts[:1] = 0
         np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        ids = starts.cumsum()
         ranks = np.empty(len(values), dtype=np.int64)
-        ranks[order] = starts.cumsum()
-        return ranks
+        ranks[order] = ids
+        return ranks, int(ids[-1]) + 1 if len(values) else 0
 
     def refine(self, colors: np.ndarray) -> np.ndarray:
         """Iterate neighbour-colour-multiset splitting to a fixpoint.
@@ -113,24 +151,37 @@ class _Engine:
         right into one int64 key, k.bit_length() bits per column; when the next
         column would not fit, the key is replaced by its rank first.  Ranks
         keep the lexicographic order, so the new colour ids are the
-        signatures' lexicographic ranks at every degree.
+        signatures' lexicographic ranks at every degree.  Colours that are
+        already ranks 0..k-1, as a child's are, are not ranked again; rows of
+        at most three neighbours are sorted by a 3-comparator network.
         """
-        colors = self._canon_ids(colors)
-        k = int(colors.max()) + 1 if self.n else 0
+        n = self.n
+        if colors.min(initial=0) >= 0 and (sizes := np.bincount(colors)).all():
+            k = len(sizes)
+        else:
+            colors, k = self._canon_ids(colors)
+        ext = np.empty(n + 1, dtype=np.int64)
         while True:
-            ext = np.concatenate([colors, [k]])  # sentinel colour for padding
-            sig = ext[self.nbr]
-            sig.sort(axis=1)
+            ext[:n] = colors
+            ext[n] = k  # sentinel colour for padding
+            if self.nbr_t is not None:
+                a, b, c = ext[self.nbr_t]
+                lo, hi = np.minimum(a, b), np.maximum(a, b)
+                mid = np.minimum(hi, c)
+                cols = (np.minimum(lo, mid), np.maximum(lo, mid), np.maximum(hi, c))
+            else:
+                sig = ext[self.nbr]
+                sig.sort(axis=1)
+                cols = sig.T
             bits = k.bit_length()
             key, used = colors, bits
-            for col in range(self.dmax):
+            for col in cols:
                 if used + bits > 63:
-                    key = self._canon_ids(key)
-                    used = int(key.max()).bit_length()
-                key = (key << bits) | sig[:, col]
+                    key, distinct = self._canon_ids(key)
+                    used = (distinct - 1).bit_length()
+                key = (key << bits) | col
                 used += bits
-            inv = self._canon_ids(key)
-            new_k = int(inv.max()) + 1
+            inv, new_k = self._canon_ids(key)
             if new_k == k:
                 return inv
             colors = inv
@@ -156,10 +207,20 @@ class _Engine:
         best = big[np.argmin(sizes[big])]  # argmin takes the lowest id on ties
         return np.flatnonzero(colors == best)
 
+    def twins(self, v: int, w: int) -> bool:
+        """Whether N(v) - {w} = N(w) - {v}, that is whether w's row with v
+        read as w equals v's row: then the transposition (v w) is an
+        automorphism."""
+        row = self.nbr[w]
+        row = np.where(row == v, w, row)
+        row.sort()
+        return bool((row == self.nbr[v]).all())
+
 
 class _Search:
-    """One traversal for both jobs: `run_auto` collects automorphisms anchored
-    to the first leaf; `run_canon` also keeps the largest certificate."""
+    """One traversal for three jobs: `run_auto` collects automorphisms
+    anchored to the first leaf; `run_canon` also keeps the largest
+    certificate; `run_match` looks for a leaf with one of given certificates."""
 
     def __init__(self, engine: _Engine, known: Sequence[np.ndarray] = ()):
         self.e = engine
@@ -171,40 +232,62 @@ class _Search:
         self.first: tuple[tuple[int, ...], bytes, np.ndarray, list[int]] | None = None
         self.best: tuple[tuple[int, ...], bytes, np.ndarray, list[int]] | None = None
         self.base: list[int] = []  # vertices individualized on the way to the first leaf
+        # run_match: the certificates sought, every prefix of their traces,
+        # and (colouring, certificate) of the leaf found with one of them
+        self.targets: Collection[tuple[tuple[int, ...], bytes]] | None = None
+        self.prefixes: set[tuple[int, ...]] = set()
+        self.found: tuple[np.ndarray, tuple[tuple[int, ...], bytes]] | None = None
 
     def _children(self, colors: np.ndarray, k: int, trace: tuple[int, ...], prefix: list[int]):
         """(refined child colouring, its trace, its prefix) for each kept v of
-        the target cell.  v is skipped when a known automorphism fixing the
-        individualized prefix maps it onto an explored vertex (the orbit labels
-        are refreshed whenever explored subtrees have found automorphisms), and
-        dropped after refinement unless its trace prefix equals the first
-        leaf's or, in the canonical mode, is at least the best leaf's."""
+        the target cell.  After the first child v1, a vertex v is skipped when
+        a known automorphism fixing the individualized prefix maps it onto an
+        explored vertex (the orbit labels fold in the automorphisms found
+        since their last refresh), or when it is a twin of v1, whose
+        transposition joins the automorphisms.  A child is dropped after
+        refinement unless its trace prefix equals the first leaf's or, in the
+        canonical mode, is at least the best leaf's; run_match keeps a child
+        whose trace is a prefix of a sought leaf's."""
         pref = np.asarray(prefix, dtype=np.intp)
+        cell = self.e.target_cell(colors, k).tolist()
+        v1, c = cell[0], int(colors[cell[0]])
+        # the child's ranks: every colour from c up moves one up, v keeps c
+        lifted = colors + (colors >= c)
         done: list[int] = []
         labels: np.ndarray | None = None
-        labels_version = -1
+        folded = 0  # self.autos[:folded] are folded into labels
         done_labels: set[int] = set()
-        for v in self.e.target_cell(colors, k).tolist():
-            if self.autos and done:
-                if labels is None or labels_version != len(self.autos):
-                    fixing = [g for g in self.autos if (g[pref] == pref).all()]
-                    labels = orbit_labels(self.e.n, fixing)
-                    labels_version = len(self.autos)
-                    done_labels = {int(labels[d]) for d in done}
-                if int(labels[v]) in done_labels:
+        for v in cell:
+            if v != v1:
+                if folded < len(self.autos):
+                    fixing = [g for g in self.autos[folded:] if (g[pref] == pref).all()]
+                    folded = len(self.autos)
+                    if fixing or labels is None:
+                        labels = orbit_labels(self.e.n, fixing, labels)
+                        done_labels = {int(labels[d]) for d in done}
+                if labels is not None and int(labels[v]) in done_labels:
                     continue
-            child = colors * 2
-            child[v] -= 1
+                if self.e.twins(v1, v):
+                    swap = np.arange(self.e.n, dtype=np.intp)
+                    swap[[v1, v]] = v, v1
+                    self._record(swap)
+                    continue
+            child = lifted.copy()
+            child[v] = c
             child = self.e.refine(child)
             done.append(v)
             if labels is not None:
                 done_labels.add(int(labels[v]))
             t = trace + (self.e.invariant(child, int(child.max()) + 1),)
-            # a child on the first leaf's trace is always kept, so the
-            # automorphisms stay strong relative to the first path's base
-            if self.first is None or t == self.first[0][: len(t)] or (
-                self.canon and t >= self.best[0][: len(t)]
-            ):
+            if self.targets is not None:
+                keep = t in self.prefixes
+            else:
+                # a child on the first leaf's trace is always kept, so the
+                # automorphisms stay strong relative to the first path's base
+                keep = self.first is None or t == self.first[0][: len(t)] or (
+                    self.canon and t >= self.best[0][: len(t)]
+                )
+            if keep:
                 yield child, t, prefix + [v]
 
     def run_auto(self) -> list[np.ndarray]:
@@ -217,10 +300,21 @@ class _Search:
         _, bts, pos, _ = self.best
         return pos, bts
 
+    def run_match(self, targets: Collection[tuple[tuple[int, ...], bytes]]):
+        """(colouring, certificate) of a leaf whose certificate is among
+        targets, the best leaves' (trace, bytes) of canonical searches on
+        other graphs, or None.  There is one exactly when this graph is
+        isomorphic to one of those; the colouring relabels it onto that
+        one's canonical form."""
+        self.targets = targets
+        self.prefixes = {trace[:i] for trace, _ in targets for i in range(1, len(trace) + 1)}
+        self._run(canon=False)
+        return self.found
+
     def _run(self, canon: bool) -> None:
         self.canon = canon
         stack = []  # stack[d]: the kept-children iterator of the node at depth d
-        node = (self.e.refine(self.e.initial), (), [])
+        node = (self.e.root(), (), [])
         while node is not None:
             colors, trace, prefix = node
             k = int(colors.max()) + 1 if self.e.n else 0
@@ -230,21 +324,26 @@ class _Search:
                 common = self._leaf(colors, trace, prefix)
                 if common is not None:
                     # the automorphism fixes that node's prefix: it scans on,
-                    # its refreshed orbit labels absorb the pruning
+                    # its refreshed orbit labels absorb the pruning; -1 ends
+                    # the search
                     del stack[common + 1 :]
             node = None
             while stack and (node := next(stack[-1], None)) is None:
                 stack.pop()
 
     def _leaf(self, pos: np.ndarray, trace: tuple[int, ...], path: list[int]) -> int | None:
-        """Compare a leaf with the first and best leaves; the depth to unwind
-        to when it is equivalent to one of them, else None."""
+        """Compare a leaf with the sought, first and best leaves; the depth to
+        unwind to when it is equivalent to one of them (-1 when it is the
+        sought one), else None."""
         bts = self.e.leaf_bytes(pos)
+        cert = (trace, bts)
+        if self.targets is not None and cert in self.targets:
+            self.found = pos, cert
+            return -1
         if self.first is None:
             self.first = self.best = (trace, bts, pos.copy(), path)
             self.base = list(path)
             return None
-        cert = (trace, bts)
         if cert == self.first[:2]:
             return self._equivalent(self.first, pos, path)
         if self.canon:
@@ -252,6 +351,12 @@ class _Search:
                 self.best = (trace, bts, pos.copy(), path)
             elif cert == self.best[:2]:
                 return self._equivalent(self.best, pos, path)
+
+    def _record(self, gamma: np.ndarray) -> None:
+        key = gamma.tobytes()
+        if key not in self._auto_keys:
+            self._auto_keys.add(key)
+            self.autos.append(gamma)
 
     def _equivalent(self, ref: tuple, pos: np.ndarray, path: list[int]) -> int:
         """Record the automorphism gamma taking leaf ref onto this leaf, and
@@ -262,11 +367,7 @@ class _Search:
         _, _, ref_pos, ref_path = ref
         ref_inv = np.empty(self.e.n, dtype=np.intp)
         ref_inv[ref_pos] = np.arange(self.e.n, dtype=np.intp)
-        gamma = ref_inv[pos]
-        key = gamma.tobytes()
-        if key not in self._auto_keys:
-            self._auto_keys.add(key)
-            self.autos.append(gamma)
+        self._record(ref_inv[pos])
         common = 0
         for a, b in zip(ref_path, path):
             if a != b:
@@ -307,6 +408,11 @@ def canonical_search(graph: Graph, automorphisms: Iterable = ()) -> tuple[list[i
     them from the root.  The labelling may differ from an unseeded search's
     but the relabelled graph does not; the group is the same.
 
+    A component isomorphic to an earlier one takes its relabelling from a
+    matching search against the best leaves of the earlier classes of its
+    size and root invariant (see the module docstring), not from a canonical
+    search of its own.
+
     Components are sorted by (size, canonical form of the component) and laid
     out in that order: the labelling sends the vertex at canonical position p
     of the i-th block to the block's offset plus p, so isomorphic graphs get
@@ -324,12 +430,24 @@ def canonical_search(graph: Graph, automorphisms: Iterable = ()) -> tuple[list[i
     if known and len(comps) != 1:
         raise PreconditionError("known automorphisms need a connected graph")
     blocks = []
+    # (size, root invariant) -> {best certificate: form} for each class met
+    forms: dict[tuple[int, int], dict[tuple, str]] = {}
     for comp in comps:
         sub = graph if len(comps) == 1 else graph.subgraph(comp)
-        search = _Search(_Engine(sub), known)
-        labelling, _ = search.run_canon()
-        # one component needs no form to sort by
-        form = graph6_encode(sub.relabel(labelling)) if len(comps) > 1 else ""
+        engine = _Engine(sub)
+        root = engine.root()
+        same = forms.setdefault((len(comp), engine.invariant(root, int(root.max()) + 1)), {})
+        search = None
+        match = _Search(engine).run_match(same) if same else None
+        if match is not None:
+            labelling, cert = match
+            form = same[cert]
+        else:
+            search = _Search(engine, known)
+            labelling, _ = search.run_canon()
+            # one component needs no form to sort by
+            form = graph6_encode(sub.relabel(labelling)) if len(comps) > 1 else ""
+            same[search.best[:2]] = form
         row = np.empty(len(comp), dtype=np.intp)  # row[p]: the vertex at canonical position p
         row[labelling] = comp
         blocks.append(((len(comp), form), row, labelling, search))
@@ -341,6 +459,7 @@ def canonical_search(graph: Graph, automorphisms: Iterable = ()) -> tuple[list[i
     offset = 0
     for _key, same in groupby(blocks, key=lambda block: block[0]):
         members = list(same)
+        # the first member of a class in component order is the one searched
         _, _, rep_label, search = members[0]
         images = []  # images[j][v]: member j's vertex at the canonical position of rep vertex v
         for _, row, _, _ in members:
@@ -415,20 +534,26 @@ class SymmetryReport:
 def arc_action(graph: Graph, generators) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """The generators acting on arc indices: (keys, permutations, reversal).
 
-    Arc (u, v) has index i where keys[i] = u * n + v, keys sorted.  Each
-    generator g becomes the arc permutation i -> index of (g[u], g[v]), found
-    by searchsorted on the packed images; the reversal maps (u, v) to (v, u).
+    Arc (u, v) has index i where keys[i] = u * n + v, keys sorted: the rows
+    of the sorted neighbour table laid end to end.  Each generator g becomes
+    the arc permutation i -> index of (g[u], g[v]); sorting the packed images
+    puts each image arc at its place in that table, and the sorted images
+    equal keys exactly when g maps arcs onto arcs.  The reversal maps (u, v)
+    to (v, u).
     """
     n = graph.n
     e = graph.edges
     keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
-    u, v = keys // n, keys % n
+    u, v = np.divmod(keys, n)
+    places = np.arange(len(keys))
 
     def index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         packed = a * n + b
-        idx = np.minimum(np.searchsorted(keys, packed), len(keys) - 1)
-        if not np.array_equal(keys[idx], packed):
+        order = packed.argsort()
+        if not np.array_equal(packed[order], keys):
             raise NotAutomorphism("a generator maps an arc to a non-arc")
+        idx = np.empty_like(order)
+        idx[order] = places
         return idx
 
     return keys, [index(g[u], g[v]) for g in generators], index(v, u)
@@ -437,20 +562,25 @@ def arc_action(graph: Graph, generators) -> tuple[np.ndarray, list[np.ndarray], 
 def classify(graph: Graph, aut: PermGroup | None = None) -> SymmetryReport:
     """Orbit counts on vertices, edges and arcs, and the transitivity class.
 
-    Edge and arc orbits are orbits of arc-index permutations (`arc_action`);
-    an edge orbit is an arc orbit joined with its reversal.
+    Vertex orbits and the stabilizer order come from the group's orbit
+    labels, arc orbits from the arc-index permutations (`arc_action`).  The
+    reversal commutes with every automorphism, so it pairs the arc orbits;
+    an edge orbit is an orbit paired with itself or a pair of two, that is
+    (arc orbits + self-paired arc orbits) / 2.
     """
     if aut is None:
         aut = aut_group(graph)
     order = aut.order()
-    vorbits = len(aut.orbits())
+    labels = aut.orbit_labels()
+    vorbits = int(np.count_nonzero(labels == np.arange(graph.n)))
     has_edges = graph.edge_count > 0
     eorbits = aorbits = 0
     if has_edges:
         keys, perms, reversal = arc_action(graph, aut.generators)
-        roots = np.arange(len(keys))  # an orbit is labelled by its least arc
-        aorbits = int((orbit_labels(len(keys), perms) == roots).sum())
-        eorbits = int((orbit_labels(len(keys), perms + [reversal]) == roots).sum())
+        arc_labels = orbit_labels(len(keys), perms)
+        roots = np.flatnonzero(arc_labels == np.arange(len(keys)))  # an orbit is labelled by its least arc
+        aorbits = len(roots)
+        eorbits = (aorbits + int(np.count_nonzero(arc_labels[reversal[roots]] == roots))) // 2
     regular = graph.is_regular()
     if has_edges and aorbits == 1:
         cls = "arc-transitive"
@@ -460,7 +590,7 @@ def classify(graph: Graph, aut: PermGroup | None = None) -> SymmetryReport:
         cls = "vertex-not-edge-transitive"
     else:
         cls = "none"
-    stab = order // len(aut.orbit(0)) if graph.n else 0
+    stab = order // int(np.count_nonzero(labels == labels[0])) if graph.n else 0
     return SymmetryReport(order, vorbits, eorbits, aorbits, cls, stab)
 
 

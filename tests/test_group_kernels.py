@@ -332,6 +332,30 @@ def test_spoke_stabilizer_maps_drop_repeated_word_images():
     assert aut_group(bg.graph).order() == 28
 
 
+def test_spoke_stabilizer_maps_validate_only_homomorphisms(monkeypatch):
+    # Over Z_9 with S = {0, 3, 4} (x = 3, y = 4), the arrangement
+    # (g, s, s') = (3, 0, 4) asks for x -> 6, y -> 1.  Its row respects the x
+    # step at every h (3 * 6 = 0 mod 9) but not the y step (x = 3y, while
+    # 6 != 3), so only the y-step test keeps it from validation, where
+    # a -> 4 passes make_automorphism and fails sigma_map.  A row that passes
+    # both steps is an automorphism onto g^-1 S, so every sigma_map call the
+    # enumeration makes must succeed.
+    from bicayley import bicay
+
+    results = []
+    sigma_map = bicay.sigma_map
+
+    def recorded(bg, f, g):
+        result = sigma_map(bg, f, g)
+        results.append(result.valid)
+        return result
+
+    monkeypatch.setattr(bicay, "sigma_map", recorded)
+    bg = BiCayleyGraph(AbelianPairGroup(1, 9), (), (), [(0, 0), (0, 3), (0, 4)])
+    found = spoke_stabilizer_maps(bg)
+    assert results == [True] * len(found) and len(found) == 1
+
+
 def test_spoke_stabilizer_maps_need_generating_spokes():
     G = make_group(3, 2, 1, 1)
     a = G.gen_a

@@ -177,6 +177,24 @@ def test_generates_matches_closure(group27, group81a, group81b):
                 assert G.generates(x, y) == (len(G.closure([x, y])) == G.order)
 
 
+@pytest.mark.parametrize("moduli", [(1, 7), (7, 1), (5, 5), (5, 65), (65, 5), (3, 9), (9, 3), (4, 12), (12, 4)])
+def test_abelian_generates_matches_closure(moduli):
+    """The Frattini-quotient test against the explicit subgroup on every pair
+    (x, y).  Z_65 x Z_5 has 325^2 pairs, so closure runs once per coset of
+    <x> that y lies in: <x, y> = <x, y x^k> for every k."""
+    import numpy as np
+
+    G = AbelianPairGroup(*moduli)
+    els = G.elements()
+    for x in els:
+        cyclic = sorted(G.rank(g) for g in G.closure([x]))
+        # coset[r]: the least rank in the coset of <x> holding the element of rank r
+        coset = np.min([G.right_mul_ranks(G.unrank(c)) for c in cyclic], axis=0)
+        whole = {int(r): len(G.closure([x, G.unrank(int(r))])) == G.order for r in np.unique(coset)}
+        for y, r in zip(els, coset.tolist()):
+            assert G.generates(x, y) == whole[r], (moduli, x, y)
+
+
 @pytest.mark.parametrize(
     "params, count",
     [((3, 2, 1, 1), 54), ((3, 2, 2, 1), 486), ((3, 3, 1, 2), 162), ((5, 2, 1, 1), 500)],

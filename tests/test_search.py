@@ -1,6 +1,7 @@
 """The individualization-refinement search: pinned canonical forms,
 refinement against the row ranking it replaced, the strength of the
-canonical traversal, and a seeded oracle family for its pruning."""
+canonical traversal, a seeded oracle family for its pruning, and families
+for its twin transpositions and its matching of repeated components."""
 
 import hashlib
 import itertools
@@ -118,11 +119,15 @@ def test_refine_matches_row_ranking():
 # (refinements, automorphisms found) by run_auto and by run_canon, counted
 # when the search still recursed: the explicit stack takes the same steps.
 # A deeper or shallower unwind target changes them.
+# K_12, K_1,12 and K_6,6 were (78, 11), (78, 11) and (76, 11) in both modes
+# before twin transpositions: now one refinement per level of the first path
+# (plus K_6,6's second part), and a transposition of twins for each other
+# basic orbit point.
 SEARCH_STEPS = {
-    "K_12": ((78, 11), (78, 11)),
-    "K_1,12": ((78, 11), (78, 11)),
+    "K_12": ((12, 11), (12, 11)),
+    "K_1,12": ((12, 11), (12, 11)),
     "Q_5": ((21, 5), (21, 5)),
-    "K_6,6": ((76, 11), (76, 11)),
+    "K_6,6": ((21, 11), (21, 11)),
     "L(C_12(2,3))": ((23, 3), (21, 4)),  # unwinds to the best leaf's path too
 }
 
@@ -276,6 +281,133 @@ def test_canonical_forms_against_networkx():
         assert (fg == fh) == same, (g.edges, h.edges)
         outcomes.add(same)
     assert outcomes == {True, False}
+
+
+# -- twins and repeated components ---------------------------------------------------
+
+
+def complete_multipartite(*parts):
+    ends = list(itertools.accumulate(parts, initial=0))
+    return Graph(ends[-1], [(u, v) for a, b in zip(ends, ends[1:]) for u in range(a, b) for v in range(b, ends[-1])])
+
+
+def planted_twins(rng):
+    """A random graph on 4..6 vertices with each vertex blown up into a class
+    of 1..3 twins, adjacent to each other (true twins) or not (false twins)."""
+    base = random_graph(rng.randrange(4, 7), 0.5, rng)
+    classes, n = [], 0
+    for _ in range(base.n):
+        size = rng.randrange(1, 4)
+        classes.append((range(n, n + size), rng.random() < 0.5))
+        n += size
+    edges = [(u, v) for a, b in base.edges.tolist() for u in classes[a][0] for v in classes[b][0]]
+    edges += [e for members, adjacent in classes if adjacent for e in itertools.combinations(members, 2)]
+    return Graph(n, edges)
+
+
+def twin_family():
+    """(name, graph) for stars, complete bipartite and multipartite graphs,
+    combs and random graphs with planted twin classes: graphs whose search
+    would descend once per twin without the transpositions."""
+    rng = random.Random(610)
+    family = [(f"K_1,{k}", star(k)) for k in (2, 5, 7)]
+    family += [(f"K_{m},{n}", complete_multipartite(m, n)) for m, n in ((2, 3), (3, 3), (3, 5), (4, 4))]
+    family += [("K_2,2,3", complete_multipartite(2, 2, 3)), ("K_1,1,2", complete_multipartite(1, 1, 2))]
+    family += [(f"comb_{k}", comb(k)) for k in (2, 3, 5, 8)]
+    family += [(f"planted_{i}", planted_twins(rng)) for i in range(12)]
+    # a cubic graph with vertex orbits of sizes 4, 2, 2, each vertex doubled
+    # into two false twins: 6-regular, so refinement leaves one cell that
+    # holds twins and vertices of other orbits
+    cubic = [(0, 1), (0, 6), (0, 7), (1, 3), (1, 7), (2, 4), (2, 5), (2, 7), (3, 4), (3, 6), (4, 5), (5, 6)]
+    family += [("doubled_cubic", Graph(16, [(2 * u + i, 2 * v + j) for u, v in cubic for i in (0, 1) for j in (0, 1)]))]
+    return family
+
+
+def twin_family_faults():
+    """What goes wrong on the twin family: |Aut| against brute force and
+    networkx, canonical forms across three labellings, and forms against
+    networkx isomorphism between members of equal size."""
+    nx = pytest.importorskip("networkx")
+    faults = []
+    forms = []
+    for name, g in twin_family():
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges.tolist())
+        expect = brute_force_aut_order(g)
+        if sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter()) != expect:
+            faults.append((name, "oracles disagree"))
+        labelled = [relabel(g, f"twins:{name}:{i}") for i in range(3)]
+        groups = [aut_group(h) for h in labelled]
+        if not all(h.preserves_edges(x) for h, aut in zip(labelled, groups) for x in aut.generators):
+            faults.append((name, "generators"))
+        if [aut.order() for aut in groups] != [expect] * 3:
+            faults.append((name, "order"))
+        same = {canonical_form(h) for h in labelled}
+        if len(same) != 1:
+            faults.append((name, "forms differ across labellings"))
+        forms.append((name, G, same.pop()))
+    for (a, G, fa), (b, H, fb) in itertools.combinations(forms, 2):
+        if (G.number_of_nodes(), G.number_of_edges()) == (H.number_of_nodes(), H.number_of_edges()):
+            if (fa == fb) != nx.is_isomorphic(G, H):
+                faults.append((a, b, "forms against isomorphism"))
+    return faults
+
+
+def test_twin_family_against_oracles():
+    assert twin_family_faults() == []
+
+
+def test_a_twin_test_that_passes_non_twins_is_caught(monkeypatch):
+    """A mutant that skips every later child of a node as a twin of the
+    first records transpositions that are no automorphisms."""
+    monkeypatch.setattr(symmetry._Engine, "twins", lambda self, v, w: True)
+    kinds = {fault[-1] for fault in twin_family_faults()}
+    assert {"generators", "order"} <= kinds
+
+
+def test_repeated_components_match_or_fall_back(monkeypatch):
+    """Petersen, pentagonal prism, Petersen: the prism's matching search
+    against the Petersen graph finds no leaf and falls back to a full
+    search, the second Petersen graph matches the first."""
+    found = []
+    run_match = symmetry._Search.run_match
+
+    def recorded(self, target):
+        labelling = run_match(self, target)
+        found.append(labelling is not None)
+        return labelling
+
+    monkeypatch.setattr(symmetry._Search, "run_match", recorded)
+    pentagonal_prism = Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+                             + [(i, i + 5) for i in range(5)])
+    g = disjoint_union(petersen(), pentagonal_prism, petersen())
+    assert aut_group(g).order() == 2 * 120**2 * 20
+    assert found == [False, True]
+    reordered = disjoint_union(pentagonal_prism, petersen(), petersen())
+    assert canonical_form(relabel(g, "union")) == canonical_form(reordered) == canonical_form(g)
+
+
+def test_refine_calls_of_a_search_match_row_ranking(monkeypatch):
+    """Every refinement of the searches on cubic, twin-rich and disconnected
+    graphs (children's colour ids from the parent's ranks, the cubic
+    sorting network) equals the row ranking."""
+    import numpy as np
+
+    calls = [0]
+    refine = symmetry._Engine.refine
+
+    def checked(self, colors):
+        calls[0] += 1
+        out = refine(self, colors)
+        assert np.array_equal(out, refine_by_rows(self.nbr, colors))
+        return out
+
+    monkeypatch.setattr(symmetry._Engine, "refine", checked)
+    for g in (gamma_t(1).graph, sigma_t(1).graph, star(9), complete_bipartite(5), copies(petersen(), 3), comb(6)):
+        symmetry.classify(relabel(g, "rows"))
+        canonical_form(relabel(g, "rows:canon"))
+    assert calls[0] > 0
 
 
 # -- searches seeded with known automorphisms ------------------------------------------
