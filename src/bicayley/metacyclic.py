@@ -84,6 +84,7 @@ class PairGroup:
         self._order_primes: list[int] | None = None  # factored on first use
         self._element_list: tuple[Element, ...] | None = None
         self._columns = None
+        self._grid = None
 
     # -- element arithmetic ------------------------------------------------
 
@@ -219,28 +220,56 @@ class PairGroup:
             self._columns = (J, I, W)
         return self._columns
 
+    def _rank_grid(self):
+        """(D, K, V): the tables that read rank(b^J a^I) = J * mod_i + I off the
+        (mod_j, mod_i) grid of all ranks, O(|G|) entries in all.
+
+        D[k] = (k mod mod_j) * mod_i for k < 2 mod_j, so D[j:j + mod_j] is the
+        row offset of b^(J + j) for every J; K[j, i] = i w^j mod mod_i; V[s]
+        is the column (s + I) mod mod_i for s < mod_i, a window of a doubled
+        range (a view, no copy)."""
+        if self._grid is None:
+            import numpy as np
+            from numpy.lib.stride_tricks import sliding_window_view
+
+            J, I, W = self._rank_columns()
+            D = (np.arange(2 * self.mod_j, dtype=np.intp) % self.mod_j) * self.mod_i
+            K = ((I * W[J]) % self.mod_i).reshape(self.mod_j, self.mod_i)
+            V = sliding_window_view(np.arange(2 * self.mod_i, dtype=np.intp) % self.mod_i, self.mod_i)
+            self._grid = (D, K, V)
+        return self._grid
+
     def right_mul_ranks(self, g: Element):
         """rank(h g) for every h, in rank order of h."""
-        J, I, _ = self._rank_columns()
+        D, K, _ = self._rank_grid()
         j, i = g[0] % self.mod_j, g[1] % self.mod_i
-        return ((J + j) % self.mod_j) * self.mod_i + (I * self.twist_pow(j) + i) % self.mod_i
+        # (b^J a^I) (b^j a^i) = b^(J + j) a^(I w^j + i): a row offset plus a column
+        return (D[j : j + self.mod_j, None] + (K[j] + i) % self.mod_i).reshape(-1)
 
     def left_mul_ranks(self, g: Element, ranks=None):
         """rank(g h) for h of the given ranks (default: every h, in rank order)."""
-        J, I, W = self._rank_columns()
         if ranks is not None:
-            J, I = J[ranks], I[ranks]
+            return self.left_mul_ranks(g)[ranks]
+        D, K, V = self._rank_grid()
         j, i = g[0] % self.mod_j, g[1] % self.mod_i
-        return ((J + j) % self.mod_j) * self.mod_i + (i * W[J] + I) % self.mod_i
+        # (b^j a^i) (b^J a^I) = b^(j + J) a^(i w^J + I): row J is the column V[i w^J]
+        return (D[j : j + self.mod_j, None] + V[K[:, i]]).reshape(-1)
 
     def cayley_table(self):
         """T[g, h] = rank(g h) for every pair of ranks: row g is
-        `left_mul_ranks(g)` and column h is `right_mul_ranks(h)`."""
+        `left_mul_ranks(g)` and column h is `right_mul_ranks(h)`.
+
+        One |G|^2 array; the only temporary is the (mod_i, mod_j, mod_i)
+        column block."""
         if self.order > TABLE_BUDGET:
             raise BudgetError(f"group order {self.order} exceeds the Cayley table budget {TABLE_BUDGET}")
-        J, I, W = self._rank_columns()
-        # (b^{j1} a^{i1}) (b^{j2} a^{i2}) = b^{j1+j2} a^{i1 w^{j2} + i2}
-        return ((J[:, None] + J) % self.mod_j) * self.mod_i + (I[:, None] * W[J] + I) % self.mod_i
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        D, K, V = self._rank_grid()
+        # (b^{j1} a^{i1}) (b^{j2} a^{i2}) = b^{j1+j2} a^{i1 w^{j2} + i2}, on the
+        # (j1, i1, j2, i2) grid: rows[j1, j2] = D[j1 + j2], V[K.T][i1, j2] the column
+        rows = sliding_window_view(D, self.mod_j)[: self.mod_j]
+        return (rows[:, None, :, None] + V[K.T]).reshape(self.order, self.order)
 
     def _power_columns(self, g: Element, count: int):
         """The parts (j, i) of g^0, ..., g^{count-1} as two np.intp arrays."""

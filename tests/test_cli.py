@@ -168,6 +168,15 @@ def test_negative_trial_count_is_a_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_trial_count_over_budget_is_a_usage_error():
+    # 99999999999 trials was still running when a 20 s timeout killed it
+    proc = run_module("verify", "--target", "arithmetic", "--trials", "99999999999", timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--trials" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
 def test_zero_trials_checks_rows_and_order(capsys):
     code, out, _ = run_cli(capsys, "verify", "--target", "arithmetic", "--trials", "0")
     report = json.loads(out)

@@ -93,6 +93,34 @@ def test_cayley_table_matches_scalar_mul_and_row_kernels():
             assert np.array_equal(table[:, G.rank(g)], G.right_mul_ranks(g))
 
 
+def grid_test_groups():
+    """Groups beyond all_groups(): two larger metacyclic groups, cyclic and
+    plain abelian handles with one modulus 1, and non-abelian PairGroups whose
+    twist order (3, and 6 for a twist of true order 3) is below mod_j."""
+    return [make_group(3, 3, 3, 2), make_group(3, 4, 3, 3), AbelianPairGroup(3, 21),
+            AbelianPairGroup(1, 25), AbelianPairGroup(25, 1), PairGroup(9, 1, 1, 1),
+            PairGroup(9, 7, 2, 3), PairGroup(6, 7, 2, 6)]
+
+
+def test_grid_kernels_agree_with_scalar_mul_and_each_other():
+    # every row and column of the table against the row kernels; a seeded
+    # sample of rows against scalar mul (all of them below 64 elements)
+    rng = random.Random(17)
+    for G in grid_test_groups():
+        els = G.elements()
+        table = G.cayley_table()
+        assert table.dtype == np.intp and table.shape == (G.order, G.order)
+        for g in els:
+            right, left = G.right_mul_ranks(g), G.left_mul_ranks(g)
+            for out in (right, left):
+                assert out.dtype == np.intp and out.flags.c_contiguous
+            assert np.array_equal(table[G.rank(g)], left)
+            assert np.array_equal(table[:, G.rank(g)], right)
+        for g in els if len(els) < 64 else rng.sample(els, 12):
+            assert np.array_equal(G.right_mul_ranks(g), scalar_ranks(G, lambda h: G.mul(h, g)))
+            assert np.array_equal(G.left_mul_ranks(g), scalar_ranks(G, lambda h: G.mul(g, h)))
+
+
 def test_map_ranks_matches_apply_map_on_every_map():
     # On every map: 1^f = 1, (h a)^f = h^f x and (h b)^f = h^f y for every h,
     # which determine the map (the right_mul_ranks rows are checked against
@@ -371,10 +399,12 @@ def test_family_certificate_maps_match_per_element_loop():
             assert np.array_equal(perm, oracles.sigma_images_by_elements(bg, f, g))
 
 
-def _arithmetic_report(tmp_path):
+def _arithmetic_report(tmp_path, params=(3, 2, 1, 1), trials=50, seed=0):
     out = tmp_path / "report.json"
-    argv = ["verify", "--target", "arithmetic", "--p", "3", "--m", "2", "--n", "1", "--r", "1",
-            "--trials", "50", "--out", str(out)]
+    argv = ["verify", "--target", "arithmetic", "--trials", str(trials), "--seed", str(seed),
+            "--out", str(out)]
+    for name, value in zip(("--p", "--m", "--n", "--r"), params):
+        argv += [name, str(value)]
     code = cli.main(argv)
     return code, json.loads(out.read_text())
 
@@ -424,3 +454,55 @@ def test_arithmetic_oracle_compares_values_not_layout(monkeypatch, tmp_path, nam
     monkeypatch.setattr(cli, name, kernel)
     code, report = _arithmetic_report(tmp_path)
     assert code == 0 and report["passed"] and report["failures"] == []
+
+
+def reference_arithmetic_report(params, trials, seed):
+    """The arithmetic oracle trial by trial: every check on every trial, with
+    the permutation kernels `cli` calls (patched ones included) and
+    np.array_equal for equality."""
+    G = make_group(*params)
+    els, row, same = G.elements(), G.right_mul_ranks, np.array_equal
+    perms = G.regular_representation()
+    failures = []
+    for gen, perm in zip((G.gen_a, G.gen_b), perms.generators):
+        if not same(row(gen), perm):
+            failures.append({"check": "row", "g": G.element_str(gen)})
+    rng = random.Random(seed)
+    for _ in range(trials):
+        g = els[rng.randrange(len(els))]
+        h = els[rng.randrange(len(els))]
+        k = rng.randrange(-G.order, G.order + 1)
+        pg, ph = row(g), row(h)
+        if not same(row(G.mul(g, h)), cli.compose(pg, ph)):
+            failures.append({"check": "mul", "g": G.element_str(g), "h": G.element_str(h)})
+        if not same(row(G.inv(g)), cli.invert(pg)):
+            failures.append({"check": "inv", "g": G.element_str(g)})
+        if not same(row(G.pow(g, k)), cli.perm_power(pg, k)):
+            failures.append({"check": "pow", "g": G.element_str(g), "k": k})
+        if len(failures) > 10:
+            break
+    order = perms.order()
+    return {"target": "arithmetic", "group": list(params), "trials": trials, "seed": seed,
+            "regular_representation_order": order, "order_matches": order == G.order,
+            "failures": failures, "passed": not failures and order == G.order}
+
+
+def test_arithmetic_oracle_reports_every_trial_of_a_failing_element(monkeypatch, tmp_path):
+    # the inv verdict is computed once per element: a trial that draws an
+    # element seen before must still add its failure, in trial order
+    monkeypatch.setattr(cli, "invert", lambda p: np.array(p) if p[1] % 2 else invert(p))
+    # one run cut off after 11 failures, one that ends before the cut-off
+    for params, trials, seed, count in (((3, 2, 1, 1), 50, 0, 11), ((3, 2, 2, 1), 15, 3, 5)):
+        code, report = _arithmetic_report(tmp_path, params, trials, seed)
+        expect = reference_arithmetic_report(params, trials, seed)
+        assert code == 1 and report == expect
+        inv = [f["g"] for f in expect["failures"] if f["check"] == "inv"]
+        assert len(inv) == len(expect["failures"]) == count
+        assert len(set(inv)) < len(inv)  # a failing element drawn again
+
+
+def test_arithmetic_oracle_report_matches_per_trial_loop(tmp_path):
+    for params, trials, seed in (((3, 3, 2, 2), 300, 7), ((5, 2, 2, 1), 200, 8)):
+        code, _ = _arithmetic_report(tmp_path, params, trials, seed)
+        expect = reference_arithmetic_report(params, trials, seed)
+        assert code == 0 and (tmp_path / "report.json").read_text() == json.dumps(expect) + "\n"

@@ -1,4 +1,4 @@
-"""Property tests for the permutation kernels, the graph codecs and the search."""
+"""Property tests for the group and permutation kernels, the graph codecs and the search."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from bicayley.graphs import (  # noqa: E402
     parse_edge_list,
     parse_graph_text,
 )
+from bicayley.metacyclic import make_group  # noqa: E402
 from bicayley.permgroup import compose, invert, orbit_labels, perm_power  # noqa: E402
 
 from . import oracles  # noqa: E402
@@ -39,6 +40,23 @@ def test_kernels_match_tuple_kernels(pq, k):
     assert compose(p, q).tolist() == list(oracles.compose(p, q))
     assert invert(p).tolist() == list(oracles.invert(p))
     assert perm_power(p, k).tolist() == list(oracles.perm_power(p, k))
+
+
+# every valid (p, m, n, r) with r < m <= n + r and p^(m+n) <= 3^5
+small_groups = st.tuples(st.sampled_from([3, 5]), st.integers(2, 4), st.integers(1, 3), st.integers(1, 3)).filter(
+    lambda q: q[3] < q[1] <= q[2] + q[3] and q[0] ** (q[1] + q[2]) <= 3**5
+)
+
+
+@SETTINGS
+@given(small_groups, st.data())
+def test_grid_kernels_match_scalar_mul(params, data):
+    G = make_group(*params)
+    g = data.draw(st.sampled_from(G.elements()))
+    right, left, table = G.right_mul_ranks(g), G.left_mul_ranks(g), G.cayley_table()
+    assert right.tolist() == [G.rank(G.mul(h, g)) for h in G.elements()]
+    assert left.tolist() == [G.rank(G.mul(g, h)) for h in G.elements()]
+    assert np.array_equal(table[G.rank(g)], left) and np.array_equal(table[:, G.rank(g)], right)
 
 
 @SETTINGS
