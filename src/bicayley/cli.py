@@ -27,8 +27,8 @@ from .errors import (
     SetConditionError,
 )
 from .graphs import Graph, format_edge_list, graph6_encode, graph_to_json_dict, parse_graph_text
-from .metacyclic import make_group
-from .permgroup import as_perm, compose, invert, perm_power
+from .metacyclic import TABLE_BUDGET, make_group
+from .permgroup import as_perm, compose, invert, perm_powers
 from .symmetry import classify
 
 _USAGE_ERRORS = (
@@ -124,9 +124,15 @@ def _same(p, q) -> bool:
     return as_perm(p).tobytes() == as_perm(q).tobytes()
 
 
-# a time bound on the oracle: 10^5 trials take ~1.2 s at |H| = 27 and ~4 s at
+# a time bound on the oracle: 10^5 trials take ~1.2 s at |H| = 27 and ~3.5 s at
 # |H| = 729 (2-core Intel Xeon), so 10^6 stays under a minute
 TRIALS_BUDGET = 10**6
+# trials drawn, then checked element by element, at a time: the block's
+# bookkeeping is what the oracle holds besides its rows
+TRIAL_BLOCK = 2048
+# the cached right_mul_ranks rows hold at most the entries of a Cayley table
+# within budget (50 MB of np.intp); a full cache is cleared
+ROW_CACHE_ENTRIES = TABLE_BUDGET**2
 
 
 def _verify_arithmetic(args: argparse.Namespace) -> dict:
@@ -136,37 +142,56 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
         raise ParameterError(f"--trials must be at most {TRIALS_BUDGET}, got {args.trials}")
     group = make_group(args.p, args.m, args.n, args.r)
     perms = group.regular_representation()
+    # the order first: the stabilizer chain (~|H|^2 entries) is gone before the first row
+    order, generators = perms.order(), perms.generators
+    del perms
     els = group.elements()
     cache = {}
+    cache_rows = ROW_CACHE_ENTRIES // group.order
 
     def perm_of(g):
         # right-multiplication permutation from the whole-group kernel
         p = cache.get(g)
         if p is None:
+            if len(cache) >= cache_rows:
+                cache.clear()  # all at once: which rows are cached depends on the trials alone
             p = cache[g] = group.right_mul_ranks(g)
         return p
 
     inv_ok = {}  # the inv check depends on g alone: one verdict per element
     failures = []
     # the kernel's generator rows must be the ones scalar mul builds
-    for gen, perm in zip((group.gen_a, group.gen_b), perms.generators):
+    for gen, perm in zip((group.gen_a, group.gen_b), generators):
         if not _same(perm_of(gen), perm):
             failures.append({"check": "row", "g": group.element_str(gen)})
     rng = random.Random(args.seed)
-    for trial in range(args.trials):
-        g = els[rng.randrange(len(els))]
-        h = els[rng.randrange(len(els))]
-        k = rng.randrange(-group.order, group.order + 1)
-        pg, ph = perm_of(g), perm_of(h)
-        if not _same(perm_of(group.mul(g, h)), compose(pg, ph)):
-            failures.append({"check": "mul", "g": group.element_str(g), "h": group.element_str(h)})
-        ok = inv_ok.get(g)
-        if ok is None:
-            ok = inv_ok[g] = _same(perm_of(group.inv(g)), invert(pg))
-        if not ok:
-            failures.append({"check": "inv", "g": group.element_str(g)})
-        if not _same(perm_of(group.pow(g, k)), perm_power(pg, k)):
-            failures.append({"check": "pow", "g": group.element_str(g), "k": k})
+    for start in range(0, args.trials, TRIAL_BLOCK):
+        # the draws of a block, in trial order, grouped by g
+        by_g = {}
+        for trial in range(start, min(start + TRIAL_BLOCK, args.trials)):
+            g = els[rng.randrange(len(els))]
+            h = els[rng.randrange(len(els))]
+            k = rng.randrange(-group.order, group.order + 1)
+            by_g.setdefault(g, []).append((trial, h, k))
+        found = {}  # trial -> its failures, in check order
+        for g, draws in by_g.items():
+            pg = perm_of(g)
+            ok = inv_ok.get(g)
+            if ok is None:
+                ok = inv_ok[g] = _same(perm_of(group.inv(g)), invert(pg))
+            powers = perm_powers(pg, [k for _, _, k in draws])
+            for (trial, h, k), pk in zip(draws, powers):
+                mul_ok = _same(perm_of(group.mul(g, h)), compose(pg, perm_of(h)))
+                pow_ok = _same(perm_of(group.pow(g, k)), pk)
+                if not (mul_ok and ok and pow_ok):
+                    s = group.element_str(g)
+                    checks = ((mul_ok, {"check": "mul", "g": s, "h": group.element_str(h)}),
+                              (ok, {"check": "inv", "g": s}), (pow_ok, {"check": "pow", "g": s, "k": k}))
+                    found[trial] = [record for passed, record in checks if not passed]
+        for trial in sorted(found):
+            failures.extend(found[trial])
+            if len(failures) > 10:
+                break
         if len(failures) > 10:
             break
     return {
@@ -174,10 +199,10 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
         "group": [args.p, args.m, args.n, args.r],
         "trials": args.trials,
         "seed": args.seed,
-        "regular_representation_order": perms.order(),
-        "order_matches": perms.order() == group.order,
+        "regular_representation_order": order,
+        "order_matches": order == group.order,
         "failures": failures,
-        "passed": not failures and perms.order() == group.order,
+        "passed": not failures and order == group.order,
     }
 
 

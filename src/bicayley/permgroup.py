@@ -19,6 +19,7 @@ transversals come from one pass over the generators, with no Schreier-Sims.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BudgetError, ContainmentError, DegreeMismatch, InvariantViolation
@@ -63,24 +64,43 @@ def invert(p: Sequence[int]) -> Perm:
 
 
 def perm_power(p: Sequence[int], k: int) -> Perm:
-    """p^k by repeated squaring; k may be negative or exceed the order of p.
+    """p^k; k may be negative or exceed the order of p."""
+    return perm_powers(p, [k])[0]
 
-    The product starts at the lowest set bit of |k|, so k != 0 makes no
-    identity and no gather with one."""
-    source = p = as_perm(p)
-    if k < 0:
-        p, k = invert(p), -k
-    if not k:
-        return identity(len(p))
-    while not k & 1:
-        p = p[p]
-        k >>= 1
-    result = p.copy() if p is source else p  # never alias the input
-    while k := k >> 1:
-        p = p[p]
-        if k & 1:
-            result = p[result]
-    return result
+
+def perm_powers(p: Sequence[int], exponents: Iterable[int]) -> list[Perm]:
+    """[p^k for k in exponents] by repeated squaring, the squarings p, p^2,
+    p^4, ... shared by all exponents; k may be negative or exceed the order of p.
+
+    Each product starts at the lowest set bit of |k|, so k != 0 makes no
+    identity and no gather with one; a negative k inverts p^|k|.  No result
+    aliases p or another result."""
+    p = as_perm(p)
+    exponents = [operator.index(k) for k in exponents]
+    squares = [p]  # squares[i] = p^(2^i)
+    for _ in range(max((abs(k) for k in exponents), default=0).bit_length() - 1):
+        squares.append(squares[-1][squares[-1]])
+    out = []
+    for k in exponents:
+        bits = abs(k)
+        if not bits:
+            out.append(identity(len(p)))
+            continue
+        low = (bits & -bits).bit_length() - 1
+        result = squares[low]
+        bits >>= low + 1
+        for square in squares[low + 1 :]:
+            if not bits:
+                break
+            if bits & 1:
+                result = square[result]
+            bits >>= 1
+        if k < 0:
+            result = invert(result)
+        elif result is squares[low]:  # |k| a power of two: never alias a square
+            result = result.copy()
+        out.append(result)
+    return out
 
 
 def cycle_type(p: Sequence[int]) -> tuple[int, ...]:

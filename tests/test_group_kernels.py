@@ -3,6 +3,8 @@ the per-element loops in tests/oracles.py."""
 
 import json
 import random
+import tracemalloc
+import weakref
 from functools import cache
 
 import numpy as np
@@ -27,7 +29,7 @@ from bicayley.metacyclic import (
     identity_map,
     make_group,
 )
-from bicayley.permgroup import compose, invert, perm_power
+from bicayley.permgroup import as_perm, compose, invert, perm_powers
 from tests import oracles
 
 KERNEL_GROUPS = [(3, 2, 1, 1), (3, 3, 2, 2), (5, 2, 2, 1)]
@@ -415,19 +417,58 @@ def wrong_twist(self, g):
     return ((J + j) % self.mod_j) * self.mod_i + (I + i) % self.mod_i  # w^j taken as 1
 
 
-# a kernel with a plausible bug, where it is patched, and the checks that must see it
+class StaleSquares:
+    """perm_powers that keeps the squarings p^2, p^4, ... of the element it was
+    called with before and only appends the ones it lacks."""
+
+    def __init__(self):
+        self.squares = []
+
+    def __call__(self, p, exponents):
+        p = as_perm(p)
+        top = max(abs(k) for k in exponents).bit_length()
+        squares = self.squares = [p] + self.squares[1:]
+        while len(squares) < top:
+            squares.append(squares[-1][squares[-1]])
+        return [powers_from_squares(squares, k) for k in exponents]
+
+
+def powers_from_squares(squares, k, skip=None):
+    """p^k from squares[i] = p^(2^i), leaving out bit `skip` of |k|."""
+    result = np.arange(len(squares[0]))
+    for bit in range(abs(k).bit_length()):
+        if abs(k) >> bit & 1 and bit != skip:
+            result = squares[bit][result]
+    return invert(result) if k < 0 else result
+
+
+def powers_skipping_low_bit(p, exponents):
+    # the bit loop starts at 1: bit 0 of |k| is never multiplied in
+    p = as_perm(p)
+    squares = [p]
+    for _ in range(max(abs(k) for k in exponents).bit_length()):
+        squares.append(squares[-1][squares[-1]])
+    return [powers_from_squares(squares, k, skip=0) for k in exponents]
+
+
+# label -> (where it is patched, name, a kernel with a plausible bug, the checks
+# that must see it); a class is a kernel with state, made fresh for each run
 WRONG_KERNELS = {
-    "right_mul_ranks": (PairGroup, wrong_twist, {"row", "mul"}),
-    "compose": (cli, lambda p, q: np.asarray(p)[q], {"mul"}),  # q first, then p
-    "invert": (cli, lambda p: np.array(p), {"inv"}),  # p itself
-    "perm_power": (cli, lambda p, k: perm_power(p, abs(k)), {"pow"}),  # sign of k dropped
+    "right_mul_ranks": (PairGroup, "right_mul_ranks", wrong_twist, {"row", "mul"}),
+    "compose": (cli, "compose", lambda p, q: np.asarray(p)[q], {"mul"}),  # q first, then p
+    "invert": (cli, "invert", lambda p: np.array(p), {"inv"}),  # p itself
+    "perm_power": (  # sign of k dropped
+        cli, "perm_powers", lambda p, ks: perm_powers(p, [abs(k) for k in ks]), {"pow"}),
+    "stale_squares": (cli, "perm_powers", StaleSquares, {"pow"}),
+    "skipped_bit": (cli, "perm_powers", powers_skipping_low_bit, {"pow"}),
 }
 
 
-@pytest.mark.parametrize("name", list(WRONG_KERNELS))
-def test_arithmetic_oracle_catches_a_wrong_kernel(monkeypatch, tmp_path, name):
-    owner, kernel, expected = WRONG_KERNELS[name]
-    monkeypatch.setattr(owner, name, kernel)
+@pytest.mark.parametrize("label", list(WRONG_KERNELS))
+def test_arithmetic_oracle_catches_a_wrong_kernel(monkeypatch, tmp_path, label):
+    owner, name, kernel, expected = WRONG_KERNELS[label]
+    stateful = isinstance(kernel, type)
+    monkeypatch.setattr(owner, name, kernel() if stateful else kernel)
     code, report = _arithmetic_report(tmp_path)
     assert code == 1 and not report["passed"]
     checks = {f["check"] for f in report["failures"]}
@@ -435,22 +476,26 @@ def test_arithmetic_oracle_catches_a_wrong_kernel(monkeypatch, tmp_path, name):
         assert expected <= checks
     else:  # a wrong permutation kernel fails its own check only
         assert checks == expected
+    if not stateful:  # and the report is the per-trial loop's, with its cut-off
+        assert report == reference_arithmetic_report((3, 2, 1, 1), 50, 0)
 
 
 # the right images in another dtype or memory layout, which np.array_equal accepts
 P = np.array([1, 2, 0, 4, 3])
-SAME_VALUE_KERNELS = {
-    "compose": (lambda p, q: compose(p, q).astype(np.int32), (P, P)),
-    "invert": (lambda p: np.repeat(invert(p), 2)[::2], (P,)),  # a strided view
-    "perm_power": (lambda p, k: np.repeat(perm_power(p, k), 2).astype(np.int32)[::2], (P, -4)),
+SAME_VALUE_KERNELS = {  # label -> (name in cli, kernel, sample arguments)
+    "compose": ("compose", lambda p, q: compose(p, q).astype(np.int32), (P, P)),
+    "invert": ("invert", lambda p: np.repeat(invert(p), 2)[::2], (P,)),  # a strided view
+    "perm_power": ("perm_powers", lambda p, ks: [np.repeat(r, 2).astype(np.int32)[::2]
+                                                 for r in perm_powers(p, ks)], (P, [-4, 3])),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SAME_VALUE_KERNELS))
-def test_arithmetic_oracle_compares_values_not_layout(monkeypatch, tmp_path, name):
-    kernel, sample = SAME_VALUE_KERNELS[name]
+@pytest.mark.parametrize("label", sorted(SAME_VALUE_KERNELS))
+def test_arithmetic_oracle_compares_values_not_layout(monkeypatch, tmp_path, label):
+    name, kernel, sample = SAME_VALUE_KERNELS[label]
     image = kernel(*sample)
-    assert image.dtype != np.intp or not image.flags.c_contiguous
+    for out in image if isinstance(image, list) else [image]:
+        assert out.dtype != np.intp or not out.flags.c_contiguous
     monkeypatch.setattr(cli, name, kernel)
     code, report = _arithmetic_report(tmp_path)
     assert code == 0 and report["passed"] and report["failures"] == []
@@ -477,7 +522,7 @@ def reference_arithmetic_report(params, trials, seed):
             failures.append({"check": "mul", "g": G.element_str(g), "h": G.element_str(h)})
         if not same(row(G.inv(g)), cli.invert(pg)):
             failures.append({"check": "inv", "g": G.element_str(g)})
-        if not same(row(G.pow(g, k)), cli.perm_power(pg, k)):
+        if not same(row(G.pow(g, k)), cli.perm_powers(pg, [k])[0]):
             failures.append({"check": "pow", "g": G.element_str(g), "k": k})
         if len(failures) > 10:
             break
@@ -506,3 +551,63 @@ def test_arithmetic_oracle_report_matches_per_trial_loop(tmp_path):
         code, _ = _arithmetic_report(tmp_path, params, trials, seed)
         expect = reference_arithmetic_report(params, trials, seed)
         assert code == 0 and (tmp_path / "report.json").read_text() == json.dumps(expect) + "\n"
+
+
+def test_arithmetic_oracle_blocks_keep_the_per_trial_report(monkeypatch, tmp_path):
+    # blocks of 7 trials: a passing run, and a failing one whose cut-off
+    # falls in a later block
+    monkeypatch.setattr(cli, "TRIAL_BLOCK", 7)
+    code, _ = _arithmetic_report(tmp_path, (3, 3, 2, 2), 300, 7)
+    expect = reference_arithmetic_report((3, 3, 2, 2), 300, 7)
+    assert code == 0 and (tmp_path / "report.json").read_text() == json.dumps(expect) + "\n"
+    monkeypatch.setattr(cli, "invert", lambda p: np.array(p) if p[1] % 2 else invert(p))
+    code, report = _arithmetic_report(tmp_path, (3, 2, 1, 1), 50, 0)
+    assert code == 1 and report == reference_arithmetic_report((3, 2, 1, 1), 50, 0)
+    assert len(report["failures"]) == 11
+
+
+def test_arithmetic_oracle_row_cache_is_bounded(monkeypatch, tmp_path):
+    # (3,3,2,2) has 243 elements: under the default bound every row is built
+    # once; with room for 5 rows the cache is cleared when full, rows are
+    # built again, and no more than the 5 cached rows and the few the checks
+    # hold are alive at once
+    params, trials, seed = (3, 3, 2, 2), 400, 9
+    right_mul_ranks = PairGroup.right_mul_ranks
+    rows, most_alive = [], [0]
+
+    def counted(self, g):
+        most_alive[0] = max(most_alive[0], sum(r() is not None for r in rows))
+        row = right_mul_ranks(self, g)
+        rows.append(weakref.ref(row))
+        return row
+
+    expect = json.dumps(reference_arithmetic_report(params, trials, seed)) + "\n"
+    monkeypatch.setattr(PairGroup, "right_mul_ranks", counted)
+    code, _ = _arithmetic_report(tmp_path, params, trials, seed)
+    assert code == 0 and (tmp_path / "report.json").read_text() == expect
+    assert len(rows) <= 243
+    built = len(rows)
+    rows.clear()
+    most_alive[0] = 0
+    monkeypatch.setattr(cli, "ROW_CACHE_ENTRIES", 5 * 243)
+    code, _ = _arithmetic_report(tmp_path, params, trials, seed)
+    assert code == 0 and (tmp_path / "report.json").read_text() == expect
+    assert len(rows) > 2 * built
+    assert most_alive[0] <= 5 + 3
+
+
+@pytest.mark.parametrize("trials", [1500, 20000])
+def test_arithmetic_oracle_memory_does_not_grow_with_trials(trials):
+    # (3,3,3,2), |H| = 729: the stabilizer chain of the regular representation
+    # and the full row cache take ~4.2 MB each, and the oracle holds one at a
+    # time; with --trials 0 the peak is ~4.5 MB
+    args = cli.build_parser().parse_args(["verify", "--target", "arithmetic", "--p", "3", "--m", "3",
+                                          "--n", "3", "--r", "2", "--trials", str(trials)])
+    tracemalloc.start()
+    try:
+        report = cli._verify_arithmetic(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["passed"]
+    assert peak < 6 * 10**6

@@ -16,7 +16,7 @@ from bicayley.graphs import (  # noqa: E402
     parse_graph_text,
 )
 from bicayley.metacyclic import make_group  # noqa: E402
-from bicayley.permgroup import compose, invert, orbit_labels, perm_power  # noqa: E402
+from bicayley.permgroup import compose, invert, orbit_labels, perm_power, perm_powers  # noqa: E402
 
 from . import oracles  # noqa: E402
 from .test_symmetry import disjoint_union  # noqa: E402
@@ -57,6 +57,27 @@ def test_grid_kernels_match_scalar_mul(params, data):
     assert right.tolist() == [G.rank(G.mul(h, g)) for h in G.elements()]
     assert left.tolist() == [G.rank(G.mul(g, h)) for h in G.elements()]
     assert np.array_equal(table[G.rank(g)], left) and np.array_equal(table[:, G.rank(g)], right)
+
+
+# unsorted, with repeats, and with 0, +-1 and exponents far above any order
+exponent_lists = st.lists(
+    st.one_of(st.sampled_from([0, 1, -1]), st.integers(-100, 100), st.integers(-(10**20), 10**20)),
+    max_size=12,
+).flatmap(lambda ks: st.permutations(ks + ks[:2]))
+
+
+@SETTINGS
+@given(perms, exponent_lists)
+def test_powers_match_tuple_powers(p, ks):
+    arr = np.array(p, dtype=np.intp)
+    out = perm_powers(arr, ks)
+    assert [r.tolist() for r in out] == [list(oracles.perm_power(p, k)) for k in ks]
+    for i, r in enumerate(out):  # no result aliases the input or another result
+        r[...] = -1 - i
+    assert arr.tolist() == list(p)
+    assert all((r == -1 - i).all() for i, r in enumerate(out))
+    for k in ks:
+        assert np.array_equal(perm_power(p, k), perm_powers(p, [k])[0])
 
 
 @SETTINGS
