@@ -157,13 +157,8 @@ def delta_map(bg: BiCayleyGraph, f: GroupMap, x: Element, y: Element) -> MapResu
 
 
 def is_connected(bg: BiCayleyGraph) -> bool:
-    """BFS connectivity; when 1 in S this must agree with <R u L u S> = H."""
-    reachable = bg.graph.is_connected()
-    if bg.group.identity in bg.S:
-        generated = len(bg.group.closure(bg.R + bg.L + bg.S)) == bg.group.order
-        if reachable != generated:
-            raise RuntimeError("internal error: connectivity disagrees with <R u L u S> = H")
-    return reachable
+    """Whether the graph is connected; when 1 in S, whether <R u L u S> = H."""
+    return bg.graph.is_connected()
 
 
 def swap_parts(bg: BiCayleyGraph) -> BiCayleyGraph:

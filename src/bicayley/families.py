@@ -37,7 +37,7 @@ from .metacyclic import (
     make_group,
 )
 from .permgroup import orbit_labels
-from .symmetry import SymmetryReport, arc_action, canonical_search, classify
+from .symmetry import SymmetryReport, arc_orbits, canonical_search, classify
 from .symmetry import canonical_digest  # noqa: F401  (callers read families.canonical_digest)
 
 if TYPE_CHECKING:
@@ -284,8 +284,7 @@ def verify_symmetric_family(t: int, full_aut: bool | None = None, graph_checks: 
             sig.permutation,
             delt.permutation,
         ]
-        keys, perms, _ = arc_action(bg.graph, [g for g in gens if g is not None])
-        labels = orbit_labels(len(keys), perms)
+        keys, labels, _ = arc_orbits(bg.graph, [g for g in gens if g is not None])
         arc = keys.searchsorted(base0 * bg.graph.n + base1)
         report["arc_orbit_size"] = int((labels == labels[arc]).sum())
         report["arc_count"] = 2 * bg.graph.edge_count

@@ -6,7 +6,7 @@ import re
 from typing import Iterable, Sequence
 
 from .errors import GraphParseError, InvariantViolation
-from .permgroup import DEGREE_BUDGET
+from .permgroup import DEGREE_BUDGET, orbit_labels
 
 
 class Graph:
@@ -17,11 +17,10 @@ class Graph:
     outside [0, n) or input that is not integer pairs raises
     InvariantViolation, naming the first bad pair.  `edges` is then the one
     edge format, a read-only (m, 2) np.intp array whose rows are u < v,
-    sorted and distinct.  `adj[v]` is the sorted tuple of v's neighbours,
-    built on first use: callers that read only `edges` never pay for it.
+    sorted and distinct.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         import numpy as np  # see graph6_encode
@@ -47,20 +46,6 @@ class Graph:
         self.n = n
         self.edges = np.stack(np.divmod(keys, n), axis=1)
         self.edges.flags.writeable = False
-        self._adj: tuple[tuple[int, ...], ...] | None = None
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        if self._adj is None:
-            import numpy as np  # see graph6_encode
-
-            n, (u, v) = self.n, self.edges.T
-            # the arcs sorted by (tail, head): v's neighbours are heads[bounds[v]:bounds[v + 1]]
-            tails, heads = np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
-            heads = heads.tolist()
-            bounds = np.searchsorted(tails, np.arange(n + 1)).tolist()
-            self._adj = tuple([tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:])])
-        return self._adj
 
     @property
     def edge_count(self) -> int:
@@ -96,28 +81,21 @@ class Graph:
         return Graph(self.n, np.asarray(perm, dtype=np.intp)[self.edges])
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return bool((orbit_labels(self.n, [self.edges]) == 0).all())
 
     def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by first vertex."""
-        adj = self.adj
-        out = []
-        seen = [False] * self.n
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            stack = [start]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comp.sort()
-            out.append(comp)
-        return out
+        """Connected components as sorted vertex lists, ordered by first vertex:
+        the orbits of the edge array under `orbit_labels`, whose labels are
+        least vertices."""
+        import numpy as np  # see graph6_encode
+
+        if not self.n:
+            return []
+        labels = orbit_labels(self.n, [self.edges])
+        order = np.argsort(labels, kind="stable")  # by component, each ascending
+        bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), self.n]
+        order = order.tolist()
+        return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph on distinct vertices; vertex k of the result is
@@ -227,7 +205,7 @@ def format_edge_list(g: Graph) -> str:
     A first line "# n=<count>" keeps vertices past the largest endpoint; it is
     written only when there are such vertices.
     """
-    header = f"# n={g.n}\n" if g.n and not g.adj[-1] else ""
+    header = f"# n={g.n}\n" if g.edges[:, 1].max(initial=-1) < g.n - 1 else ""
     return header + "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
 
 

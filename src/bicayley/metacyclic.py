@@ -184,23 +184,6 @@ class PairGroup:
             frontier = new
         return frozenset(seen)
 
-    def normal_closure(self, seed: Iterable[Element], budget: int = CLOSURE_BUDGET) -> frozenset[Element]:
-        gens = list(seed)
-        while True:
-            sub = self.closure(gens, budget)
-            extra = []
-            for s in sub:
-                for t in (self.gen_a, self.gen_b):
-                    c = self.conj(s, t)
-                    if c not in sub:
-                        extra.append(c)
-            if not extra:
-                return sub
-            gens = list(sub) + extra
-
-    def derived_subgroup(self) -> frozenset[Element]:
-        return self.normal_closure([self.commutator(self.gen_a, self.gen_b)])
-
     # -- whole-group kernels ---------------------------------------------------
     #
     # Each kernel applies the group law to every element at once and returns a
@@ -401,35 +384,13 @@ class MetacyclicGroup(PairGroup):
         rows, ys = np.nonzero(valid)
         return xs[rows] * size + ys
 
-    def maximal_subgroups(self) -> list[tuple[list[Element], frozenset[Element]]]:
-        """The p+1 index-p subgroups of a 2-generated p-group, via G/Phi(G).
-
-        Returns (generating set, element set) pairs; the generating set is the
-        Frattini seed plus one coset representative per line of G/Phi.
-        """
-        a, b = self.gen_a, self.gen_b
-        phi_gens = [self.pow(a, self.p), self.pow(b, self.p), self.commutator(a, b)]
-        reps = [a] + [self.mul(self.pow(a, k), b) for k in range(self.p)]
-        out = []
-        for rep in reps:
-            gens = phi_gens + [rep]
-            sub = self.closure(gens)
-            if len(sub) * self.p != self.order:
-                raise ParameterError("quotient by Frattini subgroup is not rank 2")
-            out.append((gens, sub))
-        return out
-
     def is_inner_abelian(self) -> bool:
-        """Non-abelian with every maximal subgroup abelian."""
-        if self.is_abelian():
-            return False
-        mul = self.mul
-        for gens, _ in self.maximal_subgroups():
-            for x in gens:
-                for y in gens:
-                    if mul(x, y) != mul(y, x):
-                        return False
-        return True
+        """Non-abelian with every proper subgroup abelian, in closed form: m - r == 1.
+
+        G' = <a^(p^r)> has order p^(m-r), and a non-abelian two-generator
+        p-group is minimal non-abelian exactly when |G'| = p (Redei).
+        """
+        return self.m - self.r == 1
 
 
 class AbelianPairGroup(PairGroup):

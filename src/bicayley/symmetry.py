@@ -531,14 +531,17 @@ class SymmetryReport:
         return json.dumps(self.to_dict())
 
 
-def arc_action(graph: Graph, generators) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """The generators acting on arc indices: (keys, permutations, reversal).
+def arc_orbits(graph: Graph, generators) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arc orbits under the generators: (keys, labels, reversal).
 
     Arc (u, v) has index i where keys[i] = u * n + v, keys sorted: the rows
     of the sorted neighbour table laid end to end.  Each generator g becomes
     the arc permutation i -> index of (g[u], g[v]); sorting the packed images
     puts each image arc at its place in that table, and the sorted images
-    equal keys exactly when g maps arcs onto arcs.  The reversal maps (u, v)
+    equal keys exactly when g maps arcs onto arcs.  Each permutation is
+    folded into the `orbit_labels` labels and dropped before the next one is
+    built, so memory stays O(arcs) whatever the number of generators;
+    labels[i] is the least arc index in i's orbit.  The reversal maps (u, v)
     to (v, u).
     """
     n = graph.n
@@ -556,14 +559,17 @@ def arc_action(graph: Graph, generators) -> tuple[np.ndarray, list[np.ndarray], 
         idx[order] = places
         return idx
 
-    return keys, [index(g[u], g[v]) for g in generators], index(v, u)
+    labels = places
+    for g in generators:
+        labels = orbit_labels(len(keys), [index(g[u], g[v])], labels)
+    return keys, labels, index(v, u)
 
 
 def classify(graph: Graph, aut: PermGroup | None = None) -> SymmetryReport:
     """Orbit counts on vertices, edges and arcs, and the transitivity class.
 
     Vertex orbits and the stabilizer order come from the group's orbit
-    labels, arc orbits from the arc-index permutations (`arc_action`).  The
+    labels, arc orbits from the arc-index permutations (`arc_orbits`).  The
     reversal commutes with every automorphism, so it pairs the arc orbits;
     an edge orbit is an orbit paired with itself or a pair of two, that is
     (arc orbits + self-paired arc orbits) / 2.
@@ -576,8 +582,7 @@ def classify(graph: Graph, aut: PermGroup | None = None) -> SymmetryReport:
     has_edges = graph.edge_count > 0
     eorbits = aorbits = 0
     if has_edges:
-        keys, perms, reversal = arc_action(graph, aut.generators)
-        arc_labels = orbit_labels(len(keys), perms)
+        keys, arc_labels, reversal = arc_orbits(graph, aut.generators)
         roots = np.flatnonzero(arc_labels == np.arange(len(keys)))  # an orbit is labelled by its least arc
         aorbits = len(roots)
         eorbits = (aorbits + int(np.count_nonzero(arc_labels[reversal[roots]] == roots))) // 2

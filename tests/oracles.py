@@ -52,9 +52,55 @@ def power_by_halving(G, g, k):
     return ((j * k) % G.mod_j, (i * geom_sum_by_halving(G.mod_i, wj, k)) % G.mod_i)
 
 
+# -- subgroups by closure (the former MetacyclicGroup methods) ------------------
+
+
+def normal_closure(G, seed, budget=CLOSURE_BUDGET):
+    """The smallest normal subgroup holding seed: closures until conjugation
+    by the generators adds nothing."""
+    gens = list(seed)
+    while True:
+        sub = G.closure(gens, budget)
+        extra = [c for s in sub for t in (G.gen_a, G.gen_b) if (c := G.conj(s, t)) not in sub]
+        if not extra:
+            return sub
+        gens = list(sub) + extra
+
+
+def derived_subgroup(G):
+    return normal_closure(G, [G.commutator(G.gen_a, G.gen_b)])
+
+
+def maximal_subgroups(G):
+    """The p+1 index-p subgroups of a 2-generated p-group, via G/Phi(G), as
+    (generating set, element set) pairs; the generating set is the Frattini
+    seed plus one coset representative per line of G/Phi."""
+    a, b = G.gen_a, G.gen_b
+    phi_gens = [G.pow(a, G.p), G.pow(b, G.p), G.commutator(a, b)]
+    reps = [a] + [G.mul(G.pow(a, k), b) for k in range(G.p)]
+    out = []
+    for rep in reps:
+        gens = phi_gens + [rep]
+        sub = G.closure(gens)
+        assert len(sub) * G.p == G.order, "quotient by the Frattini subgroup is not of rank 2"
+        out.append((gens, sub))
+    return out
+
+
+def is_inner_abelian_by_closure(G):
+    """Non-abelian with every maximal subgroup abelian: the generators of
+    each maximal subgroup commute pairwise."""
+    if G.is_abelian():
+        return False
+    mul = G.mul
+    return all(
+        mul(x, y) == mul(y, x) for gens, _ in maximal_subgroups(G) for x in gens for y in gens
+    )
+
+
 def frattini_by_maximal_intersection(G):
     """Intersection of all maximal subgroups, from the enumerated subgroups."""
-    subs = [s for _, s in G.maximal_subgroups()]
+    subs = [s for _, s in maximal_subgroups(G)]
     out = set(subs[0])
     for s in subs[1:]:
         out &= s
@@ -65,7 +111,7 @@ def frattini_by_closure(G):
     """G^p G' as an element set (valid since G is a p-group): the normal
     closure of a^p, b^p and [a, b]."""
     a, b = G.gen_a, G.gen_b
-    return G.normal_closure([G.pow(a, G.p), G.pow(b, G.p), G.commutator(a, b)])
+    return normal_closure(G, [G.pow(a, G.p), G.pow(b, G.p), G.commutator(a, b)])
 
 
 def is_transitive_on(G, subset):
@@ -170,6 +216,28 @@ def check_regular_action_exhaustive(G):
             if not np.array_equal(table[hi][pg], table[rank(G.mul(g, h))]):
                 return False
     return True
+
+
+def enumerate_elements(G, limit=100_000):
+    """Every element of the permutation group G, by closing its generators
+    under products, in lexicographic order (the former
+    PermGroup.enumerate_elements)."""
+    ident = np.arange(G.degree, dtype=np.intp)
+    seen = {ident.tobytes(): ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in G.generators:
+                y = g[x]
+                key = y.tobytes()
+                if key not in seen:
+                    seen[key] = y
+                    new.append(y)
+        if len(seen) > limit:
+            raise BudgetError(f"enumeration exceeds limit {limit}")
+        frontier = new
+    return sorted(seen.values(), key=lambda p: p.tolist())
 
 
 def membership_by_enumeration(group_elements, perm):
@@ -319,6 +387,38 @@ def graph_by_edge_loop(n, edges):
     return edges, tuple(tuple(sorted(x)) for x in adj)
 
 
+def adjacency(graph):
+    """v -> the sorted tuple of v's neighbours, one edge at a time."""
+    adj = [[] for _ in range(graph.n)]
+    for u, v in graph.edges.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+
+def components_by_bfs(graph):
+    """Connected components as sorted vertex lists, ordered by least vertex,
+    by breadth-first search over adjacency sets."""
+    adj = [set(nbrs) for nbrs in adjacency(graph)]
+    seen = set()
+    out = []
+    for start in range(graph.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, frontier = [start], [start]
+        while frontier:
+            new = []
+            for x in frontier:
+                for w in adj[x] - seen:
+                    seen.add(w)
+                    new.append(w)
+            comp += new
+            frontier = new
+        out.append(sorted(comp))
+    return out
+
+
 # -- graph automorphisms --------------------------------------------------------
 
 
@@ -328,7 +428,7 @@ def brute_force_aut_order(graph) -> int:
         raise BudgetError("brute-force oracle limited to 30 vertices")
     n = graph.n
     degs = graph.degrees()
-    adjsets = [set(nb) for nb in graph.adj]
+    adjsets = [set(nb) for nb in adjacency(graph)]
     count = 0
     image = [-1] * n
     used = [False] * n

@@ -36,7 +36,7 @@ from bicayley import (
 from bicayley.graphs import Graph
 from bicayley.permgroup import invert, orbit_of_tuple, perm_power
 
-from .oracles import regular_table
+from .oracles import derived_subgroup, enumerate_elements, regular_table
 
 
 def _report(num, name, start, limit):
@@ -79,7 +79,7 @@ def test_02_inner_abelian_power_laws():
         for g in G.elements():
             j, i = g
             assert G.pow(g, 3) == ((3 * j) % G.mod_j, (3 * i) % G.mod_i)
-        assert len(G.derived_subgroup()) == 3
+        assert len(derived_subgroup(G)) == 3
     _report(2, "inner-abelian-power-laws", start, 1)
 
 
@@ -91,7 +91,7 @@ def test_03_gray_family_reproduction(gray_graph):
     aut = aut_group(gray_graph.graph)
     assert aut.order() == 1296
     # independent oracle: full closure enumeration of the generated group
-    assert len(aut.enumerate_elements(limit=2000)) == 1296
+    assert len(enumerate_elements(aut, limit=2000)) == 1296
     rep = classify(gray_graph.graph, aut)
     assert rep.classification == "semisymmetric"
     assert rep.vertex_orbits == 2 and rep.edge_orbits == 1
@@ -166,7 +166,7 @@ def test_06_normality_at_desk_scale(gray_graph, sym162):
     g2 = gamma_t(2)
     aut2 = aut_group(g2.graph)
     # oracle: the chain order matches full enumeration of the generated group
-    assert aut2.order() == len(aut2.enumerate_elements(limit=100_000))
+    assert aut2.order() == len(enumerate_elements(aut2, limit=100_000))
     from bicayley.permgroup import is_normal
 
     assert is_normal(aut2, right_group(g2)) is True
@@ -198,7 +198,7 @@ def test_07_census_classification(census27, census81a, census81b):
 def test_08_quotient_is_pappus(gray_graph):
     start = time.monotonic()
     G = gray_graph.group
-    derived = sorted(G.derived_subgroup())
+    derived = sorted(derived_subgroup(G))
     assert len(derived) == 3
     gens = [right_translation(gray_graph, h) for h in derived if h != G.identity]
     N = PermGroup(54, gens)

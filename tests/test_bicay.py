@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from bicayley import (
     identity_map,
     is_connected,
     make_automorphism,
+    make_group,
     normalize_S,
     quotient_graph,
     right_group,
@@ -21,7 +24,7 @@ from bicayley import (
 from bicayley.errors import NotAutomorphism, SetConditionError
 from bicayley.permgroup import identity as perm_identity
 
-from .oracles import is_transitive_on
+from .oracles import adjacency, derived_subgroup, is_transitive_on
 
 
 def rotation_map(G, t):
@@ -82,7 +85,7 @@ def test_sigma_map_valid(gray_graph):
     base = gray_graph.index(G.identity, 0)
     perm = res.permutation
     assert perm[base] == base
-    nbrs = gray_graph.graph.adj[base]
+    nbrs = adjacency(gray_graph.graph)[base]
     assert all(perm[w] in nbrs and perm[w] != w for w in nbrs)
 
 
@@ -217,6 +220,24 @@ def test_is_connected(gray_graph, group27):
     assert len(group27.closure([a])) == 9
 
 
+@pytest.mark.parametrize("params", [(3, 2, 1, 1), (3, 2, 2, 1)])
+def test_is_connected_matches_closure(params):
+    """The graph's BFS answer is whether <R u L u S> = H, here for every spoke
+    set {1, x, y}, and for right and left sets with S = {1}."""
+    G = make_group(*params)
+    a, b, one = G.gen_a, G.gen_b, G.identity
+    cases = [((), (), [one, x, y]) for x, y in itertools.combinations(G.elements()[1:], 2)]
+    cases += [([a, G.inv(a)], [a, G.inv(a)], [one]), ([a, G.inv(a)], [b, G.inv(b)], [one])]
+    answers = set()
+    for R, L, S in cases:
+        bg = BiCayleyGraph(G, R, L, S)
+        generated = len(G.closure(list(R) + list(L) + S)) == G.order
+        assert is_connected(bg) == generated, (R, L, S)
+        answers.add(generated)
+    assert answers == {False, True}
+    assert not is_connected(BiCayleyGraph(G, *cases[-2]))  # <a> != H
+
+
 def test_swap_parts(gray_graph):
     twice = swap_parts(swap_parts(gray_graph))
     assert twice.R == gray_graph.R
@@ -258,7 +279,7 @@ def test_quotient_by_derived(gray_graph):
     G = gray_graph.group
     gens = [
         right_translation(gray_graph, h)
-        for h in sorted(G.derived_subgroup())
+        for h in sorted(derived_subgroup(G))
         if h != G.identity
     ]
     q, rep = quotient_graph(gray_graph.graph, PermGroup(54, gens))
@@ -271,7 +292,7 @@ def test_quotient_of_arc_transitive_member_stays_cubic_symmetric(sym162):
     H = sym162.group
     gens = [
         right_translation(sym162, h)
-        for h in sorted(H.derived_subgroup())
+        for h in sorted(derived_subgroup(H))
         if h != H.identity
     ]
     q, rep = quotient_graph(sym162, PermGroup(162, gens))

@@ -14,11 +14,13 @@ from bicayley.graphs import (
     parse_graph_text,
 )
 
+from .oracles import adjacency, components_by_bfs
+
 
 def test_graph_normalizes_edges():
     g = Graph(4, [(1, 0), (0, 1), (2, 3)])
     assert g.edges.tolist() == [[0, 1], [2, 3]]
-    assert g.adj[0] == (1,)
+    assert adjacency(g)[0] == (1,)
     assert g.degrees() == (1, 1, 1, 1)
 
 
@@ -47,7 +49,7 @@ def test_graph_constructor_matches_edge_loop_oracle():
         for given in _pair_inputs(pairs):
             g = Graph(n, given)
             assert g.edges.tolist() == [list(e) for e in edges]
-            assert g.adj == adj
+            assert adjacency(g) == adj
             assert g.edges.dtype == np.intp and not g.edges.flags.writeable
 
 
@@ -127,6 +129,7 @@ def test_edge_list_keeps_isolated_vertices():
         assert parse_graph_text(text) == g
     # no vertex past the largest endpoint: no header, byte-identical to the plain format
     assert format_edge_list(Graph(4, [(0, 1), (2, 3)])) == "0 1\n2 3\n"
+    assert format_edge_list(Graph(5, [(0, 4), (1, 2)])) == "0 4\n1 2\n"  # the last row is not the largest endpoint
     assert format_edge_list(Graph(0, [])) == ""
 
 
@@ -185,6 +188,56 @@ def test_auto_detection():
 def test_relabel():
     g = Graph(3, [(0, 1)])
     assert g.relabel([2, 1, 0]).edges.tolist() == [[1, 2]]
+
+
+def _component_cases():
+    """Seeded graphs from empty to dense, with isolated vertices and many
+    components, the sparse ones relabelled so components interleave."""
+    rng = random.Random(71)
+    graphs = [Graph(0, []), Graph(1, []), Graph(2, []), Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4)])]
+    for k in range(320):
+        n = rng.randrange(1, 80)
+        m = rng.choice([0, n // 4, n // 2, n, 3 * n])
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(m)] if n > 1 else []
+        graphs.append(Graph(n, pairs))
+    for k in range(20):  # unions of 10 to 30 cycles and paths under a shuffle
+        pieces = [rng.randrange(1, 8) for _ in range(rng.randrange(10, 31))]
+        perm = list(range(sum(pieces)))
+        rng.shuffle(perm)
+        edges, start = [], 0
+        for size in pieces:
+            edges += [(perm[start + i], perm[start + i + 1]) for i in range(size - 1)]
+            if size > 2 and k % 2:
+                edges.append((perm[start], perm[start + size - 1]))
+            start += size
+        graphs.append(Graph(start, edges))
+    return graphs
+
+
+def test_components_match_bfs_oracle():
+    graphs = _component_cases()
+    counts = []
+    for g in graphs:
+        comps = components_by_bfs(g)
+        counts.append(len(comps))
+        assert g.components() == comps
+        assert g.is_connected() == (len(comps) <= 1)
+        # the header is written exactly when the last vertex has no neighbour
+        assert format_edge_list(g).startswith("# n=") == (g.n > 0 and not adjacency(g)[-1])
+    assert len(graphs) >= 300
+    assert sum(c >= 10 for c in counts) >= 50
+    assert sum(any(len(c) == 1 for c in components_by_bfs(g)) for g in graphs if g.n > 1) >= 100
+    assert 0 < sum(c == 1 for c in counts) < len(graphs)
+
+
+def test_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in _component_cases():
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges.tolist())
+        assert g.components() == sorted(sorted(c) for c in nx.connected_components(h))
+        assert g.is_connected() == (g.n == 0 or nx.is_connected(h))
 
 
 def test_connectivity_and_json():

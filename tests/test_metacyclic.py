@@ -10,6 +10,7 @@ from bicayley import (
     make_group,
 )
 from bicayley.errors import BudgetError, InvalidMapError, ParameterError
+from bicayley.metacyclic import TABLE_BUDGET
 
 from .oracles import (
     apply_map,
@@ -18,9 +19,12 @@ from .oracles import (
     check_regular_action_exhaustive,
     compose_maps,
     derived_by_all_commutators,
+    derived_subgroup,
     frattini_by_closure,
     frattini_by_maximal_intersection,
+    is_inner_abelian_by_closure,
     map_order,
+    maximal_subgroups,
     order_by_iteration,
     power_by_iteration,
     subgroup_is_abelian,
@@ -139,7 +143,7 @@ def test_closure_sizes(group27):
     a, b = G.gen_a, G.gen_b
     assert len(G.closure([a])) == 9
     assert len(G.closure([a, b])) == 27
-    assert G.closure([G.pow(a, 3)]) == G.derived_subgroup()
+    assert G.closure([G.pow(a, 3)]) == derived_subgroup(G)
 
 
 def test_closure_budget():
@@ -152,14 +156,14 @@ def test_closure_budget():
 
 def test_derived_subgroup(group27):
     G = group27
-    derived = G.derived_subgroup()
+    derived = derived_subgroup(G)
     assert derived == frozenset({(0, 0), (0, 3), (0, 6)})
     assert derived == derived_by_all_commutators(G)
 
 
 def test_derived_subgroup_abelian_guard():
     G = AbelianPairGroup(3, 9)
-    assert G.derived_subgroup() == frozenset({G.identity})
+    assert derived_subgroup(G) == frozenset({G.identity})
 
 
 def test_frattini(group27, group81a):
@@ -218,9 +222,29 @@ def test_is_inner_abelian(group27, group81a):
     big = make_group(3, 3, 2, 1)  # r != m-1
     assert not big.is_inner_abelian()
     # oracle: exhaustive abelianness of every maximal subgroup
-    flags = [subgroup_is_abelian(big, s) for _, s in big.maximal_subgroups()]
+    flags = [subgroup_is_abelian(big, s) for _, s in maximal_subgroups(big)]
     assert not all(flags)
-    assert all(subgroup_is_abelian(group27, s) for _, s in group27.maximal_subgroups())
+    assert all(subgroup_is_abelian(group27, s) for _, s in maximal_subgroups(group27))
+
+
+def test_inner_abelian_closed_form_matches_closure_oracle():
+    """r = m - 1 against the maximal subgroups, on every group with p in
+    {3, 5, 7} and p^(m+n) within the Cayley table budget."""
+    params = [
+        (p, m, n, r)
+        for p in (3, 5, 7)
+        for m in range(2, 8)
+        for n in range(1, 8)
+        for r in range(1, m)
+        if p ** (m + n) <= TABLE_BUDGET and m <= n + r
+    ]
+    assert len(params) == 28
+    flags = []
+    for p, m, n, r in params:
+        G = make_group(p, m, n, r)
+        flags.append(G.is_inner_abelian())
+        assert flags[-1] == is_inner_abelian_by_closure(G), (p, m, n, r)
+    assert 0 < sum(flags) < len(flags)
 
 
 def test_inner_abelian_power_law(group27, group81a, group81b):
@@ -233,7 +257,7 @@ def test_inner_abelian_power_law(group27, group81a, group81b):
         for g in G.elements():
             j, i = g
             assert G.pow(g, p) == ((p * j) % G.mod_j, (p * i) % G.mod_i)
-        assert len(G.derived_subgroup()) == p
+        assert len(derived_subgroup(G)) == p
 
 
 def test_regular_representation(group27):
