@@ -269,16 +269,16 @@ def quotient_graph(graph: Graph | BiCayleyGraph, N: PermGroup) -> tuple[Graph, Q
             raise NotAutomorphism("quotient group generator is not a graph automorphism")
     import numpy as np
 
-    orbits = N.orbits()
-    # orbit labels are least points, so their ranks are the indices into orbits
-    owner = np.unique(N.orbit_labels(), return_inverse=True)[1]
+    labels = N.orbit_labels()
+    # labels are least points: orbit k is the one of the k-th point labelling itself
+    owner = (np.cumsum(labels == np.arange(graph.n)) - 1)[labels]
+    sizes = np.bincount(owner)
     ends = owner[graph.edges]
-    q = Graph(len(orbits), ends[ends[:, 0] != ends[:, 1]])
-    sizes = tuple(sorted(len(o) for o in orbits))
+    q = Graph(len(sizes), ends[ends[:, 0] != ends[:, 1]])
     degs = tuple(sorted(q.degrees()))
     report = QuotientReport(
-        orbit_count=len(orbits),
-        orbit_sizes=sizes,
+        orbit_count=len(sizes),
+        orbit_sizes=tuple(sorted(sizes.tolist())),
         semiregular=N.is_semiregular(),
         valency_profile=degs,
         is_cubic=bool(degs) and degs[0] == 3 and degs[-1] == 3,

@@ -357,8 +357,9 @@ def _aut_generators(group: MetacyclicGroup, table: np.ndarray) -> list[np.ndarra
     `automorphism_pairs` is the orbit of (a, b).  The scan walks those pairs
     in (x, y) order and keeps the first one outside the orbit of (a, b) under
     the maps kept so far; it stops when that orbit has |Aut(H)| points."""
-    # numpy is imported on use, and np.unique (which imports numpy.ma) is
-    # avoided: each raised a census's peak RSS by about 1 MB
+    # numpy is imported on use, and numpy.ma is never imported (np.unique
+    # with an axis imports it; tests/test_orbits.py checks): each raised a
+    # census's peak RSS by about 1 MB
     import numpy as np
 
     pairs = group.automorphism_pairs(table)

@@ -6,7 +6,7 @@ import re
 from typing import Iterable, Sequence
 
 from .errors import GraphParseError, InvariantViolation
-from .permgroup import DEGREE_BUDGET, orbit_labels
+from .permgroup import DEGREE_BUDGET, orbit_labels, orbit_lists
 
 
 class Graph:
@@ -85,17 +85,8 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by first vertex:
-        the orbits of the edge array under `orbit_labels`, whose labels are
-        least vertices."""
-        import numpy as np  # see graph6_encode
-
-        if not self.n:
-            return []
-        labels = orbit_labels(self.n, [self.edges])
-        order = np.argsort(labels, kind="stable")  # by component, each ascending
-        bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), self.n]
-        order = order.tolist()
-        return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        the orbits of the edge array under `orbit_labels` (`orbit_lists`)."""
+        return orbit_lists(orbit_labels(self.n, [self.edges]))
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph on distinct vertices; vertex k of the result is

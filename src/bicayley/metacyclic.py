@@ -83,7 +83,6 @@ class PairGroup:
         self.gen_b: Element = (1 % mod_j, 0)
         self._order_primes: list[int] | None = None  # factored on first use
         self._element_list: tuple[Element, ...] | None = None
-        self._columns = None
         self._grid = None
 
     # -- element arithmetic ------------------------------------------------
@@ -190,19 +189,6 @@ class PairGroup:
     # contiguous np.intp array indexed by rank.  Within the enumeration budget
     # every product below (at most mod_i^2 <= 3^24) fits in int64.
 
-    def _rank_columns(self):
-        """(J, I, W): the columns of h = b^J a^I over all ranks, and the twist
-        column W[j] = w^j for 0 <= j < mod_j."""
-        if self._columns is None:
-            # numpy is imported on use, as in graphs.py and permgroup.py
-            import numpy as np
-
-            self.check_enumerable()
-            J, I = np.divmod(np.arange(self.order, dtype=np.intp), self.mod_i)
-            W = np.array([self.twist_pow(j) for j in range(self.mod_j)], dtype=np.intp)
-            self._columns = (J, I, W)
-        return self._columns
-
     def _rank_grid(self):
         """(D, K, V): the tables that read rank(b^J a^I) = J * mod_i + I off the
         (mod_j, mod_i) grid of all ranks, O(|G|) entries in all.
@@ -212,12 +198,14 @@ class PairGroup:
         is the column (s + I) mod mod_i for s < mod_i, a window of a doubled
         range (a view, no copy)."""
         if self._grid is None:
+            # numpy is imported on use, as in graphs.py and permgroup.py
             import numpy as np
             from numpy.lib.stride_tricks import sliding_window_view
 
-            J, I, W = self._rank_columns()
+            self.check_enumerable()
+            W = np.array([self.twist_pow(j) for j in range(self.mod_j)], dtype=np.intp)
             D = (np.arange(2 * self.mod_j, dtype=np.intp) % self.mod_j) * self.mod_i
-            K = ((I * W[J]) % self.mod_i).reshape(self.mod_j, self.mod_i)
+            K = W[:, None] * np.arange(self.mod_i, dtype=np.intp) % self.mod_i
             V = sliding_window_view(np.arange(2 * self.mod_i, dtype=np.intp) % self.mod_i, self.mod_i)
             self._grid = (D, K, V)
         return self._grid
@@ -270,12 +258,12 @@ class PairGroup:
         """rank(h^f) for every h = b^j a^i, i.e. of (image of b)^j (image of a)^i."""
         if not f.validated:
             raise InvalidMapError("map has not been validated as an automorphism")
-        J, I, W = self._rank_columns()
+        D, K, _ = self._rank_grid()
         yj, yi = self._power_columns(f.image_b, self.mod_j)
         xj, xi = self._power_columns(f.image_a, self.mod_i)
-        XJ = xj[I]
-        # (b^{yj} a^{yi}) (b^{xj} a^{xi}) = b^{yj + xj} a^{yi w^{xj} + xi}
-        return ((yj[J] + XJ) % self.mod_j) * self.mod_i + (yi[J] * W[XJ] + xi[I]) % self.mod_i
+        # on the (J, I) grid, (b^{yj} a^{yi}) (b^{xj} a^{xi}) = b^{yj + xj} a^{yi w^{xj} + xi},
+        # with K[xj, yi] = yi w^{xj}
+        return (D[yj[:, None] + xj] + (K[xj, yi[:, None]] + xi) % self.mod_i).reshape(-1)
 
     def regular_representation(self):
         """Right-multiplication permutations of the two generators, as a PermGroup."""
@@ -359,7 +347,6 @@ class MetacyclicGroup(PairGroup):
         """
         import numpy as np
 
-        J, I, _ = self._rank_columns()
         size, p = self.order, self.p
         points = np.arange(size)
         power = points  # x^p for every x, by p - 1 products
@@ -376,9 +363,12 @@ class MetacyclicGroup(PairGroup):
             twisted = power[twisted]
         twisted = table[points, twisted]
         xs = np.flatnonzero(log_order == self.m)
+        # the determinant test of `generates` for each x and every y = b^j a^i of the grid
+        xj, xi = (c[:, None, None] for c in np.divmod(xs, self.mod_i))
+        j, i = np.ogrid[: self.mod_j, : self.mod_i]
         valid = (
             (log_order == self.n)
-            & ((J[xs, None] * I - I[xs, None] * J) % p != 0)
+            & ((xj * i - xi * j) % p != 0).reshape(len(xs), size)
             & (table[xs] == table[:, twisted[xs]].T)
         )
         rows, ys = np.nonzero(valid)

@@ -2,8 +2,12 @@
 
 A permutation is a contiguous 1-d ``np.intp`` array of images on [0, degree):
 ``compose(p, q)`` is ``q[p]`` and `invert` one scatter.  Public functions also
-take any integer sequence; group generators are read-only arrays, and every
-orbit comes from `orbit_labels`.  numpy is imported on use, as in graphs.py.
+take any integer sequence; group generators are read-only arrays.  Every
+orbit of points comes from `orbit_labels`, the least point of each orbit:
+`orbit_lists` groups points by label, and a group given a base folds its
+generators into labels level by level for its basic orbits.  Only the
+Schreier-Sims transversals and `orbit_of_tuple`, on point tuples, search
+outward.  numpy is imported on use, as in graphs.py.
 
 Groups carry their generators plus a lazily built base-and-strong-generating
 set computed by a deterministic Schreier-Sims procedure: base points are
@@ -13,12 +17,14 @@ transversals and sift results are reproducible across runs.
 
 A group built by `PermGroup.with_base` already knows a base relative to which
 its generators are strong (the automorphism search proves this for the base
-it individualizes); its order is the product of basic orbit sizes and its
-transversals come from one pass over the generators, with no Schreier-Sims.
+it individualizes); its order is the product of basic orbit sizes, read off
+the labels, and its transversals come from one pass over the generators,
+with no Schreier-Sims.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -155,21 +161,17 @@ def orbit_labels(degree: int, generators: Sequence[Perm], labels: Perm | None = 
     return labels
 
 
-def _orbit_size(point: int, generators: Sequence[Perm]) -> int:
-    """Size of point's orbit, by a breadth-first search from point.  The seen
-    set is a Python set: a numpy mask and np.unique here added 0.8 MB to the
-    peak RSS of a census or verify run."""
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        new = []
-        for g in generators:
-            for x in g[frontier].tolist():
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        frontier = new
-    return len(seen)
+def orbit_lists(labels: Perm) -> list[list[int]]:
+    """The points grouped by label, each group ascending; for `orbit_labels`
+    labels, whose labels are least points, the groups are the orbits in order
+    of their least point."""
+    import numpy as np
+    if not len(labels):
+        return []
+    order = np.argsort(labels, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(labels)]
+    order = order.tolist()
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _validate_perm(p: Sequence[int], degree: int) -> Perm:
@@ -245,19 +247,21 @@ class PermGroup:
             self._labels.flags.writeable = False
         return self._labels
 
+    def _points(self, points: Iterable[int]) -> Perm:
+        """points as an array, each checked to lie in [0, degree)."""
+        arr = as_perm(list(points))
+        outside = (arr < 0) | (arr >= self.degree)
+        if outside.any():
+            raise InvariantViolation(f"point {arr[outside.argmax()]} outside degree {self.degree}")
+        return arr
+
     def orbit(self, point: int) -> frozenset[int]:
-        if not 0 <= point < self.degree:
-            raise InvariantViolation(f"point {point} outside degree {self.degree}")
         labels = self.orbit_labels()
-        return frozenset((labels == labels[point]).nonzero()[0].tolist())
+        return frozenset((labels == labels[self._points([point])]).nonzero()[0].tolist())
 
     def orbits(self) -> list[frozenset[int]]:
-        """Orbit partition, sorted by smallest member: a scan in point order
-        meets each orbit first at its label, its least point."""
-        parts: dict[int, list[int]] = {}
-        for point, label in enumerate(self.orbit_labels().tolist()):
-            parts.setdefault(label, []).append(point)
-        return [frozenset(part) for part in parts.values()]
+        """Orbit partition, sorted by smallest member (`orbit_lists`)."""
+        return [frozenset(orbit) for orbit in orbit_lists(self.orbit_labels())]
 
     # -- stabilizer chain -------------------------------------------------------
 
@@ -344,26 +348,30 @@ class PermGroup:
         self._levels = levels
 
     def order(self) -> int:
-        n = 1
-        if self._base is not None:
-            # product of basic orbit sizes; no transversal is built.  Level 0
-            # reads the cached labels orbits() needs anyway; deeper levels
-            # search out from the base point, touching only its orbit.
-            gens = self.generators
-            for b in self._base:
-                if not gens:
-                    break
-                if gens is self.generators:
-                    labels = self.orbit_labels()
-                    n *= int((labels == labels[b]).sum())
-                else:
-                    n *= _orbit_size(b, gens)
-                gens = [g for g in gens if g[b] == b]
-            return n
-        self._build_chain()
-        assert self._levels is not None
-        for lv in self._levels:
-            n *= len(lv.inverse)
+        if self._base is None:
+            self._build_chain()
+            assert self._levels is not None
+            return math.prod(len(lv.inverse) for lv in self._levels)
+        if not self.generators:
+            return 1
+        # product of basic orbit sizes; no transversal is built.  A generator
+        # of level i fixes base[:i] and moves base[i], so the levels >= i
+        # generate the stabilizer of base[:i].  Folded into the orbit labels
+        # from the deepest level up, each generator once, they give every
+        # basic orbit, and at level 0 the group's orbit labels.
+        import numpy as np
+        base = as_perm(self._base)
+        levels: dict[int, list[Perm]] = {}
+        moved = np.stack([g[base] for g in self.generators]) != base
+        for g, i in zip(self.generators, moved.argmax(axis=1).tolist()):
+            levels.setdefault(i, []).append(g)
+        labels, n = None, 1
+        for i in sorted(levels, reverse=True):
+            labels = orbit_labels(self.degree, levels[i], labels)
+            n *= int(np.count_nonzero(labels == labels[base[i]]))
+        if self._labels is None:
+            labels.flags.writeable = False
+            self._labels = labels
         return n
 
     def contains(self, perm: Sequence[int]) -> bool:
@@ -376,10 +384,13 @@ class PermGroup:
     # -- predicates ---------------------------------------------------------------
 
     def is_semiregular(self, domain: Iterable[int] | None = None) -> bool:
-        """Every point stabilizer trivial, i.e. every orbit has full group size."""
-        size = self.order()
-        points = set(range(self.degree) if domain is None else domain)
-        return all(len(orb) == size for orb in self.orbits() if not points.isdisjoint(orb))
+        """Every point stabilizer trivial (of the points in domain, default
+        all), i.e. every such point's orbit has full group size."""
+        import numpy as np
+        size = self.order()  # first: a group given a base labels its orbits here
+        labels = self.orbit_labels()
+        points = labels if domain is None else labels[self._points(domain)]
+        return bool((np.bincount(labels)[points] == size).all())
 
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:

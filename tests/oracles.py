@@ -545,6 +545,65 @@ def _orbit(point: int, generators: Sequence[Perm]) -> frozenset[int]:
     return frozenset(seen)
 
 
+# -- orbits by Python loops: the former `PermGroup` and `quotient_graph` code ----
+
+
+def orbit_size_by_bfs(point: int, generators) -> int:
+    """Size of point's orbit, by a breadth-first search from point over a
+    Python set (the former `permgroup._orbit_size`)."""
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        new = []
+        for g in generators:
+            for x in g[frontier].tolist():
+                if x not in seen:
+                    seen.add(x)
+                    new.append(x)
+        frontier = new
+    return len(seen)
+
+
+def basic_orbit_sizes_by_bfs(degree: int, generators, base) -> list[int]:
+    """|b_i^(G_i)| for each base point b_i, G_i generated by the generators
+    fixing base[:i], each orbit by `orbit_size_by_bfs`."""
+    gens = [np.asarray(g) for g in generators]
+    sizes = []
+    for b in base:
+        sizes.append(orbit_size_by_bfs(b, gens))
+        gens = [g for g in gens if g[b] == b]
+    return sizes
+
+
+def orbits_by_scan(labels) -> list[frozenset[int]]:
+    """The orbits of orbit labels, by a scan in point order, which meets each
+    orbit first at its label, its least point (the former `PermGroup.orbits`)."""
+    parts: dict[int, list[int]] = {}
+    for point, label in enumerate(labels.tolist()):
+        parts.setdefault(label, []).append(point)
+    return [frozenset(part) for part in parts.values()]
+
+
+def is_semiregular_by_sets(G, domain=None) -> bool:
+    """Whether every orbit meeting domain has the group's size, over Python
+    sets (the former `PermGroup.is_semiregular`, which took any domain)."""
+    size = G.order()
+    points = set(range(G.degree) if domain is None else domain)
+    orbits = orbits_by_scan(G.orbit_labels())
+    return all(len(orb) == size for orb in orbits if not points.isdisjoint(orb))
+
+
+def quotient_by_unique(graph, N):
+    """(quotient graph, orbit sizes ascending) with each vertex's orbit index
+    from np.unique's inverse of the labels (the former `quotient_graph`)."""
+    from bicayley import Graph
+
+    owner = np.unique(N.orbit_labels(), return_inverse=True)[1]
+    ends = owner[graph.edges]
+    q = Graph(int(owner.max(initial=-1)) + 1, ends[ends[:, 0] != ends[:, 1]])
+    return q, tuple(sorted(np.bincount(owner).tolist()))
+
+
 def orbit_of_tuple(generators: Iterable[Perm], seed: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """Orbit of a point tuple under the componentwise action of the generators."""
     gens = list(generators)

@@ -412,7 +412,7 @@ def _arithmetic_report(tmp_path, params=(3, 2, 1, 1), trials=50, seed=0):
 
 
 def wrong_twist(self, g):
-    J, I, _ = self._rank_columns()
+    J, I = np.divmod(np.arange(self.order), self.mod_i)
     j, i = g
     return ((J + j) % self.mod_j) * self.mod_i + (I + i) % self.mod_i  # w^j taken as 1
 

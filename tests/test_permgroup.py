@@ -46,6 +46,7 @@ def test_orbits():
     assert G.orbit(0) == frozenset(range(4))
     triv = PermGroup(4, [])
     assert [set(o) for o in triv.orbits()] == [{0}, {1}, {2}, {3}]
+    assert PermGroup(0, []).orbits() == []
 
 
 def test_orbits_of_right_group(gray_graph):
@@ -105,6 +106,11 @@ def test_is_semiregular():
     assert is_transitive_on(s4(), range(4))
     cyclic = PermGroup(4, [(1, 2, 3, 0)])
     assert cyclic.is_semiregular()
+    swap = PermGroup(4, [[1, 0, 2, 3]])
+    assert swap.is_semiregular([0, 1]) and not swap.is_semiregular([2]) and swap.is_semiregular([])
+    for domain in ([999], [4], [-1], [0, 5]):  # points outside the degree, as in orbit()
+        with pytest.raises(InvariantViolation):
+            swap.is_semiregular(domain)
 
 
 def test_semiregular_derived_translations(gray_graph):
