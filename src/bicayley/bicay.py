@@ -132,7 +132,7 @@ def sigma_map(bg: BiCayleyGraph, f: GroupMap, g: Element) -> MapResult:
         return MapResult(None, "L^alpha != g^-1 L g")
     if _ranks(G, bg.S, ha) != _ranks(G, (G.mul(G.inv(g), x) for x in bg.S)):
         return MapResult(None, "S^alpha != g^-1 S")
-    images = np.concatenate((ha, bg.half + G.left_mul_ranks(g, ha)))
+    images = np.concatenate((ha, bg.half + G.left_mul_ranks(g)[ha]))
     return MapResult(_check_automorphism(bg, images))
 
 
@@ -152,7 +152,7 @@ def delta_map(bg: BiCayleyGraph, f: GroupMap, x: Element, y: Element) -> MapResu
         return MapResult(None, "L^alpha != y^-1 R y")
     if _ranks(G, bg.S, ha) != _ranks(G, (G.mul(G.mul(G.inv(y), G.inv(z)), x) for z in bg.S)):
         return MapResult(None, "S^alpha != y^-1 S^-1 x")
-    images = np.concatenate((bg.half + G.left_mul_ranks(x, ha), G.left_mul_ranks(y, ha)))
+    images = np.concatenate((bg.half + G.left_mul_ranks(x)[ha], G.left_mul_ranks(y)[ha]))
     return MapResult(_check_automorphism(bg, images))
 
 

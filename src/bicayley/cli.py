@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 
 from . import families
@@ -26,7 +25,7 @@ from .errors import (
     PreconditionError,
     SetConditionError,
 )
-from .graphs import Graph, format_edge_list, graph6_encode, graph_to_json_dict, parse_graph_text
+from .graphs import _DECIMAL, Graph, format_edge_list, graph6_encode, graph_to_json_dict, parse_graph_text
 from .metacyclic import TABLE_BUDGET, make_group
 from .permgroup import as_perm, compose, invert, perm_powers
 from .symmetry import classify
@@ -91,10 +90,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     graph = _read_graph(args.infile, args.assume_format)
     _emit_graph(graph, args.format, args.out)
     return 0
-
-
-# the edge-list parser's rule: int() also takes non-ASCII digits, "+", "_" and spaces
-_DECIMAL = re.compile(r"[0-9]+")
 
 
 def _parse_group(text: str):

@@ -10,7 +10,10 @@ Two one-parameter families over inner-abelian metacyclic 3-groups:
 
 The verifiers re-derive the generator-image certificates behind those two
 facts with exact arithmetic and, within the engine budget, confirm the
-classification on the actual graph.  The census enumerates all connected
+classification on the actual graph.  Both are built from four helpers:
+`_member` (the report header), `_check_images` (generator-image pairs),
+`_spoke_rotation` (sigma_{alpha,g} at the identity vertex) and `_verdict`
+(`classify` when the full group is asked for, and the pass flag).  The census enumerates all connected
 cubic one-matching spoke sets {1, x, y} over a given group up to graph
 isomorphism and classifies every class.
 """
@@ -21,7 +24,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .bicay import BiCayleyGraph, MapResult, delta_map, right_translation, sigma_map
+from . import symmetry
+from .bicay import BiCayleyGraph, delta_map, right_translation, sigma_map
 from .errors import BudgetError, NoLambdaError, ParameterError
 from .graphs import graph6_encode
 from .metacyclic import (
@@ -135,31 +139,61 @@ def build_family(spec: FamilySpec) -> BiCayleyGraph:
 # -- claim verification -------------------------------------------------------
 
 
-def _pair_dict(G: PairGroup, x: Element, y: Element, rep: PairRelationReport) -> dict:
-    out = {
-        "image_a": G.element_str(x),
-        "image_b": G.element_str(y),
-        "is_automorphism": rep.ok,
-    }
-    if not rep.ok:
-        out["violated"] = rep.violated()
-        if rep.forced_a_exponents:
-            out["forces"] = [f"a^{e} = 1" for e in rep.forced_a_exponents]
-    return out
+def _member(family: str, t: int, G: PairGroup) -> dict:
+    """The report header of one family member."""
+    return {"family": family, "t": t, "group": list(G.params()), "vertices": 2 * G.order}
 
 
-def _neighbor_cycle(bg: BiCayleyGraph, result: MapResult, fixes: int) -> dict:
-    perm = result.permutation
-    edges = bg.graph.edges
-    # the other end of each edge at fixes, read off the edges without building adj
-    neighbors = (edges[(edges == fixes).any(axis=1)].sum(axis=1) - fixes).tolist()
-    cycle_ok = perm is not None and all(perm[w] in neighbors and perm[w] != w for w in neighbors)
-    return {
+def _check_images(report: dict, G: PairGroup, **pairs: tuple[Element, Element]) -> list[PairRelationReport]:
+    """`check_generator_images` on each image pair (x, y) of (a, b), filed
+    under its keyword in the report, in keyword order."""
+    reps = []
+    for key, (x, y) in pairs.items():
+        rep = check_generator_images(G, x, y)
+        entry = report[key] = {"image_a": G.element_str(x), "image_b": G.element_str(y), "is_automorphism": rep.ok}
+        if not rep.ok:
+            entry["violated"] = rep.violated()
+            if rep.forced_a_exponents:
+                entry["forces"] = [f"a^{e} = 1" for e in rep.forced_a_exponents]
+        reps.append(rep)
+    return reps
+
+
+def _spoke_rotation(report: dict, bg: BiCayleyGraph, images: tuple[Element, Element], g: Element):
+    """sigma_{alpha,g} for the automorphism alpha with the given images of
+    (a, b), filed as the report's "spoke_rotation": its permutation (None when
+    invalid) and its three checks, that it is valid, fixes the identity vertex
+    of part 0 and 3-cycles that vertex's neighbours."""
+    result = sigma_map(bg, make_automorphism(bg.group, *images), g)
+    perm, base, edges = result.permutation, bg.index(bg.group.identity, 0), bg.graph.edges
+    # the other end of each edge at base, read off the edges without building adj
+    neighbors = (edges[(edges == base).any(axis=1)].sum(axis=1) - base).tolist()
+    rot = report["spoke_rotation"] = {
         "valid": result.valid,
         "failed_condition": result.failed_condition,
-        "fixes_base_vertex": perm is not None and int(perm[fixes]) == fixes,
-        "three_cycles_neighbors": bool(cycle_ok),
+        "fixes_base_vertex": perm is not None and int(perm[base]) == base,
+        "three_cycles_neighbors": bool(perm is not None and all(perm[w] in neighbors and perm[w] != w for w in neighbors)),
     }
+    return perm, [rot["valid"], rot["fixes_base_vertex"], rot["three_cycles_neighbors"]]
+
+
+def _verdict(report: dict, checks: list, expected: str, bg: BiCayleyGraph | None, full_aut: bool | None) -> dict:
+    """Close the report: with a graph and full_aut, `classify` must name the
+    expected class; otherwise the certificate is algebraic only.  full_aut
+    defaults to whether the member fits the engine's vertex budget."""
+    if full_aut is None:
+        full_aut = report["vertices"] <= symmetry.ENGINE_VERTEX_BUDGET
+    full_aut = bool(full_aut and bg is not None)
+    if full_aut:
+        sym = classify(bg.graph)
+        report["classification"] = sym.classification
+        report["symmetry"] = sym.to_dict()
+        checks.append(sym.classification == expected)
+    else:
+        report["classification"] = f"{expected} (algebraic certificate only)"
+    report["verified_by_full_aut"] = full_aut
+    report["passed"] = all(checks)
+    return report
 
 
 def verify_semisymmetric_family(t: int, full_aut: bool | None = None) -> dict:
@@ -170,64 +204,33 @@ def verify_semisymmetric_family(t: int, full_aut: bool | None = None) -> dict:
     candidate spoke-inverting images fail the conjugation relation, the
     defect forcing a^{2*3^t} = 1.  Graph part: sigma_{alpha,a} fixes the
     identity vertex and 3-cycles its neighbours; with full_aut, classify
-    must report semisymmetric.  full_aut defaults to True: gamma_t has at
-    most 4374 vertices within the family budget.
+    must report semisymmetric.  full_aut defaults to the full group when the
+    member fits the engine's vertex budget (5000): gamma_1..3 all do.
     """
     _check_t(t)
-    if full_aut is None:
-        full_aut = True
     G = gamma_group(t)
     a, b = G.gen_a, G.gen_b
-    x1 = G.mul(G.pow(a, -2), b)
-    y1 = G.mul(G.pow(a, 3**t - 3), b)
-    rep1 = check_generator_images(G, x1, y1)
-
-    # a |-> a^-1 plus a^-1 b |-> b^-1 a forces b |-> a^{3^t} b^-1
-    x2 = G.inv(a)
-    y2 = G.mul(G.pow(a, 3**t), G.inv(b))
-    rep2 = check_generator_images(G, x2, y2)
-
-    # a |-> b^-1 a plus a^-1 b |-> a^-1 forces b |-> b^-1
-    x3 = G.mul(G.inv(b), a)
-    y3 = G.inv(b)
-    rep3 = check_generator_images(G, x3, y3)
-
+    rotation = (G.mul(G.pow(a, -2), b), G.mul(G.pow(a, 3**t - 3), b))
+    report = _member("gamma", t, G)
+    rot, inversion, swap = _check_images(
+        report,
+        G,
+        rotation_images=rotation,
+        # a |-> a^-1 plus a^-1 b |-> b^-1 a forces b |-> a^{3^t} b^-1
+        inversion_images_rejected=(G.inv(a), G.mul(G.pow(a, 3**t), G.inv(b))),
+        # a |-> b^-1 a plus a^-1 b |-> a^-1 forces b |-> b^-1
+        swap_images_rejected=(G.mul(G.inv(b), a), G.inv(b)),
+    )
     bg = gamma_t(t)
-    alpha = make_automorphism(G, x1, y1)
-    sig = sigma_map(bg, alpha, a)
-    report = {
-        "family": "gamma",
-        "t": t,
-        "group": [3, t + 1, t, t],
-        "vertices": bg.graph.n,
-        "rotation_images": _pair_dict(G, x1, y1, rep1),
-        "inversion_images_rejected": _pair_dict(G, x2, y2, rep2),
-        "swap_images_rejected": _pair_dict(G, x3, y3, rep3),
-        "spoke_rotation": _neighbor_cycle(bg, sig, bg.index(G.identity, 0)),
-        "part_swap_excluded": (not rep2.ok) and (not rep3.ok),
-    }
-    checks = [
-        rep1.ok,
-        not rep2.ok,
-        not rep3.ok,
-        2 * 3**t in rep2.forced_a_exponents,
-        2 * 3**t in rep3.forced_a_exponents,
-        report["spoke_rotation"]["valid"],
-        report["spoke_rotation"]["fixes_base_vertex"],
-        report["spoke_rotation"]["three_cycles_neighbors"],
+    _, checks = _spoke_rotation(report, bg, rotation, a)
+    report["part_swap_excluded"] = (not inversion.ok) and (not swap.ok)
+    checks += [
+        rot.ok,
         report["part_swap_excluded"],
+        2 * 3**t in inversion.forced_a_exponents,
+        2 * 3**t in swap.forced_a_exponents,
     ]
-    if full_aut:
-        sym = classify(bg.graph)
-        report["classification"] = sym.classification
-        report["symmetry"] = sym.to_dict()
-        report["verified_by_full_aut"] = True
-        checks.append(sym.classification == "semisymmetric")
-    else:
-        report["classification"] = "semisymmetric (algebraic certificate only)"
-        report["verified_by_full_aut"] = False
-    report["passed"] = all(checks)
-    return report
+    return _verdict(report, checks, "semisymmetric", bg, full_aut)
 
 
 def verify_symmetric_family(t: int, full_aut: bool | None = None, graph_checks: bool | None = None) -> dict:
@@ -238,78 +241,35 @@ def verify_symmetric_family(t: int, full_aut: bool | None = None, graph_checks: 
     sigma_{alpha,b} 3-cycles the neighbours of the identity vertex,
     delta_{beta,1,1} swaps the two parts at the identity, and the arc orbit
     under R(H) plus those two maps covers every arc.  graph_checks defaults
-    to True; full_aut defaults to t <= 2, since sigma_3 (13122 vertices) is
-    above the engine's vertex budget.
+    to True; full_aut, which needs the graph checks, defaults to the full
+    group when the member fits the engine's vertex budget (5000): sigma_1..2
+    do, sigma_3 (13122 vertices) does not.
     """
     _check_t(t)
-    if graph_checks is None:
-        graph_checks = True
-    if full_aut is None:
-        full_aut = t <= 2
     H = sigma_group(t)
     a, b = H.gen_a, H.gen_b
-    x1 = H.mul(H.pow(a, 2 * 3**t + 1), H.pow(b, -3))
-    y1 = H.mul(H.pow(a, 2 * 3**t + 1), H.pow(b, -2))
-    rep1 = check_generator_images(H, x1, y1)
-    x2 = H.inv(a)
-    y2 = H.mul(H.inv(a), b)
-    rep2 = check_generator_images(H, x2, y2)
-    report = {
-        "family": "sigma",
-        "t": t,
-        "group": [3, t + 1, t + 1, t],
-        "vertices": 2 * H.order,
-        "rotation_images": _pair_dict(H, x1, y1, rep1),
-        "inversion_images": _pair_dict(H, x2, y2, rep2),
-    }
-    checks = [rep1.ok, rep2.ok]
-    if graph_checks:
-        bg = sigma_t(t)
-        alpha = make_automorphism(H, x1, y1)
-        beta = make_automorphism(H, x2, y2)
-        sig = sigma_map(bg, alpha, b)
-        delt = delta_map(bg, beta, H.identity, H.identity)
-        base0 = bg.index(H.identity, 0)
-        base1 = bg.index(H.identity, 1)
+    rotation = (H.mul(H.pow(a, 2 * 3**t + 1), H.pow(b, -3)), H.mul(H.pow(a, 2 * 3**t + 1), H.pow(b, -2)))
+    inversion = (H.inv(a), H.mul(H.inv(a), b))
+    report = _member("sigma", t, H)
+    checks = [rep.ok for rep in _check_images(report, H, rotation_images=rotation, inversion_images=inversion)]
+    bg = sigma_t(t) if graph_checks is None or graph_checks else None
+    if bg is not None:
+        sig, spoke_checks = _spoke_rotation(report, bg, rotation, b)
+        delt = delta_map(bg, make_automorphism(H, *inversion), H.identity, H.identity)
+        base0, base1 = bg.index(H.identity, 0), bg.index(H.identity, 1)
         swaps = delt.valid and int(delt.permutation[base0]) == base1 and int(delt.permutation[base1]) == base0
-        report["spoke_rotation"] = _neighbor_cycle(bg, sig, base0)
         report["part_swap"] = {
             "valid": delt.valid,
             "failed_condition": delt.failed_condition,
             "swaps_identity_vertices": swaps,
         }
-        gens = [
-            right_translation(bg, a),
-            right_translation(bg, b),
-            sig.permutation,
-            delt.permutation,
-        ]
+        gens = [right_translation(bg, a), right_translation(bg, b), sig, delt.permutation]
         keys, labels, _ = arc_orbits(bg.graph, [g for g in gens if g is not None])
         arc = keys.searchsorted(base0 * bg.graph.n + base1)
         report["arc_orbit_size"] = int((labels == labels[arc]).sum())
         report["arc_count"] = 2 * bg.graph.edge_count
-        checks += [
-            report["spoke_rotation"]["valid"],
-            report["spoke_rotation"]["fixes_base_vertex"],
-            report["spoke_rotation"]["three_cycles_neighbors"],
-            delt.valid,
-            swaps,
-            report["arc_orbit_size"] == report["arc_count"],
-        ]
-        if full_aut:
-            sym = classify(bg.graph)
-            report["classification"] = sym.classification
-            report["symmetry"] = sym.to_dict()
-            report["verified_by_full_aut"] = True
-            checks.append(sym.classification == "arc-transitive")
-        else:
-            report["classification"] = "arc-transitive (algebraic certificate only)"
-            report["verified_by_full_aut"] = False
-    else:
-        report["classification"] = "arc-transitive (algebraic certificate only)"
-        report["verified_by_full_aut"] = False
-    report["passed"] = all(checks)
-    return report
+        checks += [*spoke_checks, delt.valid, swaps, report["arc_orbit_size"] == report["arc_count"]]
+    return _verdict(report, checks, "arc-transitive", bg, full_aut)
 
 
 # -- census -----------------------------------------------------------------

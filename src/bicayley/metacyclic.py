@@ -217,10 +217,8 @@ class PairGroup:
         # (b^J a^I) (b^j a^i) = b^(J + j) a^(I w^j + i): a row offset plus a column
         return (D[j : j + self.mod_j, None] + (K[j] + i) % self.mod_i).reshape(-1)
 
-    def left_mul_ranks(self, g: Element, ranks=None):
-        """rank(g h) for h of the given ranks (default: every h, in rank order)."""
-        if ranks is not None:
-            return self.left_mul_ranks(g)[ranks]
+    def left_mul_ranks(self, g: Element):
+        """rank(g h) for every h, in rank order of h."""
         D, K, V = self._rank_grid()
         j, i = g[0] % self.mod_j, g[1] % self.mod_i
         # (b^j a^i) (b^J a^I) = b^(j + J) a^(i w^J + I): row J is the column V[i w^J]

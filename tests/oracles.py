@@ -8,8 +8,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from bicayley.bicay import delta_map, right_translation, sigma_map
 from bicayley.errors import BudgetError, DegreeMismatch, InvalidMapError, InvariantViolation
-from bicayley.metacyclic import CLOSURE_BUDGET, GroupMap
+from bicayley.families import _check_t, gamma_group, gamma_t, sigma_group, sigma_t
+from bicayley.metacyclic import CLOSURE_BUDGET, GroupMap, check_generator_images, make_automorphism
+from bicayley.symmetry import arc_orbits, classify
 
 
 def order_by_iteration(G, g):
@@ -839,3 +842,185 @@ def delta_images_by_elements(bg, f, x, y):
         images[hr] = half + G.rank(G.mul(x, ha))
         images[half + hr] = G.rank(G.mul(y, ha))
     return images
+
+
+# -- family certificates: the former verifiers, one body each -------------------
+
+
+def _pair_dict(G, x, y, rep):
+    out = {
+        "image_a": G.element_str(x),
+        "image_b": G.element_str(y),
+        "is_automorphism": rep.ok,
+    }
+    if not rep.ok:
+        out["violated"] = rep.violated()
+        if rep.forced_a_exponents:
+            out["forces"] = [f"a^{e} = 1" for e in rep.forced_a_exponents]
+    return out
+
+
+def _neighbor_cycle(bg, result, fixes):
+    perm = result.permutation
+    edges = bg.graph.edges
+    # the other end of each edge at fixes, read off the edges without building adj
+    neighbors = (edges[(edges == fixes).any(axis=1)].sum(axis=1) - fixes).tolist()
+    cycle_ok = perm is not None and all(perm[w] in neighbors and perm[w] != w for w in neighbors)
+    return {
+        "valid": result.valid,
+        "failed_condition": result.failed_condition,
+        "fixes_base_vertex": perm is not None and int(perm[fixes]) == fixes,
+        "three_cycles_neighbors": bool(cycle_ok),
+    }
+
+
+def verify_semisymmetric_family_reference(t: int, full_aut: bool | None = None) -> dict:
+    """Certificates that gamma_t is edge- but not vertex-transitive (the
+    former `families.verify_semisymmetric_family`, with its own report code).
+
+    Arithmetic part (any t within budget): the rotation images
+    (a^-2 b, a^{3^t-3} b) satisfy the presentation and generate; both
+    candidate spoke-inverting images fail the conjugation relation, the
+    defect forcing a^{2*3^t} = 1.  Graph part: sigma_{alpha,a} fixes the
+    identity vertex and 3-cycles its neighbours; with full_aut, classify
+    must report semisymmetric.  full_aut defaults to True: gamma_t has at
+    most 4374 vertices within the family budget.
+    """
+    _check_t(t)
+    if full_aut is None:
+        full_aut = True
+    G = gamma_group(t)
+    a, b = G.gen_a, G.gen_b
+    x1 = G.mul(G.pow(a, -2), b)
+    y1 = G.mul(G.pow(a, 3**t - 3), b)
+    rep1 = check_generator_images(G, x1, y1)
+
+    # a |-> a^-1 plus a^-1 b |-> b^-1 a forces b |-> a^{3^t} b^-1
+    x2 = G.inv(a)
+    y2 = G.mul(G.pow(a, 3**t), G.inv(b))
+    rep2 = check_generator_images(G, x2, y2)
+
+    # a |-> b^-1 a plus a^-1 b |-> a^-1 forces b |-> b^-1
+    x3 = G.mul(G.inv(b), a)
+    y3 = G.inv(b)
+    rep3 = check_generator_images(G, x3, y3)
+
+    bg = gamma_t(t)
+    alpha = make_automorphism(G, x1, y1)
+    sig = sigma_map(bg, alpha, a)
+    report = {
+        "family": "gamma",
+        "t": t,
+        "group": [3, t + 1, t, t],
+        "vertices": bg.graph.n,
+        "rotation_images": _pair_dict(G, x1, y1, rep1),
+        "inversion_images_rejected": _pair_dict(G, x2, y2, rep2),
+        "swap_images_rejected": _pair_dict(G, x3, y3, rep3),
+        "spoke_rotation": _neighbor_cycle(bg, sig, bg.index(G.identity, 0)),
+        "part_swap_excluded": (not rep2.ok) and (not rep3.ok),
+    }
+    checks = [
+        rep1.ok,
+        not rep2.ok,
+        not rep3.ok,
+        2 * 3**t in rep2.forced_a_exponents,
+        2 * 3**t in rep3.forced_a_exponents,
+        report["spoke_rotation"]["valid"],
+        report["spoke_rotation"]["fixes_base_vertex"],
+        report["spoke_rotation"]["three_cycles_neighbors"],
+        report["part_swap_excluded"],
+    ]
+    if full_aut:
+        sym = classify(bg.graph)
+        report["classification"] = sym.classification
+        report["symmetry"] = sym.to_dict()
+        report["verified_by_full_aut"] = True
+        checks.append(sym.classification == "semisymmetric")
+    else:
+        report["classification"] = "semisymmetric (algebraic certificate only)"
+        report["verified_by_full_aut"] = False
+    report["passed"] = all(checks)
+    return report
+
+
+def verify_symmetric_family_reference(t: int, full_aut: bool | None = None, graph_checks: bool | None = None) -> dict:
+    """Certificates that sigma_t is arc-transitive (the former
+    `families.verify_symmetric_family`, with its own report code).
+
+    Arithmetic part: the images (a^{2*3^t+1} b^-3, a^{2*3^t+1} b^-2) and
+    (a^-1, a^-1 b) both satisfy the presentation and generate.  Graph part:
+    sigma_{alpha,b} 3-cycles the neighbours of the identity vertex,
+    delta_{beta,1,1} swaps the two parts at the identity, and the arc orbit
+    under R(H) plus those two maps covers every arc.  graph_checks defaults
+    to True; full_aut defaults to t <= 2, since sigma_3 (13122 vertices) is
+    above the engine's vertex budget.
+    """
+    _check_t(t)
+    if graph_checks is None:
+        graph_checks = True
+    if full_aut is None:
+        full_aut = t <= 2
+    H = sigma_group(t)
+    a, b = H.gen_a, H.gen_b
+    x1 = H.mul(H.pow(a, 2 * 3**t + 1), H.pow(b, -3))
+    y1 = H.mul(H.pow(a, 2 * 3**t + 1), H.pow(b, -2))
+    rep1 = check_generator_images(H, x1, y1)
+    x2 = H.inv(a)
+    y2 = H.mul(H.inv(a), b)
+    rep2 = check_generator_images(H, x2, y2)
+    report = {
+        "family": "sigma",
+        "t": t,
+        "group": [3, t + 1, t + 1, t],
+        "vertices": 2 * H.order,
+        "rotation_images": _pair_dict(H, x1, y1, rep1),
+        "inversion_images": _pair_dict(H, x2, y2, rep2),
+    }
+    checks = [rep1.ok, rep2.ok]
+    if graph_checks:
+        bg = sigma_t(t)
+        alpha = make_automorphism(H, x1, y1)
+        beta = make_automorphism(H, x2, y2)
+        sig = sigma_map(bg, alpha, b)
+        delt = delta_map(bg, beta, H.identity, H.identity)
+        base0 = bg.index(H.identity, 0)
+        base1 = bg.index(H.identity, 1)
+        swaps = delt.valid and int(delt.permutation[base0]) == base1 and int(delt.permutation[base1]) == base0
+        report["spoke_rotation"] = _neighbor_cycle(bg, sig, base0)
+        report["part_swap"] = {
+            "valid": delt.valid,
+            "failed_condition": delt.failed_condition,
+            "swaps_identity_vertices": swaps,
+        }
+        gens = [
+            right_translation(bg, a),
+            right_translation(bg, b),
+            sig.permutation,
+            delt.permutation,
+        ]
+        keys, labels, _ = arc_orbits(bg.graph, [g for g in gens if g is not None])
+        arc = keys.searchsorted(base0 * bg.graph.n + base1)
+        report["arc_orbit_size"] = int((labels == labels[arc]).sum())
+        report["arc_count"] = 2 * bg.graph.edge_count
+        checks += [
+            report["spoke_rotation"]["valid"],
+            report["spoke_rotation"]["fixes_base_vertex"],
+            report["spoke_rotation"]["three_cycles_neighbors"],
+            delt.valid,
+            swaps,
+            report["arc_orbit_size"] == report["arc_count"],
+        ]
+        if full_aut:
+            sym = classify(bg.graph)
+            report["classification"] = sym.classification
+            report["symmetry"] = sym.to_dict()
+            report["verified_by_full_aut"] = True
+            checks.append(sym.classification == "arc-transitive")
+        else:
+            report["classification"] = "arc-transitive (algebraic certificate only)"
+            report["verified_by_full_aut"] = False
+    else:
+        report["classification"] = "arc-transitive (algebraic certificate only)"
+        report["verified_by_full_aut"] = False
+    report["passed"] = all(checks)
+    return report

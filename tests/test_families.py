@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bicayley import (
@@ -13,6 +15,7 @@ from bicayley import (
     right_group,
     sigma_group,
     sigma_t,
+    symmetry,
 )
 from bicayley.errors import BudgetError, NoLambdaError, ParameterError
 from bicayley.families import verify_semisymmetric_family, verify_symmetric_family
@@ -147,6 +150,46 @@ def test_verify_symmetric_reports():
     assert rep3["passed"]
     assert rep3["rotation_images"]["is_automorphism"]
     assert rep3["inversion_images"]["is_automorphism"]
+
+
+_VERIFY_GRID = [("lemma51", t, full, None) for t in (1, 2, 3) for full in (None, False, True)] + [
+    ("lemma52", t, full, graph) for t in (1, 2, 3) for full in (None, False, True) for graph in (None, False, True)
+]
+
+
+@pytest.mark.parametrize("target, t, full_aut, graph_checks", _VERIFY_GRID)
+def test_verifiers_match_the_former_bodies(target, t, full_aut, graph_checks):
+    from .oracles import verify_semisymmetric_family_reference, verify_symmetric_family_reference
+
+    kwargs = {"full_aut": full_aut}
+    library, reference = verify_semisymmetric_family, verify_semisymmetric_family_reference
+    if target == "lemma52":
+        kwargs["graph_checks"] = graph_checks
+        library, reference = verify_symmetric_family, verify_symmetric_family_reference
+    try:
+        expected = json.dumps(reference(t, **kwargs))
+    except BudgetError as exc:  # sigma_3 with the full group is over the engine budget
+        with pytest.raises(BudgetError) as caught:
+            library(t, **kwargs)
+        assert (caught.type, str(caught.value)) == (type(exc), str(exc))
+        return
+    assert json.dumps(library(t, **kwargs)) == expected
+
+
+def test_verify_default_full_aut_follows_the_engine_budget(monkeypatch):
+    monkeypatch.setattr(symmetry, "ENGINE_VERTEX_BUDGET", 1000)
+    # gamma_2 (486 vertices) fits the lowered budget, gamma_3 (4374) does not
+    assert verify_semisymmetric_family(2)["verified_by_full_aut"] is True
+    rep = verify_semisymmetric_family(3)
+    assert rep["passed"] and rep["verified_by_full_aut"] is False
+    assert rep["classification"] == "semisymmetric (algebraic certificate only)"
+    with pytest.raises(BudgetError, match="engine budget 1000"):
+        symmetry.aut_group(gamma_t(3).graph)
+    with pytest.raises(BudgetError, match="engine budget 1000"):
+        verify_semisymmetric_family(3, full_aut=True)
+    # sigma_1 (162 vertices) fits, sigma_2 (1458) does not
+    assert verify_symmetric_family(1)["verified_by_full_aut"] is True
+    assert verify_symmetric_family(2)["verified_by_full_aut"] is False
 
 
 def test_census_small(census27):

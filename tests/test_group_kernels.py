@@ -73,7 +73,6 @@ def test_pow_closed_form_matches_halving():
 def test_right_and_left_mul_ranks_match_scalar_mul():
     for G in all_groups():
         els = G.elements()
-        shuffled = np.random.default_rng(G.order).permutation(G.order)
         for g in els:
             right = G.right_mul_ranks(g)
             left = G.left_mul_ranks(g)
@@ -81,7 +80,6 @@ def test_right_and_left_mul_ranks_match_scalar_mul():
                 assert out.dtype == np.intp and out.flags.c_contiguous
             assert np.array_equal(right, scalar_ranks(G, lambda h: G.mul(h, g)))
             assert np.array_equal(left, scalar_ranks(G, lambda h: G.mul(g, h)))
-            assert np.array_equal(G.left_mul_ranks(g, shuffled), left[shuffled])
 
 
 def test_cayley_table_matches_scalar_mul_and_row_kernels():
