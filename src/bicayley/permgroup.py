@@ -9,17 +9,20 @@ generators into labels level by level for its basic orbits.  Only the
 Schreier-Sims transversals and `orbit_of_tuple`, on point tuples, search
 outward.  numpy is imported on use, as in graphs.py.
 
-Groups carry their generators plus a lazily built base-and-strong-generating
-set computed by a deterministic Schreier-Sims procedure: base points are
-always the smallest point moved by the residue that created the level,
-Schreier generators are processed in a fixed scan order, so orders,
-transversals and sift results are reproducible across runs.
+Groups carry their generators plus a lazily built base and strong generating
+set from one pass of deterministic Schreier-Sims.  A strong generator joins
+every level up to the first base point it moves, growing those basic orbits;
+one that fixes every base opens a level at its least moved point.  The scan
+sifts each level's Schreier generators through the levels below it, deepest
+level first, in a fixed order; a non-trivial residue joins the chain and the
+scan resumes at the level where it stuck.  Orders, transversals and sift
+results are reproducible across runs.
 
 A group built by `PermGroup.with_base` already knows a base relative to which
 its generators are strong (the automorphism search proves this for the base
 it individualizes); its order is the product of basic orbit sizes, read off
-the labels, and its transversals come from one pass over the generators,
-with no Schreier-Sims.
+the labels, and its transversals grow as its generators join the chain,
+with no scan.
 """
 
 from __future__ import annotations
@@ -187,12 +190,30 @@ def _validate_perm(p: Sequence[int], degree: int) -> Perm:
 
 
 class _Level:
-    __slots__ = ("base", "inverse")
+    __slots__ = ("base", "inverse", "gens")
 
     def __init__(self, base: int, degree: int):
         self.base = base
         # point -> inverse of a transversal element u with u[base] == point
         self.inverse: dict[int, Perm] = {base: identity(degree)}
+        # the strong generators fixing every earlier base, as (g, g^-1) pairs
+        self.gens: list[tuple[Perm, Perm]] = []
+
+    def grow(self, pair: tuple[Perm, Perm]) -> None:
+        """Add a strong generator; the orbit grows breadth-first, the known
+        points under it alone, then each new point under every generator."""
+        self.gens.append(pair)
+        frontier, pairs = list(self.inverse), [pair]
+        while frontier:
+            new = []
+            for pt in frontier:
+                u_inv = self.inverse[pt]
+                for g, g_inv in pairs:
+                    img = int(g[pt])
+                    if img not in self.inverse:
+                        self.inverse[img] = u_inv[g_inv]  # (u g)^-1 = g^-1 u^-1
+                        new.append(img)
+            frontier, pairs = new, self.gens
 
 
 class PermGroup:
@@ -224,7 +245,7 @@ class PermGroup:
         The caller vouches that, for every i, the generators fixing base[:i]
         pointwise generate the pointwise stabilizer of base[:i] in the group.
         Then order() is the product of basic orbit sizes and contains() sifts
-        through transversals built in one pass, with no Schreier-Sims.
+        through transversals grown from the generators alone, with no scan.
         """
         G = cls(degree, generators)
         base = tuple(int(b) for b in base)
@@ -278,80 +299,57 @@ class PermGroup:
             perm = rep_inv[perm]
         return perm, len(levels)
 
-    def _build_chain(self) -> None:
+    def _build_chain(self) -> list[_Level]:
         if self._levels is not None:
-            return
+            return self._levels
         degree = self.degree
-        ident = identity(degree)
-        ident_bytes = ident.tobytes()
-        strong: list[Perm] = list(self.generators)
-        strong_inv = [invert(g) for g in strong]  # one inverse per strong generator
+        ident_bytes = identity(degree).tobytes()
         levels = [_Level(b, degree) for b in self._base or ()]
 
-        def rebuild() -> list[list[tuple[Perm, Perm]]]:
-            # Assign base points so every strong generator moves some base;
-            # level i uses the strong generators fixing all earlier bases,
-            # handed on as (g, g^-1) pairs.
-            while True:
-                bases = as_perm([lv.base for lv in levels])
-                for g in strong:
-                    if (g[bases] == bases).all():
-                        levels.append(_Level(int((g != ident).argmax()), degree))
-                        break
-                else:
-                    break
-            per_level: list[list[tuple[Perm, Perm]]] = []
-            for depth, lv in enumerate(levels):
-                fixed = as_perm([earlier.base for earlier in levels[:depth]])
-                pairs = [(g, g_inv) for g, g_inv in zip(strong, strong_inv) if (g[fixed] == fixed).all()]
-                per_level.append(pairs)
-                lv.inverse = {lv.base: ident}
-                frontier = [lv.base]
-                while frontier:
-                    new = []
-                    for pt in frontier:
-                        u_inv = lv.inverse[pt]
-                        for g, g_inv in pairs:
-                            img = int(g[pt])
-                            if img not in lv.inverse:
-                                lv.inverse[img] = u_inv[g_inv]  # (u g)^-1 = g^-1 u^-1
-                                new.append(img)
-                    frontier = new
-            return per_level
+        def add(g: Perm) -> None:
+            # g joins every level up to the first base it moves; one fixing
+            # every base opens a new level at its least moved point
+            pair = (g, invert(g))  # one inverse per strong generator
+            for lv in levels:
+                lv.grow(pair)
+                if g[lv.base] != lv.base:
+                    return
+            levels.append(_Level(int((g != identity(degree)).argmax()), degree))
+            levels[-1].grow(pair)
 
-        def residues(per_level: list[list[tuple[Perm, Perm]]]) -> Iterable[Perm]:
-            for idx, lv in enumerate(levels):
-                for pt in sorted(lv.inverse):
-                    u_inv = lv.inverse[pt]
-                    u = None  # inverted only when some generator here needs it
-                    for g, g_inv in per_level[idx]:
-                        # Schreier generator u g t^-1, t the representative of
-                        # g[pt]; it is trivial exactly when (u g)^-1 == t^-1
-                        t_inv = lv.inverse[int(g[pt])]
-                        if u_inv[g_inv].tobytes() == t_inv.tobytes():
-                            continue
-                        if u is None:
-                            u = invert(u_inv)
-                        residue, _ = self._sift(t_inv[g[u]], levels, idx)
-                        if residue.tobytes() != ident_bytes:
-                            yield residue
+        def scan(idx: int) -> int:
+            # sift level idx's Schreier generators through the levels below
+            # it; the first non-trivial residue joins the chain and the scan
+            # resumes at the level where it stuck, else it goes on at idx - 1
+            lv = levels[idx]
+            for pt in sorted(lv.inverse):
+                u_inv = lv.inverse[pt]
+                u = None  # inverted only when some generator here needs it
+                for g, g_inv in lv.gens:
+                    # Schreier generator u g t^-1, t the representative of
+                    # g[pt]; it is trivial exactly when (u g)^-1 == t^-1
+                    t_inv = lv.inverse[int(g[pt])]
+                    if u_inv[g_inv].tobytes() == t_inv.tobytes():
+                        continue
+                    if u is None:
+                        u = invert(u_inv)
+                    residue, stuck = self._sift(t_inv[g[u]], levels, idx + 1)
+                    if residue.tobytes() != ident_bytes:
+                        add(residue)
+                        return stuck
+            return idx - 1
 
-        while True:
-            per_level = rebuild()
-            if self._base is not None:
-                break  # the generators are already strong relative to the base
-            residue = next(residues(per_level), None)
-            if residue is None:
-                break
-            strong.append(residue)
-            strong_inv.append(invert(residue))
+        for g in self.generators:
+            add(g)
+        idx = len(levels) - 1 if self._base is None else -1  # a given base needs no scan
+        while idx >= 0:
+            idx = scan(idx)
         self._levels = levels
+        return levels
 
     def order(self) -> int:
         if self._base is None:
-            self._build_chain()
-            assert self._levels is not None
-            return math.prod(len(lv.inverse) for lv in self._levels)
+            return math.prod(len(lv.inverse) for lv in self._build_chain())
         if not self.generators:
             return 1
         # product of basic orbit sizes; no transversal is built.  A generator
@@ -376,9 +374,7 @@ class PermGroup:
 
     def contains(self, perm: Sequence[int]) -> bool:
         p = _validate_perm(perm, self.degree)
-        self._build_chain()
-        assert self._levels is not None
-        residue, _ = self._sift(p, self._levels)
+        residue, _ = self._sift(p, self._build_chain())
         return is_identity(residue)
 
     # -- predicates ---------------------------------------------------------------
@@ -394,7 +390,10 @@ class PermGroup:
 
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:
-    """Whether <N> is normal in <G>; requires N's generators to lie in G."""
+    """Whether <N> is normal in <G>; requires N's generators to lie in G.
+
+    One conjugate per pair of generators: g^-1 N g, a subgroup of N of the
+    same finite order, is N itself, so g N g^-1 = N needs no check."""
     if G.degree != N.degree:
         raise DegreeMismatch(f"degrees {G.degree} and {N.degree} differ")
     for n in N.generators:
@@ -404,8 +403,6 @@ def is_normal(G: PermGroup, N: PermGroup) -> bool:
         ginv = invert(g)
         for n in N.generators:
             if not N.contains(g[n[ginv]]):  # g^-1 n g
-                return False
-            if not N.contains(ginv[n[g]]):  # g n g^-1
                 return False
     return True
 

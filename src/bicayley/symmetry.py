@@ -535,34 +535,33 @@ def arc_orbits(graph: Graph, generators) -> tuple[np.ndarray, np.ndarray, np.nda
     """The arc orbits under the generators: (keys, labels, reversal).
 
     Arc (u, v) has index i where keys[i] = u * n + v, keys sorted: the rows
-    of the sorted neighbour table laid end to end.  Each generator g becomes
+    of the sorted neighbour table laid end to end.  Each generator g acts as
     the arc permutation i -> index of (g[u], g[v]); sorting the packed images
     puts each image arc at its place in that table, and the sorted images
-    equal keys exactly when g maps arcs onto arcs.  Each permutation is
-    folded into the `orbit_labels` labels and dropped before the next one is
-    built, so memory stays O(arcs) whatever the number of generators;
+    equal keys exactly when g maps arcs onto arcs.  The sorting order is the
+    inverse arc permutation, which has the same orbits, so it is folded into
+    the `orbit_labels` labels as it is and dropped before the next one is
+    built: memory stays O(arcs) whatever the number of generators, and
     labels[i] is the least arc index in i's orbit.  The reversal maps (u, v)
-    to (v, u).
+    to (v, u); it is an involution, so its sorting order is the reversal itself.
     """
     n = graph.n
     e = graph.edges
     keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
     u, v = np.divmod(keys, n)
-    places = np.arange(len(keys))
 
-    def index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        packed = a * n + b
+    def inverse_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        packed = a * n
+        packed += b
         order = packed.argsort()
         if not np.array_equal(packed[order], keys):
             raise NotAutomorphism("a generator maps an arc to a non-arc")
-        idx = np.empty_like(order)
-        idx[order] = places
-        return idx
+        return order
 
-    labels = places
+    labels = np.arange(len(keys))
     for g in generators:
-        labels = orbit_labels(len(keys), [index(g[u], g[v])], labels)
-    return keys, labels, index(v, u)
+        labels = orbit_labels(len(keys), [inverse_index(g[u], g[v])], labels)
+    return keys, labels, inverse_index(v, u)
 
 
 def classify(graph: Graph, aut: PermGroup | None = None) -> SymmetryReport:

@@ -635,6 +635,34 @@ def _orbit_count(items: list[tuple[int, ...]], gens, normalize) -> int:
     return count
 
 
+def arc_orbits_by_scatter(graph, generators):
+    """(keys, labels, reversal) as `symmetry.arc_orbits` had it: each arc
+    permutation scattered from its sorting order, then folded into the labels
+    (the former body)."""
+    from bicayley.errors import NotAutomorphism
+    from bicayley.permgroup import orbit_labels
+
+    n = graph.n
+    e = graph.edges
+    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    u, v = np.divmod(keys, n)
+    places = np.arange(len(keys))
+
+    def index(a, b):
+        packed = a * n + b
+        order = packed.argsort()
+        if not np.array_equal(packed[order], keys):
+            raise NotAutomorphism("a generator maps an arc to a non-arc")
+        idx = np.empty_like(order)
+        idx[order] = places
+        return idx
+
+    labels = places
+    for g in generators:
+        labels = orbit_labels(len(keys), [index(g[u], g[v])], labels)
+    return keys, labels, index(v, u)
+
+
 # -- scalar generator-image maps -------------------------------------------------
 #
 # The element-at-a-time map layer that metacyclic.py carried before every map

@@ -20,6 +20,7 @@ from bicayley.permgroup import (
     identity,
     invert,
     is_identity,
+    is_normal,
     orbit_labels,
     orbit_of_tuple,
     perm_power,
@@ -229,22 +230,18 @@ def test_generic_chain_matches_sympy_on_multi_level_groups():
 
 
 def test_chain_inverts_each_strong_generator_once(monkeypatch):
-    """Building the chain of S_5 wr C_8 (degree 40, 32 levels) inverts no
-    generator in `rebuild`, which once inverted every strong generator again
-    on every level and every restart: 9,436 calls for one order()."""
-    import sys
-
+    """Building the chain of S_5 wr C_8 (degree 40, 32 levels) inverts each
+    strong generator, given or residue, exactly once: the former chain
+    inverted every strong generator again on every level and every restart,
+    9,436 calls for one order()."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
     from bicayley import permgroup
 
-    calls = {"rebuild": 0, "other": 0}
+    arguments = []  # kept alive, so `is` tells the strong generators apart
     invert = permgroup.invert
 
     def counted(p):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code.co_name != "rebuild":
-            frame = frame.f_back
-        calls["rebuild" if frame is not None else "other"] += 1
+        arguments.append(p)
         return invert(p)
 
     monkeypatch.setattr(permgroup, "invert", counted)
@@ -253,7 +250,75 @@ def test_chain_inverts_each_strong_generator_once(monkeypatch):
     order = G.order()
     assert order == combinatorics.PermutationGroup([combinatorics.Permutation(g) for g in gens]).order()
     assert order == math.factorial(5) ** 8 * 8
-    assert calls["rebuild"] == 0 and calls["other"] > 0
+    strong = [g for g, _ in G._levels[0].gens]  # level 0 holds every strong generator
+    assert len(strong) > len(G.generators)  # the scan added residues
+    assert all(s is g for s, g in zip(strong, G.generators))  # given first, then residues
+    assert [sum(a is g for a in arguments) for g in strong] == [1] * len(strong)
+
+
+def random_generator_sets(seed, count):
+    """count seeded (degree, generators) pairs of degree <= 12 with 1-3
+    generators, each a random permutation or a product of transpositions."""
+    rng = random.Random(seed)
+    sets = []
+    for _ in range(count):
+        n = rng.randrange(1, 13)
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            if rng.random() < 0.5:
+                gens.append(list(random_perm(rng, n)))
+                continue
+            p = list(range(n))
+            for _ in range(rng.randrange(1, 4)):
+                x, y = rng.randrange(n), rng.randrange(n)
+                p[x], p[y] = p[y], p[x]
+            gens.append(p)
+        sets.append((n, gens))
+    return sets
+
+
+def test_chain_order_and_membership_match_sympy_on_random_generator_sets():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    Permutation = combinatorics.Permutation
+    rng = random.Random(67)
+    outcomes = set()
+    for n, gens in random_generator_sets(71, 600):
+        G = PermGroup(n, gens)
+        S = combinatorics.PermutationGroup([Permutation(g) for g in gens])
+        assert G.order() == S.order(), (n, gens)
+        for _ in range(3):
+            word = identity(n)
+            for _ in range(rng.randrange(1, 8)):
+                word = compose(word, rng.choice(gens))
+            assert G.contains(word)
+            perm = random_perm(rng, n)
+            member = G.contains(perm)
+            assert member == S.contains(Permutation(list(perm))), (n, gens, perm)
+            outcomes.add(member)
+    assert outcomes == {True, False}
+
+
+def test_is_normal_matches_sympy_on_random_pairs():
+    """N is made of words in G's generators, so it lies in G.  sympy's
+    A.is_normal(B) asks whether A is normal in B, hence the swapped order."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    Permutation = combinatorics.Permutation
+    rng = random.Random(73)
+    verdicts = []
+    for n, gens in random_generator_sets(79, 400):
+        words = []
+        for _ in range(rng.randrange(1, 3)):
+            word = identity(n)
+            for _ in range(rng.randrange(1, 6)):
+                word = compose(word, rng.choice(gens))
+            words.append(word.tolist())
+        G, N = PermGroup(n, gens), PermGroup(n, words)
+        expected = combinatorics.PermutationGroup([Permutation(w) for w in words]).is_normal(
+            combinatorics.PermutationGroup([Permutation(g) for g in gens])
+        )
+        verdicts.append(is_normal(G, N))
+        assert verdicts[-1] == expected, (n, gens, words)
+    assert 100 < sum(verdicts) < len(verdicts) - 50
 
 
 # -- orbit counts of classify ----------------------------------------------------------
@@ -318,6 +383,8 @@ def test_arc_orbits_match_tuple_bfs():
         arcs = [divmod(int(k), g.n) for k in keys]
         assert sorted(arcs) == sorted(edges + [(v, u) for u, v in edges])
         assert [arcs[i] for i in reversal] == [(v, u) for u, v in arcs]
+        for got, want in zip((keys, labels, reversal), oracles.arc_orbits_by_scatter(g, some)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         tuple_gens = [tuple(x.tolist()) for x in some]
         for i, arc in enumerate(arcs):
             orbit = {arcs[j] for j in np.flatnonzero(labels == labels[i])}
