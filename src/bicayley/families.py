@@ -165,9 +165,9 @@ def _spoke_rotation(report: dict, bg: BiCayleyGraph, images: tuple[Element, Elem
     invalid) and its three checks, that it is valid, fixes the identity vertex
     of part 0 and 3-cycles that vertex's neighbours."""
     result = sigma_map(bg, make_automorphism(bg.group, *images), g)
-    perm, base, edges = result.permutation, bg.index(bg.group.identity, 0), bg.graph.edges
-    # the other end of each edge at base, read off the edges without building adj
-    neighbors = (edges[(edges == base).any(axis=1)].sum(axis=1) - base).tolist()
+    perm, base = result.permutation, bg.index(bg.group.identity, 0)
+    # the neighbours of 1_0 are r_0 for r in R and s_1 for s in S
+    neighbors = [bg.index(r, 0) for r in bg.R] + [bg.index(s, 1) for s in bg.S]
     rot = report["spoke_rotation"] = {
         "valid": result.valid,
         "failed_condition": result.failed_condition,

@@ -185,83 +185,73 @@ class PairGroup:
 
     # -- whole-group kernels ---------------------------------------------------
     #
-    # Each kernel applies the group law to every element at once and returns a
-    # contiguous np.intp array indexed by rank.  Within the enumeration budget
-    # every product below (at most mod_i^2 <= 3^24) fits in int64.
+    # Each kernel is one broadcast of `_product`, the group law on rank arrays,
+    # and returns a contiguous np.intp array indexed by rank.  Within the
+    # enumeration budget every product (at most mod_i^2 <= 3^24) fits in int64.
 
     def _rank_grid(self):
-        """(D, K, V): the tables that read rank(b^J a^I) = J * mod_i + I off the
-        (mod_j, mod_i) grid of all ranks, O(|G|) entries in all.
+        """(D, K, J, I): the tables that read ranks off the (mod_j, mod_i) grid
+        of all ranks, O(|G|) entries in all.
 
-        D[k] = (k mod mod_j) * mod_i for k < 2 mod_j, so D[j:j + mod_j] is the
-        row offset of b^(J + j) for every J; K[j, i] = i w^j mod mod_i; V[s]
-        is the column (s + I) mod mod_i for s < mod_i, a window of a doubled
-        range (a view, no copy)."""
+        D[k] = (k mod mod_j) * mod_i for k < 2 mod_j is the row offset of b^k;
+        K[j, i] = i w^j mod mod_i; J = 0..mod_j-1 as a column and I = 0..mod_i-1
+        index the grid, so rank(b^J a^I) = J * mod_i + I."""
         if self._grid is None:
             # numpy is imported on use, as in graphs.py and permgroup.py
             import numpy as np
-            from numpy.lib.stride_tricks import sliding_window_view
 
             self.check_enumerable()
+            J = np.arange(self.mod_j, dtype=np.intp)[:, None]
+            I = np.arange(self.mod_i, dtype=np.intp)
             W = np.array([self.twist_pow(j) for j in range(self.mod_j)], dtype=np.intp)
             D = (np.arange(2 * self.mod_j, dtype=np.intp) % self.mod_j) * self.mod_i
-            K = W[:, None] * np.arange(self.mod_i, dtype=np.intp) % self.mod_i
-            V = sliding_window_view(np.arange(2 * self.mod_i, dtype=np.intp) % self.mod_i, self.mod_i)
-            self._grid = (D, K, V)
+            self._grid = (D, W[:, None] * I % self.mod_i, J, I)
         return self._grid
+
+    def _product(self, j1, i1, j2, i2):
+        """rank((b^j1 a^i1) (b^j2 a^i2)) = rank(b^(j1 + j2) a^(i1 w^j2 + i2)),
+        broadcast over the shapes of the four reduced parts."""
+        D, K, _, _ = self._rank_grid()
+        return D[j1 + j2] + (K[j2, i1] + i2) % self.mod_i
 
     def right_mul_ranks(self, g: Element):
         """rank(h g) for every h, in rank order of h."""
-        D, K, _ = self._rank_grid()
-        j, i = g[0] % self.mod_j, g[1] % self.mod_i
-        # (b^J a^I) (b^j a^i) = b^(J + j) a^(I w^j + i): a row offset plus a column
-        return (D[j : j + self.mod_j, None] + (K[j] + i) % self.mod_i).reshape(-1)
+        _, _, J, I = self._rank_grid()
+        return self._product(J, I, g[0] % self.mod_j, g[1] % self.mod_i).reshape(-1)
 
     def left_mul_ranks(self, g: Element):
         """rank(g h) for every h, in rank order of h."""
-        D, K, V = self._rank_grid()
-        j, i = g[0] % self.mod_j, g[1] % self.mod_i
-        # (b^j a^i) (b^J a^I) = b^(j + J) a^(i w^J + I): row J is the column V[i w^J]
-        return (D[j : j + self.mod_j, None] + V[K[:, i]]).reshape(-1)
+        _, _, J, I = self._rank_grid()
+        return self._product(g[0] % self.mod_j, g[1] % self.mod_i, J, I).reshape(-1)
 
     def cayley_table(self):
         """T[g, h] = rank(g h) for every pair of ranks: row g is
         `left_mul_ranks(g)` and column h is `right_mul_ranks(h)`.
 
-        One |G|^2 array; the only temporary is the (mod_i, mod_j, mod_i)
-        column block."""
+        One |G|^2 array, from the (j1, i1, j2, i2) grid; the temporaries are
+        the (mod_i, mod_j, mod_i) column block and the (mod_j, mod_j) row
+        offsets."""
         if self.order > TABLE_BUDGET:
             raise BudgetError(f"group order {self.order} exceeds the Cayley table budget {TABLE_BUDGET}")
-        from numpy.lib.stride_tricks import sliding_window_view
-
-        D, K, V = self._rank_grid()
-        # (b^{j1} a^{i1}) (b^{j2} a^{i2}) = b^{j1+j2} a^{i1 w^{j2} + i2}, on the
-        # (j1, i1, j2, i2) grid: rows[j1, j2] = D[j1 + j2], V[K.T][i1, j2] the column
-        rows = sliding_window_view(D, self.mod_j)[: self.mod_j]
-        return (rows[:, None, :, None] + V[K.T]).reshape(self.order, self.order)
+        _, _, J, I = self._rank_grid()
+        return self._product(J[:, None, None], I[:, None, None], J, I).reshape(self.order, self.order)
 
     def _power_columns(self, g: Element, count: int):
         """The parts (j, i) of g^0, ..., g^{count-1} as two np.intp arrays."""
         import numpy as np
 
-        js, is_ = [], []
-        cur = self.identity
-        for _ in range(count):
-            js.append(cur[0])
-            is_.append(cur[1])
-            cur = self.mul(cur, g)
-        return np.array(js, dtype=np.intp), np.array(is_, dtype=np.intp)
+        powers = [self.identity]
+        for _ in range(count - 1):
+            powers.append(self.mul(powers[-1], g))
+        return np.array(powers, dtype=np.intp).T
 
     def map_ranks(self, f: GroupMap):
         """rank(h^f) for every h = b^j a^i, i.e. of (image of b)^j (image of a)^i."""
         if not f.validated:
             raise InvalidMapError("map has not been validated as an automorphism")
-        D, K, _ = self._rank_grid()
         yj, yi = self._power_columns(f.image_b, self.mod_j)
         xj, xi = self._power_columns(f.image_a, self.mod_i)
-        # on the (J, I) grid, (b^{yj} a^{yi}) (b^{xj} a^{xi}) = b^{yj + xj} a^{yi w^{xj} + xi},
-        # with K[xj, yi] = yi w^{xj}
-        return (D[yj[:, None] + xj] + (K[xj, yi[:, None]] + xi) % self.mod_i).reshape(-1)
+        return self._product(yj[:, None], yi[:, None], xj, xi).reshape(-1)
 
     def regular_representation(self):
         """Right-multiplication permutations of the two generators, as a PermGroup."""

@@ -15,8 +15,8 @@ every level up to the first base point it moves, growing those basic orbits;
 one that fixes every base opens a level at its least moved point.  The scan
 sifts each level's Schreier generators through the levels below it, deepest
 level first, in a fixed order; a non-trivial residue joins the chain and the
-scan resumes at the level where it stuck.  Orders, transversals and sift
-results are reproducible across runs.
+scan resumes at the level where it stuck, past the pairs already shown
+trivial.  Orders, transversals and sift results are reproducible across runs.
 
 A group built by `PermGroup.with_base` already knows a base relative to which
 its generators are strong (the automorphism search proves this for the base
@@ -190,7 +190,7 @@ def _validate_perm(p: Sequence[int], degree: int) -> Perm:
 
 
 class _Level:
-    __slots__ = ("base", "inverse", "gens")
+    __slots__ = ("base", "inverse", "gens", "checked")
 
     def __init__(self, base: int, degree: int):
         self.base = base
@@ -198,6 +198,9 @@ class _Level:
         self.inverse: dict[int, Perm] = {base: identity(degree)}
         # the strong generators fixing every earlier base, as (g, g^-1) pairs
         self.gens: list[tuple[Perm, Perm]] = []
+        # point -> how many of gens the scan has shown to give trivial Schreier
+        # generators there; transversals only grow, so those stay trivial
+        self.checked: dict[int, int] = {}
 
     def grow(self, pair: tuple[Perm, Perm]) -> None:
         """Add a strong generator; the orbit grows breadth-first, the known
@@ -318,14 +321,15 @@ class PermGroup:
             levels[-1].grow(pair)
 
         def scan(idx: int) -> int:
-            # sift level idx's Schreier generators through the levels below
-            # it; the first non-trivial residue joins the chain and the scan
-            # resumes at the level where it stuck, else it goes on at idx - 1
+            # sift level idx's Schreier generators not yet shown trivial through
+            # the levels below it; the first non-trivial residue joins the chain
+            # and the scan resumes at the level where it stuck, else at idx - 1
             lv = levels[idx]
             for pt in sorted(lv.inverse):
                 u_inv = lv.inverse[pt]
                 u = None  # inverted only when some generator here needs it
-                for g, g_inv in lv.gens:
+                for k in range(lv.checked.get(pt, 0), len(lv.gens)):
+                    g, g_inv = lv.gens[k]
                     # Schreier generator u g t^-1, t the representative of
                     # g[pt]; it is trivial exactly when (u g)^-1 == t^-1
                     t_inv = lv.inverse[int(g[pt])]
@@ -335,8 +339,10 @@ class PermGroup:
                         u = invert(u_inv)
                     residue, stuck = self._sift(t_inv[g[u]], levels, idx + 1)
                     if residue.tobytes() != ident_bytes:
+                        lv.checked[pt] = k  # pair k is checked again on resuming
                         add(residue)
                         return stuck
+                lv.checked[pt] = len(lv.gens)
             return idx - 1
 
         for g in self.generators:

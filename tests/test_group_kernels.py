@@ -109,7 +109,7 @@ def test_grid_kernels_agree_with_scalar_mul_and_each_other():
     for G in grid_test_groups():
         els = G.elements()
         table = G.cayley_table()
-        assert table.dtype == np.intp and table.shape == (G.order, G.order)
+        assert table.dtype == np.intp and table.shape == (G.order, G.order) and table.flags.c_contiguous
         for g in els:
             right, left = G.right_mul_ranks(g), G.left_mul_ranks(g)
             for out in (right, left):
@@ -119,6 +119,21 @@ def test_grid_kernels_agree_with_scalar_mul_and_each_other():
         for g in els if len(els) < 64 else rng.sample(els, 12):
             assert np.array_equal(G.right_mul_ranks(g), scalar_ranks(G, lambda h: G.mul(h, g)))
             assert np.array_equal(G.left_mul_ranks(g), scalar_ranks(G, lambda h: G.mul(g, h)))
+
+
+def test_cayley_table_holds_no_second_table_sized_temporary():
+    # (3,4,3,3), |G| = 2187: the table takes 38.3 MB, and its one broadcast
+    # of the product formula holds the (mod_i, mod_j, mod_i) column block
+    # (1.4 MB) next to it
+    G = make_group(3, 4, 3, 3)
+    tracemalloc.start()
+    try:
+        table = G.cayley_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.intp and table.flags.c_contiguous
+    assert peak <= 1.1 * G.order**2 * 8
 
 
 def test_map_ranks_matches_apply_map_on_every_map():

@@ -256,6 +256,59 @@ def test_chain_inverts_each_strong_generator_once(monkeypatch):
     assert [sum(a is g for a in arguments) for g in strong] == [1] * len(strong)
 
 
+def test_chain_sifts_each_pair_once_on_k40(monkeypatch):
+    """The generic chain of aut_group(K_40)'s 39 generators sifts each
+    (point, strong generator) pair of its levels at most once, plus one
+    re-check of each pair whose residue joined the chain.  A scan that
+    restarted every resumed level at its first point made 141,664 sifts for
+    the same chain, against 27,780 pairs and 19 residues."""
+    sifts = [0]
+    sift = PermGroup._sift
+
+    def counted(self, *args):
+        sifts[0] += 1
+        return sift(self, *args)
+
+    gens = aut_group(Graph(40, list(itertools.combinations(range(40), 2)))).generators
+    monkeypatch.setattr(PermGroup, "_sift", counted)
+    G = PermGroup(40, gens)
+    assert G.order() == math.factorial(40)
+    levels = G._levels
+    # the base and strong generators the scan has always chosen
+    assert [lv.base for lv in levels] == [*range(38, -1, -2), *range(1, 39, 2)]
+    assert len(levels[0].gens) == 58 and len(G.generators) == 39
+    pairs = sum(len(lv.inverse) * len(lv.gens) for lv in levels)
+    assert pairs == 27_780
+    assert sifts[0] <= pairs + len(levels[0].gens) - len(G.generators)  # one re-check per residue
+
+
+def test_scan_progress_changes_no_decision(monkeypatch):
+    """A scan that forgets its progress, and so restarts every resumed level
+    at its first point, builds the same chain: the same bases, strong
+    generators in the same order, and the same transversals."""
+    from bicayley import permgroup
+
+    class Forgetful(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    class Restarting(permgroup._Level):
+        def __init__(self, base, degree):
+            super().__init__(base, degree)
+            self.checked = Forgetful()
+
+    def chain(n, gens):
+        return [(lv.base, [g.tobytes() for g, _ in lv.gens], {pt: u.tobytes() for pt, u in lv.inverse.items()})
+                for lv in PermGroup(n, gens)._build_chain()]
+
+    groups = random_generator_sets(73, 200) + chain_test_groups()
+    for graph in (gamma_t(1).graph, sigma_t(1).graph, Graph(16, list(itertools.combinations(range(16), 2)))):
+        groups.append((graph.n, aut_group(graph).generators))
+    expected = [chain(n, gens) for n, gens in groups]
+    monkeypatch.setattr(permgroup, "_Level", Restarting)
+    assert [chain(n, gens) for n, gens in groups] == expected
+
+
 def random_generator_sets(seed, count):
     """count seeded (degree, generators) pairs of degree <= 12 with 1-3
     generators, each a random permutation or a product of transpositions."""
