@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import islice
 
 from . import families
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .graphs import _DECIMAL, Graph, format_edge_list, graph6_encode, graph_to_json_dict, parse_graph_text
 from .metacyclic import TABLE_BUDGET, make_group
-from .permgroup import as_perm, compose, invert, perm_powers
+from .permgroup import compose, invert, perm_powers
 from .symmetry import classify
 
 _USAGE_ERRORS = (
@@ -114,23 +115,20 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-def _same(p, q) -> bool:
-    """Equal as permutations: np.array_equal on 1-d integer arrays, by bytes."""
-    return as_perm(p).tobytes() == as_perm(q).tobytes()
-
-
-# a time bound on the oracle: 10^5 trials take ~1.2 s at |H| = 27 and ~3.5 s at
+# a time bound on the oracle: 10^5 trials take ~0.7 s at |H| = 27 and ~2.1 s at
 # |H| = 729 (2-core Intel Xeon), so 10^6 stays under a minute
 TRIALS_BUDGET = 10**6
-# trials drawn, then checked element by element, at a time: the block's
-# bookkeeping is what the oracle holds besides its rows
-TRIAL_BLOCK = 2048
-# the cached right_mul_ranks rows hold at most the entries of a Cayley table
-# within budget (50 MB of np.intp); a full cache is cleared
-ROW_CACHE_ENTRIES = TABLE_BUDGET**2
+# trials drawn at a time; the powers of an element drawn more than once in a
+# block come from one perm_powers call
+TRIAL_BLOCK = 4096
+# each check of a block compares stacks of rows, one row of |H| entries a
+# trial (or a new element for inv), of at most this many entries each
+CHUNK_ENTRIES = 2**14
 
 
 def _verify_arithmetic(args: argparse.Namespace) -> dict:
+    import numpy as np
+
     if args.trials < 0:
         raise ParameterError(f"--trials must be at least 0, got {args.trials}")
     if args.trials > TRIALS_BUDGET:
@@ -140,51 +138,66 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
     # the order first: the stabilizer chain (~|H|^2 entries) is gone before the first row
     order, generators = perms.order(), perms.generators
     del perms
-    els = group.elements()
-    cache = {}
-    cache_rows = ROW_CACHE_ENTRIES // group.order
+    els, rank, size = group.elements(), group.rank, group.order
+    chunk = max(1, CHUNK_ENTRIES // size)
 
-    def perm_of(g):
-        # right-multiplication permutation from the whole-group kernel
-        p = cache.get(g)
-        if p is None:
-            if len(cache) >= cache_rows:
-                cache.clear()  # all at once: which rows are cached depends on the trials alone
-            p = cache[g] = group.right_mul_ranks(g)
-        return p
+    def build(ranks):
+        # the right_mul_ranks row of each rank; the stacked kernels and the
+        # narrow table need every entry to be a rank
+        block = group.right_mul_rows(ranks)
+        if block.size and (block.min() < 0 or block.max() >= size):
+            raise InvariantViolation("right_mul_rows gave an entry that is not a rank")
+        return block
 
-    inv_ok = {}  # the inv check depends on g alone: one verdict per element
+    if size <= TABLE_BUDGET:  # T[x] = right_mul_ranks(x), built once, a chunk at a time
+        table = np.empty((size, size), np.min_scalar_type(size - 1))
+        for start in range(0, size, chunk):
+            table[start : start + chunk] = build(np.arange(start, min(start + chunk, size)))
+        rows = table.__getitem__
+    else:
+        rows = build
+
+    def chunked(check, *ranks):
+        # check(rows of ranks[0][s:e], ...) on consecutive chunks, concatenated
+        return np.concatenate([check(*(rows(r[s : s + chunk]) for r in ranks))
+                               for s in range(0, len(ranks[0]), chunk)])
+
     failures = []
     # the kernel's generator rows must be the ones scalar mul builds
-    for gen, perm in zip((group.gen_a, group.gen_b), generators):
-        if not _same(perm_of(gen), perm):
+    gens = (group.gen_a, group.gen_b)
+    for gen, row, perm in zip(gens, rows([rank(g) for g in gens]), generators):
+        if not np.array_equal(row, perm):
             failures.append({"check": "row", "g": group.element_str(gen)})
+    inv_ok = {}  # the inv check depends on g alone: one verdict per element rank
     rng = random.Random(args.seed)
     for start in range(0, args.trials, TRIAL_BLOCK):
-        # the draws of a block, in trial order, grouped by g
-        by_g = {}
-        for trial in range(start, min(start + TRIAL_BLOCK, args.trials)):
-            g = els[rng.randrange(len(els))]
-            h = els[rng.randrange(len(els))]
-            k = rng.randrange(-group.order, group.order + 1)
-            by_g.setdefault(g, []).append((trial, h, k))
-        found = {}  # trial -> its failures, in check order
-        for g, draws in by_g.items():
-            pg = perm_of(g)
-            ok = inv_ok.get(g)
-            if ok is None:
-                ok = inv_ok[g] = _same(perm_of(group.inv(g)), invert(pg))
-            powers = perm_powers(pg, [k for _, _, k in draws])
-            for (trial, h, k), pk in zip(draws, powers):
-                mul_ok = _same(perm_of(group.mul(g, h)), compose(pg, perm_of(h)))
-                pow_ok = _same(perm_of(group.pow(g, k)), pk)
-                if not (mul_ok and ok and pow_ok):
-                    s = group.element_str(g)
-                    checks = ((mul_ok, {"check": "mul", "g": s, "h": group.element_str(h)}),
-                              (ok, {"check": "inv", "g": s}), (pow_ok, {"check": "pow", "g": s, "k": k}))
-                    found[trial] = [record for passed, record in checks if not passed]
-        for trial in sorted(found):
-            failures.extend(found[trial])
+        # the draws of a block in trial order: the ranks of g and h, and k
+        draws = [v for _ in range(start, min(start + TRIAL_BLOCK, args.trials))
+                 for v in (rng.randrange(size), rng.randrange(size), rng.randrange(-size, size + 1))]
+        gi, hi, ks = draws[0::3], draws[1::3], draws[2::3]
+        del draws
+        ghi = [rank(group.mul(els[x], els[y])) for x, y in zip(gi, hi)]
+        pki = [rank(group.pow(els[x], k)) for x, k in zip(gi, ks)]
+        by_g = {}  # g -> its trials in the block
+        for t, x in enumerate(gi):
+            by_g.setdefault(x, []).append(t)
+        mul_ok = chunked(lambda g, h, gh: (gh == compose(g, h)).all(axis=1), gi, hi, ghi)
+        new = [x for x in by_g if x not in inv_ok]
+        if new:
+            inverses = [rank(group.inv(els[x])) for x in new]
+            verdicts = chunked(lambda g, g_inv: (g_inv == invert(g)).all(axis=1), new, inverses)
+            inv_ok.update(zip(new, verdicts.tolist()))
+        # the powers of each g from one call, made as the chunks compare them
+        grouped = [t for ts in by_g.values() for t in ts]
+        powers = (pk for x, ts in by_g.items() for pk in perm_powers(rows([x])[0], [ks[t] for t in ts]))
+        pow_ok = np.empty(len(gi), bool)
+        pow_ok[grouped] = chunked(lambda want: (want == np.stack(list(islice(powers, len(want))))).all(axis=1),
+                                  [pki[t] for t in grouped])
+        for t in np.flatnonzero(~(mul_ok & pow_ok & np.array([inv_ok[x] for x in gi]))).tolist():
+            s = group.element_str(els[gi[t]])
+            checks = ((mul_ok[t], {"check": "mul", "g": s, "h": group.element_str(els[hi[t]])}),
+                      (inv_ok[gi[t]], {"check": "inv", "g": s}), (pow_ok[t], {"check": "pow", "g": s, "k": ks[t]}))
+            failures.extend(record for passed, record in checks if not passed)
             if len(failures) > 10:
                 break
         if len(failures) > 10:

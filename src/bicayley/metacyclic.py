@@ -219,6 +219,15 @@ class PairGroup:
         _, _, J, I = self._rank_grid()
         return self._product(J, I, g[0] % self.mod_j, g[1] % self.mod_i).reshape(-1)
 
+    def right_mul_rows(self, ranks):
+        """right_mul_ranks(g) for the element g of each rank in [0, |G|) given,
+        as the rows of one (len(ranks), |G|) array."""
+        import numpy as np
+
+        _, _, J, I = self._rank_grid()
+        j, i = np.divmod(np.asarray(ranks, dtype=np.intp)[:, None, None], self.mod_i)
+        return self._product(J, I, j, i).reshape(-1, self.order)
+
     def left_mul_ranks(self, g: Element):
         """rank(g h) for every h, in rank order of h."""
         _, _, J, I = self._rank_grid()

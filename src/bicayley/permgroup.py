@@ -2,7 +2,10 @@
 
 A permutation is a contiguous 1-d ``np.intp`` array of images on [0, degree):
 ``compose(p, q)`` is ``q[p]`` and `invert` one scatter.  Public functions also
-take any integer sequence; group generators are read-only arrays.  Every
+take any integer sequence; group generators are read-only arrays.
+`compose`, `invert` and `perm_powers` also take an (m, n) stack of
+permutations, one a row, in any integer dtype, and work row by row with one
+numpy operation for all rows; a stack's results keep its dtype.  Every
 orbit of points comes from `orbit_labels`, the least point of each orbit:
 `orbit_lists` groups points by label, and a group given a base folds its
 generators into labels level by level for its basic orbits.  Only the
@@ -56,19 +59,46 @@ def is_identity(p: Sequence[int]) -> bool:
     return bool((as_perm(p) == identity(len(p))).all())
 
 
+def _perms(p) -> Perm:
+    """p as a permutation (`as_perm`), or a 2-d stack of permutations, one a
+    row, as it is: any integer dtype and memory layout."""
+    import numpy as np
+    a = np.asarray(p)
+    return a if a.ndim == 2 else as_perm(a)
+
+
+def _flat(p: Perm) -> Perm:
+    """The points of an (m, n) stack as indices into its flattened array: each
+    row is shifted to its own row (its points must lie in [0, n))."""
+    import numpy as np
+    m, n = p.shape
+    return p + np.arange(m, dtype=np.intp)[:, None] * n
+
+
+def _gather(q: Perm, p: Perm) -> Perm:
+    """q[p], row by row for stacks of one shape."""
+    import numpy as np
+    return q[p] if p.ndim == 1 else np.take(q, _flat(p))
+
+
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
-    """Apply p first, then q."""
-    p, q = as_perm(p), as_perm(q)
-    if len(p) != len(q):
-        raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
-    return q[p]
+    """Apply p first, then q; for two (m, n) stacks, row by row."""
+    p, q = _perms(p), _perms(q)
+    if p.shape != q.shape:
+        raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ" if p.ndim == q.ndim == 1
+                             else f"shapes {p.shape} and {q.shape} differ")
+    return _gather(q, p)
 
 
 def invert(p: Sequence[int]) -> Perm:
+    """p^-1 by one scatter; for an (m, n) stack, row by row, in its dtype."""
     import numpy as np
-    p = as_perm(p)
-    out = np.empty_like(p)
-    out[p] = identity(len(p))
+    p = _perms(p)
+    out = np.empty(p.shape, p.dtype)
+    if p.ndim == 1:
+        out[p] = identity(len(p))
+    else:  # the row of images repeats for every row
+        np.put(out, _flat(p), identity(p.shape[-1]))
     return out
 
 
@@ -77,37 +107,60 @@ def perm_power(p: Sequence[int], k: int) -> Perm:
     return perm_powers(p, [k])[0]
 
 
+def _period(p: Perm, bound: int) -> int:
+    """The least L <= bound with p^L fixing point 0, or 0 if there is none."""
+    if not len(p) or bound < 1:
+        return 0
+    images = memoryview(p)  # a point at a time, as Python ints
+    x, steps = images[0], 1
+    while x and steps < bound:
+        x, steps = images[x], steps + 1
+    return 0 if x else steps
+
+
 def perm_powers(p: Sequence[int], exponents: Iterable[int]) -> list[Perm]:
     """[p^k for k in exponents] by repeated squaring, the squarings p, p^2,
-    p^4, ... shared by all exponents; k may be negative or exceed the order of p.
+    p^4, ... shared by all exponents; k may be negative or exceed the order of
+    p.  For an (m, n) stack p each result is the stack of the rows' powers.
 
+    For a permutation, let L <= max |k| be the period of point 0 under p.
+    Only once p^L is checked to be the identity, every k is reduced mod L,
+    so no exponent reaches the order of p; otherwise (another cycle is
+    longer, or L is above every |k|), and for a stack, the exponents are
+    used as given.
     Each product starts at the lowest set bit of |k|, so k != 0 makes no
     identity and no gather with one; a negative k inverts p^|k|.  No result
     aliases p or another result."""
-    p = as_perm(p)
+    import numpy as np
+    p = _perms(p)
     exponents = [operator.index(k) for k in exponents]
-    squares = [p]  # squares[i] = p^(2^i)
-    for _ in range(max((abs(k) for k in exponents), default=0).bit_length() - 1):
-        squares.append(squares[-1][squares[-1]])
+    squares = [p]  # squares[i] = p^(2^i), grown as the exponents need them
+
+    def power(bits: int) -> Perm:  # p^bits for bits >= 1, possibly a square itself
+        while len(squares) < bits.bit_length():
+            squares.append(_gather(squares[-1], squares[-1]))
+        low = (bits & -bits).bit_length() - 1
+        result = squares[low]
+        for i in range(low + 1, bits.bit_length()):
+            if bits >> i & 1:
+                result = _gather(squares[i], result)
+        return result
+
+    period = _period(p, max((abs(k) for k in exponents), default=0)) if p.ndim == 1 else 0
+    if period and (power(period) == identity(p.shape[-1])).all():
+        exponents = [k % period for k in exponents]
     out = []
     for k in exponents:
         bits = abs(k)
         if not bits:
-            out.append(identity(len(p)))
-            continue
-        low = (bits & -bits).bit_length() - 1
-        result = squares[low]
-        bits >>= low + 1
-        for square in squares[low + 1 :]:
-            if not bits:
-                break
-            if bits & 1:
-                result = square[result]
-            bits >>= 1
-        if k < 0:
-            result = invert(result)
-        elif result is squares[low]:  # |k| a power of two: never alias a square
-            result = result.copy()
+            result = np.empty(p.shape, p.dtype)
+            result[...] = identity(p.shape[-1])
+        elif k < 0:
+            result = invert(power(bits))
+        else:
+            result = power(bits)
+            if not bits & (bits - 1):  # a power of two: never alias a square
+                result = result.copy()
         out.append(result)
     return out
 

@@ -29,7 +29,7 @@ from bicayley.metacyclic import (
     identity_map,
     make_group,
 )
-from bicayley.permgroup import as_perm, compose, invert, perm_powers
+from bicayley.permgroup import compose, invert, perm_powers
 from tests import oracles
 
 KERNEL_GROUPS = [(3, 2, 1, 1), (3, 3, 2, 2), (5, 2, 2, 1)]
@@ -424,51 +424,61 @@ def _arithmetic_report(tmp_path, params=(3, 2, 1, 1), trials=50, seed=0):
     return code, json.loads(out.read_text())
 
 
-def wrong_twist(self, g):
-    J, I = np.divmod(np.arange(self.order), self.mod_i)
-    j, i = g
-    return ((J + j) % self.mod_j) * self.mod_i + (I + i) % self.mod_i  # w^j taken as 1
+def wrong_twist(self, j1, i1, j2, i2):
+    # the group law on rank arrays with w^j2 taken as 1, so every row that
+    # right_mul_ranks and right_mul_rows build is wrong
+    D, _, _, _ = self._rank_grid()
+    return D[j1 + j2] + (i1 + i2) % self.mod_i
+
+
+# The permutation kernels below take a permutation or an (m, n) stack, as the
+# kernels they replace do, and have the same bug on each row.
 
 
 class StaleSquares:
-    """perm_powers that keeps the squarings p^2, p^4, ... of the element it was
-    called with before and only appends the ones it lacks."""
+    """perm_powers that keeps the squarings p^2, p^4, ... of the element (or
+    stack) it was called with before and only appends the ones it lacks."""
 
     def __init__(self):
         self.squares = []
 
     def __call__(self, p, exponents):
-        p = as_perm(p)
+        p = np.asarray(p)
         top = max(abs(k) for k in exponents).bit_length()
         squares = self.squares = [p] + self.squares[1:]
         while len(squares) < top:
-            squares.append(squares[-1][squares[-1]])
+            squares.append(compose(squares[-1], squares[-1]))
         return [powers_from_squares(squares, k) for k in exponents]
 
 
 def powers_from_squares(squares, k, skip=None):
     """p^k from squares[i] = p^(2^i), leaving out bit `skip` of |k|."""
-    result = np.arange(len(squares[0]))
+    result = np.broadcast_to(np.arange(squares[0].shape[-1]), squares[0].shape)
     for bit in range(abs(k).bit_length()):
         if abs(k) >> bit & 1 and bit != skip:
-            result = squares[bit][result]
+            result = compose(result, squares[bit])
     return invert(result) if k < 0 else result
 
 
 def powers_skipping_low_bit(p, exponents):
     # the bit loop starts at 1: bit 0 of |k| is never multiplied in
-    p = as_perm(p)
-    squares = [p]
+    squares = [np.asarray(p)]
     for _ in range(max(abs(k) for k in exponents).bit_length()):
-        squares.append(squares[-1][squares[-1]])
+        squares.append(compose(squares[-1], squares[-1]))
     return [powers_from_squares(squares, k, skip=0) for k in exponents]
+
+
+def invert_unless_odd(p):
+    """invert, but a permutation that maps 1 to an odd point is returned as it is."""
+    p = np.asarray(p)
+    return np.where(p[..., 1:2] % 2 == 1, p, invert(p))
 
 
 # label -> (where it is patched, name, a kernel with a plausible bug, the checks
 # that must see it); a class is a kernel with state, made fresh for each run
 WRONG_KERNELS = {
-    "right_mul_ranks": (PairGroup, "right_mul_ranks", wrong_twist, {"row", "mul"}),
-    "compose": (cli, "compose", lambda p, q: np.asarray(p)[q], {"mul"}),  # q first, then p
+    "right_mul_ranks": (PairGroup, "_product", wrong_twist, {"row", "mul"}),
+    "compose": (cli, "compose", lambda p, q: compose(q, p), {"mul"}),  # q first, then p
     "invert": (cli, "invert", lambda p: np.array(p), {"inv"}),  # p itself
     "perm_power": (  # sign of k dropped
         cli, "perm_powers", lambda p, ks: perm_powers(p, [abs(k) for k in ks]), {"pow"}),
@@ -493,12 +503,13 @@ def test_arithmetic_oracle_catches_a_wrong_kernel(monkeypatch, tmp_path, label):
         assert report == reference_arithmetic_report((3, 2, 1, 1), 50, 0)
 
 
-# the right images in another dtype or memory layout, which np.array_equal accepts
+# the right images in another dtype or memory layout, which np.array_equal
+# accepts; for a permutation and for a stack
 P = np.array([1, 2, 0, 4, 3])
 SAME_VALUE_KERNELS = {  # label -> (name in cli, kernel, sample arguments)
     "compose": ("compose", lambda p, q: compose(p, q).astype(np.int32), (P, P)),
-    "invert": ("invert", lambda p: np.repeat(invert(p), 2)[::2], (P,)),  # a strided view
-    "perm_power": ("perm_powers", lambda p, ks: [np.repeat(r, 2).astype(np.int32)[::2]
+    "invert": ("invert", lambda p: np.repeat(invert(p), 2, axis=-1)[..., ::2], (P,)),  # a strided view
+    "perm_power": ("perm_powers", lambda p, ks: [np.repeat(r, 2, axis=-1).astype(np.int32)[..., ::2]
                                                  for r in perm_powers(p, ks)], (P, [-4, 3])),
 }
 
@@ -506,9 +517,12 @@ SAME_VALUE_KERNELS = {  # label -> (name in cli, kernel, sample arguments)
 @pytest.mark.parametrize("label", sorted(SAME_VALUE_KERNELS))
 def test_arithmetic_oracle_compares_values_not_layout(monkeypatch, tmp_path, label):
     name, kernel, sample = SAME_VALUE_KERNELS[label]
-    image = kernel(*sample)
-    for out in image if isinstance(image, list) else [image]:
-        assert out.dtype != np.intp or not out.flags.c_contiguous
+    reference = getattr(cli, name)
+    for args in (sample, tuple(np.stack([a, a[::-1]]) if a is P else a for a in sample)):
+        image, expect = kernel(*args), reference(*args)
+        for out, want in zip(*(x if isinstance(x, list) else [x] for x in (image, expect))):
+            assert out.dtype != np.intp or not out.flags.c_contiguous
+            assert out.shape == want.shape and (out == want).all()
     monkeypatch.setattr(cli, name, kernel)
     code, report = _arithmetic_report(tmp_path)
     assert code == 0 and report["passed"] and report["failures"] == []
@@ -548,7 +562,7 @@ def reference_arithmetic_report(params, trials, seed):
 def test_arithmetic_oracle_reports_every_trial_of_a_failing_element(monkeypatch, tmp_path):
     # the inv verdict is computed once per element: a trial that draws an
     # element seen before must still add its failure, in trial order
-    monkeypatch.setattr(cli, "invert", lambda p: np.array(p) if p[1] % 2 else invert(p))
+    monkeypatch.setattr(cli, "invert", invert_unless_odd)
     # one run cut off after 11 failures, one that ends before the cut-off
     for params, trials, seed, count in (((3, 2, 1, 1), 50, 0, 11), ((3, 2, 2, 1), 15, 3, 5)):
         code, report = _arithmetic_report(tmp_path, params, trials, seed)
@@ -566,47 +580,81 @@ def test_arithmetic_oracle_report_matches_per_trial_loop(tmp_path):
         assert code == 0 and (tmp_path / "report.json").read_text() == json.dumps(expect) + "\n"
 
 
-def test_arithmetic_oracle_blocks_keep_the_per_trial_report(monkeypatch, tmp_path):
-    # blocks of 7 trials: a passing run, and a failing one whose cut-off
-    # falls in a later block
-    monkeypatch.setattr(cli, "TRIAL_BLOCK", 7)
-    code, _ = _arithmetic_report(tmp_path, (3, 3, 2, 2), 300, 7)
-    expect = reference_arithmetic_report((3, 3, 2, 2), 300, 7)
+def test_arithmetic_oracle_above_the_table_budget_matches_per_trial_loop(tmp_path):
+    # |H| = 3125 is above the table budget: each chunk builds the rows it checks
+    assert make_group(5, 3, 2, 2).order > cli.TABLE_BUDGET
+    code, _ = _arithmetic_report(tmp_path, (5, 3, 2, 2), 300, 0)
+    expect = reference_arithmetic_report((5, 3, 2, 2), 300, 0)
     assert code == 0 and (tmp_path / "report.json").read_text() == json.dumps(expect) + "\n"
-    monkeypatch.setattr(cli, "invert", lambda p: np.array(p) if p[1] % 2 else invert(p))
+
+
+def test_arithmetic_oracle_refuses_a_row_entry_that_is_not_a_rank(monkeypatch, tmp_path, capsys):
+    # rows are narrowed and stacked only after every entry is seen to be a
+    # rank, so a kernel off by |H| cannot wrap into a passing row
+    product = PairGroup._product
+    monkeypatch.setattr(PairGroup, "_product", lambda self, *parts: product(self, *parts) + self.order)
+    for params in ((3, 2, 1, 1), (5, 3, 2, 2)):  # with a table, and above the table budget
+        code = cli.main(["verify", "--target", "arithmetic", "--trials", "5", "--out", str(tmp_path / "r.json")]
+                        + [x for name, v in zip(("--p", "--m", "--n", "--r"), params) for x in (name, str(v))])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "not a rank" in err and "Traceback" not in err
+
+
+def test_arithmetic_oracle_blocks_keep_the_per_trial_report(monkeypatch, tmp_path):
+    # blocks of 7 trials, checked in stacks of 1, 2 and 3 rows: a passing
+    # run, and a failing one whose cut-off falls in a later block
+    monkeypatch.setattr(cli, "TRIAL_BLOCK", 7)
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(cli, "CHUNK_ENTRIES", rows * 243)
+        code, _ = _arithmetic_report(tmp_path, (3, 3, 2, 2), 300, 7)
+        expect = reference_arithmetic_report((3, 3, 2, 2), 300, 7)
+        assert code == 0 and (tmp_path / "report.json").read_text() == json.dumps(expect) + "\n"
+    monkeypatch.setattr(cli, "CHUNK_ENTRIES", 2 * 27)
+    monkeypatch.setattr(cli, "invert", invert_unless_odd)
     code, report = _arithmetic_report(tmp_path, (3, 2, 1, 1), 50, 0)
     assert code == 1 and report == reference_arithmetic_report((3, 2, 1, 1), 50, 0)
     assert len(report["failures"]) == 11
 
 
-def test_arithmetic_oracle_row_cache_is_bounded(monkeypatch, tmp_path):
-    # (3,3,2,2) has 243 elements: under the default bound every row is built
-    # once; with room for 5 rows the cache is cleared when full, rows are
-    # built again, and no more than the 5 cached rows and the few the checks
-    # hold are alive at once
+def test_arithmetic_oracle_builds_each_row_once_and_holds_a_few(monkeypatch, tmp_path):
+    # (3,3,2,2) has 243 elements.  Within the table budget every row is built
+    # once; above it (the budget lowered here) the rows of each chunk of 5
+    # trials are built for that chunk, so rows are built again, and no more
+    # than the row stacks one check compares are alive at once
     params, trials, seed = (3, 3, 2, 2), 400, 9
-    right_mul_ranks = PairGroup.right_mul_ranks
-    rows, most_alive = [], [0]
+    made = []  # every array made from the rows right_mul_rows returns
 
-    def counted(self, g):
-        most_alive[0] = max(most_alive[0], sum(r() is not None for r in rows))
-        row = right_mul_ranks(self, g)
-        rows.append(weakref.ref(row))
-        return row
+    class Tracked(np.ndarray):
+        def __array_finalize__(self, obj):
+            made.append(weakref.ref(self))
+
+    def rows_held():
+        # rows in the live 2-d integer arrays made from tracked rows, less views of them
+        made[:] = [ref for ref in made if ref() is not None]
+        arrays = (ref() for ref in made)
+        return sum(len(a) for a in arrays if a is not None and a.ndim == 2 and a.dtype.kind in "iu"
+                   and not isinstance(a.base, Tracked))
+
+    right_mul_rows = PairGroup.right_mul_rows
+    built, most_held = [], [0]
+
+    def counted(self, ranks):
+        most_held[0] = max(most_held[0], rows_held())
+        built.append(len(ranks))
+        return right_mul_rows(self, ranks).view(Tracked)
 
     expect = json.dumps(reference_arithmetic_report(params, trials, seed)) + "\n"
-    monkeypatch.setattr(PairGroup, "right_mul_ranks", counted)
+    monkeypatch.setattr(PairGroup, "right_mul_rows", counted)
     code, _ = _arithmetic_report(tmp_path, params, trials, seed)
     assert code == 0 and (tmp_path / "report.json").read_text() == expect
-    assert len(rows) <= 243
-    built = len(rows)
-    rows.clear()
-    most_alive[0] = 0
-    monkeypatch.setattr(cli, "ROW_CACHE_ENTRIES", 5 * 243)
+    assert sum(built) == 243 and most_held[0] == 0
+    built.clear()
+    monkeypatch.setattr(cli, "TABLE_BUDGET", 100)
+    monkeypatch.setattr(cli, "CHUNK_ENTRIES", 5 * 243)
     code, _ = _arithmetic_report(tmp_path, params, trials, seed)
     assert code == 0 and (tmp_path / "report.json").read_text() == expect
-    assert len(rows) > 2 * built
-    assert most_alive[0] <= 5 + 3
+    assert max(built) <= 5 and sum(built) > 2 * 243
+    assert most_held[0] <= 3 * 5
 
 
 @pytest.mark.parametrize("trials", [1500, 20000])

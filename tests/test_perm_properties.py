@@ -16,7 +16,7 @@ from bicayley.graphs import (  # noqa: E402
     parse_graph_text,
 )
 from bicayley.metacyclic import make_group  # noqa: E402
-from bicayley.permgroup import compose, invert, orbit_labels, perm_power, perm_powers  # noqa: E402
+from bicayley.permgroup import _period, as_perm, compose, invert, orbit_labels, perm_power, perm_powers  # noqa: E402
 
 from . import oracles  # noqa: E402
 from .test_symmetry import disjoint_union  # noqa: E402
@@ -78,6 +78,70 @@ def test_powers_match_tuple_powers(p, ks):
     assert all((r == -1 - i).all() for i, r in enumerate(out))
     for k in ks:
         assert np.array_equal(perm_power(p, k), perm_powers(p, [k])[0])
+
+
+def stack_of(m, n):
+    """(m, n) stacks, each row a permutation or the identity."""
+    rows = st.one_of(st.permutations(range(n)), st.just(list(range(n))))
+    return st.lists(rows, min_size=m, max_size=m).map(lambda rs: np.array(rs, dtype=np.intp).reshape(m, n))
+
+
+# two stacks of one shape, up to 5 rows, and the dtype they are stored in
+stack_pairs = st.tuples(st.integers(0, 5), st.integers(0, 12)).flatmap(lambda mn: st.tuples(stack_of(*mn), stack_of(*mn)))
+stack_dtypes = st.sampled_from([np.intp, np.int32, np.uint8])
+
+
+@SETTINGS
+@given(stack_pairs, stack_dtypes, exponent_lists)
+def test_stacked_kernels_match_1d_kernels_row_by_row(PQ, dtype, ks):
+    P, Q = (a.astype(dtype) for a in PQ)
+    composed, inverted, powers = compose(P, Q), invert(P), perm_powers(P, ks)
+    assert composed.shape == inverted.shape == P.shape
+    assert inverted.dtype == P.dtype and all(r.shape == P.shape and r.dtype == P.dtype for r in powers)
+    for i, (p, q) in enumerate(zip(P, Q)):
+        assert np.array_equal(composed[i], compose(p, q))
+        assert np.array_equal(inverted[i], invert(p))
+        for k, power in zip(ks, powers):
+            assert np.array_equal(power[i], perm_power(p, k))
+    for i, r in enumerate(powers):  # no result aliases the stack or another result
+        r[...] = i % 2
+    assert all((r == i % 2).all() for i, r in enumerate(powers))
+    assert np.array_equal(P, PQ[0])
+
+
+def powers_reduced_unchecked(p, exponents):
+    """perm_powers with every k reduced mod the period L of point 0, without
+    checking that p^L is the identity."""
+    period = _period(as_perm(p), max(map(abs, exponents))) if np.ndim(p) == 1 else 0
+    return perm_powers(p, [k % period if period else k for k in exponents])
+
+
+def assert_powers_match_tuple_powers(kernel, rows, ks):
+    stack = np.array(rows, dtype=np.intp)
+    for p, row in zip(rows, zip(*kernel(stack, ks))):
+        assert [r.tolist() for r in kernel(p, ks)] == [r.tolist() for r in row]
+        assert [r.tolist() for r in row] == [list(oracles.perm_power(tuple(p), k)) for k in ks]
+
+
+# (0 1)(2 3 4): point 0 has period 2 but p^2 is not the identity
+MIXED = [1, 0, 3, 4, 2]
+POWER_CASES = [  # rows, each also a row of one stack, and exponents
+    ([MIXED], [2]),
+    ([MIXED, [0, 1, 2, 3, 4]], [2, -2, 4, 0, 10**20 + 2]),  # the identity has period 1
+    ([[1, 2, 0, 4, 5, 3], [1, 0, 3, 2, 5, 4]], [-7, 0, 6, 10**20, -(10**20) - 1]),  # orders 3 and 2
+    ([MIXED, [1, 2, 0, 4, 3]], [6, 7, -5, 30]),  # periods 2 and 3 at point 0, both of order 6
+]
+
+
+@pytest.mark.parametrize("rows, ks", POWER_CASES)
+def test_powers_reduce_only_by_a_verified_period(rows, ks):
+    assert_powers_match_tuple_powers(perm_powers, rows, ks)
+
+
+def test_power_cases_catch_a_reduction_without_the_check():
+    assert _period(as_perm(MIXED), 2) == 2 and not np.array_equal(perm_power(MIXED, 2), np.arange(5))
+    with pytest.raises(AssertionError):
+        assert_powers_match_tuple_powers(powers_reduced_unchecked, *POWER_CASES[0])
 
 
 @SETTINGS
