@@ -93,19 +93,21 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def integer(text: str, name: str = "value") -> int:
+    """An optional '-' and ASCII digits 0-9, the grammar of every integer option, as an int."""
+    if not _DECIMAL.fullmatch(text.removeprefix("-")):
+        raise ParameterError(f"{name} must be an integer of ASCII digits 0-9, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParameterError(f"{name} must be an integer, got {len(text)} digits") from None
+
+
 def _parse_group(text: str):
     parts = text.split(",")
     if len(parts) != 4:
         raise ParameterError(f"expected p,m,n,r, got {text!r}")
-    values = []
-    for name, field in zip("pmnr", parts):
-        if not _DECIMAL.fullmatch(field):
-            raise ParameterError(f"{name} must be an integer of ASCII digits 0-9, got {field!r}")
-        try:
-            values.append(int(field))
-        except ValueError:  # more digits than int() converts
-            raise ParameterError(f"{name} must be an integer, got {len(field)} digits") from None
-    return make_group(*values)
+    return make_group(*(integer(field, name) for name, field in zip("pmnr", parts)))
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -124,6 +126,10 @@ TRIAL_BLOCK = 4096
 # each check of a block compares stacks of rows, one row of |H| entries a
 # trial (or a new element for inv), of at most this many entries each
 CHUNK_ENTRIES = 2**14
+
+
+class _NotARank(Exception):
+    """A right_mul_rows row has an entry outside [0, |H|); args[0] is its rank."""
 
 
 def _verify_arithmetic(args: argparse.Namespace) -> dict:
@@ -145,17 +151,10 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
         # the right_mul_ranks row of each rank; the stacked kernels and the
         # narrow table need every entry to be a rank
         block = group.right_mul_rows(ranks)
-        if block.size and (block.min() < 0 or block.max() >= size):
-            raise InvariantViolation("right_mul_rows gave an entry that is not a rank")
+        bad = (block < 0) | (block >= size)
+        if bad.any():
+            raise _NotARank(ranks[int(bad.any(axis=1).argmax())])
         return block
-
-    if size <= TABLE_BUDGET:  # T[x] = right_mul_ranks(x), built once, a chunk at a time
-        table = np.empty((size, size), np.min_scalar_type(size - 1))
-        for start in range(0, size, chunk):
-            table[start : start + chunk] = build(np.arange(start, min(start + chunk, size)))
-        rows = table.__getitem__
-    else:
-        rows = build
 
     def chunked(check, *ranks):
         # check(rows of ranks[0][s:e], ...) on consecutive chunks, concatenated
@@ -163,45 +162,55 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
                                for s in range(0, len(ranks[0]), chunk)])
 
     failures = []
-    # the kernel's generator rows must be the ones scalar mul builds
-    gens = (group.gen_a, group.gen_b)
-    for gen, row, perm in zip(gens, rows([rank(g) for g in gens]), generators):
-        if not np.array_equal(row, perm):
-            failures.append({"check": "row", "g": group.element_str(gen)})
-    inv_ok = {}  # the inv check depends on g alone: one verdict per element rank
-    rng = random.Random(args.seed)
-    for start in range(0, args.trials, TRIAL_BLOCK):
-        # the draws of a block in trial order: the ranks of g and h, and k
-        draws = [v for _ in range(start, min(start + TRIAL_BLOCK, args.trials))
-                 for v in (rng.randrange(size), rng.randrange(size), rng.randrange(-size, size + 1))]
-        gi, hi, ks = draws[0::3], draws[1::3], draws[2::3]
-        del draws
-        ghi = [rank(group.mul(els[x], els[y])) for x, y in zip(gi, hi)]
-        pki = [rank(group.pow(els[x], k)) for x, k in zip(gi, ks)]
-        by_g = {}  # g -> its trials in the block
-        for t, x in enumerate(gi):
-            by_g.setdefault(x, []).append(t)
-        mul_ok = chunked(lambda g, h, gh: (gh == compose(g, h)).all(axis=1), gi, hi, ghi)
-        new = [x for x in by_g if x not in inv_ok]
-        if new:
-            inverses = [rank(group.inv(els[x])) for x in new]
-            verdicts = chunked(lambda g, g_inv: (g_inv == invert(g)).all(axis=1), new, inverses)
-            inv_ok.update(zip(new, verdicts.tolist()))
-        # the powers of each g from one call, made as the chunks compare them
-        grouped = [t for ts in by_g.values() for t in ts]
-        powers = (pk for x, ts in by_g.items() for pk in perm_powers(rows([x])[0], [ks[t] for t in ts]))
-        pow_ok = np.empty(len(gi), bool)
-        pow_ok[grouped] = chunked(lambda want: (want == np.stack(list(islice(powers, len(want))))).all(axis=1),
-                                  [pki[t] for t in grouped])
-        for t in np.flatnonzero(~(mul_ok & pow_ok & np.array([inv_ok[x] for x in gi]))).tolist():
-            s = group.element_str(els[gi[t]])
-            checks = ((mul_ok[t], {"check": "mul", "g": s, "h": group.element_str(els[hi[t]])}),
-                      (inv_ok[gi[t]], {"check": "inv", "g": s}), (pow_ok[t], {"check": "pow", "g": s, "k": ks[t]}))
-            failures.extend(record for passed, record in checks if not passed)
+    try:
+        if size <= TABLE_BUDGET:  # T[x] = right_mul_ranks(x), built once, a chunk at a time
+            table = np.empty((size, size), np.min_scalar_type(size - 1))
+            for start in range(0, size, chunk):
+                table[start : start + chunk] = build(np.arange(start, min(start + chunk, size)))
+            rows = table.__getitem__
+        else:
+            rows = build
+        # the kernel's generator rows must be the ones scalar mul builds
+        gens = (group.gen_a, group.gen_b)
+        for gen, row, perm in zip(gens, rows([rank(g) for g in gens]), generators):
+            if not np.array_equal(row, perm):
+                failures.append({"check": "row", "g": group.element_str(gen)})
+        inv_ok = {}  # the inv check depends on g alone: one verdict per element rank
+        rng = random.Random(args.seed)
+        for start in range(0, args.trials, TRIAL_BLOCK):
+            # the draws of a block in trial order: the ranks of g and h, and k
+            draws = [v for _ in range(start, min(start + TRIAL_BLOCK, args.trials))
+                     for v in (rng.randrange(size), rng.randrange(size), rng.randrange(-size, size + 1))]
+            gi, hi, ks = draws[0::3], draws[1::3], draws[2::3]
+            del draws
+            ghi = [rank(group.mul(els[x], els[y])) for x, y in zip(gi, hi)]
+            pki = [rank(group.pow(els[x], k)) for x, k in zip(gi, ks)]
+            by_g = {}  # g -> its trials in the block
+            for t, x in enumerate(gi):
+                by_g.setdefault(x, []).append(t)
+            mul_ok = chunked(lambda g, h, gh: (gh == compose(g, h)).all(axis=1), gi, hi, ghi)
+            new = [x for x in by_g if x not in inv_ok]
+            if new:
+                inverses = [rank(group.inv(els[x])) for x in new]
+                verdicts = chunked(lambda g, g_inv: (g_inv == invert(g)).all(axis=1), new, inverses)
+                inv_ok.update(zip(new, verdicts.tolist()))
+            # the powers of each g from one call, made as the chunks compare them
+            grouped = [t for ts in by_g.values() for t in ts]
+            powers = (pk for x, ts in by_g.items() for pk in perm_powers(rows([x])[0], [ks[t] for t in ts]))
+            pow_ok = np.empty(len(gi), bool)
+            pow_ok[grouped] = chunked(lambda want: (want == np.stack(list(islice(powers, len(want))))).all(axis=1),
+                                      [pki[t] for t in grouped])
+            for t in np.flatnonzero(~(mul_ok & pow_ok & np.array([inv_ok[x] for x in gi]))).tolist():
+                s = group.element_str(els[gi[t]])
+                checks = ((mul_ok[t], {"check": "mul", "g": s, "h": group.element_str(els[hi[t]])}),
+                          (inv_ok[gi[t]], {"check": "inv", "g": s}), (pow_ok[t], {"check": "pow", "g": s, "k": ks[t]}))
+                failures.extend(record for passed, record in checks if not passed)
+                if len(failures) > 10:
+                    break
             if len(failures) > 10:
                 break
-        if len(failures) > 10:
-            break
+    except _NotARank as fault:  # a kernel fault: the verification fails
+        failures.append({"check": "row", "g": group.element_str(els[fault.args[0]])})
     return {
         "target": "arithmetic",
         "group": [args.p, args.m, args.n, args.r],
@@ -234,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_family = sub.add_parser("family", help="emit a named family member")
     p_family.add_argument("--kind", choices=["gamma", "sigma", "abelian"], required=True)
-    p_family.add_argument("--t", type=int, default=None, help="parameter for gamma/sigma")
-    p_family.add_argument("--m", type=int, default=None, help="abelian family m")
-    p_family.add_argument("--n", type=int, default=None, help="abelian family n")
+    p_family.add_argument("--t", type=integer, default=None, help="parameter for gamma/sigma")
+    p_family.add_argument("--m", type=integer, default=None, help="abelian family m")
+    p_family.add_argument("--n", type=integer, default=None, help="abelian family n")
     p_family.add_argument("--format", choices=["g6", "edges", "json"], default="json")
     p_family.add_argument("--out", default=None)
     p_family.set_defaults(func=_cmd_family)
@@ -249,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification target")
     p_verify.add_argument("--target", choices=["lemma51", "lemma52", "arithmetic"], required=True)
-    p_verify.add_argument("--t", type=int, default=1)
-    p_verify.add_argument("--p", type=int, default=3)
-    p_verify.add_argument("--m", type=int, default=2)
-    p_verify.add_argument("--n", type=int, default=1)
-    p_verify.add_argument("--r", type=int, default=1)
-    p_verify.add_argument("--trials", type=int, default=10000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--t", type=integer, default=1)
+    p_verify.add_argument("--p", type=integer, default=3)
+    p_verify.add_argument("--m", type=integer, default=2)
+    p_verify.add_argument("--n", type=integer, default=1)
+    p_verify.add_argument("--r", type=integer, default=1)
+    p_verify.add_argument("--trials", type=integer, default=10000)
+    p_verify.add_argument("--seed", type=integer, default=0)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 

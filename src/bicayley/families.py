@@ -308,9 +308,6 @@ class CensusResult:
         return tuple(c for c in self.classes if c.report.edge_orbits == 1)
 
 
-CENSUS_ORDER_BUDGET = 3**5
-
-
 def _aut_generators(group: MetacyclicGroup, table: np.ndarray) -> list[np.ndarray]:
     """`map_ranks` of automorphisms that generate Aut(H), for the group's
     `cayley_table()`.  Aut(H) acts regularly on the images (a^f, b^f), so
@@ -377,12 +374,11 @@ def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
     the disconnected graphs.  Orbits only bound the classes from above: one
     `canonical_search` per orbit gives the class digest and the group that
     `classify` receives.  On a connected graph that search starts with the
-    two right translations that generate R(H).
+    two right translations that generate R(H).  A group above `TABLE_BUDGET`
+    is refused (`BudgetError`) by the `cayley_table` the moves are read from.
     """
     import numpy as np
 
-    if group.order > CENSUS_ORDER_BUDGET:
-        raise BudgetError(f"census limited to groups of order <= {CENSUS_ORDER_BUDGET}")
     start = time.monotonic()
     n = group.order
     labels = orbit_labels(n * n, _pair_moves(group))

@@ -26,7 +26,6 @@ CLOSURE_BUDGET = 3**12
 # group whose bi-Cayley graphs (2|G| vertices) fit the 5000-vertex search budget
 TABLE_BUDGET = 2500
 WORD_BUDGET = 2**63
-_TWIST_TABLE_CAP = 3**9
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -70,13 +69,6 @@ class PairGroup:
         if mod_j % twist_order != 0:
             raise ParameterError("twist order must divide the b-exponent modulus")
         self._twist_order = twist_order
-        if twist_order <= _TWIST_TABLE_CAP:
-            table = [1 % mod_i]
-            for _ in range(twist_order - 1):
-                table.append(table[-1] * self.twist % mod_i)
-            self._twist_table: list[int] | None = table
-        else:
-            self._twist_table = None
         self.order = mod_j * mod_i
         self.identity: Element = (0, 0)
         self.gen_a: Element = (0, 1 % mod_i)
@@ -89,10 +81,7 @@ class PairGroup:
 
     def twist_pow(self, j: int) -> int:
         """(1+p^r)^j mod p^m, for j already reduced mod mod_j."""
-        k = j % self._twist_order
-        if self._twist_table is not None:
-            return self._twist_table[k]
-        return pow(self.twist, k, self.mod_i)
+        return pow(self.twist, j % self._twist_order, self.mod_i)
 
     def mul(self, g: Element, h: Element) -> Element:
         j1, i1 = g

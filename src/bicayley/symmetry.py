@@ -96,10 +96,10 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .bicay import BiCayleyGraph, right_group
+from .bicay import BiCayleyGraph, right_translation
 from .errors import BudgetError, NotAutomorphism, PreconditionError
 from .graphs import Graph, graph6_encode
-from .permgroup import PermGroup, is_normal, orbit_labels
+from .permgroup import PermGroup, invert, orbit_labels
 
 ENGINE_VERTEX_BUDGET = 5000
 
@@ -622,5 +622,11 @@ def check_stabilizer_law(graph: Graph, report: SymmetryReport | None = None) -> 
 
 
 def check_normal_bicayley(bg: BiCayleyGraph) -> bool:
-    """Whether R(H) is normal in the full automorphism group of the graph."""
-    return is_normal(aut_group(bg.graph), right_group(bg))
+    """Whether R(H) is normal in Aut of the graph, with no stabilizer chain: R(H) is
+    regular on each part, so c lies in it iff c sends 1_0 to some h_0 and is the
+    right translation by h.  That is tested on g^-1 r g for R(H)'s two generators r
+    and Aut's generators g; g^-1 R(H) g inside R(H) is R(H), both being finite."""
+    G = bg.group
+    gens = [right_translation(bg, G.gen_a), right_translation(bg, G.gen_b)]
+    conjugates = (g[r[invert(g)]] for g in aut_group(bg.graph).generators for r in gens)  # g^-1 r g
+    return all(c[0] < bg.half and np.array_equal(c, right_translation(bg, G.unrank(int(c[0])))) for c in conjugates)

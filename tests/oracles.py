@@ -251,11 +251,12 @@ def census_by_pairs(group, connected_only=True):
     """The census by one canonical labelling per generating pair."""
     from bicayley.bicay import BiCayleyGraph
     from bicayley.errors import BudgetError
-    from bicayley.families import CENSUS_ORDER_BUDGET, CensusClass, CensusResult
+    from bicayley.families import CensusClass, CensusResult
+    from bicayley.metacyclic import TABLE_BUDGET
     from bicayley.symmetry import canonical_digest, classify
 
-    if group.order > CENSUS_ORDER_BUDGET:
-        raise BudgetError(f"census limited to groups of order <= {CENSUS_ORDER_BUDGET}")
+    if group.order > TABLE_BUDGET:
+        raise BudgetError(f"census limited to groups of order <= {TABLE_BUDGET}")
     start = time.monotonic()
     els = group.elements()
     ident = group.identity

@@ -122,7 +122,7 @@ def run_module(*argv, timeout=60):
 
 
 def test_census_over_budget_is_a_usage_error():
-    proc = run_module("census", "--group", "3,4,2,3")
+    proc = run_module("census", "--group", "5,3,2,2")  # order 3125 > TABLE_BUDGET = 2500
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
@@ -135,7 +135,7 @@ def test_census_over_budget_is_a_usage_error():
     ("census", "--group", "1000000000000000000000007,2,1,1"),
     ("census", "--group", "3,3,30000000,2"),
     ("census", "--group", "9223372036854775783,2,1,1"),
-    ("census", "--group", "2147483647,2,1,1"),  # p^2 < 2^63: over the census budget
+    ("census", "--group", "2147483647,2,1,1"),  # p^2 < 2^63: over the table budget
     ("family", "--kind", "abelian", "--m", "1", "--n", "1000000000000000000"),
 ])
 def test_oversized_parameters_exit_at_once(argv):
@@ -157,6 +157,20 @@ def test_non_integer_group_is_a_usage_error(group, field):
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {field} must be an integer")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, option", [
+    # int() takes a non-ASCII digit and surrounding whitespace; every integer
+    # option reads the same grammar as a --group field
+    (("verify", "--target", "lemma51", "--t", "\uff13"), "--t"),
+    (("verify", "--target", "arithmetic", "--p", "\uff13", "--m", "2", "--n", "1", "--r", "1"), "--p"),
+    (("family", "--kind", "gamma", "--t", " 1"), "--t"),
+])
+def test_non_ascii_integer_option_is_a_usage_error(argv, option):
+    proc = run_module(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"error: argument {option}: invalid integer value" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -221,7 +221,7 @@ def test_census_budget():
     from bicayley import census, make_group
 
     with pytest.raises(BudgetError):
-        census(make_group(3, 4, 2, 3))  # order 3^6 > 3^5
+        census(make_group(5, 3, 2, 2))  # order 5^5 = 3125 > TABLE_BUDGET = 2500
 
 
 def _without_elapsed(result, group):

@@ -590,14 +590,31 @@ def test_arithmetic_oracle_above_the_table_budget_matches_per_trial_loop(tmp_pat
 
 def test_arithmetic_oracle_refuses_a_row_entry_that_is_not_a_rank(monkeypatch, tmp_path, capsys):
     # rows are narrowed and stacked only after every entry is seen to be a
-    # rank, so a kernel off by |H| cannot wrap into a passing row
-    product = PairGroup._product
-    monkeypatch.setattr(PairGroup, "_product", lambda self, *parts: product(self, *parts) + self.order)
-    for params in ((3, 2, 1, 1), (5, 3, 2, 2)):  # with a table, and above the table budget
+    # rank, so a kernel off by |H| cannot wrap into a passing row; such a row
+    # is a kernel fault, a failed verification (exit 1) naming its element
+    def run(params):
         code = cli.main(["verify", "--target", "arithmetic", "--trials", "5", "--out", str(tmp_path / "r.json")]
                         + [x for name, v in zip(("--p", "--m", "--n", "--r"), params) for x in (name, str(v))])
-        err = capsys.readouterr().err
-        assert code == 2 and err.startswith("error: ") and "not a rank" in err and "Traceback" not in err
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert code == 1 and report["passed"] is False
+        return report["failures"]
+
+    rows = PairGroup.right_mul_rows
+
+    def shift_rank_5(self, ranks):
+        block = rows(self, ranks)
+        block[np.asarray(ranks) == 5] += self.order
+        return block
+
+    monkeypatch.setattr(PairGroup, "right_mul_rows", shift_rank_5)
+    G = make_group(3, 2, 1, 1)
+    assert run((3, 2, 1, 1)) == [{"check": "row", "g": G.element_str(G.unrank(5))}]
+    product = PairGroup._product
+    monkeypatch.setattr(PairGroup, "_product", lambda self, *parts: product(self, *parts) + self.order)
+    # with a table the identity's row is built first, above the table budget a's
+    for params, first in (((3, 2, 1, 1), (0, 0)), ((5, 3, 2, 2), (0, 1))):
+        assert run(params)[-1] == {"check": "row", "g": make_group(*params).element_str(first)}
 
 
 def test_arithmetic_oracle_blocks_keep_the_per_trial_report(monkeypatch, tmp_path):

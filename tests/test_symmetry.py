@@ -6,17 +6,24 @@ import tracemalloc
 import pytest
 
 from bicayley import (
+    BiCayleyGraph,
     Graph,
     aut_group,
     canonical_form,
     canonical_search,
     check_normal_bicayley,
     check_stabilizer_law,
+    census,
     classify,
     gamma_t,
     graph6_encode,
+    is_normal,
+    make_group,
+    right_group,
+    sigma_t,
 )
 from bicayley.errors import BudgetError, PreconditionError
+from bicayley.metacyclic import PairGroup
 
 from .oracles import adjacency, brute_force_aut_order, enumerate_elements
 
@@ -180,8 +187,61 @@ def test_stabilizer_law():
 
 
 def test_normal_bicayley(gray_graph, sym162):
+    # gamma_1, the Gray graph, is the one family member where R(H) is not
+    # normal; on the others Aut is the normalizer, of order |H| * 6
     assert not check_normal_bicayley(gray_graph)
-    assert check_normal_bicayley(sym162)
+    for bg in (gamma_t(2), gamma_t(3), sym162, sigma_t(2)):
+        assert check_normal_bicayley(bg) and aut_group(bg.graph).order() == 6 * bg.half
+
+
+def test_normal_bicayley_matches_the_chain_oracle():
+    """The definition against `is_normal` over R(H)'s stabilizer chain, on
+    every census class of the 17 groups of order <= 3^6 with p in {3, 5, 7}
+    and on gamma_1..3 and sigma_1..2 (about 8 s on a 2-core Intel Xeon, most
+    of it in the censuses and the oracle)."""
+    params = [
+        (p, m, n, r)
+        for p in (3, 5, 7)
+        for m in range(2, 7)
+        for n in range(1, 6)
+        for r in range(1, m)
+        if p ** (m + n) <= 3**6 and m <= n + r
+    ]
+    assert len(params) == 17
+    graphs = [gamma_t(t) for t in (1, 2, 3)] + [sigma_t(t) for t in (1, 2)]
+    for G in map(make_group, *zip(*params)):
+        graphs += [BiCayleyGraph(G, (), (), c.spokes) for c in census(G).classes]
+    assert len(graphs) == 5 + 104
+    verdicts = [check_normal_bicayley(bg) for bg in graphs]
+    assert verdicts == [is_normal(aut_group(bg.graph), right_group(bg)) for bg in graphs]
+    # only the Gray graph (gamma_1, and its census class over (3,2,1,1)) is not normal
+    assert verdicts.count(False) == 2 and not verdicts[0]
+
+
+@pytest.mark.parametrize("mod_j, mod_i", [(5, 1), (1, 5)])
+def test_normal_bicayley_conjugates_both_generators(mod_j, mod_i):
+    # the Petersen graph BiCay(Z_5, {+-1}, {+-2}, {0}), with Z_5 generated by
+    # b and then by a, the other generator trivial: R(H) is not normal
+    # (|Aut| = 120, its normalizer 20), and only the non-trivial generator's
+    # conjugates leave R(H)
+    G = PairGroup(mod_j, mod_i, 1, 1)
+    unit = (1 % mod_j, 1 % mod_i)
+    bg = BiCayleyGraph(G, [G.pow(unit, k) for k in (1, -1)], [G.pow(unit, k) for k in (2, -2)], [G.identity])
+    aut = aut_group(bg.graph)
+    assert aut.order() == 120 and not is_normal(aut, right_group(bg))
+    assert not check_normal_bicayley(bg)
+
+
+def test_normal_bicayley_builds_no_stabilizer_chain():
+    # R(H)'s chain on gamma_3 (4374 vertices) peaked at 147.5 MiB
+    bg = gamma_t(3)
+    tracemalloc.start()
+    try:
+        assert check_normal_bicayley(bg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_gray_aut_order_with_enumeration_oracle(gray_graph):
