@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from itertools import islice
 
 from . import families
 from .errors import (
@@ -117,15 +116,20 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-# a time bound on the oracle: 10^5 trials take ~0.7 s at |H| = 27 and ~2.1 s at
-# |H| = 729 (2-core Intel Xeon), so 10^6 stays under a minute
+# a time bound on the oracle: 10^5 trials take ~0.55 s at |H| = 27 and ~1.7 s
+# at |H| = 729 (2-core Intel Xeon), so 10^6 stays under a minute
 TRIALS_BUDGET = 10**6
-# trials drawn at a time; the powers of an element drawn more than once in a
-# block come from one perm_powers call
+# trials drawn at a time; the powers of a chunk of the block's distinct
+# elements come from one perm_powers call, every exponent of each element
 TRIAL_BLOCK = 4096
 # each check of a block compares stacks of rows, one row of |H| entries a
-# trial (or a new element for inv), of at most this many entries each
-CHUNK_ENTRIES = 2**14
+# trial (or a new element for inv), of at most this many entries each; pow
+# stacks a chunk of distinct elements this way, and its result has a row per
+# trial of those elements.  A pow call makes a few array operations per
+# exponent class and per squaring, whatever its rows: at 2^14 entries (22
+# rows at |H| = 729) the oracle took ~20 % longer than at 2^16; at 2^17 the
+# peak RSS rose by ~4 MB
+CHUNK_ENTRIES = 2**16
 
 
 class _NotARank(Exception):
@@ -194,12 +198,18 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
                 inverses = [rank(group.inv(els[x])) for x in new]
                 verdicts = chunked(lambda g, g_inv: (g_inv == invert(g)).all(axis=1), new, inverses)
                 inv_ok.update(zip(new, verdicts.tolist()))
-            # the powers of each g from one call, made as the chunks compare them
-            grouped = [t for ts in by_g.values() for t in ts]
-            powers = (pk for x, ts in by_g.items() for pk in perm_powers(rows([x])[0], [ks[t] for t in ts]))
+            # the powers of a chunk of the block's elements from one call,
+            # every exponent of each element, compared a chunk at a time
             pow_ok = np.empty(len(gi), bool)
-            pow_ok[grouped] = chunked(lambda want: (want == np.stack(list(islice(powers, len(want))))).all(axis=1),
-                                      [pki[t] for t in grouped])
+            distinct = list(by_g)
+            for first in range(0, len(distinct), chunk):
+                elements = distinct[first : first + chunk]
+                trials = [t for x in elements for t in by_g[x]]
+                powers = perm_powers(rows(elements), [ks[t] for t in trials],
+                                     [j for j, x in enumerate(elements) for _ in by_g[x]])
+                want = [pki[t] for t in trials]
+                pow_ok[trials] = np.concatenate([(powers[a : a + chunk] == rows(want[a : a + chunk])).all(axis=1)
+                                                 for a in range(0, len(want), chunk)])
             for t in np.flatnonzero(~(mul_ok & pow_ok & np.array([inv_ok[x] for x in gi]))).tolist():
                 s = group.element_str(els[gi[t]])
                 checks = ((mul_ok[t], {"check": "mul", "g": s, "h": group.element_str(els[hi[t]])}),
@@ -234,8 +244,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors take the shape of a library error: one
+    `error: ...` line on stderr and exit code 2, with no usage block.
+    Subparsers are made of the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bicayley",
         description="Bi-Cayley graphs over metacyclic p-groups: build, analyze, verify, census.",
     )

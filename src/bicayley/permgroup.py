@@ -3,9 +3,11 @@
 A permutation is a contiguous 1-d ``np.intp`` array of images on [0, degree):
 ``compose(p, q)`` is ``q[p]`` and `invert` one scatter.  Public functions also
 take any integer sequence; group generators are read-only arrays.
-`compose`, `invert` and `perm_powers` also take an (m, n) stack of
-permutations, one a row, in any integer dtype, and work row by row with one
-numpy operation for all rows; a stack's results keep its dtype.  Every
+`compose` and `invert` also take an (m, n) stack of permutations, one a
+row, in any integer dtype, and work row by row with one numpy operation for
+all rows; `perm_powers` takes a stack with the row of each exponent, and
+forms the powers one exponent class at a time.  A stack's results keep its
+dtype.  Every
 orbit of points comes from `orbit_labels`, the least point of each orbit:
 `orbit_lists` groups points by label, and a group given a base folds its
 generators into labels level by level for its basic orbits.  Only the
@@ -118,21 +120,29 @@ def _period(p: Perm, bound: int) -> int:
     return 0 if x else steps
 
 
-def perm_powers(p: Sequence[int], exponents: Iterable[int]) -> list[Perm]:
+def perm_powers(p: Sequence[int], exponents: Iterable[int], rows: Iterable[int] | None = None):
     """[p^k for k in exponents] by repeated squaring, the squarings p, p^2,
     p^4, ... shared by all exponents; k may be negative or exceed the order of
-    p.  For an (m, n) stack p each result is the stack of the rows' powers.
+    p.
 
-    For a permutation, let L <= max |k| be the period of point 0 under p.
-    Only once p^L is checked to be the identity, every k is reduced mod L,
-    so no exponent reaches the order of p; otherwise (another cycle is
-    longer, or L is above every |k|), and for a stack, the exponents are
-    used as given.
+    Let L <= max |k| be the period of point 0 under p.  Only once p^L is
+    checked to be the identity, every k is reduced mod L, so no exponent
+    reaches the order of p; otherwise (another cycle is longer, or L is above
+    every |k|) the exponents are used as given.
     Each product starts at the lowest set bit of |k|, so k != 0 makes no
     identity and no gather with one; a negative k inverts p^|k|.  No result
-    aliases p or another result."""
-    import numpy as np
+    aliases p or another result.
+
+    For an (m, n) stack p of permutations, one a row, `rows` names the row of
+    each exponent, and the result is one (len(rows), n) stack in p's dtype
+    whose row i is p[rows[i]]^exponents[i] (see `_stacked_powers`)."""
     p = _perms(p)
+    if p.ndim == 2:
+        if rows is None:
+            raise TypeError("the powers of a stack need the row of each exponent")
+        return _stacked_powers(p, exponents, rows)
+    if rows is not None:
+        raise TypeError("rows are given for a stack only")
     exponents = [operator.index(k) for k in exponents]
     squares = [p]  # squares[i] = p^(2^i), grown as the exponents need them
 
@@ -146,15 +156,14 @@ def perm_powers(p: Sequence[int], exponents: Iterable[int]) -> list[Perm]:
                 result = _gather(squares[i], result)
         return result
 
-    period = _period(p, max((abs(k) for k in exponents), default=0)) if p.ndim == 1 else 0
-    if period and (power(period) == identity(p.shape[-1])).all():
+    period = _period(p, max((abs(k) for k in exponents), default=0))
+    if period and (power(period) == identity(len(p))).all():
         exponents = [k % period for k in exponents]
     out = []
     for k in exponents:
         bits = abs(k)
         if not bits:
-            result = np.empty(p.shape, p.dtype)
-            result[...] = identity(p.shape[-1])
+            result = identity(len(p))
         elif k < 0:
             result = invert(power(bits))
         else:
@@ -162,6 +171,81 @@ def perm_powers(p: Sequence[int], exponents: Iterable[int]) -> list[Perm]:
             if not bits & (bits - 1):  # a power of two: never alias a square
                 result = result.copy()
         out.append(result)
+    return out
+
+
+def _stacked_powers(p: Perm, exponents: Iterable[int], rows: Iterable[int]) -> Perm:
+    """The (len(rows), n) stack of p[rows[i]]^exponents[i] for an (m, n)
+    stack p, in p's dtype; the rows of p are meant to be distinct, each
+    wanted with one or more exponents.
+
+    The kernel works on flat indices, row r's point x being r n + x, in the
+    narrowest unsigned dtype that holds m n - 1: then q[p] is one `take`,
+    with no shift to add.  The squarings p^(2^i) are made for the whole
+    stack, one `take` each, and shared by every row.  Point 0 is walked in
+    lockstep on every row, the trajectory doubling with each squaring, for
+    at most max |k| steps (or until it is back on every row); the rows are
+    then grouped by the period L of point 0, and a row's exponents are
+    reduced mod L only once p^L is checked to be the identity, as for one
+    permutation.  The powers are then formed one exponent class at a time
+    (grouped in a dict; np.unique would import numpy.ma): the rows wanting
+    p^k are gathered from the lowest square of |k| and composed with its
+    other set squares, a `take` each, so a call costs a few array operations
+    per class and per squaring, whatever the number of rows.  A negative k
+    inverts p^|k|."""
+    import numpy as np
+    m, n = p.shape
+    exponents = [operator.index(k) for k in exponents]
+    at = as_perm([operator.index(r) for r in rows])
+    if len(at) != len(exponents):
+        raise ValueError(f"{len(exponents)} exponents for {len(at)} rows")
+    if ((at < 0) | (at >= m)).any():
+        raise IndexError(f"a row outside [0, {m})")
+    out = np.empty((len(at), n), p.dtype)
+    if not n or not len(at):
+        return out
+    # row r's point 0, in the narrowest unsigned dtype that holds m n - 1
+    shift = (np.arange(m, dtype=np.intp) * n).astype(np.min_scalar_type(m * n - 1))[:, None]
+    # squares[i] = p^(2^i) on flat indices, every row, grown as needed
+    squares = [p.astype(shift.dtype) + shift]
+
+    def square(i: int) -> Perm:
+        while len(squares) <= i:
+            squares.append(squares[-1].take(squares[-1]))
+        return squares[i]
+
+    def power(bits: int, at: Perm) -> Perm:
+        # p[r]^bits on flat indices for the rows r in at, bits >= 1
+        set_bits = [i for i in range(bits.bit_length()) if bits >> i & 1]
+        result = square(set_bits[0])[at]
+        for i in set_bits[1:]:
+            result = square(i).take(result)
+        return result
+
+    # point 0's trajectory on every row: column j is where j + 1 steps take it
+    top = max(map(abs, exponents))
+    trajectory, i = squares[0][:, :1], 0
+    back = trajectory == shift
+    while trajectory.shape[1] < top and not back.any(axis=1).all():
+        trajectory = np.concatenate([trajectory, square(i).take(trajectory)], axis=1)
+        back, i = trajectory == shift, i + 1
+    period = np.where(back.any(axis=1), back.argmax(axis=1) + 1, 0)
+    # reduce mod L only on the rows whose p^L is the identity, one check per L
+    verified = np.zeros(m, np.intp)
+    for L in set(period.tolist()) - {0}:
+        rows_L = np.flatnonzero(period == L)
+        fixed = (power(L, rows_L) - shift[rows_L] == identity(n)).all(axis=1)
+        verified[rows_L[fixed]] = L
+    classes: dict[int, list[int]] = {}  # exponent -> the wanted powers with it
+    for i, (k, L) in enumerate(zip(exponents, verified[at].tolist())):
+        classes.setdefault(k % L if L else k, []).append(i)
+    for k, wanted in classes.items():
+        if not k:
+            out[wanted] = identity(n)
+            continue
+        rows_k = at[wanted]
+        result = power(abs(k), rows_k) - shift[rows_k]
+        out[wanted] = invert(result) if k < 0 else result
     return out
 
 

@@ -174,6 +174,25 @@ def test_non_ascii_integer_option_is_a_usage_error(argv, option):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--p", "3"),  # --target missing
+    ("verify", "--target", "lemma53"),  # not a choice
+    ("verify", "--target", "lemma51", "--t", "\uff13"),  # a non-ASCII integer
+    ("nonsense",),  # no such command
+])
+def test_argument_errors_print_one_error_line(argv):
+    # argparse errors take the shape of library errors: no usage block
+    proc = run_module(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_help_still_prints_usage(capsys):
+    code, out, err = run_cli(capsys, "verify", "--help")
+    assert code == 0 and out.startswith("usage: bicayley verify") and err == ""
+
+
 def test_negative_trial_count_is_a_usage_error():
     proc = run_module("verify", "--target", "arithmetic", "--trials", "-5")
     assert proc.returncode == 2 and proc.stdout == ""

@@ -431,24 +431,30 @@ def wrong_twist(self, j1, i1, j2, i2):
     return D[j1 + j2] + (i1 + i2) % self.mod_i
 
 
-# The permutation kernels below take a permutation or an (m, n) stack, as the
-# kernels they replace do, and have the same bug on each row.
+# The permutation kernels below take what the kernels they replace take (a
+# permutation or an (m, n) stack for compose and invert; a stack, exponents
+# and their rows for perm_powers) and have the same bug on each row.
 
 
 class StaleSquares:
-    """perm_powers that keeps the squarings p^2, p^4, ... of the element (or
-    stack) it was called with before and only appends the ones it lacks."""
+    """perm_powers that keeps the squarings p^2, p^4, ... of the row it
+    worked on before, in this call or the one before, and only appends the
+    ones it lacks; it works on the rows in the order they are first wanted."""
 
     def __init__(self):
         self.squares = []
 
-    def __call__(self, p, exponents):
+    def __call__(self, p, exponents, rows):
         p = np.asarray(p)
-        top = max(abs(k) for k in exponents).bit_length()
-        squares = self.squares = [p] + self.squares[1:]
-        while len(squares) < top:
-            squares.append(compose(squares[-1], squares[-1]))
-        return [powers_from_squares(squares, k) for k in exponents]
+        out = np.empty((len(rows), p.shape[1]), p.dtype)
+        for r in dict.fromkeys(rows):
+            at = [i for i, s in enumerate(rows) if s == r]
+            ks = [exponents[i] for i in at]
+            squares = self.squares = [p[r]] + self.squares[1:]
+            while len(squares) < max(abs(k) for k in ks).bit_length():
+                squares.append(compose(squares[-1], squares[-1]))
+            out[at] = [powers_from_squares(squares, k) for k in ks]
+        return out
 
 
 def powers_from_squares(squares, k, skip=None):
@@ -460,12 +466,12 @@ def powers_from_squares(squares, k, skip=None):
     return invert(result) if k < 0 else result
 
 
-def powers_skipping_low_bit(p, exponents):
+def powers_skipping_low_bit(p, exponents, rows):
     # the bit loop starts at 1: bit 0 of |k| is never multiplied in
     squares = [np.asarray(p)]
     for _ in range(max(abs(k) for k in exponents).bit_length()):
         squares.append(compose(squares[-1], squares[-1]))
-    return [powers_from_squares(squares, k, skip=0) for k in exponents]
+    return np.stack([powers_from_squares([s[r] for s in squares], k, skip=0) for r, k in zip(rows, exponents)])
 
 
 def invert_unless_odd(p):
@@ -481,7 +487,7 @@ WRONG_KERNELS = {
     "compose": (cli, "compose", lambda p, q: compose(q, p), {"mul"}),  # q first, then p
     "invert": (cli, "invert", lambda p: np.array(p), {"inv"}),  # p itself
     "perm_power": (  # sign of k dropped
-        cli, "perm_powers", lambda p, ks: perm_powers(p, [abs(k) for k in ks]), {"pow"}),
+        cli, "perm_powers", lambda p, ks, rows: perm_powers(p, [abs(k) for k in ks], rows), {"pow"}),
     "stale_squares": (cli, "perm_powers", StaleSquares, {"pow"}),
     "skipped_bit": (cli, "perm_powers", powers_skipping_low_bit, {"pow"}),
 }
@@ -504,13 +510,13 @@ def test_arithmetic_oracle_catches_a_wrong_kernel(monkeypatch, tmp_path, label):
 
 
 # the right images in another dtype or memory layout, which np.array_equal
-# accepts; for a permutation and for a stack
+# accepts; for a permutation and for a stack (perm_powers: for a stack only)
 P = np.array([1, 2, 0, 4, 3])
 SAME_VALUE_KERNELS = {  # label -> (name in cli, kernel, sample arguments)
     "compose": ("compose", lambda p, q: compose(p, q).astype(np.int32), (P, P)),
     "invert": ("invert", lambda p: np.repeat(invert(p), 2, axis=-1)[..., ::2], (P,)),  # a strided view
-    "perm_power": ("perm_powers", lambda p, ks: [np.repeat(r, 2, axis=-1).astype(np.int32)[..., ::2]
-                                                 for r in perm_powers(p, ks)], (P, [-4, 3])),
+    "perm_power": ("perm_powers", lambda p, ks, rows: np.repeat(perm_powers(p, ks, rows), 2, axis=-1)
+                   .astype(np.int32)[..., ::2], (np.stack([P, P[::-1]]), [-4, 3, 0], [1, 0, 1])),
 }
 
 
@@ -519,10 +525,9 @@ def test_arithmetic_oracle_compares_values_not_layout(monkeypatch, tmp_path, lab
     name, kernel, sample = SAME_VALUE_KERNELS[label]
     reference = getattr(cli, name)
     for args in (sample, tuple(np.stack([a, a[::-1]]) if a is P else a for a in sample)):
-        image, expect = kernel(*args), reference(*args)
-        for out, want in zip(*(x if isinstance(x, list) else [x] for x in (image, expect))):
-            assert out.dtype != np.intp or not out.flags.c_contiguous
-            assert out.shape == want.shape and (out == want).all()
+        out, want = kernel(*args), reference(*args)
+        assert out.dtype != np.intp or not out.flags.c_contiguous
+        assert out.shape == want.shape and (out == want).all()
     monkeypatch.setattr(cli, name, kernel)
     code, report = _arithmetic_report(tmp_path)
     assert code == 0 and report["passed"] and report["failures"] == []
@@ -549,7 +554,7 @@ def reference_arithmetic_report(params, trials, seed):
             failures.append({"check": "mul", "g": G.element_str(g), "h": G.element_str(h)})
         if not same(row(G.inv(g)), cli.invert(pg)):
             failures.append({"check": "inv", "g": G.element_str(g)})
-        if not same(row(G.pow(g, k)), cli.perm_powers(pg, [k])[0]):
+        if not same(row(G.pow(g, k)), cli.perm_powers(pg[None], [k], [0])[0]):
             failures.append({"check": "pow", "g": G.element_str(g), "k": k})
         if len(failures) > 10:
             break

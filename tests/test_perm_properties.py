@@ -92,39 +92,73 @@ stack_dtypes = st.sampled_from([np.intp, np.int32, np.uint8])
 
 
 @SETTINGS
-@given(stack_pairs, stack_dtypes, exponent_lists)
-def test_stacked_kernels_match_1d_kernels_row_by_row(PQ, dtype, ks):
+@given(stack_pairs, stack_dtypes)
+def test_stacked_kernels_match_1d_kernels_row_by_row(PQ, dtype):
+    # compose and invert; the stacked powers have a test of their own below
     P, Q = (a.astype(dtype) for a in PQ)
-    composed, inverted, powers = compose(P, Q), invert(P), perm_powers(P, ks)
-    assert composed.shape == inverted.shape == P.shape
-    assert inverted.dtype == P.dtype and all(r.shape == P.shape and r.dtype == P.dtype for r in powers)
+    composed, inverted = compose(P, Q), invert(P)
+    assert composed.shape == inverted.shape == P.shape and inverted.dtype == P.dtype
     for i, (p, q) in enumerate(zip(P, Q)):
         assert np.array_equal(composed[i], compose(p, q))
         assert np.array_equal(inverted[i], invert(p))
-        for k, power in zip(ks, powers):
-            assert np.array_equal(power[i], perm_power(p, k))
-    for i, r in enumerate(powers):  # no result aliases the stack or another result
-        r[...] = i % 2
-    assert all((r == i % 2).all() for i, r in enumerate(powers))
     assert np.array_equal(P, PQ[0])
-
-
-def powers_reduced_unchecked(p, exponents):
-    """perm_powers with every k reduced mod the period L of point 0, without
-    checking that p^L is the identity."""
-    period = _period(as_perm(p), max(map(abs, exponents))) if np.ndim(p) == 1 else 0
-    return perm_powers(p, [k % period if period else k for k in exponents])
-
-
-def assert_powers_match_tuple_powers(kernel, rows, ks):
-    stack = np.array(rows, dtype=np.intp)
-    for p, row in zip(rows, zip(*kernel(stack, ks))):
-        assert [r.tolist() for r in kernel(p, ks)] == [r.tolist() for r in row]
-        assert [r.tolist() for r in row] == [list(oracles.perm_power(tuple(p), k)) for k in ks]
 
 
 # (0 1)(2 3 4): point 0 has period 2 but p^2 is not the identity
 MIXED = [1, 0, 3, 4, 2]
+
+
+def power_stacks(n):
+    """(m, n) stacks of 1 to 5 rows, rows repeated, among them the identity and
+    (0 1)(2 3 4) on the first five points, with the powers wanted: a row
+    index and an exponent each, 0, +-1 and +-10^20 among them."""
+    rows = [st.permutations(range(n)), st.just(list(range(n)))]
+    if n >= 5:
+        rows.append(st.just(MIXED + list(range(5, n))))
+    stacks = st.lists(st.one_of(rows), min_size=1, max_size=5).flatmap(lambda rs: st.permutations(rs + rs[:1]))
+    exponents = st.one_of(st.sampled_from([0, 1, -1, 10**20, -(10**20)]), st.integers(-100, 100),
+                          st.integers(-(10**20), 10**20))
+    return stacks.flatmap(lambda rs: st.tuples(st.just(rs), st.lists(
+        st.tuples(st.integers(0, len(rs) - 1), exponents), max_size=12)))
+
+
+@SETTINGS
+@given(st.integers(0, 12).flatmap(power_stacks), st.sampled_from([np.intp, np.uint8, np.uint16]))
+def test_stacked_powers_match_1d_powers_row_by_row(case, dtype):
+    rows, wanted = case
+    P = np.array(rows, dtype=dtype).reshape(len(rows), -1)
+    at, ks = [r for r, _ in wanted], [k for _, k in wanted]
+    out = perm_powers(P, ks, at)
+    assert out.dtype == P.dtype and out.shape == (len(wanted), P.shape[1])
+    for r, k, power in zip(at, ks, out):
+        assert np.array_equal(power, perm_powers(as_perm(rows[r]), [k])[0])
+    out[...] = 0  # no result aliases the stack
+    assert P.tolist() == [list(r) for r in rows]
+
+
+def powers_reduced_unchecked(p, exponents, rows=None):
+    """perm_powers with every k reduced mod the period L of point 0 under its
+    permutation (its row, for a stack), without checking that p^L is the
+    identity."""
+    if rows is None:
+        period = _period(as_perm(p), max(map(abs, exponents)))
+        return perm_powers(p, [k % period if period else k for k in exponents])
+    bound = {r: max(abs(k) for s, k in zip(rows, exponents) if s == r) for r in rows}
+    periods = {r: _period(as_perm(p[r]), bound[r]) for r in bound}
+    return perm_powers(p, [k % periods[r] if periods[r] else k for r, k in zip(rows, exponents)], rows)
+
+
+def assert_powers_match_tuple_powers(kernel, rows, ks):
+    """kernel's powers of each row, alone and as a row of one stack, against
+    the tuple oracle."""
+    stack = np.array(rows, dtype=np.intp)
+    stacked = kernel(stack, ks * len(rows), [i for i in range(len(rows)) for _ in ks])
+    for i, p in enumerate(rows):
+        want = [list(oracles.perm_power(tuple(p), k)) for k in ks]
+        assert [r.tolist() for r in kernel(as_perm(p), ks)] == want
+        assert stacked[i * len(ks) : (i + 1) * len(ks)].tolist() == want
+
+
 POWER_CASES = [  # rows, each also a row of one stack, and exponents
     ([MIXED], [2]),
     ([MIXED, [0, 1, 2, 3, 4]], [2, -2, 4, 0, 10**20 + 2]),  # the identity has period 1
@@ -142,6 +176,10 @@ def test_power_cases_catch_a_reduction_without_the_check():
     assert _period(as_perm(MIXED), 2) == 2 and not np.array_equal(perm_power(MIXED, 2), np.arange(5))
     with pytest.raises(AssertionError):
         assert_powers_match_tuple_powers(powers_reduced_unchecked, *POWER_CASES[0])
+    # the stack mode alone: the 1-d powers are right, the stacked ones not
+    with pytest.raises(AssertionError):
+        assert_powers_match_tuple_powers(lambda p, ks, *rows: (powers_reduced_unchecked if rows else perm_powers)
+                                         (p, ks, *rows), *POWER_CASES[0])
 
 
 @SETTINGS

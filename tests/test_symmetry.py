@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -9,6 +10,7 @@ from bicayley import (
     BiCayleyGraph,
     Graph,
     aut_group,
+    canonical_digest,
     canonical_form,
     canonical_search,
     check_normal_bicayley,
@@ -194,11 +196,10 @@ def test_normal_bicayley(gray_graph, sym162):
         assert check_normal_bicayley(bg) and aut_group(bg.graph).order() == 6 * bg.half
 
 
-def test_normal_bicayley_matches_the_chain_oracle():
-    """The definition against `is_normal` over R(H)'s stabilizer chain, on
-    every census class of the 17 groups of order <= 3^6 with p in {3, 5, 7}
-    and on gamma_1..3 and sigma_1..2 (about 8 s on a 2-core Intel Xeon, most
-    of it in the censuses and the oracle)."""
+@functools.cache
+def small_censuses():
+    """{(p, m, n, r): census} for the 17 groups of order <= 3^6 with p in
+    {3, 5, 7}, computed once for the tests that read them."""
     params = [
         (p, m, n, r)
         for p in (3, 5, 7)
@@ -208,14 +209,39 @@ def test_normal_bicayley_matches_the_chain_oracle():
         if p ** (m + n) <= 3**6 and m <= n + r
     ]
     assert len(params) == 17
+    return {q: census(make_group(*q)) for q in params}
+
+
+def test_normal_bicayley_matches_the_chain_oracle():
+    """The definition against `is_normal` over R(H)'s stabilizer chain, on
+    every census class of the 17 groups of order <= 3^6 with p in {3, 5, 7}
+    and on gamma_1..3 and sigma_1..2 (about 8 s on a 2-core Intel Xeon, most
+    of it in the censuses and the oracle)."""
     graphs = [gamma_t(t) for t in (1, 2, 3)] + [sigma_t(t) for t in (1, 2)]
-    for G in map(make_group, *zip(*params)):
-        graphs += [BiCayleyGraph(G, (), (), c.spokes) for c in census(G).classes]
+    for q, result in small_censuses().items():
+        graphs += [BiCayleyGraph(make_group(*q), (), (), c.spokes) for c in result.classes]
     assert len(graphs) == 5 + 104
     verdicts = [check_normal_bicayley(bg) for bg in graphs]
     assert verdicts == [is_normal(aut_group(bg.graph), right_group(bg)) for bg in graphs]
     # only the Gray graph (gamma_1, and its census class over (3,2,1,1)) is not normal
     assert verdicts.count(False) == 2 and not verdicts[0]
+
+
+def test_small_censuses_find_the_paper_classification():
+    """Over the 17 groups of order <= 3^6 (no second census: the results are
+    the ones the chain-oracle test reads), edge-transitive classes exist over
+    four groups only, one each: gamma_1 and gamma_2 (semisymmetric) and
+    sigma_1 and sigma_2 (arc-transitive).  No group with p = 5 or 7 has one."""
+    found = {q: [(c.report.classification, c.digest) for c in result.edge_transitive_classes]
+             for q, result in small_censuses().items()}
+    expect = {
+        (3, 2, 1, 1): [("semisymmetric", canonical_digest(gamma_t(1).graph))],
+        (3, 3, 2, 2): [("semisymmetric", canonical_digest(gamma_t(2).graph))],
+        (3, 2, 2, 1): [("arc-transitive", canonical_digest(sigma_t(1).graph))],
+        (3, 3, 3, 2): [("arc-transitive", canonical_digest(sigma_t(2).graph))],
+    }
+    assert {q: classes for q, classes in found.items() if classes} == expect
+    assert any(q[0] == 5 for q in found) and any(q[0] == 7 for q in found)
 
 
 @pytest.mark.parametrize("mod_j, mod_i", [(5, 1), (1, 5)])
