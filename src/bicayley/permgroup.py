@@ -5,9 +5,9 @@ A permutation is a contiguous 1-d ``np.intp`` array of images on [0, degree):
 take any integer sequence; group generators are read-only arrays.
 `compose` and `invert` also take an (m, n) stack of permutations, one a
 row, in any integer dtype, and work row by row with one numpy operation for
-all rows; `perm_powers` takes a stack with the row of each exponent, and
-forms the powers one exponent class at a time.  A stack's results keep its
-dtype.  Every
+all rows.  Powers have one kernel: `perm_powers` takes a stack with the row
+of each exponent and forms the powers one exponent class at a time;
+`perm_power` is one row of it.  A stack's results keep its dtype.  Every
 orbit of points comes from `orbit_labels`, the least point of each orbit:
 `orbit_lists` groups points by label, and a group given a base folds its
 generators into labels level by level for its basic orbits.  Only the
@@ -106,94 +106,33 @@ def invert(p: Sequence[int]) -> Perm:
 
 def perm_power(p: Sequence[int], k: int) -> Perm:
     """p^k; k may be negative or exceed the order of p."""
-    return perm_powers(p, [k])[0]
+    return perm_powers(as_perm(p)[None], [k], [0])[0]
 
 
-def _period(p: Perm, bound: int) -> int:
-    """The least L <= bound with p^L fixing point 0, or 0 if there is none."""
-    if not len(p) or bound < 1:
-        return 0
-    images = memoryview(p)  # a point at a time, as Python ints
-    x, steps = images[0], 1
-    while x and steps < bound:
-        x, steps = images[x], steps + 1
-    return 0 if x else steps
-
-
-def perm_powers(p: Sequence[int], exponents: Iterable[int], rows: Iterable[int] | None = None):
-    """[p^k for k in exponents] by repeated squaring, the squarings p, p^2,
-    p^4, ... shared by all exponents; k may be negative or exceed the order of
-    p.
-
-    Let L <= max |k| be the period of point 0 under p.  Only once p^L is
-    checked to be the identity, every k is reduced mod L, so no exponent
-    reaches the order of p; otherwise (another cycle is longer, or L is above
-    every |k|) the exponents are used as given.
-    Each product starts at the lowest set bit of |k|, so k != 0 makes no
-    identity and no gather with one; a negative k inverts p^|k|.  No result
-    aliases p or another result.
-
-    For an (m, n) stack p of permutations, one a row, `rows` names the row of
-    each exponent, and the result is one (len(rows), n) stack in p's dtype
-    whose row i is p[rows[i]]^exponents[i] (see `_stacked_powers`)."""
-    p = _perms(p)
-    if p.ndim == 2:
-        if rows is None:
-            raise TypeError("the powers of a stack need the row of each exponent")
-        return _stacked_powers(p, exponents, rows)
-    if rows is not None:
-        raise TypeError("rows are given for a stack only")
-    exponents = [operator.index(k) for k in exponents]
-    squares = [p]  # squares[i] = p^(2^i), grown as the exponents need them
-
-    def power(bits: int) -> Perm:  # p^bits for bits >= 1, possibly a square itself
-        while len(squares) < bits.bit_length():
-            squares.append(_gather(squares[-1], squares[-1]))
-        low = (bits & -bits).bit_length() - 1
-        result = squares[low]
-        for i in range(low + 1, bits.bit_length()):
-            if bits >> i & 1:
-                result = _gather(squares[i], result)
-        return result
-
-    period = _period(p, max((abs(k) for k in exponents), default=0))
-    if period and (power(period) == identity(len(p))).all():
-        exponents = [k % period for k in exponents]
-    out = []
-    for k in exponents:
-        bits = abs(k)
-        if not bits:
-            result = identity(len(p))
-        elif k < 0:
-            result = invert(power(bits))
-        else:
-            result = power(bits)
-            if not bits & (bits - 1):  # a power of two: never alias a square
-                result = result.copy()
-        out.append(result)
-    return out
-
-
-def _stacked_powers(p: Perm, exponents: Iterable[int], rows: Iterable[int]) -> Perm:
+def perm_powers(p: Perm, exponents: Iterable[int], rows: Iterable[int]) -> Perm:
     """The (len(rows), n) stack of p[rows[i]]^exponents[i] for an (m, n)
-    stack p, in p's dtype; the rows of p are meant to be distinct, each
-    wanted with one or more exponents.
+    stack p of permutations, one a row, in p's dtype; a row may be wanted
+    with any number of exponents, and k may be negative or exceed the order
+    of its row.  No result aliases p or another result.
 
     The kernel works on flat indices, row r's point x being r n + x, in the
     narrowest unsigned dtype that holds m n - 1: then q[p] is one `take`,
     with no shift to add.  The squarings p^(2^i) are made for the whole
     stack, one `take` each, and shared by every row.  Point 0 is walked in
     lockstep on every row, the trajectory doubling with each squaring, for
-    at most max |k| steps (or until it is back on every row); the rows are
-    then grouped by the period L of point 0, and a row's exponents are
-    reduced mod L only once p^L is checked to be the identity, as for one
-    permutation.  The powers are then formed one exponent class at a time
-    (grouped in a dict; np.unique would import numpy.ma): the rows wanting
-    p^k are gathered from the lowest square of |k| and composed with its
-    other set squares, a `take` each, so a call costs a few array operations
-    per class and per squaring, whatever the number of rows.  A negative k
+    at most max |k| steps (or until it is back on every row); a row's
+    exponents are reduced mod the period L of its point 0 only once p^L is
+    checked to be the identity (another cycle may be longer), one check per
+    L.  The powers are then formed one exponent class at a time (grouped in
+    a dict; np.unique would import numpy.ma): the rows wanting p^k are
+    gathered from the lowest square of |k| and composed with its other set
+    squares, a `take` each, so a call costs a few array operations per
+    class and per squaring, whatever the number of rows.  A negative k
     inverts p^|k|."""
     import numpy as np
+    p = np.asarray(p)
+    if p.ndim != 2:
+        raise TypeError("perm_powers takes an (m, n) stack; use perm_power for one permutation")
     m, n = p.shape
     exponents = [operator.index(k) for k in exponents]
     at = as_perm([operator.index(r) for r in rows])

@@ -97,7 +97,7 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from .bicay import BiCayleyGraph, right_translation
-from .errors import BudgetError, NotAutomorphism, PreconditionError
+from .errors import BudgetError, DegreeMismatch, NotAutomorphism, PreconditionError
 from .graphs import Graph, graph6_encode
 from .permgroup import PermGroup, invert, orbit_labels
 
@@ -575,6 +575,8 @@ def classify(graph: Graph, aut: PermGroup | None = None) -> SymmetryReport:
     """
     if aut is None:
         aut = aut_group(graph)
+    elif aut.degree != graph.n:
+        raise DegreeMismatch(f"degrees {aut.degree} and {graph.n} differ")
     order = aut.order()
     labels = aut.orbit_labels()
     vorbits = int(np.count_nonzero(labels == np.arange(graph.n)))

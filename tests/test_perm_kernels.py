@@ -24,6 +24,7 @@ from bicayley.permgroup import (
     orbit_labels,
     orbit_of_tuple,
     perm_power,
+    perm_powers,
 )
 from bicayley.symmetry import arc_orbits
 
@@ -101,6 +102,20 @@ def test_kernels_leave_their_inputs_alone():
     for call in calls:
         call()[0] = -1  # a result never aliases an input
         assert (p.tolist(), q.tolist()) == before
+
+
+def test_powers_reject_bad_arguments():
+    stack = np.array([[1, 2, 0], [0, 2, 1]])
+    with pytest.raises(TypeError, match="perm_power for one permutation"):
+        perm_powers(stack[0], [2], [0])
+    with pytest.raises(ValueError, match="3 exponents for 2 rows"):
+        perm_powers(stack, [1, 2, 3], [0, 1])
+    for row in (-1, 2):
+        with pytest.raises(IndexError, match=r"a row outside \[0, 2\)"):
+            perm_powers(stack, [1], [row])
+    # a 0-point permutation and an empty stack have powers too
+    assert same(perm_power([], 5), ()) and same(perm_power(np.empty(0, np.intp), -(10**20)), ())
+    assert perm_powers(np.empty((0, 3), np.uint8), [], []).shape == (0, 3)
 
 
 def test_orbit_labels_match_tuple_orbits():

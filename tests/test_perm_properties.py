@@ -16,7 +16,7 @@ from bicayley.graphs import (  # noqa: E402
     parse_graph_text,
 )
 from bicayley.metacyclic import make_group  # noqa: E402
-from bicayley.permgroup import _period, as_perm, compose, invert, orbit_labels, perm_power, perm_powers  # noqa: E402
+from bicayley.permgroup import as_perm, compose, invert, orbit_labels, perm_power, perm_powers  # noqa: E402
 
 from . import oracles  # noqa: E402
 from .test_symmetry import disjoint_union  # noqa: E402
@@ -69,15 +69,13 @@ exponent_lists = st.lists(
 @SETTINGS
 @given(perms, exponent_lists)
 def test_powers_match_tuple_powers(p, ks):
-    arr = np.array(p, dtype=np.intp)
-    out = perm_powers(arr, ks)
+    arr = np.array(p, dtype=np.intp)[None]  # a one-row stack
+    out = perm_powers(arr, ks, [0] * len(ks))
     assert [r.tolist() for r in out] == [list(oracles.perm_power(p, k)) for k in ks]
     for i, r in enumerate(out):  # no result aliases the input or another result
         r[...] = -1 - i
-    assert arr.tolist() == list(p)
+    assert arr[0].tolist() == list(p)
     assert all((r == -1 - i).all() for i, r in enumerate(out))
-    for k in ks:
-        assert np.array_equal(perm_power(p, k), perm_powers(p, [k])[0])
 
 
 def stack_of(m, n):
@@ -124,38 +122,45 @@ def power_stacks(n):
 
 @SETTINGS
 @given(st.integers(0, 12).flatmap(power_stacks), st.sampled_from([np.intp, np.uint8, np.uint16]))
-def test_stacked_powers_match_1d_powers_row_by_row(case, dtype):
+def test_stacked_powers_match_tuple_powers_row_by_row(case, dtype):
     rows, wanted = case
     P = np.array(rows, dtype=dtype).reshape(len(rows), -1)
     at, ks = [r for r, _ in wanted], [k for _, k in wanted]
     out = perm_powers(P, ks, at)
     assert out.dtype == P.dtype and out.shape == (len(wanted), P.shape[1])
     for r, k, power in zip(at, ks, out):
-        assert np.array_equal(power, perm_powers(as_perm(rows[r]), [k])[0])
+        assert power.tolist() == list(oracles.perm_power(tuple(rows[r]), k))
     out[...] = 0  # no result aliases the stack
     assert P.tolist() == [list(r) for r in rows]
 
 
-def powers_reduced_unchecked(p, exponents, rows=None):
+def _period(p, bound):
+    """The least L <= bound with p^L fixing point 0, or 0 if there is none."""
+    if not len(p) or bound < 1:
+        return 0
+    images = memoryview(p)  # a point at a time, as Python ints
+    x, steps = images[0], 1
+    while x and steps < bound:
+        x, steps = images[x], steps + 1
+    return 0 if x else steps
+
+
+def powers_reduced_unchecked(p, exponents, rows):
     """perm_powers with every k reduced mod the period L of point 0 under its
-    permutation (its row, for a stack), without checking that p^L is the
-    identity."""
-    if rows is None:
-        period = _period(as_perm(p), max(map(abs, exponents)))
-        return perm_powers(p, [k % period if period else k for k in exponents])
+    row, without checking that p^L is the identity."""
     bound = {r: max(abs(k) for s, k in zip(rows, exponents) if s == r) for r in rows}
     periods = {r: _period(as_perm(p[r]), bound[r]) for r in bound}
     return perm_powers(p, [k % periods[r] if periods[r] else k for r, k in zip(rows, exponents)], rows)
 
 
 def assert_powers_match_tuple_powers(kernel, rows, ks):
-    """kernel's powers of each row, alone and as a row of one stack, against
-    the tuple oracle."""
+    """kernel's powers of each row, as a one-row stack and as a row of one
+    stack of all the rows, against the tuple oracle."""
     stack = np.array(rows, dtype=np.intp)
     stacked = kernel(stack, ks * len(rows), [i for i in range(len(rows)) for _ in ks])
     for i, p in enumerate(rows):
         want = [list(oracles.perm_power(tuple(p), k)) for k in ks]
-        assert [r.tolist() for r in kernel(as_perm(p), ks)] == want
+        assert kernel(stack[i : i + 1], ks, [0] * len(ks)).tolist() == want
         assert stacked[i * len(ks) : (i + 1) * len(ks)].tolist() == want
 
 
@@ -174,12 +179,13 @@ def test_powers_reduce_only_by_a_verified_period(rows, ks):
 
 def test_power_cases_catch_a_reduction_without_the_check():
     assert _period(as_perm(MIXED), 2) == 2 and not np.array_equal(perm_power(MIXED, 2), np.arange(5))
+    rows, ks = POWER_CASES[0]
+    with pytest.raises(AssertionError):  # as a one-row stack
+        assert_powers_match_tuple_powers(powers_reduced_unchecked, rows, ks)
+    # as a row of a larger stack alone: the one-row stacks are right
     with pytest.raises(AssertionError):
-        assert_powers_match_tuple_powers(powers_reduced_unchecked, *POWER_CASES[0])
-    # the stack mode alone: the 1-d powers are right, the stacked ones not
-    with pytest.raises(AssertionError):
-        assert_powers_match_tuple_powers(lambda p, ks, *rows: (powers_reduced_unchecked if rows else perm_powers)
-                                         (p, ks, *rows), *POWER_CASES[0])
+        assert_powers_match_tuple_powers(lambda p, ks, at: (powers_reduced_unchecked if len(p) > 1 else perm_powers)
+                                         (p, ks, at), rows + [list(range(5))], ks)
 
 
 @SETTINGS

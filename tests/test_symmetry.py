@@ -24,7 +24,7 @@ from bicayley import (
     right_group,
     sigma_t,
 )
-from bicayley.errors import BudgetError, PreconditionError
+from bicayley.errors import BudgetError, DegreeMismatch, PreconditionError
 from bicayley.metacyclic import PairGroup
 
 from .oracles import adjacency, brute_force_aut_order, enumerate_elements
@@ -130,6 +130,14 @@ def test_classify_path3():
     rep = classify(Graph(3, [(0, 1), (1, 2)]))
     assert rep.vertex_orbits == 2 and rep.edge_orbits == 1
     assert rep.classification == "none"
+
+
+def test_classify_rejects_a_group_of_another_degree(gray_graph):
+    # named before any orbit work, not as a numpy broadcast error
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    for graph, aut in ((path, aut_group(gray_graph.graph)), (gray_graph.graph, aut_group(path))):
+        with pytest.raises(DegreeMismatch, match=f"degrees {aut.degree} and {graph.n} differ"):
+            classify(graph, aut)
 
 
 def test_classify_prism_vertex_transitive_only():
