@@ -27,7 +27,7 @@ from .errors import (
 )
 from .graphs import _DECIMAL, Graph, format_edge_list, graph6_encode, graph_to_json_dict, parse_graph_text
 from .metacyclic import TABLE_BUDGET, make_group
-from .permgroup import compose, invert, perm_powers
+from .permgroup import DEGREE_BUDGET, compose, invert, orbit_labels, perm_powers
 from .symmetry import classify
 
 _USAGE_ERRORS = (
@@ -144,11 +144,23 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
     if args.trials > TRIALS_BUDGET:
         raise ParameterError(f"--trials must be at most {TRIALS_BUDGET}, got {args.trials}")
     group = make_group(args.p, args.m, args.n, args.r)
-    perms = group.regular_representation()
-    # the order first: the stabilizer chain (~|H|^2 entries) is gone before the first row
-    order, generators = perms.order(), perms.generators
-    del perms
+    # the sizes refused before any scalar mul: too large to enumerate, or to permute
+    group.check_enumerable()
+    if group.order > DEGREE_BUDGET:
+        raise BudgetError(f"degree {group.order} exceeds the budget {DEGREE_BUDGET}")
     els, rank, size = group.elements(), group.rank, group.order
+    gens = (group.gen_a, group.gen_b)
+    # |<rho_a, rho_b>| by a centralizer certificate; rho_g is h -> h g and lambda_g
+    # h -> g h, rank arrays from scalar mul.  If the four are permutations, each
+    # rho commutes with each lambda (r[l] == l[r]: (g' h) g == g' (h g) for every h)
+    # and each pair has one orbit, then <rho> centralizes a transitive group, so it
+    # is semiregular (Dixon & Mortimer, 1996, Thm 4.2A) and transitive: order |H|
+    rho = [np.array([rank(group.mul(h, g)) for h in els]) for g in gens]
+    lam = [np.array([rank(group.mul(g, h)) for h in els]) for g in gens]
+    regular = (all(np.array_equal(np.sort(row), np.arange(size)) for row in rho + lam)
+               and all(np.array_equal(r[l], l[r]) for r in rho for l in lam)
+               and all((orbit_labels(size, pair) == 0).all() for pair in (rho, lam)))
+    order = size if regular else None  # a scalar law that fails the certificate
     chunk = max(1, CHUNK_ENTRIES // size)
 
     def build(ranks):
@@ -175,8 +187,7 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
         else:
             rows = build
         # the kernel's generator rows must be the ones scalar mul builds
-        gens = (group.gen_a, group.gen_b)
-        for gen, row, perm in zip(gens, rows([rank(g) for g in gens]), generators):
+        for gen, row, perm in zip(gens, rows([rank(g) for g in gens]), rho):
             if not np.array_equal(row, perm):
                 failures.append({"check": "row", "g": group.element_str(gen)})
         inv_ok = {}  # the inv check depends on g alone: one verdict per element rank
@@ -227,9 +238,9 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
         "trials": args.trials,
         "seed": args.seed,
         "regular_representation_order": order,
-        "order_matches": order == group.order,
+        "order_matches": order == size,
         "failures": failures,
-        "passed": not failures and order == group.order,
+        "passed": not failures and order == size,
     }
 
 

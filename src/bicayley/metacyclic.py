@@ -251,17 +251,6 @@ class PairGroup:
         xj, xi = self._power_columns(f.image_a, self.mod_i)
         return self._product(yj[:, None], yi[:, None], xj, xi).reshape(-1)
 
-    def regular_representation(self):
-        """Right-multiplication permutations of the two generators, as a PermGroup."""
-        from .permgroup import PermGroup
-
-        els = self.elements()
-        rank = self.rank
-        perms = []
-        for g in (self.gen_a, self.gen_b):
-            perms.append(tuple(rank(self.mul(h, g)) for h in els))
-        return PermGroup(len(els), perms)
-
     # -- serialization -------------------------------------------------------
 
     def element_str(self, g: Element) -> str:

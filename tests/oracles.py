@@ -12,6 +12,7 @@ from bicayley.bicay import delta_map, right_translation, sigma_map
 from bicayley.errors import BudgetError, DegreeMismatch, InvalidMapError, InvariantViolation
 from bicayley.families import _check_t, gamma_group, gamma_t, sigma_group, sigma_t
 from bicayley.metacyclic import CLOSURE_BUDGET, GroupMap, check_generator_images, make_automorphism
+from bicayley.permgroup import PermGroup
 from bicayley.symmetry import arc_orbits, classify
 
 
@@ -198,6 +199,15 @@ def subgroup_is_abelian(G, elements):
             if G.mul(x, y) != G.mul(y, x):
                 return False
     return True
+
+
+def regular_representation(G):
+    """The right-multiplication permutations of the two generators, as a
+    PermGroup whose order() runs Schreier-Sims (the former
+    PairGroup.regular_representation)."""
+    els = G.elements()
+    rank = G.rank
+    return PermGroup(len(els), [[rank(G.mul(h, g)) for h in els] for g in (G.gen_a, G.gen_b)])
 
 
 def regular_table(G):

@@ -36,7 +36,7 @@ from bicayley import (
 from bicayley.graphs import Graph
 from bicayley.permgroup import invert, orbit_of_tuple, perm_power
 
-from .oracles import derived_subgroup, enumerate_elements, regular_table
+from .oracles import derived_subgroup, enumerate_elements, regular_representation, regular_table
 
 
 def _report(num, name, start, limit):
@@ -68,7 +68,7 @@ def test_01_arithmetic_oracle_equivalence():
             for k in ks:
                 assert np.array_equal(table[rank(G.pow(g, k))], perm_power(pg, k))
         # regularity: the two generator permutations generate a group of order |G|
-        assert G.regular_representation().order() == G.order
+        assert regular_representation(G).order() == G.order
     _report(1, "arithmetic-oracle-equivalence", start, 5)
 
 

@@ -24,7 +24,7 @@ from bicayley import (
 from bicayley.errors import NotAutomorphism, SetConditionError
 from bicayley.permgroup import identity as perm_identity
 
-from .oracles import adjacency, derived_subgroup, is_transitive_on
+from .oracles import adjacency, derived_subgroup, is_transitive_on, regular_representation
 
 
 def rotation_map(G, t):
@@ -209,7 +209,7 @@ def test_abelian_pair_group_arithmetic():
     assert H.mul((1, 2), (3, 5)) == (0, 1)
     assert H.pow((1, 2), 5) == (1, 10 % 6)
     assert H.element_order((1, 2)) == 12
-    assert H.regular_representation().order() == 24
+    assert regular_representation(H).order() == 24
 
 
 def test_is_connected(gray_graph, group27):

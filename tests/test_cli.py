@@ -4,6 +4,8 @@ import pytest
 
 from bicayley.cli import main
 from bicayley.graphs import Graph, graph6_encode, parse_edge_list
+from bicayley.metacyclic import TABLE_BUDGET, PairGroup, make_group
+from bicayley.permgroup import PermGroup
 from bicayley.symmetry import classify
 from bicayley import gamma_t
 
@@ -215,6 +217,46 @@ def test_zero_trials_checks_rows_and_order(capsys):
     report = json.loads(out)
     assert code == 0 and report["trials"] == 0 and report["passed"]
     assert report["failures"] == [] and report["order_matches"]
+
+
+@pytest.mark.parametrize("params, message", [
+    ((3, 6, 5, 5), "error: degree 177147 exceeds the budget 100000"),  # 3^11
+    ((3, 7, 6, 6), "error: group order 1594323 exceeds enumeration budget"),  # 3^13
+])
+def test_arithmetic_sizes_are_refused_before_any_element(monkeypatch, capsys, params, message):
+    # 3^11 is within the enumeration budget but above the permutation-degree
+    # one; both are checked before the elements are listed or any scalar mul
+    def refuse(*_):
+        raise AssertionError("an element operation before the size checks")
+
+    monkeypatch.setattr(PairGroup, "elements", refuse)
+    monkeypatch.setattr(PairGroup, "mul", refuse)
+    argv = [x for name, v in zip(("--p", "--m", "--n", "--r"), params) for x in (name, str(v))]
+    code, out, err = run_cli(capsys, "verify", "--target", "arithmetic", "--trials", "0", *argv)
+    assert code == 2 and out == "" and err == message + "\n"
+
+
+def test_no_cli_command_builds_a_stabilizer_chain(monkeypatch, tmp_path, capsys):
+    # Schreier-Sims serves the library API and the test oracles only
+    def refuse(self):
+        raise AssertionError("a CLI command built a stabilizer chain")
+
+    monkeypatch.setattr(PermGroup, "_build_chain", refuse)
+    g6 = str(tmp_path / "gamma2.g6")
+    arithmetic = ("verify", "--target", "arithmetic", "--trials", "200")
+    assert make_group(5, 3, 2, 2).order > TABLE_BUDGET
+    for argv in (
+        ("family", "--kind", "gamma", "--t", "2", "--format", "g6", "--out", g6),
+        ("export", "--in", g6, "--format", "edges"),
+        ("analyze", "--in", g6),
+        ("verify", "--target", "lemma51", "--t", "1"),
+        ("verify", "--target", "lemma52", "--t", "1"),
+        arithmetic,  # (3,2,1,1)
+        arithmetic + ("--p", "5", "--m", "3", "--n", "2", "--r", "2"),
+        ("census", "--group", "3,2,1,1"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
 
 
 @pytest.mark.parametrize("content", ["Aé\n".encode("utf-8"), b"A\xe9\n"])

@@ -539,7 +539,7 @@ def reference_arithmetic_report(params, trials, seed):
     np.array_equal for equality."""
     G = make_group(*params)
     els, row, same = G.elements(), G.right_mul_ranks, np.array_equal
-    perms = G.regular_representation()
+    perms = oracles.regular_representation(G)
     failures = []
     for gen, perm in zip((G.gen_a, G.gen_b), perms.generators):
         if not same(row(gen), perm):
@@ -562,6 +562,51 @@ def reference_arithmetic_report(params, trials, seed):
     return {"target": "arithmetic", "group": list(params), "trials": trials, "seed": seed,
             "regular_representation_order": order, "order_matches": order == G.order,
             "failures": failures, "passed": not failures and order == G.order}
+
+
+def certified_order(params):
+    """The arithmetic oracle's order of <rho_a, rho_b> for the group (p, m, n, r)."""
+    argv = ["verify", "--target", "arithmetic", "--trials", "0"]
+    argv += [x for name, v in zip(("--p", "--m", "--n", "--r"), params) for x in (name, str(v))]
+    return cli._verify_arithmetic(cli.build_parser().parse_args(argv))["regular_representation_order"]
+
+
+def test_certified_order_matches_the_chain():
+    # the 17 groups of order <= 3^6 with p in {3, 5, 7}: 5^3, 5^4 and 7^3 among them
+    params = [(p, m, n, r) for p in (3, 5, 7) for m in range(2, 7) for n in range(1, 6)
+              for r in range(1, m) if p ** (m + n) <= 3**6 and m <= n + r]
+    assert len(params) == 17 and {5**3, 7**3} <= {p ** (m + n) for p, m, n, _ in params}
+    for q in params:
+        G = make_group(*q)
+        assert certified_order(q) == oracles.regular_representation(G).order() == G.order, q
+
+
+# scalar laws on the pairs (j, i) put in place of PairGroup.mul, with the
+# order the chain gives their right translations at (3,2,1,1), |H| = 27;
+# the last two are group laws, so the certificate holds on them
+SCALAR_LAWS = {
+    "twist_on_j1": (lambda G, g, h: ((g[0] + h[0]) % G.mod_j, (g[1] * G.twist_pow(g[0]) + h[1]) % G.mod_i), 81),
+    "b_dropped": (lambda G, g, h: (g[0], (g[1] + h[1]) % G.mod_i), 9),
+    # not associative, though its right translations generate a group of order 27
+    "j1_j2_term": (lambda G, g, h: ((g[0] + h[0]) % G.mod_j,
+                                    (g[1] * G.twist_pow(h[0]) + h[1] + g[0] * h[0]) % G.mod_i), 27),
+    "untwisted": (lambda G, g, h: ((g[0] + h[0]) % G.mod_j, (g[1] + h[1]) % G.mod_i), 27),
+    "twist_inverted": (lambda G, g, h: ((g[0] + h[0]) % G.mod_j,
+                                        (g[1] * G.twist_pow(-h[0] % G.mod_j) + h[1]) % G.mod_i), 27),
+}
+
+
+@pytest.mark.parametrize("label", list(SCALAR_LAWS))
+def test_arithmetic_oracle_certifies_the_order_of_a_group_law_only(monkeypatch, tmp_path, label):
+    law, chain_order = SCALAR_LAWS[label]
+    monkeypatch.setattr(PairGroup, "mul", law)
+    assert oracles.regular_representation(make_group(3, 2, 1, 1)).order() == chain_order
+    code, report = _arithmetic_report(tmp_path)
+    assert code == 1 and not report["passed"]
+    order = report["regular_representation_order"]
+    if order is not None:  # sound: a certified order is the chain's, and |H|
+        assert order == chain_order == 27
+    assert (order is not None) == report["order_matches"] == (label in ("untwisted", "twist_inverted"))
 
 
 def test_arithmetic_oracle_reports_every_trial_of_a_failing_element(monkeypatch, tmp_path):
@@ -681,9 +726,9 @@ def test_arithmetic_oracle_builds_each_row_once_and_holds_a_few(monkeypatch, tmp
 
 @pytest.mark.parametrize("trials", [1500, 20000])
 def test_arithmetic_oracle_memory_does_not_grow_with_trials(trials):
-    # (3,3,3,2), |H| = 729: the stabilizer chain of the regular representation
-    # and the full row cache take ~4.2 MB each, and the oracle holds one at a
-    # time; with --trials 0 the peak is ~4.5 MB
+    # (3,3,3,2), |H| = 729: the row table takes ~1.1 MB and the order's
+    # certificate four rows; a block's row stacks set the peak, ~1.8 MB with
+    # --trials 0, ~3.6 MB at 1500 trials and ~5.0 MB at 20000
     args = cli.build_parser().parse_args(["verify", "--target", "arithmetic", "--p", "3", "--m", "3",
                                           "--n", "3", "--r", "2", "--trials", str(trials)])
     tracemalloc.start()

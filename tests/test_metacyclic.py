@@ -27,6 +27,7 @@ from .oracles import (
     maximal_subgroups,
     order_by_iteration,
     power_by_iteration,
+    regular_representation,
     subgroup_is_abelian,
 )
 
@@ -262,7 +263,7 @@ def test_inner_abelian_power_law(group27, group81a, group81b):
 
 def test_regular_representation(group27):
     G = group27
-    reg = G.regular_representation()
+    reg = regular_representation(G)
     assert reg.degree == 27
     assert reg.order() == 27
     assert check_regular_action_exhaustive(G)

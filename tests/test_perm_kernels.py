@@ -219,7 +219,7 @@ def chain_test_groups():
         wreath_product(s5, (8, [cycle(8, list(range(8)))])),
     ]
     for params in ((3, 2, 1, 1), (5, 2, 2, 1)):
-        R = make_group(*params).regular_representation()
+        R = oracles.regular_representation(make_group(*params))
         groups.append((R.degree, [g.tolist() for g in R.generators]))
     return groups
 

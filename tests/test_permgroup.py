@@ -7,7 +7,7 @@ from bicayley import PermGroup, compose, gamma_t, identity, invert, is_normal, r
 from bicayley.errors import ContainmentError, DegreeMismatch, InvariantViolation
 from bicayley.permgroup import perm_power
 
-from .oracles import derived_subgroup, enumerate_elements, is_transitive_on
+from .oracles import derived_subgroup, enumerate_elements, is_transitive_on, regular_representation
 
 
 def s4():
@@ -28,7 +28,7 @@ def test_perm_algebra():
 
 
 def test_compose_matches_group_mul(group27):
-    reg = group27.regular_representation()
+    reg = regular_representation(group27)
     perm_a, perm_b = reg.generators
     ab = group27.mul(group27.gen_a, group27.gen_b)
     rank = group27.rank
