@@ -6,6 +6,15 @@ g h^-1 in L, and spokes {h_0, g_1} with g h^-1 in S.  Vertices are indexed
 h_0 -> rank(h) and h_1 -> |H| + rank(h) with rank the lexicographic position
 of the normal form (j, i), so identical inputs always produce identical
 adjacency data.
+
+One image rule: for alpha in Aut(H), x0, x1 in H and a swap flag, the map
+phi: h_0 -> (x0 h^alpha)_swap, h_1 -> (x1 h^alpha)_(1-swap) sends R, L and S
+to x0 R^alpha x0^-1, x1 L^alpha x1^-1 and x1 S^alpha x0^-1; a swap puts the
+first two in the other part and inverts the third.  phi is an automorphism
+exactly when each image is the connection set of the part it lands in.
+sigma_map is phi(alpha, 1, g), delta_map phi(alpha, x, y, swap), and
+apply_group_automorphism, swap_parts and normalize_S build the image under
+phi(alpha, 1, 1), phi(1, 1, 1, swap) and phi(1, s, 1), s the first spoke.
 """
 
 from __future__ import annotations
@@ -111,49 +120,43 @@ class MapResult:
         return self.permutation is not None
 
 
-def _ranks(group: PairGroup, items: Iterable[Element], row=None) -> set[int]:
-    """The ranks of the given elements, or of their images under the rank row."""
-    ranks = [group.rank(x) for x in items]
-    return set(ranks if row is None else row[ranks].tolist())
+def _image(bg: BiCayleyGraph, row, x0: Element, x1: Element, swap: bool = False) -> tuple[set, set, set]:
+    """The connection sets (R', L', S') of phi(bg); alpha by its rank row, None for the identity."""
+    G = bg.group
+
+    def image(conn, u, v):  # u conn^alpha v^-1
+        return {G.mul(G.mul(u, z if row is None else G.unrank(int(row[G.rank(z)]))), G.inv(v)) for z in conn}
+
+    R, L, S = image(bg.R, x0, x0), image(bg.L, x1, x1), image(bg.S, x1, x0)
+    return (L, R, {G.inv(s) for s in S}) if swap else (R, L, S)
+
+
+def _map(bg: BiCayleyGraph, f: GroupMap, x0: Element, x1: Element, failures, swap: bool = False) -> MapResult:
+    """The rule's phi as a MapResult, failing at the first image of R, L, S not its part's set."""
+    import numpy as np
+
+    G = bg.group
+    row = G.map_ranks(f)
+    images = _image(bg, row, x0, x1, swap)
+    for k, failure in zip((1, 0, 2) if swap else (0, 1, 2), failures):
+        if images[k] != set((bg.R, bg.L, bg.S)[k]):
+            return MapResult(None, failure)
+    offsets = (bg.half, 0) if swap else (0, bg.half)
+    parts = [offset + G.left_mul_ranks(x)[row] for offset, x in zip(offsets, (x0, x1))]
+    return MapResult(_check_automorphism(bg, np.concatenate(parts)))
 
 
 def sigma_map(bg: BiCayleyGraph, f: GroupMap, g: Element) -> MapResult:
-    """sigma_{alpha,g}: h_0 -> (h^alpha)_0, h_1 -> (g h^alpha)_1.
-
-    Valid exactly when R^alpha = R, L^alpha = g^-1 L g and S^alpha = g^-1 S.
-    """
-    import numpy as np
-
-    G = bg.group
-    ha = G.map_ranks(f)
-    if _ranks(G, bg.R, ha) != _ranks(G, bg.R):
-        return MapResult(None, "R^alpha != R")
-    if _ranks(G, bg.L, ha) != _ranks(G, (G.conj(x, g) for x in bg.L)):
-        return MapResult(None, "L^alpha != g^-1 L g")
-    if _ranks(G, bg.S, ha) != _ranks(G, (G.mul(G.inv(g), x) for x in bg.S)):
-        return MapResult(None, "S^alpha != g^-1 S")
-    images = np.concatenate((ha, bg.half + G.left_mul_ranks(g)[ha]))
-    return MapResult(_check_automorphism(bg, images))
+    """sigma_{alpha,g}: h_0 -> (h^alpha)_0, h_1 -> (g h^alpha)_1; valid
+    exactly when R^alpha = R, L^alpha = g^-1 L g and S^alpha = g^-1 S."""
+    return _map(bg, f, bg.group.identity, g, ("R^alpha != R", "L^alpha != g^-1 L g", "S^alpha != g^-1 S"))
 
 
 def delta_map(bg: BiCayleyGraph, f: GroupMap, x: Element, y: Element) -> MapResult:
-    """delta_{alpha,x,y}: h_0 -> (x h^alpha)_1, h_1 -> (y h^alpha)_0; swaps the parts.
-
-    Valid exactly when R^alpha = x^-1 L x, L^alpha = y^-1 R y and
-    S^alpha = y^-1 S^-1 x.
-    """
-    import numpy as np
-
-    G = bg.group
-    ha = G.map_ranks(f)
-    if _ranks(G, bg.R, ha) != _ranks(G, (G.conj(z, x) for z in bg.L)):
-        return MapResult(None, "R^alpha != x^-1 L x")
-    if _ranks(G, bg.L, ha) != _ranks(G, (G.conj(z, y) for z in bg.R)):
-        return MapResult(None, "L^alpha != y^-1 R y")
-    if _ranks(G, bg.S, ha) != _ranks(G, (G.mul(G.mul(G.inv(y), G.inv(z)), x) for z in bg.S)):
-        return MapResult(None, "S^alpha != y^-1 S^-1 x")
-    images = np.concatenate((bg.half + G.left_mul_ranks(x)[ha], G.left_mul_ranks(y)[ha]))
-    return MapResult(_check_automorphism(bg, images))
+    """delta_{alpha,x,y}: h_0 -> (x h^alpha)_1, h_1 -> (y h^alpha)_0 swaps the parts;
+    valid exactly when R^alpha = x^-1 L x, L^alpha = y^-1 R y and S^alpha = y^-1 S^-1 x."""
+    failures = ("R^alpha != x^-1 L x", "L^alpha != y^-1 R y", "S^alpha != y^-1 S^-1 x")
+    return _map(bg, f, x, y, failures, swap=True)
 
 
 def is_connected(bg: BiCayleyGraph) -> bool:
@@ -164,27 +167,24 @@ def is_connected(bg: BiCayleyGraph) -> bool:
 def swap_parts(bg: BiCayleyGraph) -> BiCayleyGraph:
     """BiCay(H, L, R, S^-1), isomorphic to the input via h_0 <-> h_1."""
     G = bg.group
-    return BiCayleyGraph(G, bg.L, bg.R, [G.inv(s) for s in bg.S])
+    return BiCayleyGraph(G, *_image(bg, None, G.identity, G.identity, swap=True))
 
 
 def apply_group_automorphism(bg: BiCayleyGraph, f: GroupMap) -> BiCayleyGraph:
     """BiCay(H, R^alpha, L^alpha, S^alpha), isomorphic via h_i -> (h^alpha)_i."""
     G = bg.group
-    ha = G.map_ranks(f)
-    R, L, S = ([G.unrank(r) for r in _ranks(G, conn, ha)] for conn in (bg.R, bg.L, bg.S))
-    return BiCayleyGraph(G, R, L, S)
+    return BiCayleyGraph(G, *_image(bg, G.map_ranks(f), G.identity, G.identity))
 
 
 def normalize_S(bg: BiCayleyGraph) -> BiCayleyGraph:
-    """Right-translate S so it contains the identity (no-op if it already does)."""
+    """BiCay(H, s R s^-1, L, S s^-1) with s the first spoke, so 1 is a spoke;
+    isomorphic via h_0 -> (s h)_0, h_1 -> h_1.  A no-op if 1 is in S already."""
     G = bg.group
     if not bg.S:
         raise InvariantViolation("cannot normalize an empty spoke set")
     if G.identity in bg.S:
         return bg
-    s = bg.S[0]
-    sinv = G.inv(s)
-    return BiCayleyGraph(G, bg.R, bg.L, [G.mul(x, sinv) for x in bg.S])
+    return BiCayleyGraph(G, *_image(bg, None, bg.S[0], G.identity))
 
 
 def spoke_stabilizer_maps(bg: BiCayleyGraph) -> list[tuple[GroupMap, Element, Perm]]:

@@ -346,7 +346,11 @@ def _pair_moves(group: MetacyclicGroup) -> list[np.ndarray]:
     rank(x) * |H| + rank(y): each kept Aut(H) map on both entries, the
     transposition (x, y) -> (y, x), the part swap (x, y) -> (x^-1, y^-1) and
     the translation (x, y) -> (x^-1, y x^-1).  Translating by y is
-    transposition, translation, transposition: it needs no move of its own."""
+    transposition, translation, transposition: it needs no move of its own.
+    The Aut(H) maps, the part swap and the translation are the R = L = {}
+    instances of the image rule in `bicay` on S = {1, x, y}:
+    apply_group_automorphism, swap_parts (S^-1) and normalize_S with s = x
+    (S x^-1); the transposition only reorders S."""
     import numpy as np
 
     n = group.order

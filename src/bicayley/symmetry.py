@@ -487,8 +487,8 @@ def aut_group(graph: Graph) -> PermGroup:
     Deterministic for fixed input.  A connected graph runs the automorphism
     search; any other graph takes the group from `canonical_search`.
     """
-    _check_budget(graph)
     if graph.n and graph.is_connected():
+        _check_budget(graph)
         search = _Search(_Engine(graph))
         return PermGroup.with_base(graph.n, search.run_auto(), search.base)
     return canonical_search(graph)[1]

@@ -25,6 +25,7 @@ from bicayley.errors import NotAutomorphism, SetConditionError
 from bicayley.permgroup import identity as perm_identity
 
 from .oracles import adjacency, derived_subgroup, is_transitive_on, regular_representation
+from .test_group_kernels import condition_graphs
 
 
 def rotation_map(G, t):
@@ -239,11 +240,10 @@ def test_is_connected_matches_closure(params):
 
 
 def test_swap_parts(gray_graph):
-    twice = swap_parts(swap_parts(gray_graph))
-    assert twice.R == gray_graph.R
-    assert twice.L == gray_graph.L
-    assert twice.S == gray_graph.S
-    assert canonical_form(swap_parts(gray_graph).graph) == canonical_form(gray_graph.graph)
+    for bg in [gray_graph] + condition_graphs():
+        twice = swap_parts(swap_parts(bg))
+        assert (twice.R, twice.L, twice.S) == (bg.R, bg.L, bg.S)
+        assert canonical_form(swap_parts(bg).graph) == canonical_form(bg.graph)
 
 
 def test_apply_group_automorphism(gray_graph):
@@ -253,14 +253,15 @@ def test_apply_group_automorphism(gray_graph):
 
 
 def test_normalize_S(group27):
+    # R and L non-empty over a non-abelian group too: R must move to s R s^-1
     G = group27
     a, b = G.gen_a, G.gen_b
     S = [a, G.pow(a, 2), G.mul(a, b)]
-    bg = BiCayleyGraph(G, (), (), S)
-    normed = normalize_S(bg)
-    assert G.identity in normed.S
-    assert canonical_form(normed.graph) == canonical_form(bg.graph)
-    assert normalize_S(normed) is normed
+    for bg in [BiCayleyGraph(G, (), (), S)] + condition_graphs():
+        normed = normalize_S(bg)
+        assert bg.group.identity in normed.S
+        assert canonical_form(normed.graph) == canonical_form(bg.graph)
+        assert normalize_S(normed) is normed
 
 
 def test_quotient_by_trivial(gray_graph):

@@ -122,8 +122,11 @@ def test_canonical_form_distinguishes_perturbations():
 
 
 def test_engine_budget():
-    with pytest.raises(BudgetError):
-        aut_group(Graph(5001, []))
+    # one message whether aut_group runs its own search or canonical_search's
+    path = Graph(5001, [(v, v + 1) for v in range(5000)])
+    for graph in (path, Graph(5001, [])):
+        with pytest.raises(BudgetError, match="^5001 vertices exceed the engine budget 5000$"):
+            aut_group(graph)
 
 
 def test_classify_path3():
