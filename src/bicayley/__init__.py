@@ -51,7 +51,7 @@ from .metacyclic import (
     make_automorphism,
     make_group,
 )
-from .permgroup import PermGroup, compose, identity, invert, is_normal, orbit_of_tuple
+from .permgroup import PermGroup, compose, identity, invert, orbit_of_tuple
 from .symmetry import (
     SymmetryReport,
     aut_group,

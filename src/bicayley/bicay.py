@@ -103,9 +103,11 @@ def right_translation(bg: BiCayleyGraph, g: Element) -> Perm:
 
 
 def right_group(bg: BiCayleyGraph) -> PermGroup:
-    """R(H), generated by the right translations of the two group generators."""
+    """R(H), generated by the right translations of the two group generators.
+    R(H) is semiregular, so its stabilizer of 0 is trivial and the
+    generators are strong relative to the base [0]."""
     gens = [right_translation(bg, bg.group.gen_a), right_translation(bg, bg.group.gen_b)]
-    return PermGroup(bg.graph.n, gens)
+    return PermGroup.with_base(bg.graph.n, gens, [0])
 
 
 @dataclass(frozen=True)
@@ -259,7 +261,8 @@ class QuotientReport:
 
 
 def quotient_graph(graph: Graph | BiCayleyGraph, N: PermGroup) -> tuple[Graph, QuotientReport]:
-    """Quotient by the orbits of N; N's generators must preserve adjacency."""
+    """Quotient by the orbits of N; N's generators must preserve adjacency,
+    and N needs a base (`PermGroup.with_base`) for its semiregularity."""
     if isinstance(graph, BiCayleyGraph):
         graph = graph.graph
     if N.degree != graph.n:
@@ -267,6 +270,7 @@ def quotient_graph(graph: Graph | BiCayleyGraph, N: PermGroup) -> tuple[Graph, Q
     for gen in N.generators:
         if not graph.preserves_edges(gen):
             raise NotAutomorphism("quotient group generator is not a graph automorphism")
+    semiregular = N.is_semiregular()  # first: a group without a base raises here
     import numpy as np
 
     labels = N.orbit_labels()
@@ -279,7 +283,7 @@ def quotient_graph(graph: Graph | BiCayleyGraph, N: PermGroup) -> tuple[Graph, Q
     report = QuotientReport(
         orbit_count=len(sizes),
         orbit_sizes=tuple(sorted(sizes.tolist())),
-        semiregular=N.is_semiregular(),
+        semiregular=semiregular,
         valency_profile=degs,
         is_cubic=bool(degs) and degs[0] == 3 and degs[-1] == 3,
     )

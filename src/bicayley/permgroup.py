@@ -1,4 +1,4 @@
-"""Dense permutations and permutation groups with a deterministic stabilizer chain.
+"""Dense permutations and permutation groups given a base.
 
 A permutation is a contiguous 1-d ``np.intp`` array of images on [0, degree):
 ``compose(p, q)`` is ``q[p]`` and `invert` one scatter.  Public functions also
@@ -11,32 +11,27 @@ of each exponent and forms the powers one exponent class at a time;
 orbit of points comes from `orbit_labels`, the least point of each orbit:
 `orbit_lists` groups points by label, and a group given a base folds its
 generators into labels level by level for its basic orbits.  Only the
-Schreier-Sims transversals and `orbit_of_tuple`, on point tuples, search
+transversals of `contains` and `orbit_of_tuple`, on point tuples, search
 outward.  numpy is imported on use, as in graphs.py.
 
-Groups carry their generators plus a lazily built base and strong generating
-set from one pass of deterministic Schreier-Sims.  A strong generator joins
-every level up to the first base point it moves, growing those basic orbits;
-one that fixes every base opens a level at its least moved point.  The scan
-sifts each level's Schreier generators through the levels below it, deepest
-level first, in a fixed order; a non-trivial residue joins the chain and the
-scan resumes at the level where it stuck, past the pairs already shown
-trivial.  Orders, transversals and sift results are reproducible across runs.
-
-A group built by `PermGroup.with_base` already knows a base relative to which
-its generators are strong (the automorphism search proves this for the base
-it individualizes); its order is the product of basic orbit sizes, read off
-the labels, and its transversals grow as its generators join the chain,
-with no scan.
+A group has one way to its order: the product of its basic orbit sizes.
+So order, membership and semiregularity need a base relative to which the
+generators are strong, given by `PermGroup.with_base`.  Every group the
+library builds comes with one: the automorphism search proves it for the
+base it individualizes, and R(H), being semiregular, has a trivial
+stabilizer of 0, so any generators are strong for the base [0].  A group
+given by generators alone has orbits only; asked for more it raises
+`PreconditionError`, except that a group with no generators has order 1.
+The generic Schreier-Sims scan, which finds a base and strong generators
+for any group, is a test oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import BudgetError, ContainmentError, DegreeMismatch, InvariantViolation
+from .errors import BudgetError, DegreeMismatch, InvariantViolation, PreconditionError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -265,38 +260,28 @@ def _validate_perm(p: Sequence[int], degree: int) -> Perm:
     return arr
 
 
-class _Level:
-    __slots__ = ("base", "inverse", "gens", "checked")
-
-    def __init__(self, base: int, degree: int):
-        self.base = base
-        # point -> inverse of a transversal element u with u[base] == point
-        self.inverse: dict[int, Perm] = {base: identity(degree)}
-        # the strong generators fixing every earlier base, as (g, g^-1) pairs
-        self.gens: list[tuple[Perm, Perm]] = []
-        # point -> how many of gens the scan has shown to give trivial Schreier
-        # generators there; transversals only grow, so those stay trivial
-        self.checked: dict[int, int] = {}
-
-    def grow(self, pair: tuple[Perm, Perm]) -> None:
-        """Add a strong generator; the orbit grows breadth-first, the known
-        points under it alone, then each new point under every generator."""
-        self.gens.append(pair)
-        frontier, pairs = list(self.inverse), [pair]
-        while frontier:
-            new = []
-            for pt in frontier:
-                u_inv = self.inverse[pt]
-                for g, g_inv in pairs:
-                    img = int(g[pt])
-                    if img not in self.inverse:
-                        self.inverse[img] = u_inv[g_inv]  # (u g)^-1 = g^-1 u^-1
-                        new.append(img)
-            frontier, pairs = new, self.gens
+def _transversal(base: int, pairs: Sequence[tuple[Perm, Perm]], degree: int) -> dict[int, Perm]:
+    """point -> the inverse of a word u in the generators with u[base] ==
+    point, for every point of base's orbit, found breadth-first; pairs holds
+    each generator with its inverse."""
+    inverse = {base: identity(degree)}
+    frontier = [base]
+    while frontier:
+        new = []
+        for pt in frontier:
+            u_inv = inverse[pt]
+            for g, g_inv in pairs:
+                img = int(g[pt])
+                if img not in inverse:
+                    inverse[img] = u_inv[g_inv]  # (u g)^-1 = g^-1 u^-1
+                    new.append(img)
+        frontier = new
+    return inverse
 
 
 class PermGroup:
-    """Permutation group given by generators, with orbit/order/membership services."""
+    """Permutation group given by generators: orbits always; order,
+    membership and semiregularity once a base is known (`with_base`)."""
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]]):
         if degree > DEGREE_BUDGET:
@@ -311,8 +296,9 @@ class PermGroup:
                 seen.add(key)
                 gens.append(p)
         self.generators: tuple[Perm, ...] = tuple(gens)
-        self._base: tuple[int, ...] | None = None
-        self._levels: list[_Level] | None = None
+        # the trivial group is strongly generated relative to the empty base
+        self._base: tuple[int, ...] | None = None if gens else ()
+        self._levels: list[tuple[int, dict[int, Perm]]] | None = None
         self._labels: Perm | None = None
 
     @classmethod
@@ -323,8 +309,8 @@ class PermGroup:
 
         The caller vouches that, for every i, the generators fixing base[:i]
         pointwise generate the pointwise stabilizer of base[:i] in the group.
-        Then order() is the product of basic orbit sizes and contains() sifts
-        through transversals grown from the generators alone, with no scan.
+        Then order() is the product of basic orbit sizes and contains()
+        strips a permutation through transversals grown from the generators.
         """
         G = cls(degree, generators)
         base = tuple(int(b) for b in base)
@@ -363,87 +349,49 @@ class PermGroup:
         """Orbit partition, sorted by smallest member (`orbit_lists`)."""
         return [frozenset(orbit) for orbit in orbit_lists(self.orbit_labels())]
 
-    # -- stabilizer chain -------------------------------------------------------
+    # -- base and strong generators ----------------------------------------------
 
-    def _sift(self, perm: Perm, levels: list[_Level], start: int = 0) -> tuple[Perm, int]:
-        """Strip perm through the chain; returns (residue, level where it stuck)."""
-        for idx in range(start, len(levels)):
-            lv = levels[idx]
-            img = int(perm[lv.base])
-            if img == lv.base:
-                continue
-            rep_inv = lv.inverse.get(img)
-            if rep_inv is None:
-                return perm, idx
-            perm = rep_inv[perm]
-        return perm, len(levels)
+    def _require_base(self) -> tuple[int, ...]:
+        if self._base is None:
+            raise PreconditionError(
+                "a group given by generators alone has orbits only; build it with "
+                "PermGroup.with_base for its order, membership or semiregularity"
+            )
+        return self._base
 
-    def _build_chain(self) -> list[_Level]:
-        if self._levels is not None:
-            return self._levels
-        degree = self.degree
-        ident_bytes = identity(degree).tobytes()
-        levels = [_Level(b, degree) for b in self._base or ()]
+    def _depths(self) -> list[int]:
+        """For each generator, the index of the first base point it moves
+        (`with_base` ensures it moves one): the generators of depth >= i fix
+        base[:i] and generate its pointwise stabilizer."""
+        import numpy as np
+        if not self.generators:
+            return []
+        base = as_perm(self._require_base())
+        return (np.stack([g[base] for g in self.generators]) != base).argmax(axis=1).tolist()
 
-        def add(g: Perm) -> None:
-            # g joins every level up to the first base it moves; one fixing
-            # every base opens a new level at its least moved point
-            pair = (g, invert(g))  # one inverse per strong generator
-            for lv in levels:
-                lv.grow(pair)
-                if g[lv.base] != lv.base:
-                    return
-            levels.append(_Level(int((g != identity(degree)).argmax()), degree))
-            levels[-1].grow(pair)
-
-        def scan(idx: int) -> int:
-            # sift level idx's Schreier generators not yet shown trivial through
-            # the levels below it; the first non-trivial residue joins the chain
-            # and the scan resumes at the level where it stuck, else at idx - 1
-            lv = levels[idx]
-            for pt in sorted(lv.inverse):
-                u_inv = lv.inverse[pt]
-                u = None  # inverted only when some generator here needs it
-                for k in range(lv.checked.get(pt, 0), len(lv.gens)):
-                    g, g_inv = lv.gens[k]
-                    # Schreier generator u g t^-1, t the representative of
-                    # g[pt]; it is trivial exactly when (u g)^-1 == t^-1
-                    t_inv = lv.inverse[int(g[pt])]
-                    if u_inv[g_inv].tobytes() == t_inv.tobytes():
-                        continue
-                    if u is None:
-                        u = invert(u_inv)
-                    residue, stuck = self._sift(t_inv[g[u]], levels, idx + 1)
-                    if residue.tobytes() != ident_bytes:
-                        lv.checked[pt] = k  # pair k is checked again on resuming
-                        add(residue)
-                        return stuck
-                lv.checked[pt] = len(lv.gens)
-            return idx - 1
-
-        for g in self.generators:
-            add(g)
-        idx = len(levels) - 1 if self._base is None else -1  # a given base needs no scan
-        while idx >= 0:
-            idx = scan(idx)
-        self._levels = levels
-        return levels
+    def _build_chain(self) -> list[tuple[int, dict[int, Perm]]]:
+        """(base[i], the transversal of its basic orbit) for every level i."""
+        if self._levels is None:
+            base, depths = self._require_base(), self._depths()
+            pairs = [(g, invert(g)) for g in self.generators]  # one inverse per generator
+            self._levels = [
+                (b, _transversal(b, [pr for pr, d in zip(pairs, depths) if d >= i], self.degree))
+                for i, b in enumerate(base)
+            ]
+        return self._levels
 
     def order(self) -> int:
-        if self._base is None:
-            return math.prod(len(lv.inverse) for lv in self._build_chain())
+        """The product of the basic orbit sizes; no transversal is built.
+        The generators of depth >= i generate the stabilizer of base[:i].
+        Folded into the orbit labels from the deepest level up, each
+        generator once, they give every basic orbit, and at level 0 the
+        group's orbit labels."""
+        import numpy as np
         if not self.generators:
             return 1
-        # product of basic orbit sizes; no transversal is built.  A generator
-        # of level i fixes base[:i] and moves base[i], so the levels >= i
-        # generate the stabilizer of base[:i].  Folded into the orbit labels
-        # from the deepest level up, each generator once, they give every
-        # basic orbit, and at level 0 the group's orbit labels.
-        import numpy as np
-        base = as_perm(self._base)
+        base = self._require_base()
         levels: dict[int, list[Perm]] = {}
-        moved = np.stack([g[base] for g in self.generators]) != base
-        for g, i in zip(self.generators, moved.argmax(axis=1).tolist()):
+        for g, i in zip(self.generators, self._depths()):
             levels.setdefault(i, []).append(g)
         labels, n = None, 1
         for i in sorted(levels, reverse=True):
@@ -455,9 +403,15 @@ class PermGroup:
         return n
 
     def contains(self, perm: Sequence[int]) -> bool:
+        """Whether perm lies in the group: it is stripped through the base's
+        transversals, and a member leaves the identity."""
         p = _validate_perm(perm, self.degree)
-        residue, _ = self._sift(p, self._build_chain())
-        return is_identity(residue)
+        for b, inverse in self._build_chain():
+            u_inv = inverse.get(int(p[b]))
+            if u_inv is None:
+                return False
+            p = u_inv[p]
+        return is_identity(p)
 
     # -- predicates ---------------------------------------------------------------
 
@@ -469,24 +423,6 @@ class PermGroup:
         labels = self.orbit_labels()
         points = labels if domain is None else labels[self._points(domain)]
         return bool((np.bincount(labels)[points] == size).all())
-
-
-def is_normal(G: PermGroup, N: PermGroup) -> bool:
-    """Whether <N> is normal in <G>; requires N's generators to lie in G.
-
-    One conjugate per pair of generators: g^-1 N g, a subgroup of N of the
-    same finite order, is N itself, so g N g^-1 = N needs no check."""
-    if G.degree != N.degree:
-        raise DegreeMismatch(f"degrees {G.degree} and {N.degree} differ")
-    for n in N.generators:
-        if not G.contains(n):
-            raise ContainmentError("N is not contained in G")
-    for g in G.generators:
-        ginv = invert(g)
-        for n in N.generators:
-            if not N.contains(g[n[ginv]]):  # g^-1 n g
-                return False
-    return True
 
 
 def orbit_of_tuple(generators: Iterable[Sequence[int]], seed: Sequence[int]) -> frozenset[tuple[int, ...]]:

@@ -154,6 +154,13 @@ class _Engine:
         signatures' lexicographic ranks at every degree.  Colours that are
         already ranks 0..k-1, as a child's are, are not ranked again; rows of
         at most three neighbours are sorted by a 3-comparator network.
+
+        Refinement is exactly equivariant under relabelling: no vertex index
+        enters a colour id, so for the graph relabelled by pi (v -> pi[v])
+        and colours c' with c'[pi] == c, the result r' has r'[pi] == r.  A
+        refined partition, with `invariant` and its cell sizes, is therefore
+        an isomorphism invariant of the graph with its individualized
+        vertices.
         """
         n = self.n
         if colors.min(initial=0) >= 0 and (sizes := np.bincount(colors)).all():
@@ -566,6 +573,7 @@ def arc_orbits(graph: Graph, generators) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def classify(graph: Graph, aut: PermGroup | None = None) -> SymmetryReport:
     """Orbit counts on vertices, edges and arcs, and the transitivity class.
+    A given aut needs a base (`PermGroup.with_base`) for its order.
 
     Vertex orbits and the stabilizer order come from the group's orbit
     labels, arc orbits from the arc-index permutations (`arc_orbits`).  The

@@ -9,7 +9,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from bicayley.bicay import delta_map, right_translation, sigma_map
-from bicayley.errors import BudgetError, DegreeMismatch, InvalidMapError, InvariantViolation
+from bicayley import permgroup
+from bicayley.errors import BudgetError, ContainmentError, DegreeMismatch, InvalidMapError, InvariantViolation
 from bicayley.families import _check_t, gamma_group, gamma_t, sigma_group, sigma_t
 from bicayley.metacyclic import CLOSURE_BUDGET, GroupMap, check_generator_images, make_automorphism
 from bicayley.permgroup import PermGroup
@@ -203,11 +204,11 @@ def subgroup_is_abelian(G, elements):
 
 def regular_representation(G):
     """The right-multiplication permutations of the two generators, as a
-    PermGroup whose order() runs Schreier-Sims (the former
-    PairGroup.regular_representation)."""
+    PermGroup with the base and strong generators of `schreier_sims`, the
+    given ones first (the former PairGroup.regular_representation)."""
     els = G.elements()
     rank = G.rank
-    return PermGroup(len(els), [[rank(G.mul(h, g)) for h in els] for g in (G.gen_a, G.gen_b)])
+    return chain_group(len(els), [[rank(G.mul(h, g)) for h in els] for g in (G.gen_a, G.gen_b)])
 
 
 def regular_table(G):
@@ -251,6 +252,146 @@ def enumerate_elements(G, limit=100_000):
             raise BudgetError(f"enumeration exceeds limit {limit}")
         frontier = new
     return sorted(seen.values(), key=lambda p: p.tolist())
+
+
+# -- the generic Schreier-Sims scan: the former `PermGroup._build_chain` ------
+
+
+class ChainLevel:
+    """One level of the scan's chain: its base point, the inverses of its
+    transversal, its strong generators as (g, g^-1) pairs, and per orbit
+    point how many of them the scan has shown to give trivial Schreier
+    generators there (transversals only grow, so those stay trivial)."""
+
+    __slots__ = ("base", "inverse", "gens", "checked")
+
+    def __init__(self, base: int, degree: int):
+        self.base = base
+        self.inverse: dict[int, np.ndarray] = {base: np.arange(degree, dtype=np.intp)}
+        self.gens: list[tuple[np.ndarray, np.ndarray]] = []
+        self.checked: dict[int, int] = {}
+
+    def grow(self, pair) -> None:
+        """Add a strong generator; the orbit grows breadth-first, the known
+        points under it alone, then each new point under every generator."""
+        self.gens.append(pair)
+        frontier, pairs = list(self.inverse), [pair]
+        while frontier:
+            new = []
+            for pt in frontier:
+                u_inv = self.inverse[pt]
+                for g, g_inv in pairs:
+                    img = int(g[pt])
+                    if img not in self.inverse:
+                        self.inverse[img] = u_inv[g_inv]  # (u g)^-1 = g^-1 u^-1
+                        new.append(img)
+            frontier, pairs = new, self.gens
+
+
+def sift(perm, levels, start=0):
+    """Strip perm through levels[start:]; (residue, the level where it stuck)."""
+    for idx in range(start, len(levels)):
+        lv = levels[idx]
+        img = int(perm[lv.base])
+        if img == lv.base:
+            continue
+        rep_inv = lv.inverse.get(img)
+        if rep_inv is None:
+            return perm, idx
+        perm = rep_inv[perm]
+    return perm, len(levels)
+
+
+def schreier_chain(degree: int, generators) -> list[ChainLevel]:
+    """The chain of one pass of deterministic Schreier-Sims.
+
+    A strong generator joins every level up to the first base point it
+    moves, growing those basic orbits; one that fixes every base opens a
+    level at its least moved point.  The scan sifts each level's Schreier
+    generators through the levels below it, deepest level first, in a fixed
+    order; a non-trivial residue joins the chain and the scan resumes at the
+    level where it stuck, past the pairs already shown trivial.  Level 0
+    holds every strong generator, the given ones (validated, distinct, not
+    the identity) first, then the residues in the order they joined."""
+    gens = PermGroup(degree, generators).generators
+    ident = np.arange(degree, dtype=np.intp)
+    ident_bytes = ident.tobytes()
+    levels: list[ChainLevel] = []
+
+    def add(g) -> None:
+        pair = (g, permgroup.invert(g))  # one inverse per strong generator
+        for lv in levels:
+            lv.grow(pair)
+            if g[lv.base] != lv.base:
+                return
+        levels.append(ChainLevel(int((g != ident).argmax()), degree))
+        levels[-1].grow(pair)
+
+    def scan(idx: int) -> int:
+        # sift level idx's Schreier generators not yet shown trivial through
+        # the levels below it; the first non-trivial residue joins the chain
+        # and the scan resumes at the level where it stuck, else at idx - 1
+        lv = levels[idx]
+        for pt in sorted(lv.inverse):
+            u_inv = lv.inverse[pt]
+            u = None  # inverted only when some generator here needs it
+            for k in range(lv.checked.get(pt, 0), len(lv.gens)):
+                g, g_inv = lv.gens[k]
+                # Schreier generator u g t^-1, t the representative of
+                # g[pt]; it is trivial exactly when (u g)^-1 == t^-1
+                t_inv = lv.inverse[int(g[pt])]
+                if u_inv[g_inv].tobytes() == t_inv.tobytes():
+                    continue
+                if u is None:
+                    u = permgroup.invert(u_inv)
+                residue, stuck = sift(t_inv[g[u]], levels, idx + 1)
+                if residue.tobytes() != ident_bytes:
+                    lv.checked[pt] = k  # pair k is checked again on resuming
+                    add(residue)
+                    return stuck
+            lv.checked[pt] = len(lv.gens)
+        return idx - 1
+
+    for g in gens:
+        add(g)
+    idx = len(levels) - 1
+    while idx >= 0:
+        idx = scan(idx)
+    return levels
+
+
+def schreier_sims(degree: int, generators) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    """(base, strong generators) of the group the generators make, from
+    `schreier_chain`; the given generators come first."""
+    levels = schreier_chain(degree, generators)
+    return tuple(lv.base for lv in levels), tuple(g for g, _ in levels[0].gens) if levels else ()
+
+
+def chain_group(degree: int, generators) -> PermGroup:
+    """The group the generators make, given the base and strong generators
+    of `schreier_sims`, so that its order, membership and semiregularity
+    are defined."""
+    base, strong = schreier_sims(degree, generators)
+    return PermGroup.with_base(degree, strong, base)
+
+
+def is_normal(G: PermGroup, N: PermGroup) -> bool:
+    """Whether <N> is normal in <G> (the former `permgroup.is_normal`); N's
+    generators must lie in G, and both groups need a base (`chain_group`).
+
+    One conjugate per pair of generators: g^-1 N g, a subgroup of N of the
+    same finite order, is N itself, so g N g^-1 = N needs no check."""
+    if G.degree != N.degree:
+        raise DegreeMismatch(f"degrees {G.degree} and {N.degree} differ")
+    for n in N.generators:
+        if not G.contains(n):
+            raise ContainmentError("N is not contained in G")
+    for g in G.generators:
+        ginv = permgroup.invert(g)
+        for n in N.generators:
+            if not N.contains(g[n[ginv]]):  # g^-1 n g
+                return False
+    return True
 
 
 def membership_by_enumeration(group_elements, perm):

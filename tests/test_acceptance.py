@@ -13,7 +13,6 @@ import numpy as np
 
 from bicayley import (
     BiCayleyGraph,
-    PermGroup,
     abelian_family,
     aut_group,
     canonical_form,
@@ -36,7 +35,7 @@ from bicayley import (
 from bicayley.graphs import Graph
 from bicayley.permgroup import invert, orbit_of_tuple, perm_power
 
-from .oracles import derived_subgroup, enumerate_elements, regular_representation, regular_table
+from .oracles import chain_group, derived_subgroup, enumerate_elements, is_normal, regular_representation, regular_table
 
 
 def _report(num, name, start, limit):
@@ -167,8 +166,6 @@ def test_06_normality_at_desk_scale(gray_graph, sym162):
     aut2 = aut_group(g2.graph)
     # oracle: the chain order matches full enumeration of the generated group
     assert aut2.order() == len(enumerate_elements(aut2, limit=100_000))
-    from bicayley.permgroup import is_normal
-
     assert is_normal(aut2, right_group(g2)) is True
     _report(6, "normal-bicayley-classification", start, 600)
 
@@ -201,7 +198,7 @@ def test_08_quotient_is_pappus(gray_graph):
     derived = sorted(derived_subgroup(G))
     assert len(derived) == 3
     gens = [right_translation(gray_graph, h) for h in derived if h != G.identity]
-    N = PermGroup(54, gens)
+    N = chain_group(54, gens)
     q, qrep = quotient_graph(gray_graph.graph, N)
     assert q.n == 18 and qrep.is_cubic and qrep.semiregular
     # independent constructions of the Pappus graph: the abelian one-matching

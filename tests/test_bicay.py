@@ -24,7 +24,7 @@ from bicayley import (
 from bicayley.errors import NotAutomorphism, SetConditionError
 from bicayley.permgroup import identity as perm_identity
 
-from .oracles import adjacency, derived_subgroup, is_transitive_on, regular_representation
+from .oracles import adjacency, chain_group, derived_subgroup, is_transitive_on, regular_representation
 from .test_group_kernels import condition_graphs
 
 
@@ -177,13 +177,12 @@ def test_spoke_stabilizer_maps_rotation_family(gray_graph):
 def test_normalizer_structure_on_normal_members(sym162):
     # for a normal one-matching graph: |Aut| = |H| * |F| * (2 if part-swap)
     from bicayley import aut_group, gamma_t, spoke_stabilizer_maps
-    from bicayley.permgroup import PermGroup
 
     g2 = gamma_t(2)
     F2 = spoke_stabilizer_maps(g2)
     aut2 = aut_group(g2.graph)
     assert aut2.order() == g2.half * len(F2)  # semisymmetric: no part swap
-    explicit = PermGroup(
+    explicit = chain_group(
         g2.graph.n,
         [right_translation(g2, g2.group.gen_a), right_translation(g2, g2.group.gen_b)]
         + [perm for _, _, perm in F2],
@@ -283,7 +282,7 @@ def test_quotient_by_derived(gray_graph):
         for h in sorted(derived_subgroup(G))
         if h != G.identity
     ]
-    q, rep = quotient_graph(gray_graph.graph, PermGroup(54, gens))
+    q, rep = quotient_graph(gray_graph.graph, chain_group(54, gens))
     assert q.n == 18 and rep.is_cubic and rep.semiregular
 
 
@@ -296,7 +295,7 @@ def test_quotient_of_arc_transitive_member_stays_cubic_symmetric(sym162):
         for h in sorted(derived_subgroup(H))
         if h != H.identity
     ]
-    q, rep = quotient_graph(sym162, PermGroup(162, gens))
+    q, rep = quotient_graph(sym162, chain_group(162, gens))
     assert q.n == 54 and rep.is_cubic and rep.semiregular
     assert classify(q).classification == "arc-transitive"
 

@@ -298,10 +298,10 @@ def test_census_json_pins(params, connected_only):
 def test_census_moves(params):
     import numpy as np
 
-    from bicayley import PermGroup, make_group
+    from bicayley import make_group
     from bicayley.families import _aut_generators, _pair_moves
 
-    from .oracles import aut_generators_by_scan, automorphisms
+    from .oracles import aut_generators_by_scan, automorphisms, chain_group
 
     G = make_group(*params)
     n = G.order
@@ -310,7 +310,7 @@ def test_census_moves(params):
     expect = aut_generators_by_scan(G)
     assert len(kept) == len(expect) and all(np.array_equal(a, b) for a, b in zip(kept, expect))
     # the generic Schreier-Sims chain, not the regular-action argument
-    assert PermGroup(n, kept).order() == len(automorphisms(G))
+    assert chain_group(n, kept).order() == len(automorphisms(G))
     els = G.elements()
     x, y = np.divmod(np.arange(n * n), n)
     proper = (x > 0) & (y > 0) & (x != y)
@@ -354,3 +354,18 @@ def test_census_searches_once_per_orbit(monkeypatch):
     for params in [(3, 2, 1, 1), (3, 2, 2, 1), (3, 3, 1, 2)]:
         census(make_group(*params))
     assert calls == {"auto": 0, "canon": 7}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("params, classes, pairs", [
+    ((11, 2, 1, 1), 15, 798_600),  # about 1 s and 210 MB peak RSS
+    ((13, 2, 1, 1), 20, 2_214_576),  # about 4 s and 520 MB peak RSS
+])
+def test_census_finds_no_edge_transitive_class_at_p_11_and_13(params, classes, pairs):
+    """The abstract's "p = 3 only" on two more primes: the inner-abelian
+    groups of order 11^3 and 13^3 have no edge-transitive class."""
+    from bicayley import census, make_group
+
+    result = census(make_group(*params))
+    assert (len(result.classes), result.generating_pair_count) == (classes, pairs)
+    assert result.edge_transitive_classes == ()

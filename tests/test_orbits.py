@@ -51,8 +51,8 @@ def petersen():
     return Graph(10, outer + [(i, i + 5) for i in range(5)] + inner)
 
 
-# (label, graph, |Aut|); K_n above 16 only at 24 and 40, where the generic
-# chain takes about 0.7 and 7 s
+# (label, graph, |Aut|); K_n above 16 only at 24 and 40, where the oracle's
+# generic chain (`oracles.chain_group`) is slowest
 GRAPHS = [
     *[(f"K_{n}", complete(n), math.factorial(n)) for n in [*range(1, 17), 24, 40]],
     *[(f"K_{n},{n}", complete_bipartite(n), 2 * math.factorial(n) ** 2) for n in (1, 2, 3, 5, 8)],
@@ -70,7 +70,7 @@ def test_basic_orbits_match_bfs_and_schreier_sims(label, graph, expected):
     aut = aut_group(graph)
     gens, base = aut.generators, aut._base
     sizes = oracles.basic_orbit_sizes_by_bfs(graph.n, gens, base)
-    assert aut.order() == math.prod(sizes) == PermGroup(graph.n, gens).order() == expected
+    assert aut.order() == math.prod(sizes) == oracles.chain_group(graph.n, gens).order() == expected
     # the generators fixing base[:i] are strong for base[i:]: the order of
     # each suffix group pins the basic orbit sizes from level i on
     for i in range(1, len(base)):
@@ -101,8 +101,8 @@ def test_semiregular_groups_and_quotients_match_the_loops(make):
         R,
         aut_group(bg.graph),
         PermGroup(bg.graph.n, []),
-        PermGroup(bg.graph.n, [right_translation(bg, a)]),
-        PermGroup(bg.graph.n, [right_translation(bg, G.pow(b, G.mod_j // 3))]),
+        oracles.chain_group(bg.graph.n, [right_translation(bg, a)]),
+        oracles.chain_group(bg.graph.n, [right_translation(bg, G.pow(b, G.mod_j // 3))]),
     ]
     for N in groups:
         for domain in (None, [0], range(bg.half, bg.graph.n)):

@@ -20,7 +20,6 @@ from bicayley.permgroup import (
     identity,
     invert,
     is_identity,
-    is_normal,
     orbit_labels,
     orbit_of_tuple,
     perm_power,
@@ -152,7 +151,7 @@ def test_generic_chain_matches_closure():
         n = rng.randrange(1, 7)
         gens = [rng.choice((sparse_perm, random_perm))(rng, n) for _ in range(rng.randrange(0, 3))]
         elements = closure(gens, n)
-        G = PermGroup(n, gens)
+        G = oracles.chain_group(n, gens)
         assert G.order() == len(elements)
         assert [tuple(p) for p in oracles.enumerate_elements(G)] == sorted(elements)
         for perm in itertools.permutations(range(n)):
@@ -229,7 +228,7 @@ def test_generic_chain_matches_sympy_on_multi_level_groups():
     rng = random.Random(61)
     outcomes = set()
     for n, gens in chain_test_groups():
-        G = PermGroup(n, gens)
+        G = oracles.chain_group(n, gens)
         S = combinatorics.PermutationGroup([combinatorics.Permutation(g) for g in gens])
         assert G.order() == S.order(), n
         for _ in range(10):
@@ -245,8 +244,8 @@ def test_generic_chain_matches_sympy_on_multi_level_groups():
 
 
 def test_chain_inverts_each_strong_generator_once(monkeypatch):
-    """Building the chain of S_5 wr C_8 (degree 40, 32 levels) inverts each
-    strong generator, given or residue, exactly once: the former chain
+    """The oracle's scan over S_5 wr C_8 (degree 40, 32 levels) inverts each
+    strong generator, given or residue, exactly once: an earlier chain
     inverted every strong generator again on every level and every restart,
     9,436 calls for one order()."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -261,66 +260,66 @@ def test_chain_inverts_each_strong_generator_once(monkeypatch):
 
     monkeypatch.setattr(permgroup, "invert", counted)
     n, gens = chain_test_groups()[-3]
-    G = PermGroup(n, gens)
-    order = G.order()
+    levels = oracles.schreier_chain(n, gens)
+    order = math.prod(len(lv.inverse) for lv in levels)
     assert order == combinatorics.PermutationGroup([combinatorics.Permutation(g) for g in gens]).order()
     assert order == math.factorial(5) ** 8 * 8
-    strong = [g for g, _ in G._levels[0].gens]  # level 0 holds every strong generator
-    assert len(strong) > len(G.generators)  # the scan added residues
-    assert all(s is g for s, g in zip(strong, G.generators))  # given first, then residues
+    strong = [g for g, _ in levels[0].gens]  # level 0 holds every strong generator
+    assert len(strong) > len(gens)  # the scan added residues
+    assert [s.tolist() for s in strong[: len(gens)]] == gens  # given first, then residues
     assert [sum(a is g for a in arguments) for g in strong] == [1] * len(strong)
 
 
 def test_chain_sifts_each_pair_once_on_k40(monkeypatch):
-    """The generic chain of aut_group(K_40)'s 39 generators sifts each
+    """The oracle's scan of aut_group(K_40)'s 39 generators sifts each
     (point, strong generator) pair of its levels at most once, plus one
     re-check of each pair whose residue joined the chain.  A scan that
     restarted every resumed level at its first point made 141,664 sifts for
     the same chain, against 27,780 pairs and 19 residues."""
     sifts = [0]
-    sift = PermGroup._sift
+    sift = oracles.sift
 
-    def counted(self, *args):
+    def counted(*args):
         sifts[0] += 1
-        return sift(self, *args)
+        return sift(*args)
 
     gens = aut_group(Graph(40, list(itertools.combinations(range(40), 2)))).generators
-    monkeypatch.setattr(PermGroup, "_sift", counted)
-    G = PermGroup(40, gens)
-    assert G.order() == math.factorial(40)
-    levels = G._levels
+    monkeypatch.setattr(oracles, "sift", counted)
+    levels = oracles.schreier_chain(40, gens)
+    assert math.prod(len(lv.inverse) for lv in levels) == math.factorial(40)
     # the base and strong generators the scan has always chosen
     assert [lv.base for lv in levels] == [*range(38, -1, -2), *range(1, 39, 2)]
-    assert len(levels[0].gens) == 58 and len(G.generators) == 39
+    assert len(levels[0].gens) == 58 and len(gens) == 39
     pairs = sum(len(lv.inverse) * len(lv.gens) for lv in levels)
     assert pairs == 27_780
-    assert sifts[0] <= pairs + len(levels[0].gens) - len(G.generators)  # one re-check per residue
+    assert sifts[0] <= pairs + len(levels[0].gens) - len(gens)  # one re-check per residue
 
 
 def test_scan_progress_changes_no_decision(monkeypatch):
     """A scan that forgets its progress, and so restarts every resumed level
     at its first point, builds the same chain: the same bases, strong
     generators in the same order, and the same transversals."""
-    from bicayley import permgroup
 
     class Forgetful(dict):
         def __setitem__(self, key, value):
             pass
 
-    class Restarting(permgroup._Level):
+    class Restarting(oracles.ChainLevel):
+        __slots__ = ()
+
         def __init__(self, base, degree):
             super().__init__(base, degree)
             self.checked = Forgetful()
 
     def chain(n, gens):
         return [(lv.base, [g.tobytes() for g, _ in lv.gens], {pt: u.tobytes() for pt, u in lv.inverse.items()})
-                for lv in PermGroup(n, gens)._build_chain()]
+                for lv in oracles.schreier_chain(n, gens)]
 
     groups = random_generator_sets(73, 200) + chain_test_groups()
     for graph in (gamma_t(1).graph, sigma_t(1).graph, Graph(16, list(itertools.combinations(range(16), 2)))):
         groups.append((graph.n, aut_group(graph).generators))
     expected = [chain(n, gens) for n, gens in groups]
-    monkeypatch.setattr(permgroup, "_Level", Restarting)
+    monkeypatch.setattr(oracles, "ChainLevel", Restarting)
     assert [chain(n, gens) for n, gens in groups] == expected
 
 
@@ -351,7 +350,7 @@ def test_chain_order_and_membership_match_sympy_on_random_generator_sets():
     rng = random.Random(67)
     outcomes = set()
     for n, gens in random_generator_sets(71, 600):
-        G = PermGroup(n, gens)
+        G = oracles.chain_group(n, gens)
         S = combinatorics.PermutationGroup([Permutation(g) for g in gens])
         assert G.order() == S.order(), (n, gens)
         for _ in range(3):
@@ -380,11 +379,11 @@ def test_is_normal_matches_sympy_on_random_pairs():
             for _ in range(rng.randrange(1, 6)):
                 word = compose(word, rng.choice(gens))
             words.append(word.tolist())
-        G, N = PermGroup(n, gens), PermGroup(n, words)
+        G, N = oracles.chain_group(n, gens), oracles.chain_group(n, words)
         expected = combinatorics.PermutationGroup([Permutation(w) for w in words]).is_normal(
             combinatorics.PermutationGroup([Permutation(g) for g in gens])
         )
-        verdicts.append(is_normal(G, N))
+        verdicts.append(oracles.is_normal(G, N))
         assert verdicts[-1] == expected, (n, gens, words)
     assert 100 < sum(verdicts) < len(verdicts) - 50
 

@@ -3,19 +3,26 @@ import random
 import numpy as np
 import pytest
 
-from bicayley import PermGroup, compose, gamma_t, identity, invert, is_normal, right_group
-from bicayley.errors import ContainmentError, DegreeMismatch, InvariantViolation
+from bicayley import FamilySpec, PermGroup, build_family, compose, gamma_t, identity, invert, right_group
+from bicayley.errors import ContainmentError, DegreeMismatch, InvariantViolation, PreconditionError
 from bicayley.permgroup import perm_power
 
-from .oracles import derived_subgroup, enumerate_elements, is_transitive_on, regular_representation
+from .oracles import (
+    chain_group,
+    derived_subgroup,
+    enumerate_elements,
+    is_normal,
+    is_transitive_on,
+    regular_representation,
+)
 
 
 def s4():
-    return PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    return chain_group(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
 
 
 def a4():
-    return PermGroup(4, [(1, 2, 0, 3), (0, 2, 3, 1)])
+    return chain_group(4, [(1, 2, 0, 3), (0, 2, 3, 1)])
 
 
 def test_perm_algebra():
@@ -104,9 +111,9 @@ def test_orbit_stabilizer_invariant():
 def test_is_semiregular():
     assert not s4().is_semiregular()
     assert is_transitive_on(s4(), range(4))
-    cyclic = PermGroup(4, [(1, 2, 3, 0)])
+    cyclic = chain_group(4, [(1, 2, 3, 0)])
     assert cyclic.is_semiregular()
-    swap = PermGroup(4, [[1, 0, 2, 3]])
+    swap = chain_group(4, [[1, 0, 2, 3]])
     assert swap.is_semiregular([0, 1]) and not swap.is_semiregular([2]) and swap.is_semiregular([])
     for domain in ([999], [4], [-1], [0, 5]):  # points outside the degree, as in orbit()
         with pytest.raises(InvariantViolation):
@@ -118,7 +125,7 @@ def test_semiregular_derived_translations(gray_graph):
 
     G = gray_graph.group
     gens = [right_translation(gray_graph, h) for h in sorted(derived_subgroup(G)) if h != G.identity]
-    N = PermGroup(54, gens)
+    N = chain_group(54, gens)
     assert N.is_semiregular()
     assert len(N.orbits()) == 18
 
@@ -136,9 +143,9 @@ def test_is_normal():
     assert is_normal(S4, S4)
     assert is_normal(S4, PermGroup(4, []))
     assert is_normal(S4, A4)
-    flip = PermGroup(4, [(1, 0, 2, 3)])
+    flip = chain_group(4, [(1, 0, 2, 3)])
     assert not is_normal(S4, flip)
-    v4 = PermGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+    v4 = chain_group(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
     assert is_normal(A4, v4)
     with pytest.raises(ContainmentError):
         is_normal(A4, flip)  # (01) is odd, not in A4
@@ -187,3 +194,57 @@ def test_with_base_rejects_generator_fixing_the_base():
         PermGroup.with_base(4, [(1, 0, 2, 3), (0, 1, 3, 2)], (0,))
     with pytest.raises(InvariantViolation):
         PermGroup.with_base(4, [(1, 0, 2, 3)], (4,))
+
+
+def test_a_group_without_a_base_has_orbits_only(gray_graph):
+    """Order, membership and semiregularity need a base; orbits do not."""
+    from bicayley import classify, quotient_graph
+
+    R = right_group(gray_graph)
+    N = PermGroup(54, R.generators)
+    calls = {
+        "order": N.order,
+        "contains": lambda: N.contains(identity(54)),
+        "is_semiregular": N.is_semiregular,
+        "classify": lambda: classify(gray_graph.graph, N),
+        "quotient_graph": lambda: quotient_graph(gray_graph.graph, N),
+    }
+    for call in calls.values():
+        with pytest.raises(PreconditionError, match="with_base"):
+            call()
+    assert N.orbits() == R.orbits() == [frozenset(range(27)), frozenset(range(27, 54))]
+    assert N.orbit(30) == frozenset(range(27, 54))
+    assert np.array_equal(N.orbit_labels(), R.orbit_labels())
+
+
+def test_a_group_without_generators_is_trivial():
+    for n in (0, 1, 5):
+        T = PermGroup(n, [])
+        assert T.order() == 1 and T.contains(identity(n)) and T.is_semiregular()
+    assert not PermGroup(3, []).contains((1, 0, 2))
+    assert PermGroup(3, [identity(3)]).order() == 1  # the identity is dropped
+
+
+RIGHT_GROUP_MEMBERS = [
+    *[pytest.param(FamilySpec(kind, t), id=f"{kind}_{t}") for kind, t in
+      (("gamma", 1), ("gamma", 2), ("gamma", 3), ("sigma", 1), ("sigma", 2))],
+    *[pytest.param(FamilySpec("abelian", m=m, n=n), id=f"abelian_{m}_{n}") for m, n in ((3, 7), (5, 1))],
+    # sympy's chain takes about 11 s on sigma_3's 13,122 points
+    pytest.param(FamilySpec("sigma", 3), id="sigma_3", marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("spec", RIGHT_GROUP_MEMBERS)
+def test_right_group_has_base_0_and_matches_sympy(spec):
+    """R(H) with the base [0] has order |H| and is semiregular.  sympy's
+    incremental Schreier-Sims from the base [0] keeps that base, so the
+    stabilizer of 0 is trivial and the order is the size of 0's orbit."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    bg = build_family(spec)
+    R = right_group(bg)
+    assert R.order() == bg.half == bg.group.order and R.is_semiregular()
+    S = combinatorics.PermutationGroup([combinatorics.Permutation(g.tolist()) for g in R.generators])
+    base, _ = S.schreier_sims_incremental(base=[0])
+    assert base == [0] and len(S.orbit(0)) == R.order()
+    assert all(len(orbit) == R.order() for orbit in S.orbits())
+

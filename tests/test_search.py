@@ -113,6 +113,73 @@ def test_refine_matches_row_ranking():
             assert np.array_equal(engine.refine(colors), refine_by_rows(engine.nbr, colors)), g.n
 
 
+def individualize(engine, colors, v):
+    """colors with v split from its cell and refined, as the search makes
+    a child: v keeps its cell's colour and the rest of the cell, and every
+    later cell, moves up by one."""
+    c = colors[v]
+    child = colors + (colors >= c)
+    child[v] = c
+    return engine.refine(child)
+
+
+def summary(engine, colors):
+    """(k, `invariant`, cell sizes) of a refined colouring."""
+    import numpy as np
+
+    k = int(colors.max()) + 1
+    return k, engine.invariant(colors, k), tuple(np.bincount(colors, minlength=k).tolist())
+
+
+EQUIVARIANCE_GRAPHS = {
+    "gamma_1": lambda: gamma_t(1).graph,
+    "gamma_2": lambda: gamma_t(2).graph,
+    "sigma_1": lambda: sigma_t(1).graph,
+    "Petersen": petersen,
+    "Q_5": lambda: hypercube(5),
+    "K_1,6": lambda: star(6),
+}
+
+
+@pytest.mark.parametrize("name", list(EQUIVARIANCE_GRAPHS))
+def test_refine_is_equivariant_under_relabelling(name):
+    """For h, the graph relabelled by pi (v -> pi[v]), the root colouring
+    of h composed with pi is g's root colouring, and so is the refinement
+    with pi[v] individualized against the one with v; `invariant` agrees."""
+    import numpy as np
+
+    g = EQUIVARIANCE_GRAPHS[name]()
+    e = symmetry._Engine(g)
+    root = e.root()
+    for seed in range(3):
+        rng = random.Random(seed)
+        pi = list(range(g.n))
+        rng.shuffle(pi)
+        f = symmetry._Engine(g.relabel(pi))
+        pi = np.array(pi)
+        assert np.array_equal(f.root()[pi], root)
+        assert summary(f, f.root()) == summary(e, root)
+        for v in rng.sample(range(g.n), min(g.n, 5)):
+            child, image = individualize(e, root, v), individualize(f, f.root(), pi[v])
+            assert np.array_equal(image[pi], child), (name, seed, v)
+            assert summary(f, image) == summary(e, child)
+
+
+@pytest.mark.parametrize("make, t, differ", [
+    (gamma_t, 1, True), (gamma_t, 2, True), (gamma_t, 3, True), (sigma_t, 1, False), (sigma_t, 2, False),
+])
+def test_parts_witness(make, t, differ):
+    """Refine with 1_0 individualized, then with 1_1.  On gamma_t the two
+    (k, `invariant`, cell sizes) differ, so no automorphism maps 1_0 to 1_1
+    and gamma_t is not vertex-transitive; on the vertex-transitive sigma_t
+    they agree."""
+    bg = make(t)
+    e = symmetry._Engine(bg.graph)
+    one = bg.group.identity
+    part0, part1 = (summary(e, individualize(e, e.root(), bg.index(one, i))) for i in (0, 1))
+    assert (part0 != part1) == differ
+
+
 # -- the canonical traversal is as strong as the automorphism one --------------------
 
 
