@@ -8,8 +8,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from bicayley.bicay import delta_map, right_translation, sigma_map
 from bicayley import permgroup
+from bicayley.bicay import delta_map, right_translation, sigma_map
 from bicayley.errors import BudgetError, ContainmentError, DegreeMismatch, InvalidMapError, InvariantViolation
 from bicayley.families import _check_t, gamma_group, gamma_t, sigma_group, sigma_t
 from bicayley.metacyclic import CLOSURE_BUDGET, GroupMap, check_generator_images, make_automorphism
