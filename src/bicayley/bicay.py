@@ -107,7 +107,7 @@ def right_group(bg: BiCayleyGraph) -> PermGroup:
     R(H) is semiregular, so its stabilizer of 0 is trivial and the
     generators are strong relative to the base [0]."""
     gens = [right_translation(bg, bg.group.gen_a), right_translation(bg, bg.group.gen_b)]
-    return PermGroup.with_base(bg.graph.n, gens, [0])
+    return PermGroup(bg.graph.n, gens, [0])
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,7 @@ class QuotientReport:
 
 
 def quotient_graph(graph: Graph | BiCayleyGraph, N: PermGroup) -> tuple[Graph, QuotientReport]:
-    """Quotient by the orbits of N; N's generators must preserve adjacency,
-    and N needs a base (`PermGroup.with_base`) for its semiregularity."""
+    """Quotient by the orbits of N; N's generators must preserve adjacency."""
     if isinstance(graph, BiCayleyGraph):
         graph = graph.graph
     if N.degree != graph.n:
@@ -270,7 +269,6 @@ def quotient_graph(graph: Graph | BiCayleyGraph, N: PermGroup) -> tuple[Graph, Q
     for gen in N.generators:
         if not graph.preserves_edges(gen):
             raise NotAutomorphism("quotient group generator is not a graph automorphism")
-    semiregular = N.is_semiregular()  # first: a group without a base raises here
     import numpy as np
 
     labels = N.orbit_labels()
@@ -283,7 +281,7 @@ def quotient_graph(graph: Graph | BiCayleyGraph, N: PermGroup) -> tuple[Graph, Q
     report = QuotientReport(
         orbit_count=len(sizes),
         orbit_sizes=tuple(sorted(sizes.tolist())),
-        semiregular=semiregular,
+        semiregular=N.is_semiregular(),
         valency_profile=degs,
         is_cubic=bool(degs) and degs[0] == 3 and degs[-1] == 3,
     )

@@ -311,9 +311,13 @@ class CensusResult:
 def _aut_generators(group: MetacyclicGroup, table: np.ndarray) -> list[np.ndarray]:
     """`map_ranks` of automorphisms that generate Aut(H), for the group's
     `cayley_table()`.  Aut(H) acts regularly on the images (a^f, b^f), so
-    `automorphism_pairs` is the orbit of (a, b).  The scan walks those pairs
-    in (x, y) order and keeps the first one outside the orbit of (a, b) under
-    the maps kept so far; it stops when that orbit has |Aut(H)| points."""
+    `automorphism_pairs` is the orbit of (a, b).  A kept map permutes the
+    indices of those pairs; the sorting order of its packed images is the
+    inverse permutation, which has the same orbits, so `orbit_labels` folds
+    it into their orbit labels as it is (as in `symmetry.arc_orbits`).  The
+    scan walks the pairs in (x, y) order and keeps the first one outside the
+    orbit of (a, b) under the maps kept so far; it stops when that orbit
+    holds every pair."""
     # numpy is imported on use, and numpy.ma is never imported (np.unique
     # with an axis imports it; tests/test_orbits.py checks): each raised a
     # census's peak RSS by about 1 MB
@@ -321,24 +325,18 @@ def _aut_generators(group: MetacyclicGroup, table: np.ndarray) -> list[np.ndarra
 
     pairs = group.automorphism_pairs(table)
     n, rank = group.order, group.rank
-    seen = np.zeros(n * n, dtype=bool)  # the orbit of (a, b), packed
-    seen[rank(group.gen_a) * n + rank(group.gen_b)] = True
-    size = 1
+    xs, ys = np.divmod(pairs, n)
+    start = int(np.flatnonzero(pairs == rank(group.gen_a) * n + rank(group.gen_b))[0])  # (a, b)
+    labels = np.arange(len(pairs))
     kept: list[np.ndarray] = []
-    while size < len(pairs):
-        x, y = divmod(int(pairs[seen[pairs].argmin()]), n)  # the first pair not seen
-        kept.append(group.map_ranks(GroupMap(group.unrank(x), group.unrank(y), validated=True)))
-        frontier = np.flatnonzero(seen)
-        while len(frontier):
-            x, y = np.divmod(frontier, n)
-            new = np.zeros(n * n, dtype=bool)
-            for m in kept:
-                new[m[x] * n + m[y]] = True
-            new &= ~seen
-            seen |= new
-            frontier = np.flatnonzero(new)
-            size += len(frontier)
-    return kept
+    while True:
+        outside = labels != labels[start]
+        if not outside.any():
+            return kept
+        x, y = divmod(int(pairs[outside.argmax()]), n)  # the first pair outside
+        m = group.map_ranks(GroupMap(group.unrank(x), group.unrank(y), validated=True))
+        kept.append(m)
+        labels = orbit_labels(len(pairs), [(m[xs] * n + m[ys]).argsort()], labels)
 
 
 def _pair_moves(group: MetacyclicGroup) -> list[np.ndarray]:

@@ -9,21 +9,21 @@ all rows.  Powers have one kernel: `perm_powers` takes a stack with the row
 of each exponent and forms the powers one exponent class at a time;
 `perm_power` is one row of it.  A stack's results keep its dtype.  Every
 orbit of points comes from `orbit_labels`, the least point of each orbit:
-`orbit_lists` groups points by label, and a group given a base folds its
+`orbit_lists` groups points by label, and `PermGroup.order` folds a group's
 generators into labels level by level for its basic orbits.  Only the
 transversals of `contains` and `orbit_of_tuple`, on point tuples, search
 outward.  numpy is imported on use, as in graphs.py.
 
 A group has one way to its order: the product of its basic orbit sizes.
-So order, membership and semiregularity need a base relative to which the
-generators are strong, given by `PermGroup.with_base`.  Every group the
-library builds comes with one: the automorphism search proves it for the
-base it individualizes, and R(H), being semiregular, has a trivial
-stabilizer of 0, so any generators are strong for the base [0].  A group
-given by generators alone has orbits only; asked for more it raises
-`PreconditionError`, except that a group with no generators has order 1.
-The generic Schreier-Sims scan, which finds a base and strong generators
-for any group, is a test oracle (`tests/oracles.py`).
+So every group is built with a base relative to which its generators are
+strong, `PermGroup(degree, generators, base)`, and the base gives its
+order, membership and semiregularity.  Every group the library builds has
+one: the automorphism search proves it for the base it individualizes,
+and R(H), being semiregular, has a trivial stabilizer of 0, so any
+generators are strong for the base [0].  A group with no generators has
+order 1 with the empty base.  The generic Schreier-Sims scan, which finds
+a base and strong generators for any group, is a test oracle
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import BudgetError, DegreeMismatch, InvariantViolation, PreconditionError
+from .errors import BudgetError, DegreeMismatch, InvariantViolation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -280,10 +280,19 @@ def _transversal(base: int, pairs: Sequence[tuple[Perm, Perm]], degree: int) -> 
 
 
 class PermGroup:
-    """Permutation group given by generators: orbits always; order,
-    membership and semiregularity once a base is known (`with_base`)."""
+    """Permutation group given by generators that are a strong generating
+    set relative to base.
 
-    def __init__(self, degree: int, generators: Iterable[Sequence[int]]):
+    The caller vouches that, for every i, the generators fixing base[:i]
+    pointwise generate the pointwise stabilizer of base[:i] in the group.
+    Then order() is the product of basic orbit sizes and contains() strips
+    a permutation through transversals grown from the generators.  The
+    generators are validated and kept once each, the identity dropped;
+    every base point must lie in [0, degree) and every generator must move
+    one of them.
+    """
+
+    def __init__(self, degree: int, generators: Iterable[Sequence[int]], base: Sequence[int]):
         if degree > DEGREE_BUDGET:
             raise BudgetError(f"degree {degree} exceeds the budget {DEGREE_BUDGET}")
         self.degree = degree
@@ -295,34 +304,17 @@ class PermGroup:
             if key not in seen and not is_identity(p):
                 seen.add(key)
                 gens.append(p)
-        self.generators: tuple[Perm, ...] = tuple(gens)
-        # the trivial group is strongly generated relative to the empty base
-        self._base: tuple[int, ...] | None = None if gens else ()
-        self._levels: list[tuple[int, dict[int, Perm]]] | None = None
-        self._labels: Perm | None = None
-
-    @classmethod
-    def with_base(
-        cls, degree: int, generators: Iterable[Sequence[int]], base: Sequence[int]
-    ) -> "PermGroup":
-        """Group whose generators are a strong generating set relative to base.
-
-        The caller vouches that, for every i, the generators fixing base[:i]
-        pointwise generate the pointwise stabilizer of base[:i] in the group.
-        Then order() is the product of basic orbit sizes and contains()
-        strips a permutation through transversals grown from the generators.
-        """
-        G = cls(degree, generators)
-        base = tuple(int(b) for b in base)
-        for b in base:
+        self._base: tuple[int, ...] = tuple(int(b) for b in base)
+        for b in self._base:
             if not 0 <= b < degree:
                 raise InvariantViolation(f"base point {b} outside degree {degree}")
-        points = as_perm(base)
-        for g in G.generators:
+        points = as_perm(self._base)
+        for g in gens:
             if (g[points] == points).all():
                 raise InvariantViolation("a generator fixes the whole base")
-        G._base = base
-        return G
+        self.generators: tuple[Perm, ...] = tuple(gens)
+        self._levels: list[tuple[int, dict[int, Perm]]] | None = None
+        self._labels: Perm | None = None
 
     # -- orbits ---------------------------------------------------------------
 
@@ -351,32 +343,24 @@ class PermGroup:
 
     # -- base and strong generators ----------------------------------------------
 
-    def _require_base(self) -> tuple[int, ...]:
-        if self._base is None:
-            raise PreconditionError(
-                "a group given by generators alone has orbits only; build it with "
-                "PermGroup.with_base for its order, membership or semiregularity"
-            )
-        return self._base
-
     def _depths(self) -> list[int]:
         """For each generator, the index of the first base point it moves
-        (`with_base` ensures it moves one): the generators of depth >= i fix
+        (`__init__` ensures it moves one): the generators of depth >= i fix
         base[:i] and generate its pointwise stabilizer."""
         import numpy as np
         if not self.generators:
             return []
-        base = as_perm(self._require_base())
+        base = as_perm(self._base)
         return (np.stack([g[base] for g in self.generators]) != base).argmax(axis=1).tolist()
 
     def _build_chain(self) -> list[tuple[int, dict[int, Perm]]]:
         """(base[i], the transversal of its basic orbit) for every level i."""
         if self._levels is None:
-            base, depths = self._require_base(), self._depths()
+            depths = self._depths()
             pairs = [(g, invert(g)) for g in self.generators]  # one inverse per generator
             self._levels = [
                 (b, _transversal(b, [pr for pr, d in zip(pairs, depths) if d >= i], self.degree))
-                for i, b in enumerate(base)
+                for i, b in enumerate(self._base)
             ]
         return self._levels
 
@@ -389,14 +373,13 @@ class PermGroup:
         import numpy as np
         if not self.generators:
             return 1
-        base = self._require_base()
         levels: dict[int, list[Perm]] = {}
         for g, i in zip(self.generators, self._depths()):
             levels.setdefault(i, []).append(g)
         labels, n = None, 1
         for i in sorted(levels, reverse=True):
             labels = orbit_labels(self.degree, levels[i], labels)
-            n *= int(np.count_nonzero(labels == labels[base[i]]))
+            n *= int(np.count_nonzero(labels == labels[self._base[i]]))
         if self._labels is None:
             labels.flags.writeable = False
             self._labels = labels
@@ -419,7 +402,7 @@ class PermGroup:
         """Every point stabilizer trivial (of the points in domain, default
         all), i.e. every such point's orbit has full group size."""
         import numpy as np
-        size = self.order()  # first: a group given a base labels its orbits here
+        size = self.order()  # first: it leaves the orbit labels cached
         labels = self.orbit_labels()
         points = labels if domain is None else labels[self._points(domain)]
         return bool((np.bincount(labels)[points] == size).all())

@@ -42,7 +42,7 @@ automorphism group, and the harvested automorphisms are a strong generating
 set relative to it: at each level of that path every child whose subtree
 holds an equivalent leaf is kept by its trace, then either yields an
 automorphism fixing the prefix or is pruned as the image of one that did.
-Both reach `PermGroup.with_base`, so |Aut| is a product of basic orbit sizes.
+The group is built with both, so |Aut| is a product of basic orbit sizes.
 A twin w skipped at a node of that path is in the basic orbit too: (v1 w)
 is among the generators, fixes the prefix and maps the base point v1 onto
 w.  Stars, complete multipartite graphs and combs, whose basic orbits are
@@ -61,7 +61,7 @@ and the canonical mode ends with the maximum certificate over the whole tree.
 A search may start with known automorphisms (the census passes R(H), the
 right translations of a bi-Cayley graph).  They join the harvested ones
 before the traversal, so orbit pruning uses them from the root, and they
-are among the generators handed to `with_base`.  The argument above holds
+are among the generators the group is built with.  The argument above holds
 unchanged: a child that a known automorphism fixing the prefix maps onto an
 explored child lies in that child's orbit under the generators fixing the
 prefix, so its subtree is the image of an explored one and its basic orbit
@@ -485,7 +485,7 @@ def canonical_search(graph: Graph, automorphisms: Iterable = ()) -> tuple[list[i
             gens.append(swap)
         # a trivial group still needs one base point per copy
         base.extend(int(image[b]) for b in search.base or [0] for image in images)
-    return relabel.tolist(), PermGroup.with_base(graph.n, gens, base)
+    return relabel.tolist(), PermGroup(graph.n, gens, base)
 
 
 def aut_group(graph: Graph) -> PermGroup:
@@ -497,7 +497,7 @@ def aut_group(graph: Graph) -> PermGroup:
     if graph.n and graph.is_connected():
         _check_budget(graph)
         search = _Search(_Engine(graph))
-        return PermGroup.with_base(graph.n, search.run_auto(), search.base)
+        return PermGroup(graph.n, search.run_auto(), search.base)
     return canonical_search(graph)[1]
 
 
@@ -572,8 +572,8 @@ def arc_orbits(graph: Graph, generators) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def classify(graph: Graph, aut: PermGroup | None = None) -> SymmetryReport:
-    """Orbit counts on vertices, edges and arcs, and the transitivity class.
-    A given aut needs a base (`PermGroup.with_base`) for its order.
+    """Orbit counts on vertices, edges and arcs, and the transitivity class,
+    under aut (by default `aut_group(graph)`).
 
     Vertex orbits and the stabilizer order come from the group's orbit
     labels, arc orbits from the arc-index permutations (`arc_orbits`).  The
@@ -616,19 +616,19 @@ def _is_two_power_times_three(s: int) -> bool:
 
 
 def check_stabilizer_law(graph: Graph, report: SymmetryReport | None = None) -> bool:
-    """Vertex stabilizers of a cubic edge-transitive graph all have order 2^r * 3."""
+    """Vertex stabilizers of a cubic edge-transitive graph all have order 2^r * 3.
+
+    With one edge orbit there are at most two vertex orbits, and if two,
+    every edge joins them, so they have equal size (3|O_1| = |E| = 3|O_2|):
+    every stabilizer has the report's `stabilizer_order`.  The report is
+    computed (`classify`, one search) when not given."""
     if not (graph.n and graph.is_regular() and graph.valency() == 3):
         raise PreconditionError("stabilizer law applies to cubic graphs only")
-    aut = aut_group(graph)
     if report is None:
-        report = classify(graph, aut)
+        report = classify(graph)
     if report.edge_orbits != 1:
         raise PreconditionError("stabilizer law applies to edge-transitive graphs only")
-    order = report.aut_order
-    for orb in aut.orbits():
-        if order % len(orb) != 0 or not _is_two_power_times_three(order // len(orb)):
-            return False
-    return True
+    return _is_two_power_times_three(report.stabilizer_order)
 
 
 def check_normal_bicayley(bg: BiCayleyGraph) -> bool:

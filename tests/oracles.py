@@ -313,7 +313,12 @@ def schreier_chain(degree: int, generators) -> list[ChainLevel]:
     level where it stuck, past the pairs already shown trivial.  Level 0
     holds every strong generator, the given ones (validated, distinct, not
     the identity) first, then the residues in the order they joined."""
-    gens = PermGroup(degree, generators).generators
+    gens, seen = [], set()
+    for g in generators:
+        p = permgroup._validate_perm(g, degree)
+        if p.tobytes() not in seen and not permgroup.is_identity(p):
+            seen.add(p.tobytes())
+            gens.append(p)
     ident = np.arange(degree, dtype=np.intp)
     ident_bytes = ident.tobytes()
     levels: list[ChainLevel] = []
@@ -372,7 +377,7 @@ def chain_group(degree: int, generators) -> PermGroup:
     of `schreier_sims`, so that its order, membership and semiregularity
     are defined."""
     base, strong = schreier_sims(degree, generators)
-    return PermGroup.with_base(degree, strong, base)
+    return PermGroup(degree, strong, base)
 
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:

@@ -141,7 +141,7 @@ def test_delta_extension_acts_transitively(sym162):
         right_translation(sym162, H.gen_b),
         delt.permutation,
     ]
-    group = PermGroup(162, gens)
+    group = chain_group(162, gens)
     assert is_transitive_on(group, range(162))
 
 
@@ -264,7 +264,7 @@ def test_normalize_S(group27):
 
 
 def test_quotient_by_trivial(gray_graph):
-    q, rep = quotient_graph(gray_graph.graph, PermGroup(54, []))
+    q, rep = quotient_graph(gray_graph.graph, PermGroup(54, [], ()))
     assert q == gray_graph.graph
     assert rep.orbit_count == 54 and rep.semiregular
 
@@ -304,7 +304,7 @@ def test_quotient_rejects_non_automorphism(gray_graph):
     bad = list(range(54))
     bad[0], bad[1] = bad[1], bad[0]
     with pytest.raises(NotAutomorphism):
-        quotient_graph(gray_graph.graph, PermGroup(54, [tuple(bad)]))
+        quotient_graph(gray_graph.graph, PermGroup(54, [tuple(bad)], [0]))
 
 
 def test_build_deterministic(group27):

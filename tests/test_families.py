@@ -369,3 +369,45 @@ def test_census_finds_no_edge_transitive_class_at_p_11_and_13(params, classes, p
     result = census(make_group(*params))
     assert (len(result.classes), result.generating_pair_count) == (classes, pairs)
     assert result.edge_transitive_classes == ()
+
+
+# SHA-256 of json.dumps(census_to_dict(...)) without elapsed_seconds for every
+# group of order 3^7 and 7^4 in budget, computed with the census whose scan for
+# Aut(H)'s generators grew the orbit of (a, b) over all |H|^2 packed pairs;
+# (class count, generating pairs) beside each.  Each census takes 3-8 s and
+# up to 660 MB peak RSS.
+LARGE_CENSUS_PINS = {
+    (3, 2, 5, 1): (19, 1_417_176, "6221ae8299f8776db306f760e854a2923cffb2186de7a8ad84b1b06028dd7024"),
+    (3, 3, 4, 1): (21, 1_417_176, "14b620bb885f4c7580946ac12c93b1e08517d6e36c81714c41548570df0c3678"),
+    (3, 3, 4, 2): (3, 1_417_176, "a8b56653b58d936eb7871b0306117d72ff36c89317b386ef9fb0e51350d5ac0e"),
+    (3, 4, 3, 1): (63, 1_417_176, "52df4876d3106dfa2c54ede42ae1c795e86ae655a181b48f5d5984e16970d154"),
+    (3, 4, 3, 2): (9, 1_417_176, "55af5422dfcadb57a7cfa4b910a9d1830802c1b059446339d187442d01f1d1ca"),
+    (3, 4, 3, 3): (2, 1_417_176, "7bb22a2b0b7964e06fedc1f108b19eb9cec5e5796045e32a0cde7778bf6c1328"),
+    (3, 5, 2, 3): (21, 1_417_176, "92b3b9e1680539e05ceef5280eceeb5d25e975cf59ef5fd4bfab3be11131fae4"),
+    (3, 5, 2, 4): (7, 1_417_176, "aff4f0072aa65572b1500b03c3a9b48c5550374fc9abbaa0efcf1cc76d15c868"),
+    (3, 6, 1, 5): (55, 1_417_176, "d10559d45a26441527853089cf1961084bd6617f80d86aab9e07b83b810de074"),
+    (7, 2, 2, 1): (7, 2_420_208, "0ace19a6fb2b3a63e1976de66cddf22ea7164f5d98300f946e0eb2f718b0e391"),
+    (7, 3, 1, 2): (31, 2_420_208, "1f131ea9967da101c8e99bf7a1a357a3eb17cac117d92cd3ed7d4951b5f943b0"),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("params", sorted(LARGE_CENSUS_PINS), ids=lambda p: "_".join(map(str, p)))
+def test_census_json_pins_at_order_3_7_and_7_4(params):
+    """Only (3, 4, 3, 3) has an edge-transitive class: gamma_3, semisymmetric."""
+    import hashlib
+
+    from bicayley import canonical_digest, census, make_group
+
+    G = make_group(*params)
+    result = census(G)
+    doc = _without_elapsed(result, G)
+    classes, pairs, digest = LARGE_CENSUS_PINS[params]
+    assert (len(result.classes), result.generating_pair_count) == (classes, pairs)
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+    reports = [c.report for c in result.edge_transitive_classes]
+    if params == (3, 4, 3, 3):
+        assert [(r.classification, r.aut_order) for r in reports] == [("semisymmetric", 13122)]
+        assert result.edge_transitive_classes[0].digest == canonical_digest(gamma_t(3).graph)
+    else:
+        assert reports == []

@@ -75,7 +75,7 @@ def test_basic_orbits_match_bfs_and_schreier_sims(label, graph, expected):
     # each suffix group pins the basic orbit sizes from level i on
     for i in range(1, len(base)):
         fixing = [g for g in gens if (g[list(base[:i])] == base[:i]).all()]
-        assert PermGroup.with_base(graph.n, fixing, base[i:]).order() == math.prod(sizes[i:])
+        assert PermGroup(graph.n, fixing, base[i:]).order() == math.prod(sizes[i:])
     # order() leaves the group's orbit labels behind
     assert np.array_equal(aut.orbit_labels(), orbit_labels(graph.n, gens))
     assert aut.orbits() == oracles.orbits_by_scan(aut.orbit_labels())
@@ -100,7 +100,7 @@ def test_semiregular_groups_and_quotients_match_the_loops(make):
     groups = [
         R,
         aut_group(bg.graph),
-        PermGroup(bg.graph.n, []),
+        PermGroup(bg.graph.n, [], ()),
         oracles.chain_group(bg.graph.n, [right_translation(bg, a)]),
         oracles.chain_group(bg.graph.n, [right_translation(bg, G.pow(b, G.mod_j // 3))]),
     ]

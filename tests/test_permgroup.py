@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bicayley import FamilySpec, PermGroup, build_family, compose, gamma_t, identity, invert, right_group
-from bicayley.errors import ContainmentError, DegreeMismatch, InvariantViolation, PreconditionError
+from bicayley.errors import ContainmentError, DegreeMismatch, InvariantViolation
 from bicayley.permgroup import perm_power
 
 from .oracles import (
@@ -45,15 +45,15 @@ def test_compose_matches_group_mul(group27):
 
 def test_bad_permutation_rejected():
     with pytest.raises(InvariantViolation):
-        PermGroup(3, [(0, 0, 1)])
+        PermGroup(3, [(0, 0, 1)], [0])
 
 
 def test_orbits():
     G = s4()
     assert G.orbit(0) == frozenset(range(4))
-    triv = PermGroup(4, [])
+    triv = PermGroup(4, [], ())
     assert [set(o) for o in triv.orbits()] == [{0}, {1}, {2}, {3}]
-    assert PermGroup(0, []).orbits() == []
+    assert PermGroup(0, [], ()).orbits() == []
 
 
 def test_orbits_of_right_group(gray_graph):
@@ -67,7 +67,7 @@ def test_orbits_of_right_group(gray_graph):
 def test_group_order():
     assert s4().order() == 24
     assert a4().order() == 12
-    assert PermGroup(5, []).order() == 1
+    assert PermGroup(5, [], ()).order() == 1
 
 
 def test_order_matches_enumeration():
@@ -131,7 +131,7 @@ def test_semiregular_derived_translations(gray_graph):
 
 
 def test_is_transitive_on_checks_invariance():
-    G = PermGroup(4, [(1, 0, 2, 3)])
+    G = PermGroup(4, [(1, 0, 2, 3)], [0])
     with pytest.raises(InvariantViolation):
         is_transitive_on(G, {0, 2})
     assert is_transitive_on(G, {0, 1})
@@ -141,7 +141,7 @@ def test_is_transitive_on_checks_invariance():
 def test_is_normal():
     S4, A4 = s4(), a4()
     assert is_normal(S4, S4)
-    assert is_normal(S4, PermGroup(4, []))
+    assert is_normal(S4, PermGroup(4, [], ()))
     assert is_normal(S4, A4)
     flip = chain_group(4, [(1, 0, 2, 3)])
     assert not is_normal(S4, flip)
@@ -164,65 +164,44 @@ def test_orbits_form_partition():
     assert seen == set(range(54))
 
 
-
-
 def test_degree_budget():
     from bicayley.errors import BudgetError
 
     with pytest.raises(BudgetError):
-        PermGroup(100_001, [])
+        PermGroup(100_001, [], ())
 
 
 def test_with_base_order_and_membership():
     import itertools
 
     # strong relative to (0, 1, 2): the 4-cycle, a 3-cycle fixing 0, a transposition fixing 0 and 1
-    G = PermGroup.with_base(4, [(1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2)], (0, 1, 2))
+    G = PermGroup(4, [(1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2)], (0, 1, 2))
     assert G.order() == 24 == s4().order()
     for perm in itertools.permutations(range(4)):
         assert G.contains(perm)
-    V4 = PermGroup.with_base(4, [(1, 0, 3, 2), (2, 3, 0, 1)], (0,))
+    V4 = PermGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)], (0,))
     assert V4.order() == 4
     members = {tuple(p) for p in enumerate_elements(V4)}
     for perm in itertools.permutations(range(4)):
         assert V4.contains(perm) == (perm in members)
-    assert PermGroup.with_base(3, [], ()).order() == 1
+    assert PermGroup(3, [], ()).order() == 1
 
 
 def test_with_base_rejects_generator_fixing_the_base():
-    with pytest.raises(InvariantViolation):
-        PermGroup.with_base(4, [(1, 0, 2, 3), (0, 1, 3, 2)], (0,))
-    with pytest.raises(InvariantViolation):
-        PermGroup.with_base(4, [(1, 0, 2, 3)], (4,))
-
-
-def test_a_group_without_a_base_has_orbits_only(gray_graph):
-    """Order, membership and semiregularity need a base; orbits do not."""
-    from bicayley import classify, quotient_graph
-
-    R = right_group(gray_graph)
-    N = PermGroup(54, R.generators)
-    calls = {
-        "order": N.order,
-        "contains": lambda: N.contains(identity(54)),
-        "is_semiregular": N.is_semiregular,
-        "classify": lambda: classify(gray_graph.graph, N),
-        "quotient_graph": lambda: quotient_graph(gray_graph.graph, N),
-    }
-    for call in calls.values():
-        with pytest.raises(PreconditionError, match="with_base"):
-            call()
-    assert N.orbits() == R.orbits() == [frozenset(range(27)), frozenset(range(27, 54))]
-    assert N.orbit(30) == frozenset(range(27, 54))
-    assert np.array_equal(N.orbit_labels(), R.orbit_labels())
+    with pytest.raises(InvariantViolation, match="fixes the whole base"):
+        PermGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)], (0,))
+    with pytest.raises(InvariantViolation, match="fixes the whole base"):
+        PermGroup(4, [(1, 0, 2, 3)], ())  # the empty base admits no generator
+    with pytest.raises(InvariantViolation, match="base point 4 outside degree 4"):
+        PermGroup(4, [(1, 0, 2, 3)], (4,))
 
 
 def test_a_group_without_generators_is_trivial():
     for n in (0, 1, 5):
-        T = PermGroup(n, [])
+        T = PermGroup(n, [], ())
         assert T.order() == 1 and T.contains(identity(n)) and T.is_semiregular()
-    assert not PermGroup(3, []).contains((1, 0, 2))
-    assert PermGroup(3, [identity(3)]).order() == 1  # the identity is dropped
+    assert not PermGroup(3, [], ()).contains((1, 0, 2))
+    assert PermGroup(3, [identity(3)], ()).order() == 1  # the identity is dropped
 
 
 RIGHT_GROUP_MEMBERS = [

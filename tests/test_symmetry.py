@@ -198,6 +198,51 @@ def test_stabilizer_law():
         check_stabilizer_law(prism())  # cubic but not edge-transitive
 
 
+def stabilizer_law_by_orbits(graph):
+    """The law tested orbit by orbit on the full automorphism group."""
+    aut = aut_group(graph)
+    order = aut.order()
+    for orbit in aut.orbits():
+        s, r = divmod(order, len(orbit))
+        if r or s % 3 or (s // 3) & (s // 3 - 1):
+            return False
+    return True
+
+
+def test_stabilizer_law_reads_the_report(monkeypatch):
+    """One stabilizer order serves every vertex, and a given report spares
+    the search; the verdicts equal the per-orbit loop's."""
+    from bicayley import abelian_family
+    from bicayley.symmetry import _Search
+
+    gray = gamma_t(1).graph
+    graphs = {
+        "K_3,3": (k33(), True),
+        "Petersen": (petersen(), True),
+        "Heawood": (abelian_family(1, 7).graph, True),
+        "gamma_1": (gray, True),
+        "gamma_2": (gamma_t(2).graph, True),  # 1458 / 243 = 6
+        "sigma_1": (sigma_t(1).graph, True),
+        "2 x Gray": (copies(gray, 2), False),  # 1296^2 * 2 / 54 = 62208
+    }
+    reports = {name: classify(graph) for name, (graph, _) in graphs.items()}
+    assert reports["2 x Gray"].stabilizer_order == 62208
+    calls = []
+    for name in ("run_auto", "run_canon"):
+        run = getattr(_Search, name)
+        monkeypatch.setattr(_Search, name, lambda self, run=run, name=name: calls.append(name) or run(self))
+    for name, (graph, law) in graphs.items():
+        assert check_stabilizer_law(graph, reports[name]) == law, name
+    with pytest.raises(PreconditionError, match="edge-transitive"):
+        check_stabilizer_law(prism(), classify(prism()))
+    assert calls == ["run_auto"]  # the prism's classify
+    for name, (graph, law) in graphs.items():
+        calls.clear()
+        assert check_stabilizer_law(graph) == stabilizer_law_by_orbits(graph) == law, name
+        # the law's one search, then the loop's
+        assert calls == 2 * ["run_canon" if name == "2 x Gray" else "run_auto"], name
+
+
 def test_normal_bicayley(gray_graph, sym162):
     # gamma_1, the Gray graph, is the one family member where R(H) is not
     # normal; on the others Aut is the normalizer, of order |H| * 6
