@@ -13,36 +13,11 @@ import random
 import sys
 
 from . import families
-from .errors import (
-    BudgetError,
-    ContainmentError,
-    DegreeMismatch,
-    GraphParseError,
-    InvalidMapError,
-    InvariantViolation,
-    NoLambdaError,
-    ParameterError,
-    PreconditionError,
-    SetConditionError,
-)
+from .errors import BudgetError, GraphParseError, ParameterError, UsageError
 from .graphs import _DECIMAL, Graph, format_edge_list, graph6_encode, graph_to_json_dict, parse_graph_text
 from .metacyclic import TABLE_BUDGET, make_group
 from .permgroup import DEGREE_BUDGET, compose, invert, orbit_labels, perm_powers
 from .symmetry import classify
-
-_USAGE_ERRORS = (
-    ParameterError,
-    BudgetError,
-    GraphParseError,
-    NoLambdaError,
-    PreconditionError,
-    InvariantViolation,
-    SetConditionError,
-    InvalidMapError,
-    DegreeMismatch,
-    ContainmentError,
-    OverflowError,
-)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -322,10 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,31 +1,39 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Every error the caller can cause derives from `UsageError`: bad group or
+family parameters, connection sets, maps, degrees, arguments outside a
+documented precondition, a size past a budget and a malformed graph file.
+The command line answers each one, whatever its type, with one `error:` line
+and exit code 2.  `NotAutomorphism` is not one of them: it reports a fault
+of the library itself, not of its input, so it keeps its traceback.
+"""
 
 
-class ParameterError(ValueError):
+class UsageError(ValueError):
+    """The caller's input or parameters cannot be used as given."""
+
+
+class ParameterError(UsageError):
     """Group or family parameters violate a structural constraint."""
 
 
-class BudgetError(RuntimeError):
+class BudgetError(UsageError, RuntimeError):
     """Requested computation exceeds a declared enumeration or size budget."""
 
 
-class SetConditionError(ValueError):
+class SetConditionError(UsageError):
     """Connection sets break the bi-Cayley requirements (R=R^-1, L=L^-1, 1 not in R or L)."""
 
 
-class InvalidMapError(ValueError):
+class InvalidMapError(UsageError):
     """A generator-image map is not a validated automorphism."""
 
 
-class DegreeMismatch(ValueError):
+class DegreeMismatch(UsageError):
     """Permutations of different degrees were combined."""
 
 
-class ContainmentError(ValueError):
-    """A claimed subgroup is not contained in the ambient group."""
-
-
-class InvariantViolation(ValueError):
+class InvariantViolation(UsageError):
     """An argument violates a documented precondition, e.g. a non-invariant subset."""
 
 
@@ -33,15 +41,15 @@ class NotAutomorphism(RuntimeError):
     """A permutation that must preserve adjacency does not; signals an internal bug."""
 
 
-class NoLambdaError(ValueError):
+class NoLambdaError(UsageError):
     """No root of x^2 - x + 1 = 0 exists modulo n."""
 
 
-class PreconditionError(ValueError):
+class PreconditionError(UsageError):
     """Operation invoked outside its stated precondition."""
 
 
-class GraphParseError(ValueError):
+class GraphParseError(UsageError):
     """Malformed graph file; carries the byte offset of the first offending byte."""
 
     def __init__(self, message: str, offset: int):

@@ -28,17 +28,6 @@ TABLE_BUDGET = 2500
 WORD_BUDGET = 2**63
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -284,8 +273,8 @@ class MetacyclicGroup(PairGroup):
         # before any big power is taken
         if p >= WORD_BUDGET or max(m, n) >= 40 or max(p**m, p**n) >= WORD_BUDGET:
             raise OverflowError("p^m or p^n exceeds the machine word budget (2^63)")
-        # m >= 2 and p^m < 2^63 leave p < 2^31.5: at most ~28k trial divisions
-        if not _is_odd_prime(p):
+        # m >= 2 and p^m < 2^63 leave p < 2^31.5: at most ~55k trial divisions
+        if _prime_factors(p) != [p]:
             raise ParameterError(f"p must be an odd prime, got {p}")
         p_m = p**m
         p_n = p**n

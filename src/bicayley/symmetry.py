@@ -151,9 +151,14 @@ class _Engine:
         right into one int64 key, k.bit_length() bits per column; when the next
         column would not fit, the key is replaced by its rank first.  Ranks
         keep the lexicographic order, so the new colour ids are the
-        signatures' lexicographic ranks at every degree.  Colours that are
-        already ranks 0..k-1, as a child's are, are not ranked again; rows of
-        at most three neighbours are sorted by a 3-comparator network.
+        signatures' lexicographic ranks at every degree.  Rows of at most
+        three neighbours are sorted by a 3-comparator network.
+
+        `colors` must be ranks 0..k-1 with every id in use, as the degree
+        ranks and a child lifted from its parent's ranks are: k is read from
+        the largest id, and a round ends the loop when it leaves k colours,
+        so with a gap a round that splits cells can read as the last one (on
+        the path P_5, all ones refine to 2 cells, not 3).
 
         Refinement is exactly equivariant under relabelling: no vertex index
         enters a colour id, so for the graph relabelled by pi (v -> pi[v])
@@ -163,10 +168,7 @@ class _Engine:
         vertices.
         """
         n = self.n
-        if colors.min(initial=0) >= 0 and (sizes := np.bincount(colors)).all():
-            k = len(sizes)
-        else:
-            colors, k = self._canon_ids(colors)
+        k = int(colors.max(initial=-1)) + 1
         ext = np.empty(n + 1, dtype=np.int64)
         while True:
             ext[:n] = colors

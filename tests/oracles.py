@@ -10,7 +10,7 @@ import numpy as np
 
 from bicayley import permgroup
 from bicayley.bicay import delta_map, right_translation, sigma_map
-from bicayley.errors import BudgetError, ContainmentError, DegreeMismatch, InvalidMapError, InvariantViolation
+from bicayley.errors import BudgetError, DegreeMismatch, InvalidMapError, InvariantViolation
 from bicayley.families import _check_t, gamma_group, gamma_t, sigma_group, sigma_t
 from bicayley.metacyclic import CLOSURE_BUDGET, GroupMap, check_generator_images, make_automorphism
 from bicayley.permgroup import PermGroup
@@ -390,7 +390,7 @@ def is_normal(G: PermGroup, N: PermGroup) -> bool:
         raise DegreeMismatch(f"degrees {G.degree} and {N.degree} differ")
     for n in N.generators:
         if not G.contains(n):
-            raise ContainmentError("N is not contained in G")
+            raise InvariantViolation("N is not contained in G")
     for g in G.generators:
         ginv = permgroup.invert(g)
         for n in N.generators:

@@ -334,17 +334,43 @@ def test_analyze_edge_list_with_leading_comment(tmp_path, capsys):
 
 def test_library_errors_map_to_usage_exit(monkeypatch, capsys):
     from bicayley import cli
-    from bicayley.errors import ContainmentError, DegreeMismatch, InvalidMapError, SetConditionError
+    from bicayley.errors import GraphParseError, NotAutomorphism, UsageError
 
-    for exc in (SetConditionError, InvalidMapError, DegreeMismatch, ContainmentError):
-        def fail(args, exc=exc):
-            raise exc(f"{exc.__name__} raised")
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    walked = list(subclasses(UsageError))
+    assert len(walked) >= 9  # the nine of bicayley.errors, and any added since
+    for exc in [UsageError, *walked]:
+        error = exc(f"{exc.__name__} raised", *([0] if issubclass(exc, GraphParseError) else []))
+
+        def fail(args, error=error):
+            raise error
 
         monkeypatch.setattr(cli, "_cmd_family", fail)
         code, out, err = run_cli(capsys, "family", "--kind", "gamma", "--t", "1")
         assert code == 2 and out == ""
-        assert err == f"error: {exc.__name__} raised\n"
-        assert "Traceback" not in err
+        assert err == f"error: {error}\n"
+
+    def fault(args):  # an internal fault is no usage error: it propagates
+        raise NotAutomorphism("fault")
+
+    monkeypatch.setattr(cli, "_cmd_family", fault)
+    with pytest.raises(NotAutomorphism):
+        main(["family", "--kind", "gamma", "--t", "1"])
+
+
+def test_usage_errors_keep_their_builtin_bases():
+    from bicayley import errors
+
+    assert not issubclass(errors.NotAutomorphism, errors.UsageError)
+    assert issubclass(errors.NotAutomorphism, RuntimeError)
+    assert issubclass(errors.BudgetError, errors.UsageError) and issubclass(errors.BudgetError, RuntimeError)
+    for exc in (errors.ParameterError, errors.SetConditionError, errors.InvalidMapError, errors.DegreeMismatch,
+                errors.InvariantViolation, errors.NoLambdaError, errors.PreconditionError, errors.GraphParseError):
+        assert issubclass(exc, errors.UsageError) and issubclass(exc, ValueError)
 
 
 def test_export_keeps_isolated_vertices(tmp_path, capsys):

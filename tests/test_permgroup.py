@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bicayley import FamilySpec, PermGroup, build_family, compose, gamma_t, identity, invert, right_group
-from bicayley.errors import ContainmentError, DegreeMismatch, InvariantViolation
+from bicayley.errors import DegreeMismatch, InvariantViolation
 from bicayley.permgroup import perm_power
 
 from .oracles import (
@@ -147,7 +147,7 @@ def test_is_normal():
     assert not is_normal(S4, flip)
     v4 = chain_group(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
     assert is_normal(A4, v4)
-    with pytest.raises(ContainmentError):
+    with pytest.raises(InvariantViolation):
         is_normal(A4, flip)  # (01) is odd, not in A4
 
 

@@ -1,18 +1,32 @@
 """The individualization-refinement search: pinned canonical forms,
-refinement against the row ranking it replaced, the strength of the
-canonical traversal, a seeded oracle family for its pruning, and families
-for its twin transpositions and its matching of repeated components."""
+refinement against the row ranking it replaced, the refinement facts a
+search-free certificate of |Aut| rests on, the strength of the canonical
+traversal, a seeded oracle family for its pruning, and families for its twin
+transpositions and its matching of repeated components."""
 
+import functools
 import hashlib
 import itertools
 import random
 
 import pytest
 
-from bicayley import Graph, abelian_family, aut_group, canonical_form, gamma_t, sigma_t, symmetry
+from bicayley import (
+    BiCayleyGraph,
+    Graph,
+    abelian_family,
+    aut_group,
+    canonical_form,
+    classify,
+    gamma_t,
+    make_group,
+    sigma_t,
+    spoke_stabilizer_maps,
+    symmetry,
+)
 
 from .oracles import brute_force_aut_order, refine_by_rows
-from .test_symmetry import copies, disjoint_union, petersen
+from .test_symmetry import copies, disjoint_union, petersen, small_censuses
 
 
 def star(k):
@@ -108,7 +122,7 @@ def test_refine_matches_row_ranking():
         for v in rng.sample(range(g.n), 4):
             individualized = engine.refine(engine.initial) * 2
             individualized[v] -= 1
-            starts.append(individualized)
+            starts.append(symmetry._Engine._canon_ids(individualized)[0])
         for colors in starts:
             assert np.array_equal(engine.refine(colors), refine_by_rows(engine.nbr, colors)), g.n
 
@@ -178,6 +192,65 @@ def test_parts_witness(make, t, differ):
     one = bg.group.identity
     part0, part1 = (summary(e, individualize(e, e.root(), bg.index(one, i))) for i in (0, 1))
     assert (part0 != part1) == differ
+
+
+@functools.cache
+def certificate_graphs():
+    """(name, bi-Cayley graph, its report) for gamma_1..3, sigma_1..2 and the
+    104 classes of the censuses over the 17 groups of order <= 3^6."""
+    members = [(f"{make.__name__}({t})", make(t)) for make, t in
+               ((gamma_t, 1), (gamma_t, 2), (gamma_t, 3), (sigma_t, 1), (sigma_t, 2))]
+    graphs = [(name, bg, classify(bg.graph)) for name, bg in members]
+    for q, result in small_censuses().items():
+        group = make_group(*q)
+        graphs += [(q, BiCayleyGraph(group, (), (), c.spokes), c.report) for c in result.classes]
+    assert len(graphs) == 5 + 104
+    return graphs
+
+
+def test_first_path_bound_is_the_aut_order():
+    """|Aut| <= B * the product of the target cell sizes along the first
+    path from 1_0 individualized to a discrete colouring, where B, the bound
+    on 1_0's orbit, is |H| when the parts witness separates 1_0 from 1_1 and
+    2|H| otherwise.  The bound is exact on all 109 graphs."""
+    for name, bg, report in certificate_graphs():
+        e = symmetry._Engine(bg.graph)
+        one = bg.group.identity
+        colors, other = (individualize(e, e.root(), bg.index(one, i)) for i in (0, 1))
+        bound = bg.half if summary(e, colors) != summary(e, other) else 2 * bg.half
+        while (k := int(colors.max()) + 1) < e.n:
+            cell = e.target_cell(colors, k)
+            bound *= len(cell)
+            colors = individualize(e, colors, int(cell[0]))
+        assert bound == report.aut_order, name
+
+
+def test_spoke_maps_bound_the_aut_order_from_below():
+    """R(H) with F, the spoke stabilizer maps, and a part swap where one
+    exists: |Aut| is |H| * |F| or 2 |H| * |F| on every graph but the Gray
+    graph, gamma_1 and its census class, where R(H) is not normal."""
+    misses = []
+    for name, bg, report in certificate_graphs():
+        low = bg.half * len(spoke_stabilizer_maps(bg))
+        if report.aut_order not in (low, 2 * low):
+            misses.append((name, low, report.aut_order))
+    assert misses == [("gamma_t(1)", 162, 1296), ((3, 2, 1, 1), 162, 1296)]
+
+
+def test_edge_transitivity_witnesses():
+    """A graph is edge-transitive exactly when F's maps move one neighbour
+    of 1_0 onto all three, and is not exactly when refinement with 1_0
+    individualized splits those neighbours across cells."""
+    transitive = 0
+    for name, bg, report in certificate_graphs():
+        e = symmetry._Engine(bg.graph)
+        v = bg.index(bg.group.identity, 0)
+        spokes = [bg.index(s, 1) for s in bg.S]
+        moved = {int(perm[spokes[0]]) for _, _, perm in spoke_stabilizer_maps(bg)}
+        split = len(set(individualize(e, e.root(), v)[spokes].tolist())) > 1
+        assert (report.edge_orbits == 1) == (moved == set(spokes)) == (not split), name
+        transitive += report.edge_orbits == 1
+    assert transitive == 5 + 4
 
 
 # -- the canonical traversal is as strong as the automorphism one --------------------
