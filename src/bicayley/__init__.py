@@ -5,9 +5,7 @@ from .bicay import (
     MapResult,
     QuotientReport,
     apply_group_automorphism,
-    build,
     delta_map,
-    is_connected,
     normalize_S,
     quotient_graph,
     right_group,
@@ -47,7 +45,6 @@ from .metacyclic import (
     PairGroup,
     check_generator_images,
     identity_map,
-    is_automorphism_pair,
     make_automorphism,
     make_group,
 )

@@ -83,10 +83,6 @@ class BiCayleyGraph:
         )
 
 
-def build(group: PairGroup, R: Iterable[Element], L: Iterable[Element], S: Iterable[Element]) -> BiCayleyGraph:
-    return BiCayleyGraph(group, R, L, S)
-
-
 def _check_automorphism(bg: BiCayleyGraph, images: Perm) -> Perm:
     perm = as_perm(images)
     if not bg.graph.preserves_edges(perm):
@@ -159,11 +155,6 @@ def delta_map(bg: BiCayleyGraph, f: GroupMap, x: Element, y: Element) -> MapResu
     valid exactly when R^alpha = x^-1 L x, L^alpha = y^-1 R y and S^alpha = y^-1 S^-1 x."""
     failures = ("R^alpha != x^-1 L x", "L^alpha != y^-1 R y", "S^alpha != y^-1 S^-1 x")
     return _map(bg, f, x, y, failures, swap=True)
-
-
-def is_connected(bg: BiCayleyGraph) -> bool:
-    """Whether the graph is connected; when 1 in S, whether <R u L u S> = H."""
-    return bg.graph.is_connected()
 
 
 def swap_parts(bg: BiCayleyGraph) -> BiCayleyGraph:
@@ -261,14 +252,15 @@ class QuotientReport:
 
 
 def quotient_graph(graph: Graph | BiCayleyGraph, N: PermGroup) -> tuple[Graph, QuotientReport]:
-    """Quotient by the orbits of N; N's generators must preserve adjacency."""
+    """Quotient by the orbits of N; N's generators must be automorphisms of
+    the graph (`InvalidMapError` otherwise)."""
     if isinstance(graph, BiCayleyGraph):
         graph = graph.graph
     if N.degree != graph.n:
         raise InvariantViolation("group degree does not match the vertex count")
     for gen in N.generators:
         if not graph.preserves_edges(gen):
-            raise NotAutomorphism("quotient group generator is not a graph automorphism")
+            raise InvalidMapError("quotient group generator is not a graph automorphism")
     import numpy as np
 
     labels = N.orbit_labels()

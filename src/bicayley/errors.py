@@ -26,7 +26,9 @@ class SetConditionError(UsageError):
 
 
 class InvalidMapError(UsageError):
-    """A generator-image map is not a validated automorphism."""
+    """A map given as an automorphism is not one: a generator-image map of a
+    group that is not validated, or a vertex map of a graph that is not a
+    permutation preserving its edges."""
 
 
 class DegreeMismatch(UsageError):

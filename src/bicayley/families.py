@@ -32,7 +32,6 @@ from .metacyclic import (
     CLOSURE_BUDGET,
     AbelianPairGroup,
     Element,
-    GroupMap,
     MetacyclicGroup,
     PairGroup,
     PairRelationReport,
@@ -308,55 +307,25 @@ class CensusResult:
         return tuple(c for c in self.classes if c.report.edge_orbits == 1)
 
 
-def _aut_generators(group: MetacyclicGroup, table: np.ndarray) -> list[np.ndarray]:
-    """`map_ranks` of automorphisms that generate Aut(H), for the group's
-    `cayley_table()`.  Aut(H) acts regularly on the images (a^f, b^f), so
-    `automorphism_pairs` is the orbit of (a, b).  A kept map permutes the
-    indices of those pairs; the sorting order of its packed images is the
-    inverse permutation, which has the same orbits, so `orbit_labels` folds
-    it into their orbit labels as it is (as in `symmetry.arc_orbits`).  The
-    scan walks the pairs in (x, y) order and keeps the first one outside the
-    orbit of (a, b) under the maps kept so far; it stops when that orbit
-    holds every pair."""
-    # numpy is imported on use, and numpy.ma is never imported (np.unique
-    # with an axis imports it; tests/test_orbits.py checks): each raised a
-    # census's peak RSS by about 1 MB
-    import numpy as np
-
-    pairs = group.automorphism_pairs(table)
-    n, rank = group.order, group.rank
-    xs, ys = np.divmod(pairs, n)
-    start = int(np.flatnonzero(pairs == rank(group.gen_a) * n + rank(group.gen_b))[0])  # (a, b)
-    labels = np.arange(len(pairs))
-    kept: list[np.ndarray] = []
-    while True:
-        outside = labels != labels[start]
-        if not outside.any():
-            return kept
-        x, y = divmod(int(pairs[outside.argmax()]), n)  # the first pair outside
-        m = group.map_ranks(GroupMap(group.unrank(x), group.unrank(y), validated=True))
-        kept.append(m)
-        labels = orbit_labels(len(pairs), [(m[xs] * n + m[ys]).argsort()], labels)
-
-
 def _pair_moves(group: MetacyclicGroup) -> list[np.ndarray]:
     """The census moves as permutations of the ordered pairs (x, y) packed as
-    rank(x) * |H| + rank(y): each kept Aut(H) map on both entries, the
-    transposition (x, y) -> (y, x), the part swap (x, y) -> (x^-1, y^-1) and
-    the translation (x, y) -> (x^-1, y x^-1).  Translating by y is
-    transposition, translation, transposition: it needs no move of its own.
-    The Aut(H) maps, the part swap and the translation are the R = L = {}
-    instances of the image rule in `bicay` on S = {1, x, y}:
-    apply_group_automorphism, swap_parts (S^-1) and normalize_S with s = x
-    (S x^-1); the transposition only reorders S."""
+    rank(x) * |H| + rank(y): each map of `automorphism_generators` (which
+    generate Aut(H)) on both entries, the transposition (x, y) -> (y, x), the
+    part swap (x, y) -> (x^-1, y^-1) and the translation
+    (x, y) -> (x^-1, y x^-1).  Translating by y is transposition,
+    translation, transposition: it needs no move of its own.  The Aut(H)
+    maps, the part swap and the translation are the R = L = {} instances of
+    the image rule in `bicay` on S = {1, x, y}: apply_group_automorphism,
+    swap_parts (S^-1) and normalize_S with s = x (S x^-1); the transposition
+    only reorders S.  The Cayley table is built first, so a group above
+    `TABLE_BUDGET` is refused before any other work."""
     import numpy as np
 
     n = group.order
-    cayley = group.cayley_table()
-    table = cayley.T  # table[g][h] = rank(h g), the identity (rank 0) exactly at h = g^-1
+    table = group.cayley_table().T  # table[g][h] = rank(h g), the identity (rank 0) exactly at h = g^-1
     inv = table.argmin(axis=1)
     points = np.arange(n)
-    moves = [(m[:, None] * n + m).ravel() for m in _aut_generators(group, cayley)]
+    moves = [(m[:, None] * n + m).ravel() for m in map(group.map_ranks, group.automorphism_generators())]
     moves.append((points * n + points[:, None]).ravel())
     moves.append((inv[:, None] * n + inv).ravel())
     moves.append((inv[:, None] * n + table[inv]).ravel())
@@ -369,11 +338,12 @@ def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
 
     S -> S^alpha (alpha in Aut(H)), S -> S^-1 (swap the parts) and
     S -> S s^-1 (s in S, translate part 0) give isomorphic graphs; they act on
-    packed pairs (`_pair_moves`), and `orbit_labels` labels each pair by the
-    least pair of its orbit.  The moves keep x != y, both away from the
-    identity, and <x, y>, so an orbit of such pairs is labelled by its first
-    pair x < y in enumeration order, and one `generates` test per orbit drops
-    the disconnected graphs.  Orbits only bound the classes from above: one
+    packed pairs (`_pair_moves`, with Aut(H) given by the closed-form
+    generators of `MetacyclicGroup.automorphism_generators`, not listed), and
+    `orbit_labels` labels each pair by the least pair of its orbit.  The
+    moves keep x != y, both away from the identity, and <x, y>, so an orbit
+    of such pairs is labelled by its first pair x < y in enumeration order,
+    and one `generates` test per orbit drops the disconnected graphs.  Orbits only bound the classes from above: one
     `canonical_search` per orbit gives the class digest and the group that
     `classify` receives.  On a connected graph that search starts with the
     two right translations that generate R(H).  A group above `TABLE_BUDGET`

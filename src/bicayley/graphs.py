@@ -66,11 +66,15 @@ class Graph:
         return self.degrees()[0] if self.n else 0
 
     def preserves_edges(self, perm: Sequence[int]) -> bool:
-        """Whether the vertex permutation perm maps the edge set onto itself."""
+        """Whether perm is a permutation of [0, n) that maps the edge set onto
+        itself, that is an automorphism of the graph."""
         import numpy as np  # see graph6_encode
 
+        perm = np.asarray(perm, dtype=np.intp)
+        if perm.shape != (self.n,) or not np.array_equal(np.sort(perm), np.arange(self.n)):
+            return False
         e = self.edges
-        a, b = np.asarray(perm, dtype=np.intp)[e].T
+        a, b = perm[e].T
         image = np.sort(np.minimum(a, b) * self.n + np.maximum(a, b))
         return bool(np.array_equal(image, e[:, 0] * self.n + e[:, 1]))
 

@@ -299,44 +299,33 @@ class MetacyclicGroup(PairGroup):
         """
         return (x[0] * y[1] - x[1] * y[0]) % self.p != 0
 
-    def automorphism_pairs(self, table):
-        """All of Aut(G) as the images (x, y) of (a, b), each packed as
-        rank(x) * |G| + rank(y), ascending: (x, y) in rank order.
+    def automorphism_generators(self) -> list[GroupMap]:
+        """Automorphisms that generate Aut(G), each fixing the other generator:
 
-        a -> x, b -> y is an automorphism exactly when x has order p^m, y has
-        order p^n, x and y generate G (`generates`) and y^-1 x y = x^(1+p^r),
-        that is x y = y x^(1+p^r): a homomorphism from a group of order |G|
-        onto G is a bijection.  table is `cayley_table()`; comparing row x
-        with column x^(1+p^r) tests every y at once.
+        * a -> a^g, with g the least primitive root mod p^2 (so mod every p^m);
+        * b -> b a^(p^max(0, m-n));
+        * a -> a b^(p^max(0, n-r));
+        * b -> b^(1+p^(m-r)), left out when it is the identity (m = n + r).
+
+        Each is built by `make_automorphism`, so every image is checked.
+        g is tested against the primes of phi(p^2) = p (p - 1): p and those of
+        p - 1, by at most the constructor's trial divisions.
         """
-        import numpy as np
-
-        size, p = self.order, self.p
-        points = np.arange(size)
-        power = points  # x^p for every x, by p - 1 products
-        for _ in range(p - 1):
-            power = table[power, points]
-        # log_p of each order: the p-th powers taken until the identity, rank 0
-        log_order = np.zeros(size, dtype=np.intp)
-        cur = points
-        while cur.any():
-            log_order += cur != 0
-            cur = power[cur]
-        twisted = points  # x^(p^r), then x^(1+p^r)
-        for _ in range(self.r):
-            twisted = power[twisted]
-        twisted = table[points, twisted]
-        xs = np.flatnonzero(log_order == self.m)
-        # the determinant test of `generates` for each x and every y = b^j a^i of the grid
-        xj, xi = (c[:, None, None] for c in np.divmod(xs, self.mod_i))
-        j, i = np.ogrid[: self.mod_j, : self.mod_i]
-        valid = (
-            (log_order == self.n)
-            & ((xj * i - xi * j) % p != 0).reshape(len(xs), size)
-            & (table[xs] == table[:, twisted[xs]].T)
-        )
-        rows, ys = np.nonzero(valid)
-        return xs[rows] * size + ys
+        p, m, n, r = self.params()
+        a, b = self.gen_a, self.gen_b
+        phi = p * (p - 1)
+        primes = [p, *_prime_factors(p - 1)]
+        g = 2
+        while any(pow(g, phi // q, p * p) == 1 for q in primes):
+            g += 1
+        images = [
+            (self.pow(a, g), b),
+            (a, self.mul(b, self.pow(a, p ** max(0, m - n)))),
+            (self.mul(a, self.pow(b, p ** max(0, n - r))), b),
+        ]
+        if m < n + r:
+            images.append((a, self.pow(b, 1 + p ** (m - r))))
+        return [make_automorphism(self, x, y) for x, y in images]
 
     def is_inner_abelian(self) -> bool:
         """Non-abelian with every proper subgroup abelian, in closed form: m - r == 1.
@@ -438,10 +427,6 @@ def check_generator_images(G: PairGroup, x: Element, y: Element) -> PairRelation
             forced = tuple(sorted({defect[1], (-defect[1]) % G.mod_i}))
     generates = G.generates(x, y)
     return PairRelationReport(a_ok, b_ok, conj_ok, generates, lhs, rhs, forced)
-
-
-def is_automorphism_pair(G: PairGroup, x: Element, y: Element) -> bool:
-    return check_generator_images(G, x, y).ok
 
 
 def make_automorphism(G: PairGroup, x: Element, y: Element) -> GroupMap:

@@ -97,7 +97,7 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from .bicay import BiCayleyGraph, right_translation
-from .errors import BudgetError, DegreeMismatch, NotAutomorphism, PreconditionError
+from .errors import BudgetError, DegreeMismatch, InvalidMapError, PreconditionError
 from .graphs import Graph, graph6_encode
 from .permgroup import PermGroup, invert, orbit_labels
 
@@ -394,16 +394,12 @@ def _check_budget(graph: Graph) -> None:
 
 def _known_automorphisms(graph: Graph, automorphisms: Iterable) -> list[np.ndarray]:
     """The given maps as permutation arrays, each checked to be an
-    automorphism of the graph."""
+    automorphism of the graph (`InvalidMapError` otherwise)."""
     known = []
     for g in automorphisms:
         perm = np.ascontiguousarray(g, dtype=np.intp)
-        if not (
-            perm.shape == (graph.n,)
-            and np.array_equal(np.sort(perm), np.arange(graph.n))
-            and graph.preserves_edges(perm)
-        ):
-            raise NotAutomorphism("a known automorphism is not an automorphism of the graph")
+        if not graph.preserves_edges(perm):
+            raise InvalidMapError("a known automorphism is not an automorphism of the graph")
         known.append(perm)
     return known
 
@@ -547,7 +543,8 @@ def arc_orbits(graph: Graph, generators) -> tuple[np.ndarray, np.ndarray, np.nda
     of the sorted neighbour table laid end to end.  Each generator g acts as
     the arc permutation i -> index of (g[u], g[v]); sorting the packed images
     puts each image arc at its place in that table, and the sorted images
-    equal keys exactly when g maps arcs onto arcs.  The sorting order is the
+    equal keys exactly when g maps arcs onto arcs (`InvalidMapError`
+    otherwise).  The sorting order is the
     inverse arc permutation, which has the same orbits, so it is folded into
     the `orbit_labels` labels as it is and dropped before the next one is
     built: memory stays O(arcs) whatever the number of generators, and
@@ -564,7 +561,7 @@ def arc_orbits(graph: Graph, generators) -> tuple[np.ndarray, np.ndarray, np.nda
         packed += b
         order = packed.argsort()
         if not np.array_equal(packed[order], keys):
-            raise NotAutomorphism("a generator maps an arc to a non-arc")
+            raise InvalidMapError("a generator maps an arc to a non-arc")
         return order
 
     labels = np.arange(len(keys))

@@ -166,31 +166,44 @@ def automorphisms(G):
     return out
 
 
-def aut_generators_by_scan(G):
-    """Rank images of the maps of `automorphisms(G)` that the census keeps:
-    walking the maps in (x, y) order, a map is kept when (x, y) lies outside
-    the orbit of (a, b) under the maps kept so far, grown pair by pair."""
-    auts = automorphisms(G)
-    rank = G.rank
-    kept = []
-    seen = {(G.gen_a, G.gen_b)}
-    for f in auts:
-        if len(seen) == len(auts):
-            break
-        if (f.image_a, f.image_b) in seen:
-            continue
-        kept.append(f)
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for x, y in frontier:
-                for g in kept:
-                    image = (apply_map(G, g, x), apply_map(G, g, y))
-                    if image not in seen:
-                        seen.add(image)
-                        new.append(image)
-            frontier = new
-    return [np.array([rank(apply_map(G, f, h)) for h in G.elements()], dtype=np.intp) for f in kept]
+def automorphism_pairs(G):
+    """All of Aut(G) for a metacyclic G as the images (x, y) of (a, b), each
+    packed as rank(x) * |G| + rank(y), ascending: (x, y) in rank order (the
+    former MetacyclicGroup.automorphism_pairs, over `cayley_table()`).
+
+    a -> x, b -> y is an automorphism exactly when x has order p^m, y has
+    order p^n, x and y generate G (`generates`) and y^-1 x y = x^(1+p^r),
+    that is x y = y x^(1+p^r): a homomorphism from a group of order |G|
+    onto G is a bijection.  Comparing row x of the table with column
+    x^(1+p^r) tests every y at once.
+    """
+    table = G.cayley_table()
+    size, p = G.order, G.p
+    points = np.arange(size)
+    power = points  # x^p for every x, by p - 1 products
+    for _ in range(p - 1):
+        power = table[power, points]
+    # log_p of each order: the p-th powers taken until the identity, rank 0
+    log_order = np.zeros(size, dtype=np.intp)
+    cur = points
+    while cur.any():
+        log_order += cur != 0
+        cur = power[cur]
+    twisted = points  # x^(p^r), then x^(1+p^r)
+    for _ in range(G.r):
+        twisted = power[twisted]
+    twisted = table[points, twisted]
+    xs = np.flatnonzero(log_order == G.m)
+    # the determinant test of `generates` for each x and every y = b^j a^i of the grid
+    xj, xi = (c[:, None, None] for c in np.divmod(xs, G.mod_i))
+    j, i = np.ogrid[: G.mod_j, : G.mod_i]
+    valid = (
+        (log_order == G.n)
+        & ((xj * i - xi * j) % p != 0).reshape(len(xs), size)
+        & (table[xs] == table[:, twisted[xs]].T)
+    )
+    rows, ys = np.nonzero(valid)
+    return xs[rows] * size + ys
 
 
 def subgroup_is_abelian(G, elements):
@@ -796,7 +809,6 @@ def arc_orbits_by_scatter(graph, generators):
     """(keys, labels, reversal) as `symmetry.arc_orbits` had it: each arc
     permutation scattered from its sorting order, then folded into the labels
     (the former body)."""
-    from bicayley.errors import NotAutomorphism
     from bicayley.permgroup import orbit_labels
 
     n = graph.n
@@ -809,7 +821,7 @@ def arc_orbits_by_scatter(graph, generators):
         packed = a * n + b
         order = packed.argsort()
         if not np.array_equal(packed[order], keys):
-            raise NotAutomorphism("a generator maps an arc to a non-arc")
+            raise InvalidMapError("a generator maps an arc to a non-arc")
         idx = np.empty_like(order)
         idx[order] = places
         return idx

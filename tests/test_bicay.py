@@ -11,7 +11,6 @@ from bicayley import (
     canonical_form,
     delta_map,
     identity_map,
-    is_connected,
     make_automorphism,
     make_group,
     normalize_S,
@@ -21,7 +20,7 @@ from bicayley import (
     sigma_map,
     swap_parts,
 )
-from bicayley.errors import NotAutomorphism, SetConditionError
+from bicayley.errors import InvalidMapError, SetConditionError
 from bicayley.permgroup import identity as perm_identity
 
 from .oracles import adjacency, chain_group, derived_subgroup, is_transitive_on, regular_representation
@@ -46,7 +45,7 @@ def test_build_matching(group27):
     assert bg.graph.n == 54
     assert bg.graph.edge_count == 27
     assert bg.graph.degrees() == (1,) * 54
-    assert not is_connected(bg)
+    assert not bg.graph.is_connected()
 
 
 def test_build_set_conditions(group27):
@@ -213,10 +212,10 @@ def test_abelian_pair_group_arithmetic():
 
 
 def test_is_connected(gray_graph, group27):
-    assert is_connected(gray_graph)
+    assert gray_graph.graph.is_connected()
     a = group27.gen_a
     bg = BiCayleyGraph(group27, (), (), [group27.identity, a, group27.pow(a, 2)])
-    assert not is_connected(bg)  # <S> = <a> != H
+    assert not bg.graph.is_connected()  # <S> = <a> != H
     assert len(group27.closure([a])) == 9
 
 
@@ -232,10 +231,10 @@ def test_is_connected_matches_closure(params):
     for R, L, S in cases:
         bg = BiCayleyGraph(G, R, L, S)
         generated = len(G.closure(list(R) + list(L) + S)) == G.order
-        assert is_connected(bg) == generated, (R, L, S)
+        assert bg.graph.is_connected() == generated, (R, L, S)
         answers.add(generated)
     assert answers == {False, True}
-    assert not is_connected(BiCayleyGraph(G, *cases[-2]))  # <a> != H
+    assert not BiCayleyGraph(G, *cases[-2]).graph.is_connected()  # <a> != H
 
 
 def test_swap_parts(gray_graph):
@@ -303,7 +302,7 @@ def test_quotient_of_arc_transitive_member_stays_cubic_symmetric(sym162):
 def test_quotient_rejects_non_automorphism(gray_graph):
     bad = list(range(54))
     bad[0], bad[1] = bad[1], bad[0]
-    with pytest.raises(NotAutomorphism):
+    with pytest.raises(InvalidMapError):
         quotient_graph(gray_graph.graph, PermGroup(54, [tuple(bad)], [0]))
 
 

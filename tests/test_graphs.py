@@ -190,6 +190,15 @@ def test_relabel():
     assert g.relabel([2, 1, 0]).edges.tolist() == [[1, 2]]
 
 
+def test_preserves_edges_needs_a_permutation():
+    g = Graph(4, [(0, 1)])
+    assert g.preserves_edges([1, 0, 2, 3]) and g.preserves_edges([1, 0, 3, 2])
+    assert not g.preserves_edges([0, 2, 1, 3])
+    # each maps the edge {0, 1} onto itself but is no permutation of [0, 4)
+    for bad in ([0, 1, 2, 2], [1, 0], [0, 1, -1, 3], [1, 0, 2, 3, 4]):
+        assert not g.preserves_edges(bad), bad
+
+
 def _component_cases():
     """Seeded graphs from empty to dense, with isolated vertices and many
     components, the sparse ones relabelled so components interleave."""

@@ -1,3 +1,6 @@
+import time
+
+import numpy as np
 import pytest
 
 from bicayley import (
@@ -5,7 +8,6 @@ from bicayley import (
     GroupMap,
     check_generator_images,
     identity_map,
-    is_automorphism_pair,
     make_automorphism,
     make_group,
 )
@@ -14,6 +16,7 @@ from bicayley.metacyclic import TABLE_BUDGET
 
 from .oracles import (
     apply_map,
+    automorphism_pairs,
     automorphisms,
     automorphisms_by_images,
     check_regular_action_exhaustive,
@@ -187,8 +190,6 @@ def test_abelian_generates_matches_closure(moduli):
     """The Frattini-quotient test against the explicit subgroup on every pair
     (x, y).  Z_65 x Z_5 has 325^2 pairs, so closure runs once per coset of
     <x> that y lies in: <x, y> = <x, y x^k> for every k."""
-    import numpy as np
-
     G = AbelianPairGroup(*moduli)
     els = G.elements()
     for x in els:
@@ -206,7 +207,7 @@ def test_abelian_generates_matches_closure(moduli):
 )
 def test_automorphisms_match_all_generator_images(params, count):
     G = make_group(*params)
-    pairs = G.automorphism_pairs(G.cayley_table())
+    pairs = automorphism_pairs(G)
     assert len(pairs) == count
     images = [(G.unrank(k // G.order), G.unrank(k % G.order)) for k in pairs.tolist()]
     assert images == automorphisms_by_images(G)
@@ -215,6 +216,49 @@ def test_automorphisms_match_all_generator_images(params, count):
     for x, y in images:
         f = GroupMap(x, y, validated=True)
         assert sorted(apply_map(G, f, g) for g in els) == list(els)
+
+
+# every valid (p, m, n, r) within the Cayley table budget: p^3 <= 2500 leaves p <= 13
+TABLE_GROUPS = [
+    (p, m, n, r)
+    for p in (3, 5, 7, 11, 13)
+    for m in range(2, 8)
+    for n in range(1, 8)
+    for r in range(1, m)
+    if m <= n + r and p ** (m + n) <= TABLE_BUDGET
+]
+
+
+@pytest.mark.parametrize("params", TABLE_GROUPS)
+def test_automorphism_generators_generate_aut(params):
+    """Aut(H) acts regularly on the image pairs (a^f, b^f), so the maps
+    generate Aut(H) exactly when the orbit of (a, b) under them holds every
+    pair that the Cayley-table oracle finds."""
+    G = make_group(*params)
+    maps = G.automorphism_generators()
+    assert all(f.validated for f in maps)
+    assert len(maps) == (3 if G.m == G.n + G.r else 4)
+    n = G.order
+    rows = [G.map_ranks(f) for f in maps]
+    seen = np.zeros(n * n, dtype=bool)
+    frontier = np.array([G.rank(G.gen_a) * n + G.rank(G.gen_b)])
+    seen[frontier] = True
+    while len(frontier):
+        x, y = np.divmod(frontier, n)
+        images = np.unique(np.concatenate([m[x] * n + m[y] for m in rows]))
+        frontier = images[~seen[images]]
+        seen[frontier] = True
+    assert int(seen.sum()) == len(automorphism_pairs(G))
+
+
+def test_automorphism_generators_at_a_large_prime():
+    # p = 2^31 - 1: the primitive root is tested against the primes of
+    # p (p - 1) with no listing of the group; m = n + r drops the fourth map
+    G = make_group(2**31 - 1, 2, 1, 1)
+    start = time.perf_counter()
+    maps = G.automorphism_generators()
+    assert time.perf_counter() - start < 1.0
+    assert len(maps) == 3 and all(check_generator_images(G, f.image_a, f.image_b).ok for f in maps)
 
 
 def test_is_inner_abelian(group27, group81a):
@@ -287,7 +331,7 @@ def test_automorphism_pair_accepts_rotation(group27):
     G = group27
     x, y = _claim_images(G, 1)
     assert y == (1, 0)  # a^{3^1-3} b = b
-    assert is_automorphism_pair(G, x, y)
+    assert check_generator_images(G, x, y).ok
 
 
 def test_automorphism_pair_rejects_inversion(group27):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bicayley import Graph, abelian_family, aut_group, classify, gamma_t, sigma_t
-from bicayley.errors import NotAutomorphism
+from bicayley.errors import InvalidMapError
 from bicayley.permgroup import (
     compose,
     cycle_type,
@@ -459,5 +459,5 @@ def test_arc_orbits_match_tuple_bfs():
 
 def test_arc_action_rejects_a_non_automorphism():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(NotAutomorphism):
+    with pytest.raises(InvalidMapError):
         arc_orbits(g, [np.array([1, 0, 2, 3], dtype=np.intp)])

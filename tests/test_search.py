@@ -577,7 +577,7 @@ def test_seeded_search_matches_unseeded():
 
 
 def test_seeded_search_rejects_bad_seeds():
-    from bicayley.errors import NotAutomorphism, PreconditionError
+    from bicayley.errors import InvalidMapError, PreconditionError
 
     g = petersen()  # outer cycle 0..4, spokes i -- i + 5
     rotation = [(i + 1) % 5 for i in range(5)] + [5 + (i + 1) % 5 for i in range(5)]
@@ -585,7 +585,7 @@ def test_seeded_search_rejects_bad_seeds():
     swap = list(range(10))
     swap[0], swap[1] = 1, 0  # moves the edge {1, 2} onto the non-edge {0, 2}
     for bad in (swap, rotation[:9], [0] * 10, rotation + [10]):
-        with pytest.raises(NotAutomorphism):
+        with pytest.raises(InvalidMapError):
             symmetry.canonical_search(g, [rotation, bad])
     two = copies(g, 2)
     with pytest.raises(PreconditionError):
