@@ -30,6 +30,7 @@ from .errors import BudgetError, NoLambdaError, ParameterError
 from .graphs import graph6_encode
 from .metacyclic import (
     CLOSURE_BUDGET,
+    TABLE_BUDGET,
     AbelianPairGroup,
     Element,
     MetacyclicGroup,
@@ -317,18 +318,20 @@ def _pair_moves(group: MetacyclicGroup) -> list[np.ndarray]:
     maps, the part swap and the translation are the R = L = {} instances of
     the image rule in `bicay` on S = {1, x, y}: apply_group_automorphism,
     swap_parts (S^-1) and normalize_S with s = x (S x^-1); the transposition
-    only reorders S.  The Cayley table is built first, so a group above
-    `TABLE_BUDGET` is refused before any other work."""
+    only reorders S.  Inverse ranks come from scalar `inv`; row x of
+    `right_mul_rows(inv)` is rank(h x^-1) for every h.  Each move holds
+    |H|^2 entries, so a group above `TABLE_BUDGET` is refused first."""
     import numpy as np
 
     n = group.order
-    table = group.cayley_table().T  # table[g][h] = rank(h g), the identity (rank 0) exactly at h = g^-1
-    inv = table.argmin(axis=1)
+    if n > TABLE_BUDGET:
+        raise BudgetError(f"group order {n} exceeds the Cayley table budget {TABLE_BUDGET}")
+    inv = np.array([group.rank(group.inv(g)) for g in group.elements()], dtype=np.intp)
     points = np.arange(n)
     moves = [(m[:, None] * n + m).ravel() for m in map(group.map_ranks, group.automorphism_generators())]
     moves.append((points * n + points[:, None]).ravel())
     moves.append((inv[:, None] * n + inv).ravel())
-    moves.append((inv[:, None] * n + table[inv]).ravel())
+    moves.append((inv[:, None] * n + group.right_mul_rows(inv)).ravel())
     return moves
 
 
@@ -347,7 +350,7 @@ def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
     `canonical_search` per orbit gives the class digest and the group that
     `classify` receives.  On a connected graph that search starts with the
     two right translations that generate R(H).  A group above `TABLE_BUDGET`
-    is refused (`BudgetError`) by the `cayley_table` the moves are read from.
+    is refused (`BudgetError`) by `_pair_moves` before any group kernel runs.
     """
     import numpy as np
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Sequence
 
@@ -12,12 +13,13 @@ from .permgroup import DEGREE_BUDGET, orbit_labels, orbit_lists
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    `Graph(n, edges)` takes an (m, 2) integer array or an iterable of pairs,
-    in any order and orientation, repeats allowed.  A loop, an endpoint
-    outside [0, n) or input that is not integer pairs raises
-    InvariantViolation, naming the first bad pair.  `edges` is then the one
-    edge format, a read-only (m, 2) np.intp array whose rows are u < v,
-    sorted and distinct.
+    `Graph(n, edges)` takes a non-negative integer n (any type with
+    `__index__`) and an (m, 2) integer array or an iterable of pairs, in any
+    order and orientation, repeats allowed.  Any other n raises
+    InvariantViolation; so do a loop, an endpoint outside [0, n) or input
+    that is not integer pairs, naming the first bad pair.  `edges` is then
+    the one edge format, a read-only (m, 2) np.intp array whose rows are
+    u < v, sorted and distinct.
     """
 
     __slots__ = ("n", "edges")
@@ -25,6 +27,9 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         import numpy as np  # see graph6_encode
 
+        if not hasattr(type(n), "__index__") or operator.index(n) < 0:
+            raise InvariantViolation(f"vertex count {n!r} is not a non-negative integer")
+        n = operator.index(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges) or np.empty((0, 2), dtype=np.intp)
         try:

@@ -22,8 +22,9 @@ from .errors import BudgetError, InvalidMapError, ParameterError
 Element = tuple[int, int]
 
 CLOSURE_BUDGET = 3**12
-# largest order for `cayley_table` (|G|^2 entries, 50 MB at 2500): every
-# group whose bi-Cayley graphs (2|G| vertices) fit the 5000-vertex search budget
+# largest order for the library's |G|^2-entry arrays (50 MB each at 2500): the
+# census pair moves and the arithmetic oracle's row table; every group whose
+# bi-Cayley graphs (2|G| vertices) fit the 5000-vertex search budget
 TABLE_BUDGET = 2500
 WORD_BUDGET = 2**63
 
@@ -210,18 +211,6 @@ class PairGroup:
         """rank(g h) for every h, in rank order of h."""
         _, _, J, I = self._rank_grid()
         return self._product(g[0] % self.mod_j, g[1] % self.mod_i, J, I).reshape(-1)
-
-    def cayley_table(self):
-        """T[g, h] = rank(g h) for every pair of ranks: row g is
-        `left_mul_ranks(g)` and column h is `right_mul_ranks(h)`.
-
-        One |G|^2 array, from the (j1, i1, j2, i2) grid; the temporaries are
-        the (mod_i, mod_j, mod_i) column block and the (mod_j, mod_j) row
-        offsets."""
-        if self.order > TABLE_BUDGET:
-            raise BudgetError(f"group order {self.order} exceeds the Cayley table budget {TABLE_BUDGET}")
-        _, _, J, I = self._rank_grid()
-        return self._product(J[:, None, None], I[:, None, None], J, I).reshape(self.order, self.order)
 
     def _power_columns(self, g: Element, count: int):
         """The parts (j, i) of g^0, ..., g^{count-1} as two np.intp arrays."""

@@ -169,7 +169,7 @@ def automorphisms(G):
 def automorphism_pairs(G):
     """All of Aut(G) for a metacyclic G as the images (x, y) of (a, b), each
     packed as rank(x) * |G| + rank(y), ascending: (x, y) in rank order (the
-    former MetacyclicGroup.automorphism_pairs, over `cayley_table()`).
+    former MetacyclicGroup.automorphism_pairs, over the product table).
 
     a -> x, b -> y is an automorphism exactly when x has order p^m, y has
     order p^n, x and y generate G (`generates`) and y^-1 x y = x^(1+p^r),
@@ -177,7 +177,7 @@ def automorphism_pairs(G):
     onto G is a bijection.  Comparing row x of the table with column
     x^(1+p^r) tests every y at once.
     """
-    table = G.cayley_table()
+    table = G.right_mul_rows(np.arange(G.order)).T  # table[g, h] = rank(g h)
     size, p = G.order, G.p
     points = np.arange(size)
     power = points  # x^p for every x, by p - 1 products

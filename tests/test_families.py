@@ -216,11 +216,20 @@ def test_census_includes_disconnected(group27, census27):
     assert len(full.classes) > len(census27.classes)
 
 
-def test_census_budget():
+def test_census_budget(monkeypatch):
     from bicayley import census, make_group
+    from bicayley.metacyclic import MetacyclicGroup, PairGroup
 
-    with pytest.raises(BudgetError):
-        census(make_group(5, 3, 2, 2))  # order 5^5 = 3125 > TABLE_BUDGET = 2500
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran before the table budget")
+
+    # refused before Aut(H) or any rank kernel is computed
+    monkeypatch.setattr(MetacyclicGroup, "automorphism_generators", no_kernel)
+    monkeypatch.setattr(PairGroup, "_rank_grid", no_kernel)
+    # 5^5 = 3125 and 3^8 = 6561: within the enumeration budget, above TABLE_BUDGET = 2500
+    for params in ((5, 3, 2, 2), (3, 4, 4, 3)):
+        with pytest.raises(BudgetError, match="table budget 2500"):
+            census(make_group(*params))
 
 
 def _without_elapsed(result, group):
@@ -300,7 +309,7 @@ def test_census_moves(params):
     from bicayley import make_group
     from bicayley.families import _pair_moves
 
-    from .oracles import automorphisms, chain_group
+    from .oracles import apply_map, automorphisms, chain_group
 
     G = make_group(*params)
     n = G.order
@@ -317,6 +326,16 @@ def test_census_moves(params):
         assert np.array_equal(np.sort(move), np.arange(n * n))  # a bijection of H x H
         assert np.array_equal(proper[move], proper)
         assert np.array_equal(generating[move], generating)
+    if n > 125:  # the scalar images below take |H|^2 products
+        return
+    # the exact image of every pair (x, y), from scalar inv, mul and apply_map
+    rank, inv = G.rank, G.inv
+    images = [[(apply_map(G, f, u), apply_map(G, f, v)) for u in els for v in els] for f in G.automorphism_generators()]
+    images.append([(v, u) for u in els for v in els])
+    images.append([(inv(u), inv(v)) for u in els for v in els])
+    images.append([(inv(u), G.mul(v, inv(u))) for u in els for v in els])
+    for move, image in zip(moves, images, strict=True):
+        assert move.tolist() == [rank(u) * n + rank(v) for u, v in image]
 
 
 @pytest.mark.parametrize("params", [p for p in CENSUS_GROUPS if p[0] ** (p[1] + p[2]) == 3**5])

@@ -85,6 +85,12 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 0)])
     with pytest.raises(InvariantViolation):
         Graph(3, [(0, 3)])
+    # a negative count failed later in degrees(), a float in every later call
+    for n in (-1, np.int64(-1), 2.5, 3.0, "3", None):
+        with pytest.raises(InvariantViolation, match="not a non-negative integer"):
+            Graph(n, [])
+    g = Graph(np.int64(3), [(0, 1)])  # numpy integers pass, as Python ints
+    assert type(g.n) is int and g.degrees() == (1, 1, 0)
 
 
 def test_graph6_known_values():
