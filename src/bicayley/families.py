@@ -310,8 +310,8 @@ class CensusResult:
 
 def _pair_moves(group: MetacyclicGroup) -> list[np.ndarray]:
     """The census moves as permutations of the ordered pairs (x, y) packed as
-    rank(x) * |H| + rank(y): each map of `automorphism_generators` (which
-    generate Aut(H)) on both entries, the transposition (x, y) -> (y, x), the
+    rank(x) * |H| + rank(y): each generator of `automorphism_group` (Aut(H)
+    on the ranks) on both entries, the transposition (x, y) -> (y, x), the
     part swap (x, y) -> (x^-1, y^-1) and the translation
     (x, y) -> (x^-1, y x^-1).  Translating by y is transposition,
     translation, transposition: it needs no move of its own.  The Aut(H)
@@ -328,7 +328,7 @@ def _pair_moves(group: MetacyclicGroup) -> list[np.ndarray]:
         raise BudgetError(f"group order {n} exceeds the Cayley table budget {TABLE_BUDGET}")
     inv = np.array([group.rank(group.inv(g)) for g in group.elements()], dtype=np.intp)
     points = np.arange(n)
-    moves = [(m[:, None] * n + m).ravel() for m in map(group.map_ranks, group.automorphism_generators())]
+    moves = [(m[:, None] * n + m).ravel() for m in group.automorphism_group().generators]
     moves.append((points * n + points[:, None]).ravel())
     moves.append((inv[:, None] * n + inv).ravel())
     moves.append((inv[:, None] * n + group.right_mul_rows(inv)).ravel())
@@ -341,8 +341,8 @@ def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
 
     S -> S^alpha (alpha in Aut(H)), S -> S^-1 (swap the parts) and
     S -> S s^-1 (s in S, translate part 0) give isomorphic graphs; they act on
-    packed pairs (`_pair_moves`, with Aut(H) given by the closed-form
-    generators of `MetacyclicGroup.automorphism_generators`, not listed), and
+    packed pairs (`_pair_moves`, with Aut(H) given by the generators of
+    `MetacyclicGroup.automorphism_group`, not listed), and
     `orbit_labels` labels each pair by the least pair of its orbit.  The
     moves keep x != y, both away from the identity, and <x, y>, so an orbit
     of such pairs is labelled by its first pair x < y in enumeration order,

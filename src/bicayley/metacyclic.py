@@ -15,9 +15,11 @@ the abelian handle used by the one-matching abelian families is realised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import BudgetError, InvalidMapError, ParameterError
+from .permgroup import DEGREE_BUDGET, PermGroup
 
 Element = tuple[int, int]
 
@@ -33,6 +35,8 @@ def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
     while d * d <= n:
+        if d > 1 << 16:  # so every n < 2^32 factors in full
+            raise BudgetError(f"factoring {n} needs trial divisors past 2^16")
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -63,7 +67,6 @@ class PairGroup:
         self.identity: Element = (0, 0)
         self.gen_a: Element = (0, 1 % mod_i)
         self.gen_b: Element = (1 % mod_j, 0)
-        self._order_primes: list[int] | None = None  # factored on first use
         self._element_list: tuple[Element, ...] | None = None
         self._grid = None
 
@@ -105,9 +108,12 @@ class PairGroup:
         """g^-1 h^-1 g h."""
         return self.mul(self.mul(self.inv(g), self.inv(h)), self.mul(g, h))
 
+    @cached_property
+    def _order_primes(self) -> list[int]:
+        """The primes of |G| = mod_j mod_i, the two moduli factored apart."""
+        return sorted({*_prime_factors(self.mod_j), *_prime_factors(self.mod_i)})
+
     def element_order(self, g: Element) -> int:
-        if self._order_primes is None:
-            self._order_primes = _prime_factors(self.order)
         k = self.order
         for q in self._order_primes:
             while k % q == 0 and self.pow(g, k // q) == self.identity:
@@ -143,7 +149,7 @@ class PairGroup:
         """Whether <x, y> is the whole group, by building the subgroup."""
         return len(self.closure([x, y])) == self.order
 
-    def closure(self, generators: Iterable[Element], budget: int = CLOSURE_BUDGET) -> frozenset[Element]:
+    def closure(self, generators: Iterable[Element]) -> frozenset[Element]:
         """Subgroup generated by the given elements, as an explicit set."""
         mul = self.mul
         gens = [(j % self.mod_j, i % self.mod_i) for j, i in generators]
@@ -157,8 +163,8 @@ class PairGroup:
                     if y not in seen:
                         seen.add(y)
                         new.append(y)
-            if len(seen) > budget:
-                raise BudgetError(f"closure exceeds enumeration budget {budget}")
+            if len(seen) > CLOSURE_BUDGET:
+                raise BudgetError(f"closure exceeds enumeration budget {CLOSURE_BUDGET}")
             frontier = new
         return frozenset(seen)
 
@@ -316,6 +322,22 @@ class MetacyclicGroup(PairGroup):
             images.append((a, self.pow(b, 1 + p ** (m - r))))
         return [make_automorphism(self, x, y) for x, y in images]
 
+    def automorphism_group(self) -> PermGroup:
+        """Aut(G) on the ranks of G: the rows of `automorphism_generators`,
+        which generate it, strong for the base (a, b), so `order()` = |Aut(G)|.
+
+        An automorphism fixing a sends b to y = b^u a^v; y^-1 a y = a^(1+p^r)
+        forces u = 1 mod p^(m-r), and y^(p^n) = a^(v s), s = ((1+p^r)^(p^n) - 1)
+        / p^r of p-adic valuation n, forces p^max(0, m-n) | v.  The second map
+        generates the kernel {b -> b a^v} of f -> u, the fourth its image, the
+        cyclic units 1 mod p^(m-r) mod p^n (trivial, and the map left out, when
+        m = n + r): these two fix a and generate its stabilizer.  A group above
+        `DEGREE_BUDGET` is refused before any row is built."""
+        if self.order > DEGREE_BUDGET:
+            raise BudgetError(f"degree {self.order} exceeds the budget {DEGREE_BUDGET}")
+        rows = [self.map_ranks(f) for f in self.automorphism_generators()]
+        return PermGroup(self.order, rows, [self.rank(self.gen_a), self.rank(self.gen_b)])
+
     def is_inner_abelian(self) -> bool:
         """Non-abelian with every proper subgroup abelian, in closed form: m - r == 1.
 
@@ -340,8 +362,6 @@ class AbelianPairGroup(PairGroup):
         means det(x, y) != 0 mod q, and Z_q (one coordinate mod q) when q
         divides one modulus, where that coordinate of x or of y is not 0 mod q.
         """
-        if self._order_primes is None:
-            self._order_primes = _prime_factors(self.order)
         for q in self._order_primes:
             if self.mod_j % q == 0 and self.mod_i % q == 0:
                 if (x[0] * y[1] - x[1] * y[0]) % q == 0:

@@ -19,11 +19,11 @@ So every group is built with a base relative to which its generators are
 strong, `PermGroup(degree, generators, base)`, and the base gives its
 order, membership and semiregularity.  Every group the library builds has
 one: the automorphism search proves it for the base it individualizes,
-and R(H), being semiregular, has a trivial stabilizer of 0, so any
-generators are strong for the base [0].  A group with no generators has
-order 1 with the empty base.  The generic Schreier-Sims scan, which finds
-a base and strong generators for any group, is a test oracle
-(`tests/oracles.py`).
+R(H), being semiregular, has a trivial stabilizer of 0, so any generators
+are strong for the base [0], and `MetacyclicGroup.automorphism_group`
+proves (a, b) for Aut(H).  A group with no generators has order 1 with the
+empty base.  The generic Schreier-Sims scan, which finds a base and strong
+generators for any group, is a test oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -183,13 +183,6 @@ def perm_powers(p: Perm, exponents: Iterable[int], rows: Iterable[int]) -> Perm:
     return out
 
 
-def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
-    import numpy as np
-    p = as_perm(p)
-    sizes = np.bincount(orbit_labels(len(p), [p]))
-    return tuple(sorted(sizes[sizes > 0].tolist(), reverse=True))
-
-
 def orbit_labels(degree: int, generators: Sequence[Perm], labels: Perm | None = None) -> Perm:
     """labels[x]: the least point of x's orbit under the group the generators make.
 
@@ -325,17 +318,11 @@ class PermGroup:
             self._labels.flags.writeable = False
         return self._labels
 
-    def _points(self, points: Iterable[int]) -> Perm:
-        """points as an array, each checked to lie in [0, degree)."""
-        arr = as_perm(list(points))
-        outside = (arr < 0) | (arr >= self.degree)
-        if outside.any():
-            raise InvariantViolation(f"point {arr[outside.argmax()]} outside degree {self.degree}")
-        return arr
-
     def orbit(self, point: int) -> frozenset[int]:
+        if not 0 <= point < self.degree:
+            raise InvariantViolation(f"point {point} outside degree {self.degree}")
         labels = self.orbit_labels()
-        return frozenset((labels == labels[self._points([point])]).nonzero()[0].tolist())
+        return frozenset((labels == labels[point]).nonzero()[0].tolist())
 
     def orbits(self) -> list[frozenset[int]]:
         """Orbit partition, sorted by smallest member (`orbit_lists`)."""
@@ -398,14 +385,12 @@ class PermGroup:
 
     # -- predicates ---------------------------------------------------------------
 
-    def is_semiregular(self, domain: Iterable[int] | None = None) -> bool:
-        """Every point stabilizer trivial (of the points in domain, default
-        all), i.e. every such point's orbit has full group size."""
+    def is_semiregular(self) -> bool:
+        """Every point stabilizer trivial, i.e. every orbit has full group size."""
         import numpy as np
         size = self.order()  # first: it leaves the orbit labels cached
         labels = self.orbit_labels()
-        points = labels if domain is None else labels[self._points(domain)]
-        return bool((np.bincount(labels)[points] == size).all())
+        return bool((np.bincount(labels)[labels] == size).all())
 
 
 def orbit_of_tuple(generators: Iterable[Sequence[int]], seed: Sequence[int]) -> frozenset[tuple[int, ...]]:

@@ -60,12 +60,12 @@ def power_by_halving(G, g, k):
 # -- subgroups by closure (the former MetacyclicGroup methods) ------------------
 
 
-def normal_closure(G, seed, budget=CLOSURE_BUDGET):
+def normal_closure(G, seed):
     """The smallest normal subgroup holding seed: closures until conjugation
     by the generators adds nothing."""
     gens = list(seed)
     while True:
-        sub = G.closure(gens, budget)
+        sub = G.closure(gens)
         extra = [c for s in sub for t in (G.gen_a, G.gen_b) if (c := G.conj(s, t)) not in sub]
         if not extra:
             return sub
@@ -757,13 +757,11 @@ def orbits_by_scan(labels) -> list[frozenset[int]]:
     return [frozenset(part) for part in parts.values()]
 
 
-def is_semiregular_by_sets(G, domain=None) -> bool:
-    """Whether every orbit meeting domain has the group's size, over Python
-    sets (the former `PermGroup.is_semiregular`, which took any domain)."""
+def is_semiregular_by_sets(G) -> bool:
+    """Whether every orbit has the group's size, over Python sets (the
+    former `PermGroup.is_semiregular`)."""
     size = G.order()
-    points = set(range(G.degree) if domain is None else domain)
-    orbits = orbits_by_scan(G.orbit_labels())
-    return all(len(orb) == size for orb in orbits if not points.isdisjoint(orb))
+    return all(len(orb) == size for orb in orbits_by_scan(G.orbit_labels()))
 
 
 def quotient_by_unique(graph, N):

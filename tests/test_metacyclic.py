@@ -12,15 +12,17 @@ from bicayley import (
     make_group,
 )
 from bicayley.errors import BudgetError, InvalidMapError, ParameterError
-from bicayley.metacyclic import TABLE_BUDGET
+from bicayley.metacyclic import TABLE_BUDGET, PairGroup
 
 from .oracles import (
     apply_map,
     automorphism_pairs,
     automorphisms,
     automorphisms_by_images,
+    chain_group,
     check_regular_action_exhaustive,
     compose_maps,
+    cycle_type,
     derived_by_all_commutators,
     derived_subgroup,
     frattini_by_closure,
@@ -201,6 +203,24 @@ def test_abelian_generates_matches_closure(moduli):
             assert G.generates(x, y) == whole[r], (moduli, x, y)
 
 
+def test_factoring_is_bounded_in_time():
+    # the moduli are factored apart: two primes near 2^20 factor, their
+    # product (past 2^32) would not
+    for moduli in ((2**40, 3**25), (1048583, 1048573)):
+        G = AbelianPairGroup(*moduli)
+        assert G.generates((1, 0), (0, 1)) and not G.generates((1, 0), (2, 0))
+        assert G.element_order((1, 1)) == G.order
+    # a prime modulus past 2^32 is refused, not divided by every d below its root
+    for moduli in ((3, 2**61 - 1), (2**61 - 1, 2**61 - 1)):
+        G = AbelianPairGroup(*moduli)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="past 2\\^16"):
+            G.generates((1, 0), (0, 1))
+        with pytest.raises(BudgetError, match="past 2\\^16"):
+            G.element_order((1, 1))
+        assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize(
     "params, count",
     [((3, 2, 1, 1), 54), ((3, 2, 2, 1), 486), ((3, 3, 1, 2), 162), ((5, 2, 1, 1), 500)],
@@ -231,24 +251,41 @@ TABLE_GROUPS = [
 
 @pytest.mark.parametrize("params", TABLE_GROUPS)
 def test_automorphism_generators_generate_aut(params):
-    """Aut(H) acts regularly on the image pairs (a^f, b^f), so the maps
-    generate Aut(H) exactly when the orbit of (a, b) under them holds every
-    pair that the Cayley-table oracle finds."""
+    """The maps generate Aut(H), and their rows are strong for the base
+    (a, b): the order read off that base equals both the number of image
+    pairs the Cayley-table oracle finds and the order of the generic
+    Schreier-Sims chain on the same rows."""
     G = make_group(*params)
     maps = G.automorphism_generators()
     assert all(f.validated for f in maps)
     assert len(maps) == (3 if G.m == G.n + G.r else 4)
-    n = G.order
-    rows = [G.map_ranks(f) for f in maps]
-    seen = np.zeros(n * n, dtype=bool)
-    frontier = np.array([G.rank(G.gen_a) * n + G.rank(G.gen_b)])
-    seen[frontier] = True
-    while len(frontier):
-        x, y = np.divmod(frontier, n)
-        images = np.unique(np.concatenate([m[x] * n + m[y] for m in rows]))
-        frontier = images[~seen[images]]
-        seen[frontier] = True
-    assert int(seen.sum()) == len(automorphism_pairs(G))
+    aut = G.automorphism_group()
+    assert aut.order() == len(automorphism_pairs(G)) == chain_group(G.order, aut.generators).order()
+
+
+@pytest.mark.parametrize(
+    "params, order",
+    [
+        ((3, 4, 3, 3), 354_294),
+        pytest.param((3, 4, 4, 3), 3_188_646, marks=pytest.mark.slow),  # the chain: ~0.6 s, ~200 MB
+    ],
+    ids=["3^7", "3^8"],
+)
+def test_automorphism_group_past_the_table(params, order):
+    # above TABLE_BUDGET, where the Cayley-table oracle does not reach
+    G = make_group(*params)
+    aut = G.automorphism_group()
+    assert aut.order() == chain_group(G.order, aut.generators).order() == order
+
+
+def test_automorphism_group_budget(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was built before the degree budget")
+
+    monkeypatch.setattr(PairGroup, "map_ranks", no_rows)
+    # 7^6 = 117649: within the enumeration budget, above DEGREE_BUDGET = 100000
+    with pytest.raises(BudgetError, match="budget 100000"):
+        make_group(7, 3, 3, 2).automorphism_group()
 
 
 def test_automorphism_generators_at_a_large_prime():
@@ -311,8 +348,6 @@ def test_regular_representation(group27):
     assert reg.degree == 27
     assert reg.order() == 27
     assert check_regular_action_exhaustive(G)
-    from bicayley.permgroup import cycle_type
-
     perm_a = reg.generators[0]
     assert cycle_type(perm_a) == (9, 9, 9)
 

@@ -79,8 +79,7 @@ def test_basic_orbits_match_bfs_and_schreier_sims(label, graph, expected):
     # order() leaves the group's orbit labels behind
     assert np.array_equal(aut.orbit_labels(), orbit_labels(graph.n, gens))
     assert aut.orbits() == oracles.orbits_by_scan(aut.orbit_labels())
-    for domain in (None, [0] if graph.n else [], range(0, graph.n, 3)):
-        assert aut.is_semiregular(domain) == oracles.is_semiregular_by_sets(aut, domain)
+    assert aut.is_semiregular() == oracles.is_semiregular_by_sets(aut)
 
 
 def test_order_before_and_after_the_labels_are_cached():
@@ -105,8 +104,7 @@ def test_semiregular_groups_and_quotients_match_the_loops(make):
         oracles.chain_group(bg.graph.n, [right_translation(bg, G.pow(b, G.mod_j // 3))]),
     ]
     for N in groups:
-        for domain in (None, [0], range(bg.half, bg.graph.n)):
-            assert N.is_semiregular(domain) == oracles.is_semiregular_by_sets(N, domain)
+        assert N.is_semiregular() == oracles.is_semiregular_by_sets(N)
         assert N.orbits() == oracles.orbits_by_scan(N.orbit_labels())
         q, report = quotient_graph(bg, N)
         q_ref, sizes = oracles.quotient_by_unique(bg.graph, N)
