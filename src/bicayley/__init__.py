@@ -17,7 +17,6 @@ from .bicay import (
 from .families import (
     CensusClass,
     CensusResult,
-    FamilySpec,
     abelian_family,
     build_family,
     census,

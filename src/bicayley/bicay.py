@@ -72,10 +72,6 @@ class BiCayleyGraph:
             raise InvariantViolation("part must be 0 or 1")
         return self.group.rank(h) + part * self.half
 
-    def vertex(self, idx: int) -> tuple[Element, int]:
-        part, r = divmod(idx, self.half)
-        return self.group.unrank(r), part
-
     def __repr__(self) -> str:
         return (
             f"BiCayleyGraph(|H|={self.half}, |R|={len(self.R)}, "

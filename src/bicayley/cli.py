@@ -2,7 +2,8 @@
 
 Every run emits a single JSON document on stdout unless a file format
 (graph6 or edge list) was requested.  Exit codes: 0 success, 1 verification
-failure, 2 usage or input error.
+failure, 2 usage or input error.  `family` passes its options to
+`families.build_family`; `verify --target arithmetic` bounds trials * |H|.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ def _read_graph(path: str, fmt: str) -> Graph:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    spec = families.FamilySpec(kind=args.kind, t=args.t, m=args.m, n=args.n)
-    bg = families.build_family(spec)
+    bg = families.build_family(args.kind, args.t, args.m, args.n)
     _emit_graph(bg.graph, args.format, args.out)
     return 0
 
@@ -91,8 +91,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-# a time bound on the oracle: 10^5 trials take ~0.55 s at |H| = 27 and ~1.7 s
-# at |H| = 729 (2-core Intel Xeon), so 10^6 stays under a minute
+# a time bound on the oracle: 10^5 trials take ~0.55 s at |H| = 27 and ~1.7 s at
+# |H| = 729 (2-core Intel Xeon), so 10^6 stay under a minute; the time grows with
+# trials * |H| (4000 trials take 4.3 s at |H| = 3^9), held to TRIALS_BUDGET * 3^6
 TRIALS_BUDGET = 10**6
 # trials drawn at a time; the powers of a chunk of the block's distinct
 # elements come from one perm_powers call, every exponent of each element
@@ -123,6 +124,8 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
     group.check_enumerable()
     if group.order > DEGREE_BUDGET:
         raise BudgetError(f"degree {group.order} exceeds the budget {DEGREE_BUDGET}")
+    if args.trials > (most := TRIALS_BUDGET * 3**6 // group.order):
+        raise ParameterError(f"--trials must be at most {most} at |H| = {group.order}, got {args.trials}")
     els, rank, size = group.elements(), group.rank, group.order
     gens = (group.gen_a, group.gen_b)
     # |<rho_a, rho_b>| by a centralizer certificate; rho_g is h -> h g and lambda_g

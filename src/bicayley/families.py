@@ -8,6 +8,9 @@ Two one-parameter families over inner-abelian metacyclic 3-groups:
   * sigma_t: group (3, t+1, t+1, t), spokes {1, b, b^-1 a}; connected cubic
     on 2 * 3^(2t+2) vertices, arc-transitive.
 
+`build_family(kind, t, m, n)` checks the kind and that its parameters are
+given; `gamma_t`, `sigma_t` and `abelian_family` check their values.
+
 The verifiers re-derive the generator-image certificates behind those two
 facts with exact arithmetic and, within the engine budget, confirm the
 classification on the actual graph.  Both are built from four helpers:
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import symmetry
-from .bicay import BiCayleyGraph, delta_map, right_translation, sigma_map
+from .bicay import BiCayleyGraph, delta_map, right_group, sigma_map
 from .errors import BudgetError, NoLambdaError, ParameterError
 from .graphs import graph6_encode
 from .metacyclic import (
@@ -48,26 +51,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 FAMILY_T_BUDGET = 3
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameters naming one member of a graph family."""
-
-    kind: str  # "gamma" | "sigma" | "abelian"
-    t: int | None = None
-    m: int | None = None
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.kind in ("gamma", "sigma"):
-            if self.t is None or self.t < 1:
-                raise ParameterError("gamma/sigma need a positive parameter t")
-        elif self.kind == "abelian":
-            if self.m is None or self.n is None or self.n * self.m * self.m < 3:
-                raise ParameterError("abelian family needs m, n with n*m^2 >= 3")
-        else:
-            raise ParameterError(f"unknown family kind {self.kind!r}")
 
 
 def gamma_group(t: int) -> MetacyclicGroup:
@@ -118,7 +101,7 @@ def find_lambda(n: int) -> int:
 def abelian_family(m: int, n: int) -> BiCayleyGraph:
     """BiCay(Z_nm x Z_m, {}, {}, {1, x, x^lambda y}) with lambda^2-lambda+1 = 0 mod n."""
     if n * m * m < 3:
-        raise ParameterError("need n*m^2 >= 3")
+        raise ParameterError("abelian family needs m, n with n*m^2 >= 3")
     if n * m * m > CLOSURE_BUDGET:  # before find_lambda's loop over Z_n
         raise BudgetError(f"group order {n * m * m} exceeds enumeration budget")
     lam = find_lambda(n)
@@ -128,12 +111,19 @@ def abelian_family(m: int, n: int) -> BiCayleyGraph:
     return BiCayleyGraph(G, (), (), spokes)
 
 
-def build_family(spec: FamilySpec) -> BiCayleyGraph:
-    if spec.kind == "gamma":
-        return gamma_t(spec.t)
-    if spec.kind == "sigma":
-        return sigma_t(spec.t)
-    return abelian_family(spec.m, spec.n)
+def build_family(kind: str, t: int | None = None, m: int | None = None, n: int | None = None) -> BiCayleyGraph:
+    """The member of a family by name: gamma_t(t), sigma_t(t) or
+    abelian_family(m, n).  Only the kind and the presence of its parameters
+    are checked here; the builder checks their values."""
+    if kind in ("gamma", "sigma"):
+        if t is None:
+            raise ParameterError("gamma/sigma need a positive parameter t")
+        return gamma_t(t) if kind == "gamma" else sigma_t(t)
+    if kind == "abelian":
+        if m is None or n is None:
+            raise ParameterError("abelian family needs m, n with n*m^2 >= 3")
+        return abelian_family(m, n)
+    raise ParameterError(f"unknown family kind {kind!r}")
 
 
 # -- claim verification -------------------------------------------------------
@@ -207,8 +197,8 @@ def verify_semisymmetric_family(t: int, full_aut: bool | None = None) -> dict:
     must report semisymmetric.  full_aut defaults to the full group when the
     member fits the engine's vertex budget (5000): gamma_1..3 all do.
     """
-    _check_t(t)
-    G = gamma_group(t)
+    bg = gamma_t(t)
+    G = bg.group
     a, b = G.gen_a, G.gen_b
     rotation = (G.mul(G.pow(a, -2), b), G.mul(G.pow(a, 3**t - 3), b))
     report = _member("gamma", t, G)
@@ -221,7 +211,6 @@ def verify_semisymmetric_family(t: int, full_aut: bool | None = None) -> dict:
         # a |-> b^-1 a plus a^-1 b |-> a^-1 forces b |-> b^-1
         swap_images_rejected=(G.mul(G.inv(b), a), G.inv(b)),
     )
-    bg = gamma_t(t)
     _, checks = _spoke_rotation(report, bg, rotation, a)
     report["part_swap_excluded"] = (not inversion.ok) and (not swap.ok)
     checks += [
@@ -245,14 +234,15 @@ def verify_symmetric_family(t: int, full_aut: bool | None = None, graph_checks: 
     group when the member fits the engine's vertex budget (5000): sigma_1..2
     do, sigma_3 (13122 vertices) does not.
     """
-    _check_t(t)
-    H = sigma_group(t)
+    bg = sigma_t(t) if graph_checks is None or graph_checks else None
+    if bg is None:
+        _check_t(t)
+    H = sigma_group(t) if bg is None else bg.group
     a, b = H.gen_a, H.gen_b
     rotation = (H.mul(H.pow(a, 2 * 3**t + 1), H.pow(b, -3)), H.mul(H.pow(a, 2 * 3**t + 1), H.pow(b, -2)))
     inversion = (H.inv(a), H.mul(H.inv(a), b))
     report = _member("sigma", t, H)
     checks = [rep.ok for rep in _check_images(report, H, rotation_images=rotation, inversion_images=inversion)]
-    bg = sigma_t(t) if graph_checks is None or graph_checks else None
     if bg is not None:
         sig, spoke_checks = _spoke_rotation(report, bg, rotation, b)
         delt = delta_map(bg, make_automorphism(H, *inversion), H.identity, H.identity)
@@ -263,7 +253,7 @@ def verify_symmetric_family(t: int, full_aut: bool | None = None, graph_checks: 
             "failed_condition": delt.failed_condition,
             "swaps_identity_vertices": swaps,
         }
-        gens = [right_translation(bg, a), right_translation(bg, b), sig, delt.permutation]
+        gens = [*right_group(bg).generators, sig, delt.permutation]
         keys, labels, _ = arc_orbits(bg.graph, [g for g in gens if g is not None])
         arc = keys.searchsorted(base0 * bg.graph.n + base1)
         report["arc_orbit_size"] = int((labels == labels[arc]).sum())
@@ -349,7 +339,7 @@ def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
     and one `generates` test per orbit drops the disconnected graphs.  Orbits only bound the classes from above: one
     `canonical_search` per orbit gives the class digest and the group that
     `classify` receives.  On a connected graph that search starts with the
-    two right translations that generate R(H).  A group above `TABLE_BUDGET`
+    generators of R(H) from `right_group`.  A group above `TABLE_BUDGET`
     is refused (`BudgetError`) by `_pair_moves` before any group kernel runs.
     """
     import numpy as np
@@ -374,7 +364,7 @@ def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
         bg = BiCayleyGraph(group, (), (), spokes)
         graph = bg.graph
         # canonical_search takes known automorphisms on a connected graph only
-        known = [right_translation(bg, g) for g in (group.gen_a, group.gen_b)] if connected else ()
+        known = right_group(bg).generators if connected else ()
         labelling, aut = canonical_search(graph, known)
         # roots come in enumeration order, so each class keeps its first pair
         entry = buckets.setdefault(graph6_encode(graph.relabel(labelling)), [spokes, 0, graph, aut])

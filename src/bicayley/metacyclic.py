@@ -240,12 +240,6 @@ class PairGroup:
     def element_str(self, g: Element) -> str:
         return f"b^{g[0]}*a^{g[1]}"
 
-    def parse_element(self, text: str) -> Element:
-        parts = text.replace(" ", "").split("*")
-        if len(parts) != 2 or not parts[0].startswith("b^") or not parts[1].startswith("a^"):
-            raise ParameterError(f"cannot parse element {text!r}, expected 'b^j*a^i'")
-        return (int(parts[0][2:]) % self.mod_j, int(parts[1][2:]) % self.mod_i)
-
 
 class MetacyclicGroup(PairGroup):
     """Split metacyclic p-group <a, b | a^{p^m} = b^{p^n} = 1, b^-1 a b = a^{1+p^r}>.
@@ -402,8 +396,6 @@ class PairRelationReport:
     b_order_ok: bool
     conjugation_ok: bool
     generates: bool
-    conj_lhs: Element
-    conj_rhs: Element
     forced_a_exponents: tuple[int, ...] = ()
 
     @property
@@ -435,7 +427,7 @@ def check_generator_images(G: PairGroup, x: Element, y: Element) -> PairRelation
         if defect[0] == 0:
             forced = tuple(sorted({defect[1], (-defect[1]) % G.mod_i}))
     generates = G.generates(x, y)
-    return PairRelationReport(a_ok, b_ok, conj_ok, generates, lhs, rhs, forced)
+    return PairRelationReport(a_ok, b_ok, conj_ok, generates, forced)
 
 
 def make_automorphism(G: PairGroup, x: Element, y: Element) -> GroupMap:

@@ -90,13 +90,13 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .bicay import BiCayleyGraph, right_translation
+from .bicay import BiCayleyGraph, right_group, right_translation
 from .errors import BudgetError, DegreeMismatch, InvalidMapError, PreconditionError
 from .graphs import Graph, graph6_encode
 from .permgroup import PermGroup, invert, orbit_labels
@@ -523,14 +523,7 @@ class SymmetryReport:
     stabilizer_order: int
 
     def to_dict(self) -> dict:
-        return {
-            "aut_order": self.aut_order,
-            "vertex_orbits": self.vertex_orbits,
-            "edge_orbits": self.edge_orbits,
-            "arc_orbits": self.arc_orbits,
-            "classification": self.classification,
-            "stabilizer_order": self.stabilizer_order,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -633,9 +626,9 @@ def check_stabilizer_law(graph: Graph, report: SymmetryReport | None = None) -> 
 def check_normal_bicayley(bg: BiCayleyGraph) -> bool:
     """Whether R(H) is normal in Aut of the graph, with no stabilizer chain: R(H) is
     regular on each part, so c lies in it iff c sends 1_0 to some h_0 and is the
-    right translation by h.  That is tested on g^-1 r g for R(H)'s two generators r
-    and Aut's generators g; g^-1 R(H) g inside R(H) is R(H), both being finite."""
+    right translation by h.  That is tested on g^-1 r g for the generators r of
+    `right_group` and Aut's generators g; g^-1 R(H) g inside R(H) is R(H), both being finite."""
     G = bg.group
-    gens = [right_translation(bg, G.gen_a), right_translation(bg, G.gen_b)]
+    gens = right_group(bg).generators
     conjugates = (g[r[invert(g)]] for g in aut_group(bg.graph).generators for r in gens)  # g^-1 r g
     return all(c[0] < bg.half and np.array_equal(c, right_translation(bg, G.unrank(int(c[0])))) for c in conjugates)

@@ -412,10 +412,6 @@ def is_normal(G: PermGroup, N: PermGroup) -> bool:
     return True
 
 
-def membership_by_enumeration(group_elements, perm):
-    return tuple(perm) in {tuple(p) for p in group_elements}
-
-
 def census_by_pairs(group, connected_only=True):
     """The census by one canonical labelling per generating pair."""
     from bicayley.bicay import BiCayleyGraph

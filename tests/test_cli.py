@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from bicayley.cli import main
+from bicayley.cli import TRIALS_BUDGET, main
 from bicayley.graphs import Graph, graph6_encode, parse_edge_list
 from bicayley.metacyclic import TABLE_BUDGET, PairGroup, make_group
 from bicayley.permgroup import PermGroup
@@ -181,6 +182,8 @@ def test_non_ascii_integer_option_is_a_usage_error(argv, option):
     ("verify", "--target", "lemma53"),  # not a choice
     ("verify", "--target", "lemma51", "--t", "\uff13"),  # a non-ASCII integer
     ("nonsense",),  # no such command
+    ("family", "--kind", "gamma"),  # no --t: the library's error
+    ("family", "--kind", "abelian", "--m", "3"),  # no --n
 ])
 def test_argument_errors_print_one_error_line(argv):
     # argparse errors take the shape of library errors: no usage block
@@ -210,6 +213,26 @@ def test_trial_count_over_budget_is_a_usage_error():
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "--trials" in lines[0]
     assert "Traceback" not in proc.stderr
+
+
+def test_trial_count_is_bounded_by_the_group_order(capsys):
+    """trials * |H| is held to TRIALS_BUDGET * 3^6, so a count that would run
+    for minutes at |H| = 3^9 is refused before any draw."""
+    assert 37038 * 3**9 > TRIALS_BUDGET * 3**6 >= 37037 * 3**9
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--target", "arithmetic", "--p", "3", "--m", "5", "--n", "4",
+                             "--r", "4", "--trials", "37038")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --trials must be at most 37037 at |H| = 19683")
+
+
+def test_family_parameter_values_are_checked_by_the_builder(capsys):
+    code, out, err = run_cli(capsys, "family", "--kind", "sigma", "--t", "0")
+    assert (code, out, err) == (2, "", "error: t must be a positive integer\n")
+    code, out, err = run_cli(capsys, "family", "--kind", "abelian", "--m", "1", "--n", "1")
+    assert (code, out, err) == (2, "", "error: abelian family needs m, n with n*m^2 >= 3\n")
 
 
 def test_zero_trials_checks_rows_and_order(capsys):

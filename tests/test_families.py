@@ -3,7 +3,6 @@ import json
 import pytest
 
 from bicayley import (
-    FamilySpec,
     abelian_family,
     build_family,
     canonical_form,
@@ -16,7 +15,7 @@ from bicayley import (
     sigma_t,
     symmetry,
 )
-from bicayley.errors import BudgetError, NoLambdaError, ParameterError
+from bicayley.errors import BudgetError, NoLambdaError, ParameterError, UsageError
 from bicayley.families import verify_semisymmetric_family, verify_symmetric_family
 from bicayley.graphs import Graph
 
@@ -52,15 +51,52 @@ def test_family_budget_and_validation():
     with pytest.raises(ParameterError):
         gamma_t(0)
     with pytest.raises(ParameterError):
-        FamilySpec(kind="nope")
+        build_family("nope")
     with pytest.raises(ParameterError):
-        FamilySpec(kind="abelian", m=1, n=1)
+        build_family("abelian", m=1, n=1)
 
 
 def test_build_family_dispatch():
-    assert build_family(FamilySpec(kind="gamma", t=1)).graph.n == 54
-    assert build_family(FamilySpec(kind="sigma", t=1)).graph.n == 162
-    assert build_family(FamilySpec(kind="abelian", m=3, n=1)).graph.n == 18
+    assert build_family("gamma", t=1).graph.n == 54
+    assert build_family("sigma", t=1).graph.n == 162
+    assert build_family("abelian", m=3, n=1).graph.n == 18
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    pytest.param("nope", {"t": 1}, "unknown family kind 'nope'", id="nope"),
+    pytest.param("Gamma", {"t": 1}, "unknown family kind 'Gamma'", id="Gamma"),
+    pytest.param("gamma", {}, "gamma/sigma need a positive parameter t", id="gamma"),
+    pytest.param("sigma", {"m": 3, "n": 1}, "gamma/sigma need a positive parameter t", id="sigma_m_n"),
+    pytest.param("abelian", {}, "abelian family needs m, n with n*m^2 >= 3", id="abelian"),
+    pytest.param("abelian", {"m": 3}, "abelian family needs m, n with n*m^2 >= 3", id="abelian_m"),
+    pytest.param("abelian", {"n": 3, "t": 1}, "abelian family needs m, n with n*m^2 >= 3", id="abelian_n_t"),
+])
+def test_build_family_refuses_an_unknown_kind_or_a_missing_parameter(kind, params, message):
+    with pytest.raises(ParameterError) as exc:
+        build_family(kind, **params)
+    assert str(exc.value) == message
+
+
+INVALID_VALUES = [
+    ("gamma", {"t": 0}), ("sigma", {"t": -3}), ("gamma", {"t": 4}), ("sigma", {"t": 4}),
+    ("abelian", {"m": 1, "n": 1}), ("abelian", {"m": 0, "n": 5}),
+    ("abelian", {"m": 1, "n": 9}),  # no lambda mod 9
+    ("abelian", {"m": 1, "n": 10**18}), ("abelian", {"m": -1, "n": 3}),
+]
+
+
+@pytest.mark.parametrize("kind, params", INVALID_VALUES,
+                         ids=[f"{kind}_{'_'.join(map(str, p.values()))}" for kind, p in INVALID_VALUES])
+def test_build_family_raises_the_builders_own_error(kind, params):
+    """An invalid value is the builder's to refuse: build_family raises the
+    type and the message that the builder raises on its own."""
+    builder = {"gamma": gamma_t, "sigma": sigma_t, "abelian": abelian_family}[kind]
+    with pytest.raises(UsageError) as direct:
+        builder(**params)
+    with pytest.raises(UsageError) as dispatched:
+        build_family(kind, **params)
+    assert type(dispatched.value) is type(direct.value)
+    assert str(dispatched.value) == str(direct.value)
 
 
 def test_find_lambda():

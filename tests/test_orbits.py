@@ -1,7 +1,6 @@
 """Basic orbits, orbit lists, semiregularity and quotients against the Python
 loops they replaced (`tests/oracles.py`) and the generic Schreier-Sims chain."""
 
-import itertools
 import math
 import os
 import subprocess
@@ -11,7 +10,6 @@ import numpy as np
 import pytest
 
 from bicayley import (
-    Graph,
     PermGroup,
     aut_group,
     gamma_t,
@@ -23,32 +21,7 @@ from bicayley import (
 from bicayley.permgroup import orbit_labels
 
 from . import oracles
-
-
-def complete(n):
-    return Graph(n, list(itertools.combinations(range(n), 2)))
-
-
-def complete_bipartite(n):
-    return Graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
-
-
-def star(k):
-    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
-
-
-def hypercube(d):
-    return Graph(2**d, [(v, v | 1 << b) for v in range(2**d) for b in range(d) if not v >> b & 1])
-
-
-def copies(g, m):
-    return Graph(g.n * m, [(u + c * g.n, v + c * g.n) for c in range(m) for u, v in g.edges])
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, outer + [(i, i + 5) for i in range(5)] + inner)
+from .graph_builders import complete, complete_bipartite, copies, hypercube, petersen, star
 
 
 # (label, graph, |Aut|); K_n above 16 only at 24 and 40, where the oracle's

@@ -26,6 +26,7 @@ from bicayley.permgroup import (
 from bicayley.symmetry import arc_orbits
 
 from . import oracles
+from .graph_builders import copies, hypercube, petersen, relabel, star
 
 DEGREES = (0, 1, 2, 3, 7, 30, 200)
 
@@ -388,36 +389,15 @@ def test_is_normal_matches_sympy_on_random_pairs():
 # -- orbit counts of classify ----------------------------------------------------------
 
 
-def star(k):
-    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, outer + [(i, i + 5) for i in range(5)] + inner)
-
-
-def copies(g, m):
-    return Graph(g.n * m, [(u + c * g.n, v + c * g.n) for c in range(m) for u, v in g.edges])
-
-
 def analyze_pool():
     """The graphs of the benchmark's analyze workload."""
-    hypercube7 = Graph(128, [(v, v ^ (1 << b)) for v in range(128) for b in range(7) if v < v ^ (1 << b)])
     gray = gamma_t(1).graph
     return [
         sigma_t(1).graph, sigma_t(2).graph, abelian_family(5, 13).graph, gamma_t(2).graph,
         abelian_family(9, 1).graph, abelian_family(3, 7).graph, gray, copies(gray, 3),
-        copies(petersen(), 4), star(16), hypercube7,
+        copies(petersen(), 4), star(16), hypercube(7),
         Graph(16, [(i, 8 + j) for i in range(8) for j in range(8)]),
     ]
-
-
-def relabel(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return g.relabel(perm)
 
 
 def test_classify_orbit_counts_match_tuple_oracles():

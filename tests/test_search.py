@@ -26,29 +26,8 @@ from bicayley import (
 )
 
 from .oracles import brute_force_aut_order, refine_by_rows
-from .test_symmetry import copies, disjoint_union, petersen, small_censuses
-
-
-def star(k):
-    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
-
-
-def hypercube(d):
-    return Graph(1 << d, [(v, v | 1 << b) for v in range(1 << d) for b in range(d) if not v >> b & 1])
-
-
-def complete(n):
-    return Graph(n, list(itertools.combinations(range(n), 2)))
-
-
-def complete_bipartite(n):
-    return Graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
-
-
-def relabel(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return g.relabel(perm)
+from .graph_builders import complete, complete_bipartite, copies, hypercube, petersen, relabel, star
+from .test_symmetry import disjoint_union, small_censuses
 
 
 def random_graph(n, p, rng):

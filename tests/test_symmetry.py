@@ -26,6 +26,7 @@ from bicayley import (
 from bicayley.errors import BudgetError, DegreeMismatch, PreconditionError
 from bicayley.metacyclic import PairGroup
 
+from .graph_builders import copies, petersen
 from .oracles import adjacency, brute_force_aut_order, chain_group, enumerate_elements, is_normal
 
 
@@ -35,13 +36,6 @@ def cycle(n):
 
 def k33():
     return Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, outer + spokes + inner)
 
 
 def prism():
@@ -435,10 +429,6 @@ def test_disconnected_aut_and_canon():
 
 
 # -- base and strong generators read off the search ------------------------------
-
-
-def copies(g, m):
-    return Graph(g.n * m, [(u + c * g.n, v + c * g.n) for c in range(m) for u, v in g.edges])
 
 
 def disjoint_union(*graphs):
