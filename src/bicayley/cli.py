@@ -17,7 +17,7 @@ from . import families
 from .errors import BudgetError, GraphParseError, ParameterError, UsageError
 from .graphs import _DECIMAL, Graph, format_edge_list, graph6_encode, graph_to_json_dict, parse_graph_text
 from .metacyclic import TABLE_BUDGET, make_group
-from .permgroup import DEGREE_BUDGET, compose, invert, orbit_labels, perm_powers
+from .permgroup import DEGREE_BUDGET, compose, invert, is_permutation, orbit_labels, perm_powers
 from .symmetry import classify
 
 
@@ -135,7 +135,7 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
     # is semiregular (Dixon & Mortimer, 1996, Thm 4.2A) and transitive: order |H|
     rho = [np.array([rank(group.mul(h, g)) for h in els]) for g in gens]
     lam = [np.array([rank(group.mul(g, h)) for h in els]) for g in gens]
-    regular = (all(np.array_equal(np.sort(row), np.arange(size)) for row in rho + lam)
+    regular = (all(is_permutation(row, size) for row in rho + lam)
                and all(np.array_equal(r[l], l[r]) for r in rho for l in lam)
                and all((orbit_labels(size, pair) == 0).all() for pair in (rho, lam)))
     order = size if regular else None  # a scalar law that fails the certificate

@@ -7,7 +7,7 @@ import re
 from typing import Iterable, Sequence
 
 from .errors import GraphParseError, InvariantViolation
-from .permgroup import DEGREE_BUDGET, orbit_labels, orbit_lists
+from .permgroup import DEGREE_BUDGET, _distinct_points, _validate_perm, is_permutation, orbit_labels, orbit_lists
 
 
 class Graph:
@@ -75,19 +75,18 @@ class Graph:
         itself, that is an automorphism of the graph."""
         import numpy as np  # see graph6_encode
 
-        perm = np.asarray(perm, dtype=np.intp)
-        if perm.shape != (self.n,) or not np.array_equal(np.sort(perm), np.arange(self.n)):
+        perm = np.asarray(perm)
+        if not is_permutation(perm, self.n):
             return False
         e = self.edges
-        a, b = perm[e].T
+        a, b = perm.astype(np.intp, copy=False)[e].T
         image = np.sort(np.minimum(a, b) * self.n + np.maximum(a, b))
         return bool(np.array_equal(image, e[:, 0] * self.n + e[:, 1]))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
-        """New graph with vertex v renamed to perm[v]."""
-        import numpy as np  # see graph6_encode
-
-        return Graph(self.n, np.asarray(perm, dtype=np.intp)[self.edges])
+        """New graph with vertex v renamed to perm[v]; a perm that is not a
+        permutation of [0, n) raises `_validate_perm`'s errors."""
+        return Graph(self.n, _validate_perm(perm, self.n)[self.edges])
 
     def is_connected(self) -> bool:
         return bool((orbit_labels(self.n, [self.edges]) == 0).all())
@@ -99,11 +98,15 @@ class Graph:
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph on distinct vertices; vertex k of the result is
-        vertices[k]."""
+        vertices[k].  Repeated, out-of-range or non-integer vertices raise
+        InvariantViolation."""
         import numpy as np  # see graph6_encode
 
+        vertices = np.asarray(vertices)
+        if not _distinct_points(vertices, self.n):
+            raise InvariantViolation(f"subgraph vertices must be distinct integers in [0, {self.n})")
         index = np.full(self.n, -1, dtype=np.intp)
-        index[np.asarray(vertices, dtype=np.intp)] = np.arange(len(vertices))
+        index[vertices.astype(np.intp, copy=False)] = np.arange(len(vertices))
         ends = index[self.edges]
         return Graph(len(vertices), ends[(ends >= 0).all(axis=1)])
 

@@ -8,8 +8,8 @@ powers and inverses, so every element operation is O(log) integer work:
     (b^{j1} a^{i1}) (b^{j2} a^{i2}) = b^{j1+j2} a^{i1 w^{j2} + i2}
     (b^j a^i)^k                     = b^{kj} a^{i (1 + w^j + ... + w^{(k-1)j})}
 
-Setting w = 1 degenerates the same law to Z_{mod_j} x Z_{mod_i}, which is how
-the abelian handle used by the one-matching abelian families is realised.
+Setting w = 1 degenerates the same law to Z_{mod_j} x Z_{mod_i}, the abelian
+handle of the abelian families; both decide generation by one Frattini test.
 """
 
 from __future__ import annotations
@@ -241,6 +241,21 @@ class PairGroup:
         return f"b^{g[0]}*a^{g[1]}"
 
 
+def _generates_mod_frattini(G: PairGroup, x: Element, y: Element) -> bool:
+    """Whether <x, y> = G, for the two nilpotent handles.  In both G' lies in
+    <a^q> for every prime q of |G|, so G/Phi(G) is the sum over q of G/G'G^q,
+    b^j a^i read as (j, i) mod q: Z_q^2 if q divides both moduli, spanned iff
+    det(x, y) != 0 mod q (Burnside), else Z_q, coordinate c of the modulus q divides."""
+    for q in G._order_primes:
+        c = int(G.mod_i % q == 0)
+        if G.mod_j % q == G.mod_i % q == 0:
+            if (x[0] * y[1] - x[1] * y[0]) % q == 0:
+                return False
+        elif x[c] % q == 0 and y[c] % q == 0:
+            return False
+    return True
+
+
 class MetacyclicGroup(PairGroup):
     """Split metacyclic p-group <a, b | a^{p^m} = b^{p^n} = 1, b^-1 a b = a^{1+p^r}>.
 
@@ -279,14 +294,7 @@ class MetacyclicGroup(PairGroup):
     def params(self) -> tuple[int, int, int, int]:
         return (self.p, self.m, self.n, self.r)
 
-    def generates(self, x: Element, y: Element) -> bool:
-        """Whether <x, y> = G, by the Burnside basis theorem.
-
-        G' = <a^{p^r}> with r >= 1, so Phi(G) = <a^p, b^p> and b^j a^i maps to
-        (j, i) mod p in G/Phi(G) = Z_p^2; x and y generate G exactly when
-        their images are independent there.
-        """
-        return (x[0] * y[1] - x[1] * y[0]) % self.p != 0
+    generates = _generates_mod_frattini
 
     def automorphism_generators(self) -> list[GroupMap]:
         """Automorphisms that generate Aut(G), each fixing the other generator:
@@ -347,24 +355,7 @@ class AbelianPairGroup(PairGroup):
     def __init__(self, mod_j: int, mod_i: int):
         super().__init__(mod_j, mod_i, 1, 1)
 
-    def generates(self, x: Element, y: Element) -> bool:
-        """Whether <x, y> = G, in the Frattini quotient.
-
-        G/Phi(G) is the sum of G/qG over the primes q of |G|, and x, y
-        generate G exactly when they generate every G/qG.  G/qG is Z_q^2
-        (coordinates (j, i) mod q) when q divides both moduli, where that
-        means det(x, y) != 0 mod q, and Z_q (one coordinate mod q) when q
-        divides one modulus, where that coordinate of x or of y is not 0 mod q.
-        """
-        for q in self._order_primes:
-            if self.mod_j % q == 0 and self.mod_i % q == 0:
-                if (x[0] * y[1] - x[1] * y[0]) % q == 0:
-                    return False
-            else:
-                c = 0 if self.mod_j % q == 0 else 1
-                if x[c] % q == 0 and y[c] % q == 0:
-                    return False
-        return True
+    generates = _generates_mod_frattini
 
 
 def make_group(p: int, m: int, n: int, r: int) -> MetacyclicGroup:

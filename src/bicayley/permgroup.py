@@ -2,7 +2,8 @@
 
 A permutation is a contiguous 1-d ``np.intp`` array of images on [0, degree):
 ``compose(p, q)`` is ``q[p]`` and `invert` one scatter.  Public functions also
-take any integer sequence; group generators are read-only arrays.
+take any integer sequence; `is_permutation` alone decides, in O(degree) and for
+integer images only, if one is a permutation.  Generators are read-only arrays.
 `compose` and `invert` also take an (m, n) stack of permutations, one a
 row, in any integer dtype, and work row by row with one numpy operation for
 all rows.  Powers have one kernel: `perm_powers` takes a stack with the row
@@ -241,14 +242,32 @@ def orbit_lists(labels: Perm) -> list[list[int]]:
     return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def _distinct_points(p: Perm, degree: int) -> bool:
+    """Whether p, a 1-d array, holds distinct integer points of [0, degree); any empty p does."""
+    import numpy as np
+    if p.ndim != 1 or len(p) and (p.dtype.kind not in "iu" or p.min() < 0 or p.max() >= degree):
+        return False
+    marks = np.zeros(degree, bool)
+    marks[p.astype(np.intp, copy=False)] = True
+    return int(np.count_nonzero(marks)) == len(p)
+
+
+def is_permutation(p: Sequence[int], degree: int) -> bool:
+    """Whether p is `degree` distinct points of [0, degree) (`_distinct_points`)."""
+    import numpy as np
+    p = np.asarray(p)
+    return p.shape == (degree,) and _distinct_points(p, degree)
+
+
 def _validate_perm(p: Sequence[int], degree: int) -> Perm:
     """A read-only private copy of p, checked to be a permutation of [0, degree)."""
     import numpy as np
-    arr = np.array(p, dtype=np.intp)
+    arr = np.array(p)
     if arr.shape != (degree,):
         raise DegreeMismatch(f"permutation of length {arr.size}, expected {degree}")
-    if not np.array_equal(np.sort(arr), identity(degree)):
+    if not is_permutation(arr, degree):
         raise InvariantViolation("images are not a bijection on the domain")
+    arr = arr.astype(np.intp, copy=False)
     arr.flags.writeable = False
     return arr
 
@@ -302,10 +321,11 @@ class PermGroup:
             if not 0 <= b < degree:
                 raise InvariantViolation(f"base point {b} outside degree {degree}")
         points = as_perm(self._base)
-        for g in gens:
-            if (g[points] == points).all():
-                raise InvariantViolation("a generator fixes the whole base")
+        moved = [g[points] != points for g in gens]
+        if not all(m.any() for m in moved):
+            raise InvariantViolation("a generator fixes the whole base")
         self.generators: tuple[Perm, ...] = tuple(gens)
+        self._depth = [int(m.argmax()) for m in moved]  # the first base point each moves
         self._levels: list[tuple[int, dict[int, Perm]]] | None = None
         self._labels: Perm | None = None
 
@@ -330,23 +350,12 @@ class PermGroup:
 
     # -- base and strong generators ----------------------------------------------
 
-    def _depths(self) -> list[int]:
-        """For each generator, the index of the first base point it moves
-        (`__init__` ensures it moves one): the generators of depth >= i fix
-        base[:i] and generate its pointwise stabilizer."""
-        import numpy as np
-        if not self.generators:
-            return []
-        base = as_perm(self._base)
-        return (np.stack([g[base] for g in self.generators]) != base).argmax(axis=1).tolist()
-
     def _build_chain(self) -> list[tuple[int, dict[int, Perm]]]:
         """(base[i], the transversal of its basic orbit) for every level i."""
         if self._levels is None:
-            depths = self._depths()
             pairs = [(g, invert(g)) for g in self.generators]  # one inverse per generator
             self._levels = [
-                (b, _transversal(b, [pr for pr, d in zip(pairs, depths) if d >= i], self.degree))
+                (b, _transversal(b, [pr for pr, d in zip(pairs, self._depth) if d >= i], self.degree))
                 for i, b in enumerate(self._base)
             ]
         return self._levels
@@ -361,7 +370,7 @@ class PermGroup:
         if not self.generators:
             return 1
         levels: dict[int, list[Perm]] = {}
-        for g, i in zip(self.generators, self._depths()):
+        for g, i in zip(self.generators, self._depth):
             levels.setdefault(i, []).append(g)
         labels, n = None, 1
         for i in sorted(levels, reverse=True):

@@ -397,10 +397,10 @@ def _known_automorphisms(graph: Graph, automorphisms: Iterable) -> list[np.ndarr
     automorphism of the graph (`InvalidMapError` otherwise)."""
     known = []
     for g in automorphisms:
-        perm = np.ascontiguousarray(g, dtype=np.intp)
+        perm = np.asarray(g)  # checked before the conversion, which would truncate
         if not graph.preserves_edges(perm):
             raise InvalidMapError("a known automorphism is not an automorphism of the graph")
-        known.append(perm)
+        known.append(np.ascontiguousarray(perm, dtype=np.intp))
     return known
 
 

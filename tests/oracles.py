@@ -683,6 +683,12 @@ def perm_power(p: Perm, k: int) -> Perm:
     return result
 
 
+def is_permutation_by_sort(p, degree: int) -> bool:
+    """Whether the integer sequence p, sorted, is 0, 1, ..., degree - 1 (the
+    library's former sort-and-compare test)."""
+    return sorted(int(x) for x in p) == list(range(degree))
+
+
 def cycle_type(p: Perm) -> tuple[int, ...]:
     seen = [False] * len(p)
     sizes = []

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from bicayley.errors import GraphParseError, InvariantViolation
+from bicayley.errors import DegreeMismatch, GraphParseError, InvariantViolation
 from bicayley.graphs import (
     Graph,
     format_edge_list,
@@ -194,14 +194,37 @@ def test_auto_detection():
 def test_relabel():
     g = Graph(3, [(0, 1)])
     assert g.relabel([2, 1, 0]).edges.tolist() == [[1, 2]]
+    assert g.relabel(np.array([2, 1, 0], dtype=np.uint8)) == g.relabel([2, 1, 0])
+
+
+def test_relabel_refuses_a_map_that_is_not_a_permutation():
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    # a repeat, truncated float images, a bool array and a wrapping -1
+    for bad in ([0, 1, 0, 2], [3.9, 2.1, 1.0, 0.0], [True, False, True, True], [0, 1, 2, -1]):
+        with pytest.raises(InvariantViolation, match="not a bijection"):
+            path.relabel(bad)
+    for bad in ([2, 1, 0], [0, 1, 2, 3, 4]):
+        with pytest.raises(DegreeMismatch, match="expected 4"):
+            path.relabel(bad)
+
+
+def test_subgraph_refuses_repeated_or_foreign_vertices():
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert path.subgraph([2, 1]) == Graph(2, [(0, 1)])
+    assert path.subgraph([]) == Graph(0, [])
+    for bad in ([0, 0, 1], [0, 7], [-1, 0], [0.0, 1.0], [[0, 1]], [0, 1, 2, 3, 0]):
+        with pytest.raises(InvariantViolation, match="distinct integers in \\[0, 4\\)"):
+            path.subgraph(bad)
 
 
 def test_preserves_edges_needs_a_permutation():
     g = Graph(4, [(0, 1)])
     assert g.preserves_edges([1, 0, 2, 3]) and g.preserves_edges([1, 0, 3, 2])
+    assert g.preserves_edges(np.array([1, 0, 3, 2], dtype=np.uint8))
     assert not g.preserves_edges([0, 2, 1, 3])
     # each maps the edge {0, 1} onto itself but is no permutation of [0, 4)
-    for bad in ([0, 1, 2, 2], [1, 0], [0, 1, -1, 3], [1, 0, 2, 3, 4]):
+    for bad in ([0, 1, 2, 2], [1, 0], [0, 1, -1, 3], [1, 0, 2, 3, 4], [1, 0, 3, -2], [1.0, 0.0, 2.0, 3.0],
+                [1, 0, 2.5, 3], [True, False, True, True], ["1", "0", "2", "3"]):
         assert not g.preserves_edges(bad), bad
 
 

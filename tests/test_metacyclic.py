@@ -1,3 +1,4 @@
+import random
 import time
 
 import numpy as np
@@ -247,6 +248,21 @@ TABLE_GROUPS = [
     for r in range(1, m)
     if m <= n + r and p ** (m + n) <= TABLE_BUDGET
 ]
+
+
+@pytest.mark.parametrize("params", [q for q in TABLE_GROUPS if q[0] <= 7])
+def test_generates_is_burnside_on_split_groups(params):
+    """On a split metacyclic p-group the Frattini test is Burnside's: x and
+    y generate exactly when their exponent pairs (j, i) are independent mod
+    p; a few sampled pairs are also checked against the closure."""
+    G = make_group(*params)
+    rng = random.Random(str(params))
+    els = G.elements()
+    for k in range(300):
+        x, y = rng.choice(els), rng.choice(els)
+        assert G.generates(x, y) == ((x[0] * y[1] - x[1] * y[0]) % G.p != 0), (params, x, y)
+        if k < 4:
+            assert G.generates(x, y) == (len(G.closure([x, y])) == G.order), (params, x, y)
 
 
 @pytest.mark.parametrize("params", TABLE_GROUPS)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bicayley import aut_group, canonical_form  # noqa: E402
 from bicayley.graphs import (  # noqa: E402
@@ -16,7 +16,15 @@ from bicayley.graphs import (  # noqa: E402
     parse_graph_text,
 )
 from bicayley.metacyclic import make_group  # noqa: E402
-from bicayley.permgroup import as_perm, compose, invert, orbit_labels, perm_power, perm_powers  # noqa: E402
+from bicayley.permgroup import (  # noqa: E402
+    as_perm,
+    compose,
+    invert,
+    is_permutation,
+    orbit_labels,
+    perm_power,
+    perm_powers,
+)
 
 from . import oracles  # noqa: E402
 from .test_symmetry import disjoint_union  # noqa: E402
@@ -186,6 +194,38 @@ def test_power_cases_catch_a_reduction_without_the_check():
     with pytest.raises(AssertionError):
         assert_powers_match_tuple_powers(lambda p, ks, at: (powers_reduced_unchecked if len(p) > 1 else perm_powers)
                                          (p, ks, at), rows + [list(range(5))], ks)
+
+
+# (degree, images): permutations, and integer lists with negatives, repeats,
+# out-of-range values and wrong lengths
+maps = st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
+    st.permutations(range(n)).map(list),
+    st.lists(st.integers(-3, n + 3), min_size=max(0, n - 2), max_size=n + 2),
+    st.permutations(range(n)).flatmap(lambda p: st.integers(-2, n + 2).flatmap(
+        lambda v: st.sampled_from(range(max(1, n))).map(lambda i: p[:i] + [v] + p[i + 1 :]))),
+)))
+
+
+@SETTINGS
+@given(maps, st.sampled_from([np.int8, np.int32, np.int64, np.intp, np.uint16, np.uint64]))
+def test_is_permutation_matches_sort_oracle(case, dtype):
+    n, images = case
+    assume(np.dtype(dtype).kind == "i" or min(images, default=0) >= 0)
+    expect = oracles.is_permutation_by_sort(images, n)
+    assert is_permutation(images, n) == expect
+    assert is_permutation(np.array(images, dtype=dtype), n) == expect
+
+
+@SETTINGS
+@given(perms)
+def test_is_permutation_refuses_other_image_types(p):
+    """Integer images only: a permutation as float, bool, str or object
+    images is refused, not truncated; an empty one is the empty permutation."""
+    n = len(p)
+    for images in (np.array(p, dtype=float), np.array(p) + 0.5, np.array(p, dtype=bool),
+                   np.array([str(x) for x in p]), np.array(p, dtype=object)):
+        assert is_permutation(images, n) == (n == 0), images.dtype
+    assert is_permutation(np.array(p, dtype=np.intp), n)
 
 
 @SETTINGS

@@ -48,6 +48,26 @@ def test_bad_permutation_rejected():
         PermGroup(3, [(0, 0, 1)], [0])
 
 
+def test_generators_and_members_must_be_integer_permutations():
+    """A repeat, a wrapping -1, a point past the degree and float, bool or
+    object images are refused as `InvariantViolation`, not truncated; a
+    wrong length is a `DegreeMismatch`."""
+    G = PermGroup(3, [(1, 2, 0)], [0])
+    for bad in ([0, 0, 2], [0, 1, -1], [1, 2, 3], [2.5, 1, 0], [1.0, 2.0, 0.0],
+                np.array([1, 2, 0], dtype=object), [True, False, True]):
+        with pytest.raises(InvariantViolation, match="not a bijection"):
+            PermGroup(3, [bad], [0])
+        with pytest.raises(InvariantViolation, match="not a bijection"):
+            G.contains(bad)
+    for bad in ([1, 0], [1, 2, 0, 3], [[1, 2, 0]]):
+        with pytest.raises(DegreeMismatch, match="expected 3"):
+            PermGroup(3, [bad], [0])
+        with pytest.raises(DegreeMismatch, match="expected 3"):
+            G.contains(bad)
+    assert G.contains(np.array([2, 0, 1], dtype=np.uint8)) and not G.contains([1, 0, 2])
+    assert PermGroup(3, [np.array([1, 2, 0], dtype=np.int8)], [0]).order() == 3
+
+
 def test_orbits():
     G = s4()
     assert G.orbit(0) == frozenset(range(4))

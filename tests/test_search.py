@@ -563,7 +563,8 @@ def test_seeded_search_rejects_bad_seeds():
     assert g.preserves_edges(rotation)
     swap = list(range(10))
     swap[0], swap[1] = 1, 0  # moves the edge {1, 2} onto the non-edge {0, 2}
-    for bad in (swap, rotation[:9], [0] * 10, rotation + [10]):
+    # the last two are the rotation with images truncation would take
+    for bad in (swap, rotation[:9], [0] * 10, rotation + [10], [v + 0.5 for v in rotation], [float(v) for v in rotation]):
         with pytest.raises(InvalidMapError):
             symmetry.canonical_search(g, [rotation, bad])
     two = copies(g, 2)
