@@ -185,10 +185,12 @@ def spoke_stabilizer_maps(bg: BiCayleyGraph) -> list[tuple[GroupMap, Element, Pe
     y -> g^-1 s' of one of the six spoke arrangements (g, s, s').  Each
     arrangement's rank row phi is grown along a breadth-first tree of right
     multiplications by x and y and kept only if it respects both steps at
-    every h, which makes it a homomorphism; its images of a and b are then
-    validated, making the returned family exhaustive over sigma maps.  These
-    are exactly the part-preserving elements of the normalizer of R(H) fixing
-    the identity vertex, so for a normal bi-Cayley graph
+    every h, which makes it a homomorphism.  Its images g^-1 s, g^-1 s' of x
+    and y generate H: with 1 they make g^-1 S, whose span holds g^-1 (1 is a
+    spoke), so g and S.  So it is an automorphism, `make_automorphism` on its
+    images of a and b cannot fail, and the family is exhaustive over sigma
+    maps.  These are exactly the part-preserving elements of the normalizer
+    of R(H) fixing the identity vertex, so for a normal bi-Cayley graph
     |Aut| = |H| * len(result) * (2 if a part-swapping map exists else 1).
     """
     import numpy as np
@@ -228,10 +230,7 @@ def spoke_stabilizer_maps(bg: BiCayleyGraph) -> list[tuple[GroupMap, Element, Pe
         # row[h s] = row[h] s^phi for both steps s and every h: a homomorphism
         if not all(np.array_equal(row[step], move[k][row]) for step, move in zip(steps, moves)):
             continue
-        try:
-            alpha = make_automorphism(G, G.unrank(int(row[ra])), G.unrank(int(row[rb])))
-        except InvalidMapError:
-            continue
+        alpha = make_automorphism(G, G.unrank(int(row[ra])), G.unrank(int(row[rb])))
         res = sigma_map(bg, alpha, g)
         if res.valid:
             out.append((alpha, g, res.permutation))

@@ -7,7 +7,8 @@ import re
 from typing import Iterable, Sequence
 
 from .errors import GraphParseError, InvariantViolation
-from .permgroup import DEGREE_BUDGET, _distinct_points, _validate_perm, is_permutation, orbit_labels, orbit_lists
+from .permgroup import (DEGREE_BUDGET, _distinct_points, _integer_array, _validate_perm, as_perm, is_permutation,
+                        orbit_labels, orbit_lists)
 
 
 class Graph:
@@ -32,11 +33,8 @@ class Graph:
         n = operator.index(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges) or np.empty((0, 2), dtype=np.intp)
-        try:
-            arr = np.asarray(edges)
-        except ValueError:  # rows of different lengths
-            arr = np.empty(0)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        arr = _integer_array(edges)
+        if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
             raise InvariantViolation("edges must be (u, v) pairs of integers")
         u, v = arr.astype(np.intp, copy=False).T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -75,11 +73,10 @@ class Graph:
         itself, that is an automorphism of the graph."""
         import numpy as np  # see graph6_encode
 
-        perm = np.asarray(perm)
         if not is_permutation(perm, self.n):
             return False
         e = self.edges
-        a, b = perm.astype(np.intp, copy=False)[e].T
+        a, b = as_perm(perm)[e].T
         image = np.sort(np.minimum(a, b) * self.n + np.maximum(a, b))
         return bool(np.array_equal(image, e[:, 0] * self.n + e[:, 1]))
 
@@ -102,11 +99,11 @@ class Graph:
         InvariantViolation."""
         import numpy as np  # see graph6_encode
 
-        vertices = np.asarray(vertices)
+        vertices = _integer_array(vertices)
         if not _distinct_points(vertices, self.n):
             raise InvariantViolation(f"subgraph vertices must be distinct integers in [0, {self.n})")
         index = np.full(self.n, -1, dtype=np.intp)
-        index[vertices.astype(np.intp, copy=False)] = np.arange(len(vertices))
+        index[vertices] = np.arange(len(vertices))
         ends = index[self.edges]
         return Graph(len(vertices), ends[(ends >= 0).all(axis=1)])
 

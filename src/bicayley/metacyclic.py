@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import BudgetError, InvalidMapError, ParameterError
-from .permgroup import DEGREE_BUDGET, PermGroup
+from .permgroup import DEGREE_BUDGET, PermGroup, as_perm
 
 Element = tuple[int, int]
 
@@ -205,12 +205,12 @@ class PairGroup:
         return self._product(J, I, g[0] % self.mod_j, g[1] % self.mod_i).reshape(-1)
 
     def right_mul_rows(self, ranks):
-        """right_mul_ranks(g) for the element g of each rank in [0, |G|) given,
-        as the rows of one (len(ranks), |G|) array."""
+        """right_mul_ranks(g) for the element g of each rank in [0, |G|) given
+        (integer ranks, `as_perm`), as the rows of one (len(ranks), |G|) array."""
         import numpy as np
 
         _, _, J, I = self._rank_grid()
-        j, i = np.divmod(np.asarray(ranks, dtype=np.intp)[:, None, None], self.mod_i)
+        j, i = np.divmod(as_perm(ranks)[:, None, None], self.mod_i)
         return self._product(J, I, j, i).reshape(-1, self.order)
 
     def left_mul_ranks(self, g: Element):

@@ -2,8 +2,11 @@
 
 A permutation is a contiguous 1-d ``np.intp`` array of images on [0, degree):
 ``compose(p, q)`` is ``q[p]`` and `invert` one scatter.  Public functions also
-take any integer sequence; `is_permutation` alone decides, in O(degree) and for
-integer images only, if one is a permutation.  Generators are read-only arrays.
+take any integer sequence, and `_integer_array` alone decides what that is for
+every point, map, stack, base and seed a caller passes: ragged rows and float,
+bool, str or object entries are refused, never truncated (predicates answer
+False, the rest raise `InvariantViolation`).  `is_permutation` alone decides,
+in O(degree), if one is a permutation.  Generators are read-only arrays.
 `compose` and `invert` also take an (m, n) stack of permutations, one a
 row, in any integer dtype, and work row by row with one numpy operation for
 all rows.  Powers have one kernel: `perm_powers` takes a stack with the row
@@ -41,11 +44,27 @@ if TYPE_CHECKING:
 DEGREE_BUDGET = 100_000
 
 
-def as_perm(p: Sequence[int]) -> Perm:
-    """p (a permutation or any list of points) as a contiguous np.intp array;
-    an array that already is one is not copied."""
+def _integer_array(p) -> Perm | None:
+    """p as an array, or None if p is ragged or has float, bool, str or object
+    entries; an integer ndarray is not copied, and an empty p is np.intp."""
     import numpy as np
-    return np.ascontiguousarray(p, dtype=np.intp)
+    try:
+        a = np.asarray(p)
+    except ValueError:  # rows of different lengths
+        return None
+    if a.dtype.kind in "iu":
+        return a
+    return None if a.size else a.astype(np.intp)
+
+
+def as_perm(p: Sequence[int]) -> Perm:
+    """p (a permutation or any list of integer points, `_integer_array`) as a
+    contiguous np.intp array; an array that already is one is not copied."""
+    import numpy as np
+    a = _integer_array(p)
+    if a is None:
+        raise InvariantViolation("points must be integers, in rows of one length")
+    return np.ascontiguousarray(a, dtype=np.intp)
 
 
 def identity(degree: int) -> Perm:
@@ -60,9 +79,8 @@ def is_identity(p: Sequence[int]) -> bool:
 def _perms(p) -> Perm:
     """p as a permutation (`as_perm`), or a 2-d stack of permutations, one a
     row, as it is: any integer dtype and memory layout."""
-    import numpy as np
-    a = np.asarray(p)
-    return a if a.ndim == 2 else as_perm(a)
+    a = _integer_array(p)
+    return a if a is not None and a.ndim == 2 else as_perm(p if a is None else a)
 
 
 def _flat(p: Perm) -> Perm:
@@ -126,7 +144,7 @@ def perm_powers(p: Perm, exponents: Iterable[int], rows: Iterable[int]) -> Perm:
     class and per squaring, whatever the number of rows.  A negative k
     inverts p^|k|."""
     import numpy as np
-    p = np.asarray(p)
+    p = _perms(p)
     if p.ndim != 2:
         raise TypeError("perm_powers takes an (m, n) stack; use perm_power for one permutation")
     m, n = p.shape
@@ -204,7 +222,8 @@ def orbit_labels(degree: int, generators: Sequence[Perm], labels: Perm | None = 
     is for the earlier generators together with the given ones.
     """
     import numpy as np
-    labels = np.arange(degree, dtype=np.intp) if labels is None else np.array(labels, dtype=np.intp)
+    generators = [_perms(g) for g in generators]
+    labels = identity(degree) if labels is None else as_perm(labels).copy()
     hooked = True
     while hooked:
         hooked = False
@@ -242,32 +261,31 @@ def orbit_lists(labels: Perm) -> list[list[int]]:
     return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _distinct_points(p: Perm, degree: int) -> bool:
-    """Whether p, a 1-d array, holds distinct integer points of [0, degree); any empty p does."""
+def _distinct_points(p: Perm | None, degree: int) -> bool:
+    """Whether p, an `_integer_array` result, is distinct points of [0, degree); any empty p is."""
     import numpy as np
-    if p.ndim != 1 or len(p) and (p.dtype.kind not in "iu" or p.min() < 0 or p.max() >= degree):
+    if p is None or p.ndim != 1 or len(p) and (p.min() < 0 or p.max() >= degree):
         return False
     marks = np.zeros(degree, bool)
-    marks[p.astype(np.intp, copy=False)] = True
+    marks[p] = True
     return int(np.count_nonzero(marks)) == len(p)
 
 
 def is_permutation(p: Sequence[int], degree: int) -> bool:
-    """Whether p is `degree` distinct points of [0, degree) (`_distinct_points`)."""
-    import numpy as np
-    p = np.asarray(p)
-    return p.shape == (degree,) and _distinct_points(p, degree)
+    """Whether p is `degree` distinct integer points of [0, degree) (`_distinct_points`)."""
+    p = _integer_array(p)
+    return p is not None and p.shape == (degree,) and _distinct_points(p, degree)
 
 
 def _validate_perm(p: Sequence[int], degree: int) -> Perm:
     """A read-only private copy of p, checked to be a permutation of [0, degree)."""
     import numpy as np
-    arr = np.array(p)
-    if arr.shape != (degree,):
+    arr = _integer_array(p)
+    if arr is not None and arr.shape != (degree,):
         raise DegreeMismatch(f"permutation of length {arr.size}, expected {degree}")
-    if not is_permutation(arr, degree):
+    if not _distinct_points(arr, degree):
         raise InvariantViolation("images are not a bijection on the domain")
-    arr = arr.astype(np.intp, copy=False)
+    arr = np.array(arr, dtype=np.intp)
     arr.flags.writeable = False
     return arr
 
@@ -316,11 +334,11 @@ class PermGroup:
             if key not in seen and not is_identity(p):
                 seen.add(key)
                 gens.append(p)
-        self._base: tuple[int, ...] = tuple(int(b) for b in base)
+        points = as_perm(base)
+        self._base: tuple[int, ...] = tuple(points.tolist())
         for b in self._base:
             if not 0 <= b < degree:
                 raise InvariantViolation(f"base point {b} outside degree {degree}")
-        points = as_perm(self._base)
         moved = [g[points] != points for g in gens]
         if not all(m.any() for m in moved):
             raise InvariantViolation("a generator fixes the whole base")
@@ -339,7 +357,7 @@ class PermGroup:
         return self._labels
 
     def orbit(self, point: int) -> frozenset[int]:
-        if not 0 <= point < self.degree:
+        if not _distinct_points(_integer_array([point]), self.degree):  # an integer in [0, degree)
             raise InvariantViolation(f"point {point} outside degree {self.degree}")
         labels = self.orbit_labels()
         return frozenset((labels == labels[point]).nonzero()[0].tolist())
@@ -406,12 +424,11 @@ def orbit_of_tuple(generators: Iterable[Sequence[int]], seed: Sequence[int]) -> 
     """Orbit of a point tuple under the componentwise action of the generators."""
     import numpy as np
     gens = [as_perm(g) for g in generators]
-    seed = tuple(int(x) for x in seed)
-    seen = {seed}
-    frontier = as_perm([seed]).reshape(1, len(seed))
+    frontier = as_perm(seed)[None]
+    seen = {tuple(frontier[0].tolist())}
     while gens and len(frontier):
         images = np.unique(np.concatenate([g[frontier] for g in gens]), axis=0)
         new = [t for t in map(tuple, images.tolist()) if t not in seen]
         seen.update(new)
-        frontier = as_perm(new).reshape(len(new), len(seed))
+        frontier = as_perm(new).reshape(len(new), frontier.shape[1])
     return frozenset(seen)

@@ -99,7 +99,7 @@ import numpy as np
 from .bicay import BiCayleyGraph, right_group, right_translation
 from .errors import BudgetError, DegreeMismatch, InvalidMapError, PreconditionError
 from .graphs import Graph, graph6_encode
-from .permgroup import PermGroup, invert, orbit_labels
+from .permgroup import PermGroup, as_perm, invert, orbit_labels
 
 ENGINE_VERTEX_BUDGET = 5000
 
@@ -397,10 +397,9 @@ def _known_automorphisms(graph: Graph, automorphisms: Iterable) -> list[np.ndarr
     automorphism of the graph (`InvalidMapError` otherwise)."""
     known = []
     for g in automorphisms:
-        perm = np.asarray(g)  # checked before the conversion, which would truncate
-        if not graph.preserves_edges(perm):
+        if not graph.preserves_edges(g):
             raise InvalidMapError("a known automorphism is not an automorphism of the graph")
-        known.append(np.ascontiguousarray(perm, dtype=np.intp))
+        known.append(as_perm(g))
     return known
 
 

@@ -689,6 +689,54 @@ def is_permutation_by_sort(p, degree: int) -> bool:
     return sorted(int(x) for x in p) == list(range(degree))
 
 
+def integer_points(p):
+    """p's points as nested Python ints, or None where the library's one
+    integer rule refuses p; decided by walking p, not by numpy's conversion.
+
+    An ndarray counts by its dtype (integer kinds) or by being empty.  A
+    nest of lists and tuples counts when its rows at each depth have one
+    length and its entries are Python or numpy integers or bools, at least
+    one of them not a bool (as numpy promotes [0, True] to integers), or
+    when it has no entry at all.  Integers are assumed to fit in int64."""
+    if isinstance(p, np.ndarray):
+        return p.tolist() if p.dtype.kind in "iu" or not p.size else None
+    entries = []
+
+    def shape(x):  # the shape of the nest x, or None for rows of different lengths
+        if not isinstance(x, (list, tuple)):
+            entries.append(x)
+            return ()
+        shapes = {shape(y) for y in x}
+        if None in shapes or len(shapes) > 1:
+            return None
+        return (len(x), *shapes.pop()) if shapes else (0,)
+
+    if shape(p) is None:
+        return None
+    bools = [isinstance(x, (bool, np.bool_)) for x in entries]
+    ints = [isinstance(x, (int, np.integer)) and not b for x, b in zip(entries, bools)]
+    if entries and not (any(ints) and all(i or b for i, b in zip(ints, bools))):
+        return None
+
+    def ints_of(x):
+        return [ints_of(y) for y in x] if isinstance(x, (list, tuple)) else int(x)
+
+    return ints_of(p)
+
+
+def subgroup_by_table(table, ranks) -> frozenset[int]:
+    """The ranks of the subgroup that the elements of the given ranks
+    generate, by squaring the set {identity (rank 0)} + ranks under the full
+    multiplication table (`regular_table`) until it stops growing: a finite
+    subset closed under products is a subgroup."""
+    current = np.unique([0, *ranks])
+    while True:
+        grown = np.unique(table[np.ix_(current, current)])
+        if len(grown) == len(current):
+            return frozenset(current.tolist())
+        current = grown
+
+
 def cycle_type(p: Perm) -> tuple[int, ...]:
     seen = [False] * len(p)
     sizes = []

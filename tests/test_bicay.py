@@ -20,7 +20,7 @@ from bicayley import (
     sigma_map,
     swap_parts,
 )
-from bicayley.errors import InvalidMapError, SetConditionError
+from bicayley.errors import InvalidMapError, InvariantViolation, SetConditionError
 from bicayley.permgroup import identity as perm_identity
 
 from .oracles import adjacency, chain_group, derived_subgroup, is_transitive_on, regular_representation
@@ -304,6 +304,27 @@ def test_quotient_rejects_non_automorphism(gray_graph):
     bad[0], bad[1] = bad[1], bad[0]
     with pytest.raises(InvalidMapError):
         quotient_graph(gray_graph.graph, PermGroup(54, [tuple(bad)], [0]))
+
+
+def test_preconditions_are_usage_errors(gray_graph, group27):
+    """A part other than 0 or 1, an empty spoke set, a graph that is not one
+    matching S = {1, x, y}, and a group of the wrong degree are refused."""
+    from bicayley import spoke_stabilizer_maps
+
+    a, b = group27.gen_a, group27.gen_b
+    for part in (2, -1):
+        with pytest.raises(InvariantViolation, match="part must be 0 or 1"):
+            gray_graph.index(group27.identity, part)
+    with pytest.raises(InvariantViolation, match="empty spoke set"):
+        normalize_S(BiCayleyGraph(group27, (a, group27.inv(a))))
+    one, x, y = group27.identity, a, group27.mul(group27.inv(a), b)
+    for bg in (BiCayleyGraph(group27, (a, group27.inv(a)), (), (one, x, y)),  # R not empty
+               BiCayleyGraph(group27, (), (), (one, x)),  # two spokes
+               BiCayleyGraph(group27, (), (), (a, b, group27.mul(a, b)))):  # 1 not a spoke
+        with pytest.raises(InvariantViolation, match="spoke arrangements need"):
+            spoke_stabilizer_maps(bg)
+    with pytest.raises(InvariantViolation, match="degree does not match"):
+        quotient_graph(gray_graph.graph, PermGroup(53, [], ()))
 
 
 def test_build_deterministic(group27):

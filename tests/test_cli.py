@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from bicayley.cli import TRIALS_BUDGET, main
+from bicayley.cli import TRIALS_BUDGET, _read_graph, integer, main
+from bicayley.errors import GraphParseError, ParameterError
 from bicayley.graphs import Graph, graph6_encode, parse_edge_list
 from bicayley.metacyclic import TABLE_BUDGET, PairGroup, make_group
 from bicayley.permgroup import PermGroup
@@ -213,6 +214,35 @@ def test_trial_count_over_budget_is_a_usage_error():
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "--trials" in lines[0]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("trials", [-1, TRIALS_BUDGET + 1])
+def test_trial_count_outside_its_bounds_is_refused_in_process(capsys, trials):
+    # the subprocess tests above cover the console; these run the checks in this process
+    code, out, err = run_cli(capsys, "verify", "--target", "arithmetic", "--trials", str(trials))
+    assert code == 2 and out == ""
+    bound = "at least 0" if trials < 0 else f"at most {TRIALS_BUDGET}"
+    assert err == f"error: --trials must be {bound}, got {trials}\n"
+
+
+def test_integer_reads_ascii_digits_only():
+    assert integer("-12") == -12 and integer("0") == 0
+    for text in ("\u0969", "1\u0661", "\uff13", "+3", "1_0", " 1", ""):
+        with pytest.raises(ParameterError, match="ASCII digits 0-9"):
+            integer(text, "--t")
+    # past int()'s digit limit (4300 by default): refused with its length
+    with pytest.raises(ParameterError, match="got 5000 digits"):
+        integer("9" * 5000, "p")
+
+
+def test_read_graph_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"A_\xff\n")
+    with pytest.raises(GraphParseError, match="byte 0xff is not UTF-8 text") as exc:
+        _read_graph(str(path), "auto")
+    assert exc.value.offset == 2
+    path.write_bytes(b"A_\n")
+    assert _read_graph(str(path), "auto") == Graph(2, [(0, 1)])
 
 
 def test_trial_count_is_bounded_by_the_group_order(capsys):

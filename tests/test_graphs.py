@@ -153,6 +153,9 @@ def test_edge_list_parse_errors():
     assert exc.value.offset == 4
     with pytest.raises(GraphParseError):
         parse_edge_list("0 1 2\n")
+    with pytest.raises(GraphParseError, match="bad edge \\(3, 3\\)") as exc:
+        parse_edge_list("0 1\n3 3\n")  # a loop
+    assert exc.value.offset == 4
 
 
 def test_edge_list_reads_only_ascii_decimal_digits():
@@ -189,6 +192,24 @@ def test_auto_detection():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert parse_graph_text("Bw") == g
     assert parse_graph_text(format_edge_list(g)) == g
+
+
+def test_an_explicit_format_is_read_as_given():
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert parse_graph_text("Bw", fmt="g6") == g
+    # "0 1" auto-detects as an edge list, and is no graph6 string
+    with pytest.raises(GraphParseError, match="invalid graph6 byte"):
+        parse_graph_text("0 1\n", fmt="g6")
+    for fmt in ("graph6", "G6", ""):
+        with pytest.raises(GraphParseError, match="unknown format") as exc:
+            parse_graph_text("Bw", fmt=fmt)
+        assert exc.value.offset == 0
+
+
+def test_valency_needs_a_regular_graph():
+    assert Graph(4, [(0, 1), (2, 3)]).valency() == 1 and Graph(0, []).valency() == 0
+    with pytest.raises(InvariantViolation, match="not regular"):
+        Graph(3, [(0, 1)]).valency()
 
 
 def test_relabel():

@@ -34,6 +34,8 @@ from .oracles import (
     order_by_iteration,
     power_by_iteration,
     regular_representation,
+    regular_table,
+    subgroup_by_table,
     subgroup_is_abelian,
 )
 
@@ -202,6 +204,42 @@ def test_abelian_generates_matches_closure(moduli):
         whole = {int(r): len(G.closure([x, G.unrank(int(r))])) == G.order for r in np.unique(coset)}
         for y, r in zip(els, coset.tolist()):
             assert G.generates(x, y) == whole[r], (moduli, x, y)
+
+
+@pytest.mark.parametrize("args", [(9, 7, 2, 3), (6, 7, 2, 6)])
+def test_pair_group_generates_matches_a_subgroup_oracle(args):
+    """The closure test of plain PairGroups (non-abelian, twist 2 of order 3
+    mod 7) against the subgroup grown by squaring under the full table, on
+    every pair."""
+    G = PairGroup(*args)
+    table, els = regular_table(G), G.elements()
+    whole = frozenset(range(G.order))
+    generating = 0
+    for x in els:
+        for y in els:
+            expect = subgroup_by_table(table, [G.rank(x), G.rank(y)]) == whole
+            assert G.generates(x, y) == expect, (args, x, y)
+            generating += expect
+    assert 0 < generating < G.order**2
+
+
+def test_pair_group_refuses_inconsistent_parameters():
+    for args in ((2**63, 5, 1, 1), (5, 2**63, 1, 1)):
+        with pytest.raises(OverflowError, match="machine word budget"):
+            PairGroup(*args)
+    with pytest.raises(ParameterError, match="twist multiplier order"):
+        PairGroup(9, 7, 3, 3)  # 3 has order 6 mod 7
+    with pytest.raises(ParameterError, match="must divide the b-exponent modulus"):
+        PairGroup(8, 7, 2, 3)  # 2 has order 3 mod 7, which does not divide 8
+    assert PairGroup(9, 7, 2, 3).order == 63
+
+
+def test_relation_report_names_no_violation_for_the_generators(group27, group81b):
+    for G in (group27, group81b):
+        report = check_generator_images(G, G.gen_a, G.gen_b)
+        assert report.ok and report.violated() is None
+    report = check_generator_images(group27, group27.gen_a, group27.gen_a)
+    assert not report.ok and report.violated() is not None
 
 
 def test_factoring_is_bounded_in_time():

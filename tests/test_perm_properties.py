@@ -6,7 +6,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from bicayley import aut_group, canonical_form  # noqa: E402
+from bicayley import PermGroup, aut_group, canonical_form  # noqa: E402
 from bicayley.graphs import (  # noqa: E402
     Graph,
     format_edge_list,
@@ -27,6 +27,7 @@ from bicayley.permgroup import (  # noqa: E402
 )
 
 from . import oracles  # noqa: E402
+from .test_permgroup import assert_refused, point_entry_points  # noqa: E402
 from .test_symmetry import disjoint_union  # noqa: E402
 
 # derandomized: the same examples on every run, and no example database on disk
@@ -226,6 +227,64 @@ def test_is_permutation_refuses_other_image_types(p):
                    np.array([str(x) for x in p]), np.array(p, dtype=object)):
         assert is_permutation(images, n) == (n == 0), images.dtype
     assert is_permutation(np.array(p, dtype=np.intp), n)
+
+
+INTEGER_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64, np.intp]
+
+
+def caller_forms(p):
+    """p, a permutation as a list, in forms a caller may pass: a list, a
+    tuple or an array of any integer dtype; the same as floats, floats plus
+    0.5, bools, strings or objects; or one entry made a float, a bool (if it
+    is 0 or 1: numpy reads [True, 0] as integers), a string, a one- or
+    two-point row or None."""
+    whole = [list(p), tuple(p), *(np.array(p, dtype=d) for d in INTEGER_DTYPES),
+             [float(x) for x in p], [x + 0.5 for x in p], [bool(x) for x in p], [str(x) for x in p],
+             np.array(p, dtype=float), np.array(p, dtype=bool), np.array([str(x) for x in p]),
+             np.array(p, dtype=object)]
+    forms = st.sampled_from(whole)
+    if not p:
+        return forms
+    kinds = [float, lambda x: bool(x) if x < 2 else x, str, lambda x: [x], lambda x: [x, x], lambda x: None]
+    one = st.tuples(st.integers(0, len(p) - 1), st.sampled_from(kinds)).map(
+        lambda ik: p[: ik[0]] + [ik[1](p[ik[0]])] + p[ik[0] + 1 :])
+    return st.one_of(forms, one)
+
+
+def _result(value):
+    """A value comparable across dtypes: arrays and groups as lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, PermGroup):
+        return [g.tolist() for g in value.generators], value._base
+    if isinstance(value, tuple):
+        return tuple(map(_result, value))
+    return value
+
+
+def _outcome(call, arg):
+    try:
+        return _result(call(arg))
+    except Exception as exc:
+        return type(exc)
+
+
+@SETTINGS
+@given(st.integers(0, 5).flatmap(lambda n: st.permutations(range(n)).map(list)).flatmap(
+    lambda p: st.tuples(st.just(len(p)), caller_forms(p))))
+def test_every_entry_point_follows_the_one_integer_rule(case):
+    """Against `oracles.integer_points`, which walks the input: points it
+    refuses make a predicate answer False and every other entry point raise
+    its refusal type; points it reads as integers give the same outcome as
+    the same points in an np.intp array."""
+    n, x = case
+    for name, refusal, wrap, call in point_entry_points(n):
+        arg = wrap(x)
+        points = oracles.integer_points(arg)
+        if points is None:
+            assert_refused(refusal, call, arg, name)
+        else:
+            assert _outcome(call, arg) == _outcome(call, np.array(points, dtype=np.intp)), name
 
 
 @SETTINGS

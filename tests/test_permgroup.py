@@ -3,9 +3,18 @@ import random
 import numpy as np
 import pytest
 
-from bicayley import PermGroup, build_family, compose, gamma_t, identity, invert, right_group
-from bicayley.errors import DegreeMismatch, InvariantViolation
-from bicayley.permgroup import perm_power
+from bicayley import (Graph, PermGroup, build_family, canonical_search, compose, gamma_t, identity, invert, make_group,
+                      right_group)
+from bicayley.errors import DegreeMismatch, InvalidMapError, InvariantViolation
+from bicayley.permgroup import (
+    as_perm,
+    is_identity,
+    is_permutation,
+    orbit_labels,
+    orbit_of_tuple,
+    perm_power,
+    perm_powers,
+)
 
 from .oracles import (
     chain_group,
@@ -68,10 +77,75 @@ def test_generators_and_members_must_be_integer_permutations():
     assert PermGroup(3, [np.array([1, 2, 0], dtype=np.int8)], [0]).order() == 3
 
 
+def _row(x):
+    """x as the one row of a stack: x[None] for an array, [x] otherwise."""
+    return x[None] if isinstance(x, np.ndarray) else [x]
+
+
+def point_entry_points(n):
+    """Every entry point that takes points from a caller, at degree n, as
+    (name, refusal, wrap, call): the entry point is call(wrap(x)) for a map x
+    of length n.  For a wrap(x) that is not integer points (ragged rows, or
+    float, bool, str or object entries) a predicate, refusal False, answers
+    False and every other entry point raises the refusal type."""
+    path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    group27 = make_group(3, 2, 1, 1)
+    same = lambda x: x  # noqa: E731
+    return [
+        ("is_permutation", False, same, lambda x: is_permutation(x, n)),
+        ("preserves_edges", False, same, path.preserves_edges),
+        ("as_perm", InvariantViolation, same, as_perm),
+        ("compose", InvariantViolation, same, lambda x: compose(x, x)),
+        ("invert", InvariantViolation, same, invert),
+        ("perm_power", InvariantViolation, same, lambda x: perm_power(x, 2)),
+        ("perm_powers", InvariantViolation, _row, lambda x: perm_powers(x, [2, -1], [0, 0])),
+        ("is_identity", InvariantViolation, same, is_identity),
+        ("orbit_labels", InvariantViolation, same, lambda x: orbit_labels(n, [x])),
+        ("orbit_of_tuple generators", InvariantViolation, same, lambda x: orbit_of_tuple([x], range(min(n, 2)))),
+        ("orbit_of_tuple seed", InvariantViolation, same, lambda x: orbit_of_tuple([identity(n)], x)),
+        ("PermGroup generators", InvariantViolation, same, lambda x: PermGroup(n, [x], range(n))),
+        ("PermGroup base", InvariantViolation, same, lambda x: PermGroup(n, [], x)),
+        ("contains", InvariantViolation, same, PermGroup(n, [], ()).contains),
+        ("relabel", InvariantViolation, same, path.relabel),
+        ("subgraph", InvariantViolation, same, path.subgraph),
+        ("Graph edges", InvariantViolation, lambda x: _row(x[:2]), lambda x: Graph(n, x)),
+        ("canonical_search seeds", InvalidMapError, same, lambda x: canonical_search(path, [x])),
+        ("right_mul_rows", InvariantViolation, same, group27.right_mul_rows),  # ranks of H's elements
+    ]
+
+
+def assert_refused(refusal, call, arg, name):
+    if refusal is False:
+        assert call(arg) is False, name
+    else:
+        with pytest.raises(refusal):
+            call(arg)
+
+
+# ragged rows, floats, bools, strings and an object array, each of length 3
+NOT_INTEGER = [[[0], [1, 2], 2], [0.9, 1.2, 2.0], [True, False, True], ["0", "1", "2"],
+               np.array([0, 1, 2], dtype=object)]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGER, ids=["ragged", "float", "bool", "str", "object"])
+def test_every_entry_point_refuses_points_that_are_not_integers(bad):
+    """No numpy ValueError, IndexError or TypeError escapes and nothing is
+    truncated: a float base point once made the base (0,), and
+    is_identity([0.3, 1.1, 2.9]) answered True."""
+    for name, refusal, wrap, call in point_entry_points(3):
+        assert_refused(refusal, call, wrap(bad), name)
+    with pytest.raises(InvariantViolation):
+        PermGroup(3, [[1, 0, 2]], [0.9])
+    with pytest.raises(InvariantViolation, match="points must be integers"):
+        is_identity([0.3, 1.1, 2.9])
+
+
 def test_orbits():
     G = s4()
     assert G.orbit(0) == frozenset(range(4))
-    for point in (999, 4, -1):
+    assert G.orbit(np.int8(1)) == frozenset(range(4))
+    # once True gave the orbit {0} (labels[True] is a mask) and 0.5 raised numpy's IndexError
+    for point in (999, 4, -1, True, 0.5, "1", [1, 2]):
         with pytest.raises(InvariantViolation, match="outside degree 4"):
             G.orbit(point)
     triv = PermGroup(4, [], ())

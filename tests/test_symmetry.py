@@ -25,6 +25,7 @@ from bicayley import (
 )
 from bicayley.errors import BudgetError, DegreeMismatch, PreconditionError
 from bicayley.metacyclic import PairGroup
+from bicayley.symmetry import _is_two_power_times_three
 
 from .graph_builders import copies, petersen
 from .oracles import adjacency, brute_force_aut_order, chain_group, enumerate_elements, is_normal
@@ -186,6 +187,8 @@ def test_report_invariants_and_json(gray_graph):
 
 def test_stabilizer_law():
     assert check_stabilizer_law(k33())
+    # the stabilizer orders 2^r 3 and none other, among them some not divisible by 3
+    assert [s for s in range(1, 100) if _is_two_power_times_three(s)] == [3, 6, 12, 24, 48, 96]
     with pytest.raises(PreconditionError):
         check_stabilizer_law(cycle(6))  # not cubic
     with pytest.raises(PreconditionError):
