@@ -3,7 +3,7 @@
 Every run emits a single JSON document on stdout unless a file format
 (graph6 or edge list) was requested.  Exit codes: 0 success, 1 verification
 failure, 2 usage or input error.  `family` passes its options to
-`families.build_family`; `verify --target arithmetic` bounds trials * |H|.
+`families.build_family`; `verify --target arithmetic` bounds trials * |H| and |H|^2.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import sys
 from . import families
 from .errors import BudgetError, GraphParseError, ParameterError, UsageError
 from .graphs import _DECIMAL, Graph, format_edge_list, graph6_encode, graph_to_json_dict, parse_graph_text
-from .metacyclic import TABLE_BUDGET, make_group
-from .permgroup import DEGREE_BUDGET, compose, invert, is_permutation, orbit_labels, perm_powers
+from .metacyclic import make_group
+from .permgroup import DEGREE_BUDGET, is_permutation, orbit_labels
 from .symmetry import classify
 
 
@@ -91,25 +91,92 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-# a time bound on the oracle: 10^5 trials take ~0.55 s at |H| = 27 and ~1.7 s at
-# |H| = 729 (2-core Intel Xeon), so 10^6 stay under a minute; the time grows with
-# trials * |H| (4000 trials take 4.3 s at |H| = 3^9), held to TRIALS_BUDGET * 3^6
+# a time bound on the oracle (2-core Intel Xeon): 10^6 trials take ~4.3 s at
+# |H| = 27 and ~6.8 s at |H| = 729 with interpreter start; trials * |H| and the
+# kernel check's |H|^2 products (~1 s at |H| = 3^8, ~10 s at 3^9) are held to
+# TRIALS_BUDGET * 3^6
 TRIALS_BUDGET = 10**6
-# trials drawn at a time; the powers of a chunk of the block's distinct
-# elements come from one perm_powers call, every exponent of each element
+# trials drawn at a time, checked by lookups in arrays of this length
 TRIAL_BLOCK = 4096
-# each check of a block compares stacks of rows, one row of |H| entries a
-# trial (or a new element for inv), of at most this many entries each; pow
-# stacks a chunk of distinct elements this way, and its result has a row per
-# trial of those elements.  A pow call makes a few array operations per
-# exponent class and per squaring, whatever its rows: at 2^14 entries (22
-# rows at |H| = 729) the oracle took ~20 % longer than at 2^16; at 2^17 the
-# peak RSS rose by ~4 MB
+# the kernel check builds rows of |H| entries, this many entries at a time
 CHUNK_ENTRIES = 2**16
 
 
-class _NotARank(Exception):
-    """A right_mul_rows row has an entry outside [0, |H|); args[0] is its rank."""
+def _powers(group, g, e):
+    """rank(g^e) for arrays of ranks g and exponents e >= 0, by binary powers
+    with `PairGroup.mul_ranks`; the identity has rank 0."""
+    import numpy as np
+
+    result = np.zeros_like(g)
+    while e.any():
+        result = np.where(e & 1, group.mul_ranks(result, g), result)
+        g, e = group.mul_ranks(g, g), e >> 1
+    return result
+
+
+def _kernel_failures(group, lam) -> list:
+    """A `row` failure for each rank g whose kernel row rank(h g), over every h,
+    has an entry outside [0, |H|) or, given the certified lambda rows lam,
+    does not send the identity to g or commute with each lambda; the first
+    11 such ranks in rank order.  A row that passes is the one element of
+    C = <rho> that sends the identity to g, so with no failure `mul_ranks`
+    is the Cayley table of C on all |H|^2 pairs."""
+    import numpy as np
+
+    size, chunk = group.order, max(1, CHUNK_ENTRIES // group.order)
+    points, failures = np.arange(size), []
+    for start in range(0, size, chunk):
+        g = points[start : start + chunk]
+        rows = group.mul_ranks(points, g[:, None])
+        bad = (rows.min(axis=1) < 0) | (rows.max(axis=1) >= size)
+        if lam is not None:  # take clips the entries of rows already bad into range
+            bad |= rows[:, 0] != g
+            for left in lam:
+                bad |= (rows.take(left, axis=1) != left.take(rows, mode="clip")).any(axis=1)
+        failures += [{"check": "row", "g": group.element_str(group.unrank(x))}
+                     for x in g[bad][: 11 - len(failures)].tolist()]
+        if len(failures) > 10:
+            break
+    return failures
+
+
+def _trial_failures(group, rho, trials: int, seed: int) -> list:
+    """The generator rows against rho, then each drawn trial of scalar mul,
+    inv and pow against lookups in the kernel, in trial order, cut off after
+    more than 10 failures.  Every kernel entry is a rank (`_kernel_failures`),
+    so every lookup stays in range; a rank from scalar code is only
+    compared, never used as an index."""
+    import numpy as np
+
+    els, rank, size = group.elements(), group.rank, group.order
+    failures = [{"check": "row", "g": group.element_str(gen)} for gen, perm in zip((group.gen_a, group.gen_b), rho)
+                if not np.array_equal(group.mul_ranks(np.arange(size), rank(gen)), perm)]
+    inv_ok = {}  # the inv check depends on g alone: one verdict per element rank
+    rng = random.Random(seed)
+    for start in range(0, trials, TRIAL_BLOCK):
+        # the draws of a block in trial order: the ranks of g and h, and k
+        draws = [v for _ in range(start, min(start + TRIAL_BLOCK, trials))
+                 for v in (rng.randrange(size), rng.randrange(size), rng.randrange(-size, size + 1))]
+        gi, hi, ks = draws[0::3], draws[1::3], draws[2::3]
+        del draws
+        ghi = [rank(group.mul(els[x], els[y])) for x, y in zip(gi, hi)]
+        pki = [rank(group.pow(els[x], k)) for x, k in zip(gi, ks)]
+        # g^k = g^(k mod |H|) in the certified group of order |H|
+        mul_ok = group.mul_ranks(np.array(gi), np.array(hi)) == ghi
+        pow_ok = _powers(group, np.array(gi), np.array([k % size for k in ks])) == pki
+        new = [x for x in dict.fromkeys(gi) if x not in inv_ok]
+        if new:
+            inverses = [rank(group.inv(els[x])) for x in new]
+            verdicts = _powers(group, np.array(new), np.full(len(new), size - 1)) == inverses
+            inv_ok.update(zip(new, verdicts.tolist()))
+        for t in np.flatnonzero(~(mul_ok & pow_ok & np.array([inv_ok[x] for x in gi]))).tolist():
+            s = group.element_str(els[gi[t]])
+            checks = ((mul_ok[t], {"check": "mul", "g": s, "h": group.element_str(els[hi[t]])}),
+                      (inv_ok[gi[t]], {"check": "inv", "g": s}), (pow_ok[t], {"check": "pow", "g": s, "k": ks[t]}))
+            failures.extend(record for passed, record in checks if not passed)
+            if len(failures) > 10:
+                return failures
+    return failures
 
 
 def _verify_arithmetic(args: argparse.Namespace) -> dict:
@@ -120,96 +187,32 @@ def _verify_arithmetic(args: argparse.Namespace) -> dict:
     if args.trials > TRIALS_BUDGET:
         raise ParameterError(f"--trials must be at most {TRIALS_BUDGET}, got {args.trials}")
     group = make_group(args.p, args.m, args.n, args.r)
-    # the sizes refused before any scalar mul: too large to enumerate, or to permute
+    # the sizes refused before any scalar mul: too large to enumerate, to
+    # permute, or to check on every pair
     group.check_enumerable()
-    if group.order > DEGREE_BUDGET:
-        raise BudgetError(f"degree {group.order} exceeds the budget {DEGREE_BUDGET}")
-    if args.trials > (most := TRIALS_BUDGET * 3**6 // group.order):
-        raise ParameterError(f"--trials must be at most {most} at |H| = {group.order}, got {args.trials}")
-    els, rank, size = group.elements(), group.rank, group.order
+    size = group.order
+    if size > DEGREE_BUDGET:
+        raise BudgetError(f"degree {size} exceeds the budget {DEGREE_BUDGET}")
+    if size * size > TRIALS_BUDGET * 3**6:
+        raise BudgetError(f"the {size * size} products of |H| = {size} exceed the budget {TRIALS_BUDGET * 3**6}")
+    if args.trials > (most := TRIALS_BUDGET * 3**6 // size):
+        raise ParameterError(f"--trials must be at most {most} at |H| = {size}, got {args.trials}")
+    els, rank = group.elements(), group.rank
     gens = (group.gen_a, group.gen_b)
     # |<rho_a, rho_b>| by a centralizer certificate; rho_g is h -> h g and lambda_g
     # h -> g h, rank arrays from scalar mul.  If the four are permutations, each
     # rho commutes with each lambda (r[l] == l[r]: (g' h) g == g' (h g) for every h)
     # and each pair has one orbit, then <rho> centralizes a transitive group, so it
-    # is semiregular (Dixon & Mortimer, 1996, Thm 4.2A) and transitive: order |H|
+    # is semiregular (Dixon & Mortimer, 1996, Thm 4.2A) and transitive: order |H|.
+    # So is <lambda>, and <rho> is its whole centralizer C
     rho = [np.array([rank(group.mul(h, g)) for h in els]) for g in gens]
     lam = [np.array([rank(group.mul(g, h)) for h in els]) for g in gens]
     regular = (all(is_permutation(row, size) for row in rho + lam)
                and all(np.array_equal(r[l], l[r]) for r in rho for l in lam)
                and all((orbit_labels(size, pair) == 0).all() for pair in (rho, lam)))
     order = size if regular else None  # a scalar law that fails the certificate
-    chunk = max(1, CHUNK_ENTRIES // size)
-
-    def build(ranks):
-        # the right_mul_ranks row of each rank; the stacked kernels and the
-        # narrow table need every entry to be a rank
-        block = group.right_mul_rows(ranks)
-        bad = (block < 0) | (block >= size)
-        if bad.any():
-            raise _NotARank(ranks[int(bad.any(axis=1).argmax())])
-        return block
-
-    def chunked(check, *ranks):
-        # check(rows of ranks[0][s:e], ...) on consecutive chunks, concatenated
-        return np.concatenate([check(*(rows(r[s : s + chunk]) for r in ranks))
-                               for s in range(0, len(ranks[0]), chunk)])
-
-    failures = []
-    try:
-        if size <= TABLE_BUDGET:  # T[x] = right_mul_ranks(x), built once, a chunk at a time
-            table = np.empty((size, size), np.min_scalar_type(size - 1))
-            for start in range(0, size, chunk):
-                table[start : start + chunk] = build(np.arange(start, min(start + chunk, size)))
-            rows = table.__getitem__
-        else:
-            rows = build
-        # the kernel's generator rows must be the ones scalar mul builds
-        for gen, row, perm in zip(gens, rows([rank(g) for g in gens]), rho):
-            if not np.array_equal(row, perm):
-                failures.append({"check": "row", "g": group.element_str(gen)})
-        inv_ok = {}  # the inv check depends on g alone: one verdict per element rank
-        rng = random.Random(args.seed)
-        for start in range(0, args.trials, TRIAL_BLOCK):
-            # the draws of a block in trial order: the ranks of g and h, and k
-            draws = [v for _ in range(start, min(start + TRIAL_BLOCK, args.trials))
-                     for v in (rng.randrange(size), rng.randrange(size), rng.randrange(-size, size + 1))]
-            gi, hi, ks = draws[0::3], draws[1::3], draws[2::3]
-            del draws
-            ghi = [rank(group.mul(els[x], els[y])) for x, y in zip(gi, hi)]
-            pki = [rank(group.pow(els[x], k)) for x, k in zip(gi, ks)]
-            by_g = {}  # g -> its trials in the block
-            for t, x in enumerate(gi):
-                by_g.setdefault(x, []).append(t)
-            mul_ok = chunked(lambda g, h, gh: (gh == compose(g, h)).all(axis=1), gi, hi, ghi)
-            new = [x for x in by_g if x not in inv_ok]
-            if new:
-                inverses = [rank(group.inv(els[x])) for x in new]
-                verdicts = chunked(lambda g, g_inv: (g_inv == invert(g)).all(axis=1), new, inverses)
-                inv_ok.update(zip(new, verdicts.tolist()))
-            # the powers of a chunk of the block's elements from one call,
-            # every exponent of each element, compared a chunk at a time
-            pow_ok = np.empty(len(gi), bool)
-            distinct = list(by_g)
-            for first in range(0, len(distinct), chunk):
-                elements = distinct[first : first + chunk]
-                trials = [t for x in elements for t in by_g[x]]
-                powers = perm_powers(rows(elements), [ks[t] for t in trials],
-                                     [j for j, x in enumerate(elements) for _ in by_g[x]])
-                want = [pki[t] for t in trials]
-                pow_ok[trials] = np.concatenate([(powers[a : a + chunk] == rows(want[a : a + chunk])).all(axis=1)
-                                                 for a in range(0, len(want), chunk)])
-            for t in np.flatnonzero(~(mul_ok & pow_ok & np.array([inv_ok[x] for x in gi]))).tolist():
-                s = group.element_str(els[gi[t]])
-                checks = ((mul_ok[t], {"check": "mul", "g": s, "h": group.element_str(els[hi[t]])}),
-                          (inv_ok[gi[t]], {"check": "inv", "g": s}), (pow_ok[t], {"check": "pow", "g": s, "k": ks[t]}))
-                failures.extend(record for passed, record in checks if not passed)
-                if len(failures) > 10:
-                    break
-            if len(failures) > 10:
-                break
-    except _NotARank as fault:  # a kernel fault: the verification fails
-        failures.append({"check": "row", "g": group.element_str(els[fault.args[0]])})
+    # a kernel that fails answers no lookup: its failures end the run
+    failures = _kernel_failures(group, lam if regular else None) or _trial_failures(group, rho, args.trials, args.seed)
     return {
         "target": "arithmetic",
         "group": [args.p, args.m, args.n, args.r],

@@ -24,9 +24,9 @@ from .permgroup import DEGREE_BUDGET, PermGroup, as_perm
 Element = tuple[int, int]
 
 CLOSURE_BUDGET = 3**12
-# largest order for the library's |G|^2-entry arrays (50 MB each at 2500): the
-# census pair moves and the arithmetic oracle's row table; every group whose
-# bi-Cayley graphs (2|G| vertices) fit the 5000-vertex search budget
+# largest order for the census pair moves, the library's |G|^2-entry arrays
+# (50 MB each at 2500); every group whose bi-Cayley graphs (2|G| vertices) fit
+# the 5000-vertex search budget
 TABLE_BUDGET = 2500
 WORD_BUDGET = 2**63
 
@@ -198,6 +198,13 @@ class PairGroup:
         broadcast over the shapes of the four reduced parts."""
         D, K, _, _ = self._rank_grid()
         return D[j1 + j2] + (K[j2, i1] + i2) % self.mod_i
+
+    def mul_ranks(self, x, y):
+        """rank(x y) for broadcastable arrays of ranks x and y in [0, |G|)."""
+        import numpy as np
+
+        (j1, i1), (j2, i2) = np.divmod(x, self.mod_i), np.divmod(y, self.mod_i)
+        return self._product(j1, i1, j2, i2)
 
     def right_mul_ranks(self, g: Element):
         """rank(h g) for every h, in rank order of h."""

@@ -5,18 +5,19 @@ A permutation is a contiguous 1-d ``np.intp`` array of images on [0, degree):
 take any integer sequence, and `_integer_array` alone decides what that is for
 every point, map, stack, base and seed a caller passes: ragged rows and float,
 bool, str or object entries are refused, never truncated (predicates answer
-False, the rest raise `InvariantViolation`).  `is_permutation` alone decides,
-in O(degree), if one is a permutation.  Generators are read-only arrays.
+False, the rest raise `InvariantViolation`, as `compose`, `invert` and
+`orbit_of_tuple` do for a point outside [0, degree)).  A degree or an
+exponent is read by `operator.index`.  `is_permutation` alone decides, in
+O(degree), if one is a permutation.  Generators are read-only arrays.
 `compose` and `invert` also take an (m, n) stack of permutations, one a
 row, in any integer dtype, and work row by row with one numpy operation for
-all rows.  Powers have one kernel: `perm_powers` takes a stack with the row
-of each exponent and forms the powers one exponent class at a time;
-`perm_power` is one row of it.  A stack's results keep its dtype.  Every
-orbit of points comes from `orbit_labels`, the least point of each orbit:
-`orbit_lists` groups points by label, and `PermGroup.order` folds a group's
-generators into labels level by level for its basic orbits.  Only the
-transversals of `contains` and `orbit_of_tuple`, on point tuples, search
-outward.  numpy is imported on use, as in graphs.py.
+all rows; a stack's results keep its dtype.  `perm_power` is a binary power
+by `compose`.  Every orbit of points comes from `orbit_labels`, the least
+point of each orbit: `orbit_lists` groups points by label, and
+`PermGroup.order` folds a group's generators into labels level by level for
+its basic orbits.  Only the transversals of `contains` and
+`orbit_of_tuple`, on point tuples, search outward.  numpy is imported on
+use, as in graphs.py.
 
 A group has one way to its order: the product of its basic orbit sizes.
 So every group is built with a base relative to which its generators are
@@ -69,7 +70,7 @@ def as_perm(p: Sequence[int]) -> Perm:
 
 def identity(degree: int) -> Perm:
     import numpy as np
-    return np.arange(degree, dtype=np.intp)
+    return np.arange(operator.index(degree), dtype=np.intp)
 
 
 def is_identity(p: Sequence[int]) -> bool:
@@ -81,6 +82,13 @@ def _perms(p) -> Perm:
     row, as it is: any integer dtype and memory layout."""
     a = _integer_array(p)
     return a if a is not None and a.ndim == 2 else as_perm(p if a is None else a)
+
+
+def _points_below(p: Perm, n: int) -> Perm:
+    """p, checked to hold points of [0, n) only."""
+    if p.size and (p.min() < 0 or p.max() >= n):
+        raise InvariantViolation(f"a point outside [0, {n})")
+    return p
 
 
 def _flat(p: Perm) -> Perm:
@@ -103,13 +111,14 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     if p.shape != q.shape:
         raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ" if p.ndim == q.ndim == 1
                              else f"shapes {p.shape} and {q.shape} differ")
-    return _gather(q, p)
+    return _gather(q, _points_below(p, p.shape[-1]))
 
 
 def invert(p: Sequence[int]) -> Perm:
     """p^-1 by one scatter; for an (m, n) stack, row by row, in its dtype."""
     import numpy as np
     p = _perms(p)
+    _points_below(p, p.shape[-1])
     out = np.empty(p.shape, p.dtype)
     if p.ndim == 1:
         out[p] = identity(len(p))
@@ -119,87 +128,16 @@ def invert(p: Sequence[int]) -> Perm:
 
 
 def perm_power(p: Sequence[int], k: int) -> Perm:
-    """p^k; k may be negative or exceed the order of p."""
-    return perm_powers(as_perm(p)[None], [k], [0])[0]
-
-
-def perm_powers(p: Perm, exponents: Iterable[int], rows: Iterable[int]) -> Perm:
-    """The (len(rows), n) stack of p[rows[i]]^exponents[i] for an (m, n)
-    stack p of permutations, one a row, in p's dtype; a row may be wanted
-    with any number of exponents, and k may be negative or exceed the order
-    of its row.  No result aliases p or another result.
-
-    The kernel works on flat indices, row r's point x being r n + x, in the
-    narrowest unsigned dtype that holds m n - 1: then q[p] is one `take`,
-    with no shift to add.  The squarings p^(2^i) are made for the whole
-    stack, one `take` each, and shared by every row.  Point 0 is walked in
-    lockstep on every row, the trajectory doubling with each squaring, for
-    at most max |k| steps (or until it is back on every row); a row's
-    exponents are reduced mod the period L of its point 0 only once p^L is
-    checked to be the identity (another cycle may be longer), one check per
-    L.  The powers are then formed one exponent class at a time (grouped in
-    a dict; np.unique would import numpy.ma): the rows wanting p^k are
-    gathered from the lowest square of |k| and composed with its other set
-    squares, a `take` each, so a call costs a few array operations per
-    class and per squaring, whatever the number of rows.  A negative k
-    inverts p^|k|."""
-    import numpy as np
-    p = _perms(p)
-    if p.ndim != 2:
-        raise TypeError("perm_powers takes an (m, n) stack; use perm_power for one permutation")
-    m, n = p.shape
-    exponents = [operator.index(k) for k in exponents]
-    at = as_perm([operator.index(r) for r in rows])
-    if len(at) != len(exponents):
-        raise ValueError(f"{len(exponents)} exponents for {len(at)} rows")
-    if ((at < 0) | (at >= m)).any():
-        raise IndexError(f"a row outside [0, {m})")
-    out = np.empty((len(at), n), p.dtype)
-    if not n or not len(at):
-        return out
-    # row r's point 0, in the narrowest unsigned dtype that holds m n - 1
-    shift = (np.arange(m, dtype=np.intp) * n).astype(np.min_scalar_type(m * n - 1))[:, None]
-    # squares[i] = p^(2^i) on flat indices, every row, grown as needed
-    squares = [p.astype(shift.dtype) + shift]
-
-    def square(i: int) -> Perm:
-        while len(squares) <= i:
-            squares.append(squares[-1].take(squares[-1]))
-        return squares[i]
-
-    def power(bits: int, at: Perm) -> Perm:
-        # p[r]^bits on flat indices for the rows r in at, bits >= 1
-        set_bits = [i for i in range(bits.bit_length()) if bits >> i & 1]
-        result = square(set_bits[0])[at]
-        for i in set_bits[1:]:
-            result = square(i).take(result)
-        return result
-
-    # point 0's trajectory on every row: column j is where j + 1 steps take it
-    top = max(map(abs, exponents))
-    trajectory, i = squares[0][:, :1], 0
-    back = trajectory == shift
-    while trajectory.shape[1] < top and not back.any(axis=1).all():
-        trajectory = np.concatenate([trajectory, square(i).take(trajectory)], axis=1)
-        back, i = trajectory == shift, i + 1
-    period = np.where(back.any(axis=1), back.argmax(axis=1) + 1, 0)
-    # reduce mod L only on the rows whose p^L is the identity, one check per L
-    verified = np.zeros(m, np.intp)
-    for L in set(period.tolist()) - {0}:
-        rows_L = np.flatnonzero(period == L)
-        fixed = (power(L, rows_L) - shift[rows_L] == identity(n)).all(axis=1)
-        verified[rows_L[fixed]] = L
-    classes: dict[int, list[int]] = {}  # exponent -> the wanted powers with it
-    for i, (k, L) in enumerate(zip(exponents, verified[at].tolist())):
-        classes.setdefault(k % L if L else k, []).append(i)
-    for k, wanted in classes.items():
-        if not k:
-            out[wanted] = identity(n)
-            continue
-        rows_k = at[wanted]
-        result = power(abs(k), rows_k) - shift[rows_k]
-        out[wanted] = invert(result) if k < 0 else result
-    return out
+    """p^k by repeated squaring; k (`operator.index`) may be negative or
+    exceed the order of p."""
+    k = operator.index(k)
+    p = invert(p) if k < 0 else as_perm(p)
+    result, k = identity(len(p)), abs(k)
+    while k:
+        if k & 1:
+            result = compose(result, p)
+        p, k = compose(p, p), k >> 1
+    return result
 
 
 def orbit_labels(degree: int, generators: Sequence[Perm], labels: Perm | None = None) -> Perm:
@@ -222,6 +160,7 @@ def orbit_labels(degree: int, generators: Sequence[Perm], labels: Perm | None = 
     is for the earlier generators together with the given ones.
     """
     import numpy as np
+    degree = operator.index(degree)
     generators = [_perms(g) for g in generators]
     labels = identity(degree) if labels is None else as_perm(labels).copy()
     hooked = True
@@ -323,6 +262,7 @@ class PermGroup:
     """
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]], base: Sequence[int]):
+        degree = operator.index(degree)
         if degree > DEGREE_BUDGET:
             raise BudgetError(f"degree {degree} exceeds the budget {DEGREE_BUDGET}")
         self.degree = degree
@@ -421,13 +361,17 @@ class PermGroup:
 
 
 def orbit_of_tuple(generators: Iterable[Sequence[int]], seed: Sequence[int]) -> frozenset[tuple[int, ...]]:
-    """Orbit of a point tuple under the componentwise action of the generators."""
+    """Orbit of a point tuple under the componentwise action of the
+    generators, maps of one degree n; every point must lie in [0, n)."""
     import numpy as np
-    gens = [as_perm(g) for g in generators]
+    gens = as_perm(list(generators))  # a generator a row
     frontier = as_perm(seed)[None]
+    if gens.size:
+        _points_below(gens, gens.shape[-1])
+        _points_below(frontier, gens.shape[-1])
     seen = {tuple(frontier[0].tolist())}
-    while gens and len(frontier):
-        images = np.unique(np.concatenate([g[frontier] for g in gens]), axis=0)
+    while gens.size and len(frontier):
+        images = np.unique(np.concatenate(gens[:, frontier]), axis=0)
         new = [t for t in map(tuple, images.tolist()) if t not in seen]
         seen.update(new)
         frontier = as_perm(new).reshape(len(new), frontier.shape[1])

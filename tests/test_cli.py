@@ -275,10 +275,13 @@ def test_zero_trials_checks_rows_and_order(capsys):
 @pytest.mark.parametrize("params, message", [
     ((3, 6, 5, 5), "error: degree 177147 exceeds the budget 100000"),  # 3^11
     ((3, 7, 6, 6), "error: group order 1594323 exceeds enumeration budget"),  # 3^13
+    ((3, 5, 5, 4), "error: the 3486784401 products of |H| = 59049 exceed the budget 729000000"),  # 3^10
 ])
 def test_arithmetic_sizes_are_refused_before_any_element(monkeypatch, capsys, params, message):
     # 3^11 is within the enumeration budget but above the permutation-degree
-    # one; both are checked before the elements are listed or any scalar mul
+    # one, and 3^10 within both but above the budget of the kernel check on
+    # all |H|^2 pairs; all are checked before the elements are listed or any
+    # scalar mul
     def refuse(*_):
         raise AssertionError("an element operation before the size checks")
 

@@ -10,7 +10,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from bicayley import cli
+from bicayley import cli, metacyclic
 from bicayley.bicay import (
     BiCayleyGraph,
     apply_group_automorphism,
@@ -29,7 +29,7 @@ from bicayley.metacyclic import (
     identity_map,
     make_group,
 )
-from bicayley.permgroup import compose, invert, perm_powers
+from bicayley.permgroup import compose, invert, perm_power
 from tests import oracles
 
 KERNEL_GROUPS = [(3, 2, 1, 1), (3, 3, 2, 2), (5, 2, 2, 1)]
@@ -92,6 +92,22 @@ def test_right_mul_rows_match_scalar_mul_and_row_kernels():
         for g in G.elements():
             assert np.array_equal(rows[G.rank(g)], G.right_mul_ranks(g))
             assert np.array_equal(rows[:, G.rank(g)], G.left_mul_ranks(g))
+
+
+def test_row_kernels_are_broadcasts_of_mul_ranks():
+    # the census's kernels are tied to the one the arithmetic oracle
+    # certifies on all |H|^2 pairs: every group of order <= 3^5 and the
+    # abelian handles
+    params = [(p, m, n, r) for p in (3, 5) for m in range(2, 5) for n in range(1, 4) for r in range(1, m)
+              if m <= n + r and p ** (m + n) <= 3**5]
+    assert len(params) == 8
+    for G in [make_group(*q) for q in params] + [abelian_handle(m, n) for m, n in ABELIAN_MEMBERS]:
+        ranks = np.arange(G.order)
+        table = G.mul_ranks(ranks[:, None], ranks)  # table[x, y] = rank(x y)
+        assert np.array_equal(G.right_mul_rows(ranks), table.T)
+        for g in G.elements():
+            assert np.array_equal(G.right_mul_ranks(g), table[:, G.rank(g)])
+            assert np.array_equal(G.left_mul_ranks(g), table[G.rank(g)])
 
 
 def grid_test_groups():
@@ -426,116 +442,100 @@ def _arithmetic_report(tmp_path, params=(3, 2, 1, 1), trials=50, seed=0):
 
 def wrong_twist(self, j1, i1, j2, i2):
     # the group law on rank arrays with w^j2 taken as 1, so every row that
-    # right_mul_ranks and right_mul_rows build is wrong
+    # right_mul_ranks and mul_ranks build for an element outside <a> is wrong
     D, _, _, _ = self._rank_grid()
     return D[j1 + j2] + (i1 + i2) % self.mod_i
 
 
-# The permutation kernels below take what the kernels they replace take (a
-# permutation or an (m, n) stack for compose and invert; a stack, exponents
-# and their rows for perm_powers) and have the same bug on each row.
+PRODUCT = PairGroup._product
+# at (3,2,1,1), |H| = 27: rank(x y) moved for x = b^2*a^8 and y = b^2*a^7
+# alone, a pair the 50 trials at seed 0 and their powers never look up
+ONE_PAIR = (26, 25)
 
 
-class StaleSquares:
-    """perm_powers that keeps the squarings p^2, p^4, ... of the row it
-    worked on before, in this call or the one before, and only appends the
-    ones it lacks; it works on the rows in the order they are first wanted."""
-
-    def __init__(self):
-        self.squares = []
-
-    def __call__(self, p, exponents, rows):
-        p = np.asarray(p)
-        out = np.empty((len(rows), p.shape[1]), p.dtype)
-        for r in dict.fromkeys(rows):
-            at = [i for i, s in enumerate(rows) if s == r]
-            ks = [exponents[i] for i in at]
-            squares = self.squares = [p[r]] + self.squares[1:]
-            while len(squares) < max(abs(k) for k in ks).bit_length():
-                squares.append(compose(squares[-1], squares[-1]))
-            out[at] = [powers_from_squares(squares, k) for k in ks]
-        return out
+def wrong_on_one_pair(self, j1, i1, j2, i2):
+    """The group law on rank arrays with rank(x y) moved to the next rank
+    mod |H| for the one pair of ranks (x, y) = ONE_PAIR."""
+    (xj, xi), (yj, yi) = (divmod(x, self.mod_i) for x in ONE_PAIR)
+    out = PRODUCT(self, j1, i1, j2, i2)
+    return np.where((j1 == xj) & (i1 == xi) & (j2 == yj) & (i2 == yi), (out + 1) % self.order, out)
 
 
-def powers_from_squares(squares, k, skip=None):
-    """p^k from squares[i] = p^(2^i), leaving out bit `skip` of |k|."""
-    result = np.broadcast_to(np.arange(squares[0].shape[-1]), squares[0].shape)
-    for bit in range(abs(k).bit_length()):
-        if abs(k) >> bit & 1 and bit != skip:
-            result = compose(result, squares[bit])
-    return invert(result) if k < 0 else result
+POWERS = cli._powers
 
 
-def powers_skipping_low_bit(p, exponents, rows):
-    # the bit loop starts at 1: bit 0 of |k| is never multiplied in
-    squares = [np.asarray(p)]
-    for _ in range(max(abs(k) for k in exponents).bit_length()):
-        squares.append(compose(squares[-1], squares[-1]))
-    return np.stack([powers_from_squares([s[r] for s in squares], k, skip=0) for r, k in zip(rows, exponents)])
+def powers_skipping_low_bit(group, g, e):
+    # the bit loop starts at 1: bit 0 of e is never multiplied in
+    return POWERS(group, group.mul_ranks(g, g), e >> 1)
 
 
-def invert_unless_odd(p):
-    """invert, but a permutation that maps 1 to an odd point is returned as it is."""
-    p = np.asarray(p)
-    return np.where(p[..., 1:2] % 2 == 1, p, invert(p))
+def rows_of(G, ranks):
+    return [{"check": "row", "g": G.element_str(G.unrank(x))} for x in ranks]
 
 
-# label -> (where it is patched, name, a kernel with a plausible bug, the checks
-# that must see it); a class is a kernel with state, made fresh for each run
+G27 = make_group(3, 2, 1, 1)
+# label -> (where it is patched, name, a kernel with a plausible bug, whether
+# the failures of the run at (3,2,1,1), 50 trials, seed 0, are the expected)
 WRONG_KERNELS = {
-    "right_mul_ranks": (PairGroup, "_product", wrong_twist, {"row", "mul"}),
-    "compose": (cli, "compose", lambda p, q: compose(q, p), {"mul"}),  # q first, then p
-    "invert": (cli, "invert", lambda p: np.array(p), {"inv"}),  # p itself
-    "perm_power": (  # sign of k dropped
-        cli, "perm_powers", lambda p, ks, rows: perm_powers(p, [abs(k) for k in ks], rows), {"pow"}),
-    "stale_squares": (cli, "perm_powers", StaleSquares, {"pow"}),
-    "skipped_bit": (cli, "perm_powers", powers_skipping_low_bit, {"pow"}),
+    # the rows of the elements outside <a> (ranks 9 to 26), the first 11 of them
+    "right_mul_ranks": (PairGroup, "_product", wrong_twist, lambda fs: fs == rows_of(G27, range(9, 20))),
+    "one_pair": (PairGroup, "_product", wrong_on_one_pair, lambda fs: fs == rows_of(G27, ONE_PAIR[1:])),
+    # the odd exponents of pow; inv raises to |H| - 1 = 26, which is even
+    "skipped_bit": (cli, "_powers", powers_skipping_low_bit,
+                    lambda fs: fs and all(f["check"] == "pow" and f["k"] % 27 % 2 for f in fs)),
 }
 
 
 @pytest.mark.parametrize("label", list(WRONG_KERNELS))
 def test_arithmetic_oracle_catches_a_wrong_kernel(monkeypatch, tmp_path, label):
     owner, name, kernel, expected = WRONG_KERNELS[label]
-    stateful = isinstance(kernel, type)
-    monkeypatch.setattr(owner, name, kernel() if stateful else kernel)
+    monkeypatch.setattr(owner, name, kernel)
     code, report = _arithmetic_report(tmp_path)
-    assert code == 1 and not report["passed"]
-    checks = {f["check"] for f in report["failures"]}
-    if owner is PairGroup:  # every kernel row is wrong, so other checks may fail too
-        assert expected <= checks
-    else:  # a wrong permutation kernel fails its own check only
-        assert checks == expected
-    if not stateful:  # and the report is the per-trial loop's, with its cut-off
-        assert report == reference_arithmetic_report((3, 2, 1, 1), 50, 0)
+    # scalar mul is right, so the certificate holds and the kernel is at fault
+    assert code == 1 and not report["passed"] and report["order_matches"]
+    assert expected(report["failures"]), report["failures"]
 
 
-# the right images in another dtype or memory layout, which np.array_equal
-# accepts; for a permutation and for a stack (perm_powers: for a stack only)
-P = np.array([1, 2, 0, 4, 3])
-SAME_VALUE_KERNELS = {  # label -> (name in cli, kernel, sample arguments)
-    "compose": ("compose", lambda p, q: compose(p, q).astype(np.int32), (P, P)),
-    "invert": ("invert", lambda p: np.repeat(invert(p), 2, axis=-1)[..., ::2], (P,)),  # a strided view
-    "perm_power": ("perm_powers", lambda p, ks, rows: np.repeat(perm_powers(p, ks, rows), 2, axis=-1)
-                   .astype(np.int32)[..., ::2], (np.stack([P, P[::-1]]), [-4, 3, 0], [1, 0, 1])),
+def test_a_kernel_wrong_on_one_pair_fails_by_the_exhaustive_check_alone(monkeypatch, tmp_path):
+    ranks = np.arange(27)
+    table = G27.mul_ranks(ranks[:, None], ranks)
+    monkeypatch.setattr(PairGroup, "_product", wrong_on_one_pair)
+    assert np.argwhere(G27.mul_ranks(ranks[:, None], ranks) != table).tolist() == [list(ONE_PAIR)]
+    # the trials alone miss it: with no kernel check the run passes
+    monkeypatch.setattr(cli, "_kernel_failures", lambda group, lam: [])
+    code, report = _arithmetic_report(tmp_path)
+    assert code == 0 and report["passed"]
+
+
+# scalar laws in place of PairGroup.mul, inv and pow, each with a plausible bug
+SCALAR_MUTANTS = {
+    "mul": ("mul", lambda G, g, h: ((g[0] + h[0]) % G.mod_j, (g[1] * G.twist_pow(g[0]) + h[1]) % G.mod_i)),  # w^j1
+    "inv": ("inv", lambda G, g: g),
+    "pow": ("pow", lambda G, g, k, pow=PairGroup.pow: pow(G, g, abs(k))),  # sign of k dropped
 }
 
 
-@pytest.mark.parametrize("label", sorted(SAME_VALUE_KERNELS))
-def test_arithmetic_oracle_compares_values_not_layout(monkeypatch, tmp_path, label):
-    name, kernel, sample = SAME_VALUE_KERNELS[label]
-    reference = getattr(cli, name)
-    for args in (sample, tuple(np.stack([a, a[::-1]]) if a is P else a for a in sample)):
-        out, want = kernel(*args), reference(*args)
-        assert out.dtype != np.intp or not out.flags.c_contiguous
-        assert out.shape == want.shape and (out == want).all()
-    monkeypatch.setattr(cli, name, kernel)
+@pytest.mark.parametrize("label", list(SCALAR_MUTANTS))
+def test_arithmetic_oracle_catches_a_wrong_scalar_law(monkeypatch, tmp_path, label):
+    name, law = SCALAR_MUTANTS[label]
+    monkeypatch.setattr(PairGroup, name, law)
     code, report = _arithmetic_report(tmp_path)
-    assert code == 0 and report["passed"] and report["failures"] == []
+    expect = reference_arithmetic_report((3, 2, 1, 1), 50, 0)
+    assert code == 1 and not expect["passed"]
+    if label == "mul":  # w^j1 fails the certificate: the chain's order is 81, the oracle certifies none
+        assert expect["regular_representation_order"] == 81
+        expect["regular_representation_order"] = None
+    assert report == expect
+
+
+def invert_odd_ranks(G, g, inv=PairGroup.inv):
+    """inv, but an element of odd rank is returned as it is."""
+    return g if G.rank(g) % 2 else inv(G, g)
 
 
 def reference_arithmetic_report(params, trials, seed):
-    """The arithmetic oracle trial by trial: every check on every trial, with
-    the permutation kernels `cli` calls (patched ones included) and
+    """The arithmetic oracle trial by trial: every check on every trial, on
+    the rows of right_mul_ranks with the permutation kernels and
     np.array_equal for equality."""
     G = make_group(*params)
     els, row, same = G.elements(), G.right_mul_ranks, np.array_equal
@@ -550,11 +550,11 @@ def reference_arithmetic_report(params, trials, seed):
         h = els[rng.randrange(len(els))]
         k = rng.randrange(-G.order, G.order + 1)
         pg, ph = row(g), row(h)
-        if not same(row(G.mul(g, h)), cli.compose(pg, ph)):
+        if not same(row(G.mul(g, h)), compose(pg, ph)):
             failures.append({"check": "mul", "g": G.element_str(g), "h": G.element_str(h)})
-        if not same(row(G.inv(g)), cli.invert(pg)):
+        if not same(row(G.inv(g)), invert(pg)):
             failures.append({"check": "inv", "g": G.element_str(g)})
-        if not same(row(G.pow(g, k)), cli.perm_powers(pg[None], [k], [0])[0]):
+        if not same(row(G.pow(g, k)), perm_power(pg, k)):
             failures.append({"check": "pow", "g": G.element_str(g), "k": k})
         if len(failures) > 10:
             break
@@ -610,16 +610,17 @@ def test_arithmetic_oracle_certifies_the_order_of_a_group_law_only(monkeypatch, 
 
 
 def test_arithmetic_oracle_reports_every_trial_of_a_failing_element(monkeypatch, tmp_path):
-    # the inv verdict is computed once per element: a trial that draws an
-    # element seen before must still add its failure, in trial order
-    monkeypatch.setattr(cli, "invert", invert_unless_odd)
+    # the inv check is computed once per element: a trial that draws an
+    # element seen before must still add its failure, in trial order (pow
+    # fails too on negative k, as it reads inv)
+    monkeypatch.setattr(PairGroup, "inv", invert_odd_ranks)
     # one run cut off after 11 failures, one that ends before the cut-off
-    for params, trials, seed, count in (((3, 2, 1, 1), 50, 0, 11), ((3, 2, 2, 1), 15, 3, 5)):
+    for params, trials, seed, count in (((3, 2, 1, 1), 50, 0, 11), ((3, 2, 2, 1), 15, 7, 9)):
         code, report = _arithmetic_report(tmp_path, params, trials, seed)
         expect = reference_arithmetic_report(params, trials, seed)
         assert code == 1 and report == expect
         inv = [f["g"] for f in expect["failures"] if f["check"] == "inv"]
-        assert len(inv) == len(expect["failures"]) == count
+        assert len(expect["failures"]) == count
         assert len(set(inv)) < len(inv)  # a failing element drawn again
 
 
@@ -631,17 +632,19 @@ def test_arithmetic_oracle_report_matches_per_trial_loop(tmp_path):
 
 
 def test_arithmetic_oracle_above_the_table_budget_matches_per_trial_loop(tmp_path):
-    # |H| = 3125 is above the table budget: each chunk builds the rows it checks
-    assert make_group(5, 3, 2, 2).order > cli.TABLE_BUDGET
+    # |H| = 3125, above the census's table budget: one row at a time
+    # in the kernel check, 20 rows a chunk
+    assert make_group(5, 3, 2, 2).order > metacyclic.TABLE_BUDGET
     code, _ = _arithmetic_report(tmp_path, (5, 3, 2, 2), 300, 0)
     expect = reference_arithmetic_report((5, 3, 2, 2), 300, 0)
     assert code == 0 and (tmp_path / "report.json").read_text() == json.dumps(expect) + "\n"
 
 
 def test_arithmetic_oracle_refuses_a_row_entry_that_is_not_a_rank(monkeypatch, tmp_path, capsys):
-    # rows are narrowed and stacked only after every entry is seen to be a
-    # rank, so a kernel off by |H| cannot wrap into a passing row; such a row
-    # is a kernel fault, a failed verification (exit 1) naming its element
+    # every kernel entry is checked to be a rank before any is used as an
+    # index, so a kernel off by |H| cannot wrap into a passing row; such a
+    # row is a kernel fault, a failed verification (exit 1) naming its
+    # element, and the run ends there
     def run(params):
         code = cli.main(["verify", "--target", "arithmetic", "--trials", "5", "--out", str(tmp_path / "r.json")]
                         + [x for name, v in zip(("--p", "--m", "--n", "--r"), params) for x in (name, str(v))])
@@ -650,26 +653,23 @@ def test_arithmetic_oracle_refuses_a_row_entry_that_is_not_a_rank(monkeypatch, t
         assert code == 1 and report["passed"] is False
         return report["failures"]
 
-    rows = PairGroup.right_mul_rows
+    mul_ranks = PairGroup.mul_ranks
 
-    def shift_rank_5(self, ranks):
-        block = rows(self, ranks)
-        block[np.asarray(ranks) == 5] += self.order
-        return block
+    def shift_rank_5(self, x, y):
+        out = mul_ranks(self, x, y)
+        return np.where(np.asarray(y) == 5, out + self.order, out)
 
-    monkeypatch.setattr(PairGroup, "right_mul_rows", shift_rank_5)
-    G = make_group(3, 2, 1, 1)
-    assert run((3, 2, 1, 1)) == [{"check": "row", "g": G.element_str(G.unrank(5))}]
-    product = PairGroup._product
-    monkeypatch.setattr(PairGroup, "_product", lambda self, *parts: product(self, *parts) + self.order)
-    # with a table the identity's row is built first, above the table budget a's
-    for params, first in (((3, 2, 1, 1), (0, 0)), ((5, 3, 2, 2), (0, 1))):
-        assert run(params)[-1] == {"check": "row", "g": make_group(*params).element_str(first)}
+    monkeypatch.setattr(PairGroup, "mul_ranks", shift_rank_5)
+    assert run((3, 2, 1, 1)) == rows_of(G27, [5])
+    # every entry off by |H|: the first 11 rows in rank order
+    monkeypatch.setattr(PairGroup, "_product", lambda self, *parts: PRODUCT(self, *parts) + self.order)
+    for params in ((3, 2, 1, 1), (5, 3, 2, 2)):
+        assert run(params) == rows_of(make_group(*params), range(11))
 
 
 def test_arithmetic_oracle_blocks_keep_the_per_trial_report(monkeypatch, tmp_path):
-    # blocks of 7 trials, checked in stacks of 1, 2 and 3 rows: a passing
-    # run, and a failing one whose cut-off falls in a later block
+    # blocks of 7 trials, the kernel checked 1, 2 and 3 rows at a time: a
+    # passing run, and a failing one whose cut-off falls in a later block
     monkeypatch.setattr(cli, "TRIAL_BLOCK", 7)
     for rows in (1, 2, 3):
         monkeypatch.setattr(cli, "CHUNK_ENTRIES", rows * 243)
@@ -677,19 +677,17 @@ def test_arithmetic_oracle_blocks_keep_the_per_trial_report(monkeypatch, tmp_pat
         expect = reference_arithmetic_report((3, 3, 2, 2), 300, 7)
         assert code == 0 and (tmp_path / "report.json").read_text() == json.dumps(expect) + "\n"
     monkeypatch.setattr(cli, "CHUNK_ENTRIES", 2 * 27)
-    monkeypatch.setattr(cli, "invert", invert_unless_odd)
+    monkeypatch.setattr(PairGroup, "inv", invert_odd_ranks)
     code, report = _arithmetic_report(tmp_path, (3, 2, 1, 1), 50, 0)
     assert code == 1 and report == reference_arithmetic_report((3, 2, 1, 1), 50, 0)
     assert len(report["failures"]) == 11
 
 
 def test_arithmetic_oracle_builds_each_row_once_and_holds_a_few(monkeypatch, tmp_path):
-    # (3,3,2,2) has 243 elements.  Within the table budget every row is built
-    # once; above it (the budget lowered here) the rows of each chunk of 5
-    # trials are built for that chunk, so rows are built again, and no more
-    # than the row stacks one check compares are alive at once
+    # (3,3,2,2) has 243 elements.  The kernel check builds every row once,
+    # 5 a chunk here, and no more than a few chunks' rows are alive at once
     params, trials, seed = (3, 3, 2, 2), 400, 9
-    made = []  # every array made from the rows right_mul_rows returns
+    made = []  # every array made from the rows mul_ranks returns
 
     class Tracked(np.ndarray):
         def __array_finalize__(self, obj):
@@ -702,33 +700,30 @@ def test_arithmetic_oracle_builds_each_row_once_and_holds_a_few(monkeypatch, tmp
         return sum(len(a) for a in arrays if a is not None and a.ndim == 2 and a.dtype.kind in "iu"
                    and not isinstance(a.base, Tracked))
 
-    right_mul_rows = PairGroup.right_mul_rows
+    mul_ranks = PairGroup.mul_ranks
     built, most_held = [], [0]
 
-    def counted(self, ranks):
+    def counted(self, x, y):
+        if np.ndim(y) < 2:  # a lookup, not a stack of rows
+            return mul_ranks(self, x, y)
         most_held[0] = max(most_held[0], rows_held())
-        built.append(len(ranks))
-        return right_mul_rows(self, ranks).view(Tracked)
+        built.append(len(y))
+        return mul_ranks(self, x, y).view(Tracked)
 
     expect = json.dumps(reference_arithmetic_report(params, trials, seed)) + "\n"
-    monkeypatch.setattr(PairGroup, "right_mul_rows", counted)
-    code, _ = _arithmetic_report(tmp_path, params, trials, seed)
-    assert code == 0 and (tmp_path / "report.json").read_text() == expect
-    assert sum(built) == 243 and most_held[0] == 0
-    built.clear()
-    monkeypatch.setattr(cli, "TABLE_BUDGET", 100)
+    monkeypatch.setattr(PairGroup, "mul_ranks", counted)
     monkeypatch.setattr(cli, "CHUNK_ENTRIES", 5 * 243)
     code, _ = _arithmetic_report(tmp_path, params, trials, seed)
     assert code == 0 and (tmp_path / "report.json").read_text() == expect
-    assert max(built) <= 5 and sum(built) > 2 * 243
+    assert max(built) <= 5 and sum(built) == 243
     assert most_held[0] <= 3 * 5
 
 
 @pytest.mark.parametrize("trials", [1500, 20000])
 def test_arithmetic_oracle_memory_does_not_grow_with_trials(trials):
-    # (3,3,3,2), |H| = 729: the row table takes ~1.1 MB and the order's
-    # certificate four rows; a block's row stacks set the peak, ~1.8 MB with
-    # --trials 0, ~3.6 MB at 1500 trials and ~5.0 MB at 20000
+    # (3,3,3,2), |H| = 729: a chunk of the kernel check, 89 rows of 729
+    # entries and their compares, sets the peak, ~2.2 MB at 0, 1500 and
+    # 20000 trials; a block of trials holds arrays of 4096 entries
     args = cli.build_parser().parse_args(["verify", "--target", "arithmetic", "--p", "3", "--m", "3",
                                           "--n", "3", "--r", "2", "--trials", str(trials)])
     tracemalloc.start()

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from bicayley import Graph, abelian_family, aut_group, classify, gamma_t, sigma_t
-from bicayley.errors import InvalidMapError
+from bicayley.errors import InvalidMapError, InvariantViolation
 from bicayley.permgroup import (
+    PermGroup,
     compose,
     identity,
     invert,
@@ -21,7 +22,6 @@ from bicayley.permgroup import (
     orbit_labels,
     orbit_of_tuple,
     perm_power,
-    perm_powers,
 )
 from bicayley.symmetry import arc_orbits
 
@@ -102,17 +102,43 @@ def test_kernels_leave_their_inputs_alone():
 
 
 def test_powers_reject_bad_arguments():
-    stack = np.array([[1, 2, 0], [0, 2, 1]])
-    with pytest.raises(TypeError, match="perm_power for one permutation"):
-        perm_powers(stack[0], [2], [0])
-    with pytest.raises(ValueError, match="3 exponents for 2 rows"):
-        perm_powers(stack, [1, 2, 3], [0, 1])
-    for row in (-1, 2):
-        with pytest.raises(IndexError, match=r"a row outside \[0, 2\)"):
-            perm_powers(stack, [1], [row])
-    # a 0-point permutation and an empty stack have powers too
+    # k is read by operator.index, as a degree is; a point outside the
+    # degree is refused as by compose and invert
+    p = [1, 2, 0]
+    for k in (2.0, "2", None):
+        with pytest.raises(TypeError):
+            perm_power(p, k)
+    assert same(perm_power(p, np.int64(2)), (2, 0, 1))
+    for bad in ([1, 3, 0], [1, -1, 0]):
+        with pytest.raises(InvariantViolation, match=r"a point outside \[0, 3\)"):
+            perm_power(bad, 2)
+    # a 0-point permutation has powers too
     assert same(perm_power([], 5), ()) and same(perm_power(np.empty(0, np.intp), -(10**20)), ())
-    assert perm_powers(np.empty((0, 3), np.uint8), [], []).shape == (0, 3)
+
+
+def test_kernels_refuse_points_outside_the_degree():
+    # a point outside [0, degree) is an InvariantViolation, never numpy's
+    # IndexError or a negative index that wraps around
+    for bad in ([0, 5, 1], [0, -1, 1]):
+        stack = np.array([[0, 1, 2], bad])
+        for call in (lambda: compose(bad, [0, 1, 2]), lambda: invert(bad), lambda: compose(stack, stack),
+                     lambda: invert(stack), lambda: orbit_of_tuple([[1, 0, 2]], [bad[1]]),
+                     lambda: orbit_of_tuple([[1, 0, 2], bad], [0])):
+            with pytest.raises(InvariantViolation, match=r"a point outside \[0, 3\)"):
+                call()
+    with pytest.raises(InvariantViolation, match="rows of one length"):  # generators of two degrees
+        orbit_of_tuple([[1, 0, 2], [1, 0]], [0])
+    assert orbit_of_tuple([], [7]) == {(7,)}  # no generator moves the seed
+
+
+def test_degrees_are_read_by_operator_index():
+    # as Graph(n, ...) reads its vertex count
+    for call in (lambda d: orbit_labels(d, []), identity, lambda d: PermGroup(d, [], ())):
+        for degree in (3.0, 2.5, "3"):
+            with pytest.raises(TypeError):
+                call(degree)
+    assert orbit_labels(np.int64(3), []).tolist() == identity(3).tolist() == [0, 1, 2]
+    assert PermGroup(np.int64(3), [[1, 0, 2]], [0]).order() == 2
 
 
 def test_orbit_labels_match_tuple_orbits():

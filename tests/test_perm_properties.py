@@ -23,7 +23,6 @@ from bicayley.permgroup import (  # noqa: E402
     is_permutation,
     orbit_labels,
     perm_power,
-    perm_powers,
 )
 
 from . import oracles  # noqa: E402
@@ -78,12 +77,12 @@ exponent_lists = st.lists(
 @SETTINGS
 @given(perms, exponent_lists)
 def test_powers_match_tuple_powers(p, ks):
-    arr = np.array(p, dtype=np.intp)[None]  # a one-row stack
-    out = perm_powers(arr, ks, [0] * len(ks))
+    arr = np.array(p, dtype=np.intp)
+    out = [perm_power(arr, k) for k in ks]
     assert [r.tolist() for r in out] == [list(oracles.perm_power(p, k)) for k in ks]
     for i, r in enumerate(out):  # no result aliases the input or another result
         r[...] = -1 - i
-    assert arr[0].tolist() == list(p)
+    assert arr.tolist() == list(p)
     assert all((r == -1 - i).all() for i, r in enumerate(out))
 
 
@@ -101,7 +100,7 @@ stack_dtypes = st.sampled_from([np.intp, np.int32, np.uint8])
 @SETTINGS
 @given(stack_pairs, stack_dtypes)
 def test_stacked_kernels_match_1d_kernels_row_by_row(PQ, dtype):
-    # compose and invert; the stacked powers have a test of their own below
+    # compose and invert, the kernels that take stacks
     P, Q = (a.astype(dtype) for a in PQ)
     composed, inverted = compose(P, Q), invert(P)
     assert composed.shape == inverted.shape == P.shape and inverted.dtype == P.dtype
@@ -115,34 +114,6 @@ def test_stacked_kernels_match_1d_kernels_row_by_row(PQ, dtype):
 MIXED = [1, 0, 3, 4, 2]
 
 
-def power_stacks(n):
-    """(m, n) stacks of 1 to 5 rows, rows repeated, among them the identity and
-    (0 1)(2 3 4) on the first five points, with the powers wanted: a row
-    index and an exponent each, 0, +-1 and +-10^20 among them."""
-    rows = [st.permutations(range(n)), st.just(list(range(n)))]
-    if n >= 5:
-        rows.append(st.just(MIXED + list(range(5, n))))
-    stacks = st.lists(st.one_of(rows), min_size=1, max_size=5).flatmap(lambda rs: st.permutations(rs + rs[:1]))
-    exponents = st.one_of(st.sampled_from([0, 1, -1, 10**20, -(10**20)]), st.integers(-100, 100),
-                          st.integers(-(10**20), 10**20))
-    return stacks.flatmap(lambda rs: st.tuples(st.just(rs), st.lists(
-        st.tuples(st.integers(0, len(rs) - 1), exponents), max_size=12)))
-
-
-@SETTINGS
-@given(st.integers(0, 12).flatmap(power_stacks), st.sampled_from([np.intp, np.uint8, np.uint16]))
-def test_stacked_powers_match_tuple_powers_row_by_row(case, dtype):
-    rows, wanted = case
-    P = np.array(rows, dtype=dtype).reshape(len(rows), -1)
-    at, ks = [r for r, _ in wanted], [k for _, k in wanted]
-    out = perm_powers(P, ks, at)
-    assert out.dtype == P.dtype and out.shape == (len(wanted), P.shape[1])
-    for r, k, power in zip(at, ks, out):
-        assert power.tolist() == list(oracles.perm_power(tuple(rows[r]), k))
-    out[...] = 0  # no result aliases the stack
-    assert P.tolist() == [list(r) for r in rows]
-
-
 def _period(p, bound):
     """The least L <= bound with p^L fixing point 0, or 0 if there is none."""
     if not len(p) or bound < 1:
@@ -154,26 +125,20 @@ def _period(p, bound):
     return 0 if x else steps
 
 
-def powers_reduced_unchecked(p, exponents, rows):
-    """perm_powers with every k reduced mod the period L of point 0 under its
-    row, without checking that p^L is the identity."""
-    bound = {r: max(abs(k) for s, k in zip(rows, exponents) if s == r) for r in rows}
-    periods = {r: _period(as_perm(p[r]), bound[r]) for r in bound}
-    return perm_powers(p, [k % periods[r] if periods[r] else k for r, k in zip(rows, exponents)], rows)
+def power_reduced_unchecked(p, k):
+    """perm_power with k reduced mod the period L of point 0, without
+    checking that p^L is the identity."""
+    period = _period(as_perm(p), abs(k))
+    return perm_power(p, k % period if period else k)
 
 
 def assert_powers_match_tuple_powers(kernel, rows, ks):
-    """kernel's powers of each row, as a one-row stack and as a row of one
-    stack of all the rows, against the tuple oracle."""
-    stack = np.array(rows, dtype=np.intp)
-    stacked = kernel(stack, ks * len(rows), [i for i in range(len(rows)) for _ in ks])
-    for i, p in enumerate(rows):
-        want = [list(oracles.perm_power(tuple(p), k)) for k in ks]
-        assert kernel(stack[i : i + 1], ks, [0] * len(ks)).tolist() == want
-        assert stacked[i * len(ks) : (i + 1) * len(ks)].tolist() == want
+    """kernel's powers of each row against the tuple oracle."""
+    for p in rows:
+        assert [kernel(p, k).tolist() for k in ks] == [list(oracles.perm_power(tuple(p), k)) for k in ks]
 
 
-POWER_CASES = [  # rows, each also a row of one stack, and exponents
+POWER_CASES = [  # rows and exponents
     ([MIXED], [2]),
     ([MIXED, [0, 1, 2, 3, 4]], [2, -2, 4, 0, 10**20 + 2]),  # the identity has period 1
     ([[1, 2, 0, 4, 5, 3], [1, 0, 3, 2, 5, 4]], [-7, 0, 6, 10**20, -(10**20) - 1]),  # orders 3 and 2
@@ -183,18 +148,16 @@ POWER_CASES = [  # rows, each also a row of one stack, and exponents
 
 @pytest.mark.parametrize("rows, ks", POWER_CASES)
 def test_powers_reduce_only_by_a_verified_period(rows, ks):
-    assert_powers_match_tuple_powers(perm_powers, rows, ks)
+    # perm_power reduces k by no period; these cases catch one that does
+    # by the period of point 0 alone
+    assert_powers_match_tuple_powers(perm_power, rows, ks)
 
 
 def test_power_cases_catch_a_reduction_without_the_check():
     assert _period(as_perm(MIXED), 2) == 2 and not np.array_equal(perm_power(MIXED, 2), np.arange(5))
     rows, ks = POWER_CASES[0]
-    with pytest.raises(AssertionError):  # as a one-row stack
-        assert_powers_match_tuple_powers(powers_reduced_unchecked, rows, ks)
-    # as a row of a larger stack alone: the one-row stacks are right
     with pytest.raises(AssertionError):
-        assert_powers_match_tuple_powers(lambda p, ks, at: (powers_reduced_unchecked if len(p) > 1 else perm_powers)
-                                         (p, ks, at), rows + [list(range(5))], ks)
+        assert_powers_match_tuple_powers(power_reduced_unchecked, rows, ks)
 
 
 # (degree, images): permutations, and integer lists with negatives, repeats,

@@ -13,7 +13,6 @@ from bicayley.permgroup import (
     orbit_labels,
     orbit_of_tuple,
     perm_power,
-    perm_powers,
 )
 
 from .oracles import (
@@ -98,7 +97,6 @@ def point_entry_points(n):
         ("compose", InvariantViolation, same, lambda x: compose(x, x)),
         ("invert", InvariantViolation, same, invert),
         ("perm_power", InvariantViolation, same, lambda x: perm_power(x, 2)),
-        ("perm_powers", InvariantViolation, _row, lambda x: perm_powers(x, [2, -1], [0, 0])),
         ("is_identity", InvariantViolation, same, is_identity),
         ("orbit_labels", InvariantViolation, same, lambda x: orbit_labels(n, [x])),
         ("orbit_of_tuple generators", InvariantViolation, same, lambda x: orbit_of_tuple([x], range(min(n, 2)))),
