@@ -287,7 +287,6 @@ class CensusClass:
 @dataclass(frozen=True)
 class CensusResult:
     group_params: tuple[int, int, int, int]
-    connected_only: bool
     pair_count: int
     generating_pair_count: int
     classes: tuple[CensusClass, ...]
@@ -325,9 +324,10 @@ def _pair_moves(group: MetacyclicGroup) -> list[np.ndarray]:
     return moves
 
 
-def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
-    """All spoke sets S = {1, x, y} over the group up to graph isomorphism,
-    each class classified; deterministic enumeration by element rank.
+def census(group: MetacyclicGroup) -> CensusResult:
+    """All generating spoke sets S = {1, x, y} over the group, the connected
+    graphs, up to graph isomorphism, each class classified; deterministic
+    enumeration by element rank.
 
     S -> S^alpha (alpha in Aut(H)), S -> S^-1 (swap the parts) and
     S -> S s^-1 (s in S, translate part 0) give isomorphic graphs; they act on
@@ -336,11 +336,12 @@ def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
     `orbit_labels` labels each pair by the least pair of its orbit.  The
     moves keep x != y, both away from the identity, and <x, y>, so an orbit
     of such pairs is labelled by its first pair x < y in enumeration order,
-    and one `generates` test per orbit drops the disconnected graphs.  Orbits only bound the classes from above: one
-    `canonical_search` per orbit gives the class digest and the group that
-    `classify` receives.  On a connected graph that search starts with the
-    generators of R(H) from `right_group`.  A group above `TABLE_BUDGET`
-    is refused (`BudgetError`) by `_pair_moves` before any group kernel runs.
+    and one `generates` test per orbit drops the disconnected graphs.
+    Orbits only bound the classes from above: one `canonical_search` per
+    orbit, started with the generators of R(H) from `right_group`, gives
+    the class digest and the group that `classify` receives.  A group above
+    `TABLE_BUDGET` is refused (`BudgetError`) by `_pair_moves` before any
+    group kernel runs.
     """
     import numpy as np
 
@@ -356,16 +357,13 @@ def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
     generating = 0
     for root, size in zip(roots.tolist(), sizes[roots].tolist()):
         u, v = group.unrank(root // n), group.unrank(root % n)
-        connected = group.generates(u, v)
-        if connected_only and not connected:
+        if not group.generates(u, v):
             continue
         generating += size
         spokes = (ident, u, v)
         bg = BiCayleyGraph(group, (), (), spokes)
         graph = bg.graph
-        # canonical_search takes known automorphisms on a connected graph only
-        known = right_group(bg).generators if connected else ()
-        labelling, aut = canonical_search(graph, known)
+        labelling, aut = canonical_search(graph, right_group(bg).generators)
         # roots come in enumeration order, so each class keeps its first pair
         entry = buckets.setdefault(graph6_encode(graph.relabel(labelling)), [spokes, 0, graph, aut])
         entry[1] += size
@@ -375,16 +373,14 @@ def census(group: MetacyclicGroup, connected_only: bool = True) -> CensusResult:
         classes.append(CensusClass(spokes, digest, count, classify(graph, aut)))
     elapsed = time.monotonic() - start
     total = (n - 1) * (n - 2) // 2
-    return CensusResult(
-        group.params(), connected_only, total, generating, tuple(classes), elapsed
-    )
+    return CensusResult(group.params(), total, generating, tuple(classes), elapsed)
 
 
 def census_to_dict(result: CensusResult, group: MetacyclicGroup) -> dict:
     """JSON-ready dict with a stable key order."""
     return {
         "group": list(result.group_params),
-        "connected_only": result.connected_only,
+        "connected_only": True,  # the census lists the connected graphs only
         "pair_count": result.pair_count,
         "generating_pair_count": result.generating_pair_count,
         "class_count": len(result.classes),

@@ -3,21 +3,19 @@
 A permutation is a contiguous 1-d ``np.intp`` array of images on [0, degree):
 ``compose(p, q)`` is ``q[p]`` and `invert` one scatter.  Public functions also
 take any integer sequence, and `_integer_array` alone decides what that is for
-every point, map, stack, base and seed a caller passes: ragged rows and float,
+every point, map, base and seed a caller passes: ragged rows and float,
 bool, str or object entries are refused, never truncated (predicates answer
 False, the rest raise `InvariantViolation`, as `compose`, `invert` and
 `orbit_of_tuple` do for a point outside [0, degree)).  A degree or an
 exponent is read by `operator.index`.  `is_permutation` alone decides, in
 O(degree), if one is a permutation.  Generators are read-only arrays.
-`compose` and `invert` also take an (m, n) stack of permutations, one a
-row, in any integer dtype, and work row by row with one numpy operation for
-all rows; a stack's results keep its dtype.  `perm_power` is a binary power
-by `compose`.  Every orbit of points comes from `orbit_labels`, the least
-point of each orbit: `orbit_lists` groups points by label, and
-`PermGroup.order` folds a group's generators into labels level by level for
-its basic orbits.  Only the transversals of `contains` and
-`orbit_of_tuple`, on point tuples, search outward.  numpy is imported on
-use, as in graphs.py.
+`compose`, `invert`, `perm_power` (a binary power by `compose`) and
+`is_identity` take one row of points and refuse any other shape.  Every
+orbit of points comes from `orbit_labels`, the least point of each orbit:
+`orbit_lists` groups points by label, and `PermGroup.order` folds a
+group's generators into labels level by level for its basic orbits.  Only
+the transversals of `contains` and `orbit_of_tuple`, on point tuples,
+search outward.  numpy is imported on use, as in graphs.py.
 
 A group has one way to its order: the product of its basic orbit sizes.
 So every group is built with a base relative to which its generators are
@@ -73,15 +71,18 @@ def identity(degree: int) -> Perm:
     return np.arange(operator.index(degree), dtype=np.intp)
 
 
+def _row(p) -> Perm:
+    """p as a permutation (`as_perm`), checked to be one row of points: on a
+    2-d array `q[p]` would fancy-index rows, not compose."""
+    p = as_perm(p)
+    if p.ndim != 1:
+        raise InvariantViolation("a permutation is one row of points")
+    return p
+
+
 def is_identity(p: Sequence[int]) -> bool:
-    return bool((as_perm(p) == identity(len(p))).all())
-
-
-def _perms(p) -> Perm:
-    """p as a permutation (`as_perm`), or a 2-d stack of permutations, one a
-    row, as it is: any integer dtype and memory layout."""
-    a = _integer_array(p)
-    return a if a is not None and a.ndim == 2 else as_perm(p if a is None else a)
+    p = _row(p)
+    return bool((p == identity(len(p))).all())
 
 
 def _points_below(p: Perm, n: int) -> Perm:
@@ -91,39 +92,21 @@ def _points_below(p: Perm, n: int) -> Perm:
     return p
 
 
-def _flat(p: Perm) -> Perm:
-    """The points of an (m, n) stack as indices into its flattened array: each
-    row is shifted to its own row (its points must lie in [0, n))."""
-    import numpy as np
-    m, n = p.shape
-    return p + np.arange(m, dtype=np.intp)[:, None] * n
-
-
-def _gather(q: Perm, p: Perm) -> Perm:
-    """q[p], row by row for stacks of one shape."""
-    import numpy as np
-    return q[p] if p.ndim == 1 else np.take(q, _flat(p))
-
-
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
-    """Apply p first, then q; for two (m, n) stacks, row by row."""
-    p, q = _perms(p), _perms(q)
-    if p.shape != q.shape:
-        raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ" if p.ndim == q.ndim == 1
-                             else f"shapes {p.shape} and {q.shape} differ")
-    return _gather(q, _points_below(p, p.shape[-1]))
+    """Apply p first, then q."""
+    p, q = _row(p), _row(q)
+    if len(p) != len(q):
+        raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
+    return q[_points_below(p, len(p))]
 
 
 def invert(p: Sequence[int]) -> Perm:
-    """p^-1 by one scatter; for an (m, n) stack, row by row, in its dtype."""
+    """p^-1 by one scatter."""
     import numpy as np
-    p = _perms(p)
-    _points_below(p, p.shape[-1])
-    out = np.empty(p.shape, p.dtype)
-    if p.ndim == 1:
-        out[p] = identity(len(p))
-    else:  # the row of images repeats for every row
-        np.put(out, _flat(p), identity(p.shape[-1]))
+    p = _row(p)
+    _points_below(p, len(p))
+    out = np.empty_like(p)
+    out[p] = identity(len(p))
     return out
 
 
@@ -131,7 +114,7 @@ def perm_power(p: Sequence[int], k: int) -> Perm:
     """p^k by repeated squaring; k (`operator.index`) may be negative or
     exceed the order of p."""
     k = operator.index(k)
-    p = invert(p) if k < 0 else as_perm(p)
+    p = invert(p) if k < 0 else _row(p)
     result, k = identity(len(p)), abs(k)
     while k:
         if k & 1:
@@ -161,13 +144,13 @@ def orbit_labels(degree: int, generators: Sequence[Perm], labels: Perm | None = 
     """
     import numpy as np
     degree = operator.index(degree)
-    generators = [_perms(g) for g in generators]
+    generators = [as_perm(g) for g in generators]
     labels = identity(degree) if labels is None else as_perm(labels).copy()
     hooked = True
     while hooked:
         hooked = False
         for g in generators:
-            if np.ndim(g) == 1:
+            if g.ndim == 1:
                 a, b = labels, labels[g]
             else:
                 a, b = labels[g].T

@@ -412,7 +412,7 @@ def is_normal(G: PermGroup, N: PermGroup) -> bool:
     return True
 
 
-def census_by_pairs(group, connected_only=True):
+def census_by_pairs(group):
     """The census by one canonical labelling per generating pair."""
     from bicayley.bicay import BiCayleyGraph
     from bicayley.errors import BudgetError
@@ -432,7 +432,7 @@ def census_by_pairs(group, connected_only=True):
     for i, x in enumerate(nonid):
         for y in nonid[i + 1 :]:
             pair_count += 1
-            if connected_only and len(group.closure([x, y])) != group.order:
+            if len(group.closure([x, y])) != group.order:
                 continue
             generating += 1
             bg = BiCayleyGraph(group, (), (), (ident, x, y))
@@ -447,9 +447,7 @@ def census_by_pairs(group, connected_only=True):
         spokes, count, bg = buckets[digest]
         classes.append(CensusClass(spokes, digest, count, classify(bg.graph)))
     elapsed = time.monotonic() - start
-    return CensusResult(
-        group.params(), connected_only, pair_count, generating, tuple(classes), elapsed
-    )
+    return CensusResult(group.params(), pair_count, generating, tuple(classes), elapsed)
 
 
 def _g6_size_header(n):

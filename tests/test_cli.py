@@ -106,6 +106,15 @@ def test_census_subcommand(capsys):
     ]
 
 
+def test_census_lists_connected_graphs_only(capsys):
+    # the census has no disconnected mode: the former flag is an unknown option
+    code, out, err = run_cli(capsys, "census", "--group", "3,2,1,1", "--include-disconnected")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unrecognized arguments: --include-disconnected") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "census", "--group", "3,2,1,1")
+    assert code == 0 and json.loads(out)["connected_only"] is True
+
+
 def run_module(*argv, timeout=60):
     """python -m bicayley in a subprocess, so an uncaught exception would show
     as a traceback."""

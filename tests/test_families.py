@@ -244,14 +244,6 @@ def test_census_deterministic(group27, census27):
     assert [c.spokes for c in again.classes] == [c.spokes for c in census27.classes]
 
 
-def test_census_includes_disconnected(group27, census27):
-    from bicayley import census
-
-    full = census(group27, connected_only=False)
-    assert full.generating_pair_count == full.pair_count == 325
-    assert len(full.classes) > len(census27.classes)
-
-
 def test_census_budget(monkeypatch):
     from bicayley import census, make_group
     from bicayley.metacyclic import MetacyclicGroup, PairGroup
@@ -276,9 +268,10 @@ def _without_elapsed(result, group):
     return doc
 
 
+# connected_only: the flag the census JSON writes (it lists the connected graphs only)
 @pytest.mark.parametrize(
     "params, connected_only",
-    [((3, 2, 1, 1), True), ((3, 2, 2, 1), True), ((3, 3, 1, 2), True), ((3, 2, 1, 1), False)],
+    [((3, 2, 1, 1), True), ((3, 2, 2, 1), True), ((3, 3, 1, 2), True)],
 )
 def test_census_matches_per_pair_oracle(params, connected_only):
     from bicayley import census, make_group
@@ -286,8 +279,9 @@ def test_census_matches_per_pair_oracle(params, connected_only):
     from .oracles import census_by_pairs
 
     G = make_group(*params)
-    fast = _without_elapsed(census(G, connected_only=connected_only), G)
-    assert fast == _without_elapsed(census_by_pairs(G, connected_only=connected_only), G)
+    fast = _without_elapsed(census(G), G)
+    assert fast == _without_elapsed(census_by_pairs(G), G)
+    assert fast["connected_only"] is connected_only
     assert fast["pair_count"] == (G.order - 1) * (G.order - 2) // 2
 
 
@@ -309,7 +303,8 @@ CENSUS_GROUPS = [
 ]
 
 # SHA-256 of json.dumps(census_to_dict(...)) without elapsed_seconds, computed
-# with the per-Aut(H)-orbit census that preceded the pair-orbit one.
+# with the per-Aut(H)-orbit census that preceded the pair-orbit one; keyed by
+# the group and the connected_only flag that JSON writes.
 CENSUS_PINS = {
     ((3, 2, 1, 1), True): "1dec23bdc057e5a757235e5c5c8ab0fd579ba1ca6827276830143eb21b0a4bb4",
     ((3, 2, 2, 1), True): "9d2be82fd37f063fc56dedaf9d5b265b3cad8202848b00b550c7aaa2f0e88031",
@@ -319,9 +314,6 @@ CENSUS_PINS = {
     ((3, 3, 2, 2), True): "f7cc603e17fe7cf62a1dd63f7c9de5488f92b2a93dbb81bccb17e799546ef112",
     ((3, 4, 1, 3), True): "b7bdb415c0f3eb18b26056c21eaa4d6c9ab32754feb62039a790e3767e462a8f",
     ((5, 2, 1, 1), True): "01247f975ad5d480fff78e7e65013e0554c102281f5f86fdeba142eecf575fc2",
-    ((3, 2, 1, 1), False): "545549c2b76884d88700380575e18a2169be97f4331dfa9f3ba643fb27d3d4c5",
-    ((3, 2, 2, 1), False): "7422cd5e69adfda0804c3cd8439009be1309dd7741063f398473a4bd40a1e6c2",
-    ((3, 3, 1, 2), False): "5fa98781741111aa3e3c8c3aa624d11e9bacbb2e507da078bc728ba2a446e229",
 }
 
 
@@ -333,7 +325,8 @@ def test_census_json_pins(params, connected_only):
     from bicayley import census, make_group
 
     G = make_group(*params)
-    doc = _without_elapsed(census(G, connected_only=connected_only), G)
+    doc = _without_elapsed(census(G), G)
+    assert doc["connected_only"] is connected_only
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     assert digest == CENSUS_PINS[params, connected_only]
 

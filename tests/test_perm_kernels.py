@@ -120,15 +120,31 @@ def test_kernels_refuse_points_outside_the_degree():
     # a point outside [0, degree) is an InvariantViolation, never numpy's
     # IndexError or a negative index that wraps around
     for bad in ([0, 5, 1], [0, -1, 1]):
-        stack = np.array([[0, 1, 2], bad])
-        for call in (lambda: compose(bad, [0, 1, 2]), lambda: invert(bad), lambda: compose(stack, stack),
-                     lambda: invert(stack), lambda: orbit_of_tuple([[1, 0, 2]], [bad[1]]),
-                     lambda: orbit_of_tuple([[1, 0, 2], bad], [0])):
+        for call in (lambda: compose(bad, [0, 1, 2]), lambda: invert(bad),
+                     lambda: orbit_of_tuple([[1, 0, 2]], [bad[1]]), lambda: orbit_of_tuple([[1, 0, 2], bad], [0])):
             with pytest.raises(InvariantViolation, match=r"a point outside \[0, 3\)"):
+                call()
+        # a stack of rows is refused for its shape, whatever its points
+        stack = np.array([[0, 1, 2], bad])
+        for call in (lambda: compose(stack, stack), lambda: invert(stack)):
+            with pytest.raises(InvariantViolation, match="a permutation is one row of points"):
                 call()
     with pytest.raises(InvariantViolation, match="rows of one length"):  # generators of two degrees
         orbit_of_tuple([[1, 0, 2], [1, 0]], [0])
     assert orbit_of_tuple([], [7]) == {(7,)}  # no generator moves the seed
+
+
+def test_kernels_take_one_row_of_points():
+    # on a 2-d array q[p] would fancy-index rows, and is_identity would match
+    # each row against the identity of the row count: compose, invert,
+    # perm_power and is_identity refuse one, whatever the other argument
+    stack, row = np.array([[1, 0, 2], [0, 1, 2]]), np.array([1, 0, 2])
+    for call in (lambda: compose(stack, stack), lambda: compose(row, stack), lambda: compose(stack, row),
+                 lambda: compose(stack.tolist(), stack.tolist()), lambda: invert(stack), lambda: invert(stack.tolist()),
+                 lambda: perm_power(stack, 2), lambda: perm_power(stack, -1), lambda: is_identity([[0, 1], [0, 1]])):
+        with pytest.raises(InvariantViolation, match="a permutation is one row of points"):
+            call()
+    assert same(compose(row, row), (0, 1, 2)) and same(invert(row), (1, 0, 2))
 
 
 def test_degrees_are_read_by_operator_index():

@@ -86,30 +86,6 @@ def test_powers_match_tuple_powers(p, ks):
     assert all((r == -1 - i).all() for i, r in enumerate(out))
 
 
-def stack_of(m, n):
-    """(m, n) stacks, each row a permutation or the identity."""
-    rows = st.one_of(st.permutations(range(n)), st.just(list(range(n))))
-    return st.lists(rows, min_size=m, max_size=m).map(lambda rs: np.array(rs, dtype=np.intp).reshape(m, n))
-
-
-# two stacks of one shape, up to 5 rows, and the dtype they are stored in
-stack_pairs = st.tuples(st.integers(0, 5), st.integers(0, 12)).flatmap(lambda mn: st.tuples(stack_of(*mn), stack_of(*mn)))
-stack_dtypes = st.sampled_from([np.intp, np.int32, np.uint8])
-
-
-@SETTINGS
-@given(stack_pairs, stack_dtypes)
-def test_stacked_kernels_match_1d_kernels_row_by_row(PQ, dtype):
-    # compose and invert, the kernels that take stacks
-    P, Q = (a.astype(dtype) for a in PQ)
-    composed, inverted = compose(P, Q), invert(P)
-    assert composed.shape == inverted.shape == P.shape and inverted.dtype == P.dtype
-    for i, (p, q) in enumerate(zip(P, Q)):
-        assert np.array_equal(composed[i], compose(p, q))
-        assert np.array_equal(inverted[i], invert(p))
-    assert np.array_equal(P, PQ[0])
-
-
 # (0 1)(2 3 4): point 0 has period 2 but p^2 is not the identity
 MIXED = [1, 0, 3, 4, 2]
 
